@@ -1,18 +1,24 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A Graph is an append-only tape. Every Tensor created through an op is
-appended to its graph's tape at construction, so tape order is already a
-topological order of the computation. backward() walks the tape in exact
-reverse construction order, accumulating vector-Jacobian products into a
-per-call adjoint table, then adds the results onto each tensor's .grad.
-Repeated backward() calls therefore accumulate gradients until the caller
-discards the graph.
+A Graph is an append-only tape. Every Tensor created through an op gets the
+next node id of its graph at construction, so id order is already a
+topological order of the computation. backward() visits the loss and its
+ancestors in exact reverse construction order, accumulating vector-Jacobian
+products into a per-call adjoint table, then adds the results onto each
+tensor's .grad. Repeated backward() calls therefore accumulate gradients
+until the caller discards the graph.
+
+Tensors point at their graph and at their inputs; the graph holds only weak
+references to its tensors. Without a cycle between the two, reference
+counting frees a spent graph as soon as its last tensor is dropped.
 
 All values are float64. No op mutates its inputs; optimizers update
 parameter arrays between graphs, never inside one.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -26,10 +32,14 @@ def _as_f64(values) -> Array:
 
 
 class Graph:
-    """Append-only record of tensors in construction order."""
+    """Append-only record of tensors in construction order.
+
+    `nodes[i]` is a weak reference to the tensor with node id i: call it to
+    get the tensor, or None once nothing else holds that tensor.
+    """
 
     def __init__(self):
-        self.nodes: list[Tensor] = []
+        self.nodes: list[weakref.ref[Tensor]] = []
 
     def tensor(self, values) -> "Tensor":
         """Create a leaf tensor (parameter or constant) on this graph."""
@@ -42,7 +52,8 @@ class Graph:
 class Tensor:
     """One node of the tape: values, optional grad, and its adjoint rule."""
 
-    __slots__ = ("graph", "values", "grad", "node_id", "_inputs", "_vjp")
+    __slots__ = ("graph", "values", "grad", "node_id", "_inputs", "_vjp",
+                 "__weakref__")
 
     def __init__(self, graph: Graph, values: Array, inputs=(), vjp=None):
         self.graph = graph
@@ -51,7 +62,7 @@ class Tensor:
         self.node_id = len(graph.nodes)
         self._inputs = tuple(inputs)
         self._vjp = vjp
-        graph.nodes.append(self)
+        graph.nodes.append(weakref.ref(self))
 
     @property
     def shape(self):
@@ -300,29 +311,59 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.graph, d, (a, b), vjp)
 
 
+def kernel_bank_mean(d: Tensor, sigmas) -> Tensor:
+    """Mean over all entries of (1/S) * sum_s exp(-d / (2 s^2)).
+
+    One node for a whole Gaussian kernel bank over a block of squared
+    distances d. The adjoint is g / (N S) * sum_s (-1/(2 s^2)) exp(-d/(2 s^2)),
+    with N = d.size; its weighted kernel sum is formed in the forward pass,
+    so the S kernel blocks are not kept.
+    """
+    sig = _as_f64(sigmas).ravel()
+    # nan passes, so a diverged batch reaches the caller's finiteness check
+    if sig.size == 0 or np.any(sig <= 0):
+        raise ParameterError(f"kernel_bank_mean needs positive bandwidths, got {sigmas}")
+    if d.values.size == 0:
+        raise ShapeError(f"kernel_bank_mean needs a non-empty block, got {d.values.shape}")
+    coef = -0.5 / (sig * sig)
+    k = np.exp(coef.reshape((-1,) + (1,) * d.values.ndim) * d.values)
+    n = d.values.size * coef.size
+    slope = np.tensordot(coef, k, axes=1)
+    def vjp(g):
+        return (slope * (float(g) / n),)
+    return Tensor(d.graph, _as_f64(k.sum() / n), (d,), vjp)
+
+
 # -- reverse pass -------------------------------------------------------------
 
 def backward(loss: Tensor):
     """Populate .grad for every tensor the loss depends on.
 
-    The scalar loss is seeded with 1. The tape is walked from the loss node
-    back to node 0; adjoints live in a per-call table so that calling
-    backward twice adds a second full gradient onto .grad.
+    The scalar loss is seeded with 1. Node ids are visited from the loss
+    down to 0; only tensors reached through inputs carry an adjoint, so the
+    graph's tape itself is never read. Adjoints live in a per-call table so
+    that calling backward twice adds a second full gradient onto .grad.
     """
     if loss.values.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.values.shape}")
-    nodes = loss.graph.nodes
     adjoint: dict[int, Array] = {loss.node_id: np.ones_like(loss.values)}
+    reached: dict[int, Tensor] = {loss.node_id: loss}
     for pos in range(loss.node_id, -1, -1):
-        t = nodes[pos]
-        g = adjoint.get(t.node_id)
-        if g is None or t._vjp is None:
+        g = adjoint.get(pos)
+        if g is None:
+            continue
+        t = reached[pos]
+        if t._vjp is None:
             continue
         for inp, contrib in zip(t._inputs, t._vjp(g)):
             if contrib is None:
                 continue
             prev = adjoint.get(inp.node_id)
-            adjoint[inp.node_id] = contrib if prev is None else prev + contrib
+            if prev is None:
+                adjoint[inp.node_id] = contrib
+                reached[inp.node_id] = inp
+            else:
+                adjoint[inp.node_id] = prev + contrib
     for node_id, g in adjoint.items():
-        t = nodes[node_id]
+        t = reached[node_id]
         t.grad = g if t.grad is None else t.grad + g

@@ -32,6 +32,12 @@ TEACHER_SEED_OFFSET = 10_000
 STUDENT_SEED_OFFSET = 20_000
 
 
+def _reject_duplicates(key: str, values: tuple):
+    repeated = sorted({str(v) for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{key}: duplicate entries {', '.join(repeated)}")
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     generator: str = "blobs"
@@ -50,6 +56,14 @@ class DatasetConfig:
                 f"unknown generator {self.generator!r}; valid: blobs, two_moons")
         if self.generator == "two_moons" and (self.classes != 2 or self.dim != 2):
             raise ConfigError("two_moons generator is fixed at classes=2, dim=2")
+        if self.classes < 2:
+            raise ConfigError(f"data.classes must be >= 2, got {self.classes}")
+        if self.n_per_domain < self.classes:
+            raise ConfigError(
+                f"data.n_per_domain must be >= data.classes ({self.classes}), "
+                f"got {self.n_per_domain}")
+        if self.dim < 2:
+            raise ConfigError(f"data.dim must be >= 2, got {self.dim}")
 
     def make_pair(self, seed: int) -> DomainPair:
         if self.generator == "blobs":
@@ -81,6 +95,10 @@ class ExperimentConfig:
             if s not in VALID_SCENARIOS:
                 raise ConfigError(
                     f"unknown scenario {s!r}; valid: {', '.join(VALID_SCENARIOS)}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"experiment.seeds must be >= 0, got {min(self.seeds)}")
+        _reject_duplicates("experiment.scenarios", self.scenarios)
+        _reject_duplicates("experiment.seeds", self.seeds)
         if not self.student_hidden:
             raise ConfigError("at least one student spec is required")
 
@@ -281,6 +299,8 @@ def run_single(cfg: ExperimentConfig, scenario: str, seed: int
     if scenario not in VALID_SCENARIOS:
         raise ConfigError(
             f"unknown scenario {scenario!r}; valid: {', '.join(VALID_SCENARIOS)}")
+    if seed < 0:  # numpy generators take only non-negative seeds
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     pair = cfg.dataset.make_pair(seed)
     train_cfg = replace(cfg.train, seed=seed)
     teacher_spec = cfg.teacher_spec(seed)

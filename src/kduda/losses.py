@@ -37,8 +37,9 @@ MEDIAN_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 class KernelConfig:
     """Gaussian kernel bank for the discrepancy estimator.
 
-    mode "median": bandwidth = per-batch median of pooled pairwise distances,
-    scaled by each multiplier. mode "fixed": use `bandwidths` as given.
+    mode "median": bandwidth = per-batch median of the pairwise distances of
+    the pooled sample, scaled by each multiplier. mode "fixed": use
+    `bandwidths` as given.
     """
 
     mode: str = "median"
@@ -63,15 +64,20 @@ class KernelConfig:
                 raise ParameterError(
                     f"multipliers must be positive, got {self.median_multipliers}")
 
-    def resolve(self, fs: np.ndarray, ft: np.ndarray) -> tuple[float, ...]:
-        """Concrete bandwidths for one batch of source/target features."""
+    def resolve(self, d_ss: np.ndarray, d_tt: np.ndarray,
+                d_st: np.ndarray) -> tuple[float, ...]:
+        """Concrete bandwidths for one batch, from its squared-distance blocks.
+
+        The median runs over the distinct pairs of the pooled sample: the
+        strict upper triangles of the within-domain blocks d_ss and d_tt,
+        and every entry of the cross-domain block d_st.
+        """
         if self.mode == "fixed":
             return self.bandwidths
-        pooled = np.concatenate([fs, ft], axis=0)
-        sq = (pooled * pooled).sum(axis=1)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T), 0.0)
-        iu = np.triu_indices(pooled.shape[0], k=1)
-        med = float(np.median(np.sqrt(d2[iu]))) if iu[0].size else 0.0
+        pairs = np.concatenate([d_ss[np.triu_indices(d_ss.shape[0], k=1)],
+                                d_tt[np.triu_indices(d_tt.shape[0], k=1)],
+                                d_st.ravel()])
+        med = float(np.median(np.sqrt(pairs))) if pairs.size else 0.0
         if med < 1e-12:
             med = 1.0  # degenerate batch (all points identical)
         return tuple(med * m for m in self.median_multipliers)
@@ -180,18 +186,13 @@ def mmd_squared(fs: Tensor, ft: Tensor, kernel: KernelConfig) -> Tensor:
             f"mmd_squared: feature widths {fs.values.shape} and {ft.values.shape} differ")
     if fs.values.shape[0] == 0 or ft.values.shape[0] == 0:
         raise ParameterError("mmd_squared: empty sample")
-    sigmas = kernel.resolve(fs.values, ft.values)
-
-    def kernel_mean(a: Tensor, b: Tensor) -> Tensor:
-        d = ad.pairwise_sqdist(a, b)
-        acc = None
-        for s in sigmas:
-            k = ad.scalar_multiply(d, -1.0 / (2.0 * s * s)).exp()
-            acc = k if acc is None else ad.add(acc, k)
-        return ad.scalar_multiply(acc, 1.0 / len(sigmas)).mean()
-
-    within = ad.add(kernel_mean(fs, fs), kernel_mean(ft, ft))
-    across = ad.scalar_multiply(kernel_mean(fs, ft), 2.0)
+    d_ss = ad.pairwise_sqdist(fs, fs)
+    d_tt = ad.pairwise_sqdist(ft, ft)
+    d_st = ad.pairwise_sqdist(fs, ft)
+    sigmas = kernel.resolve(d_ss.values, d_tt.values, d_st.values)
+    within = ad.add(ad.kernel_bank_mean(d_ss, sigmas),
+                    ad.kernel_bank_mean(d_tt, sigmas))
+    across = ad.scalar_multiply(ad.kernel_bank_mean(d_st, sigmas), 2.0)
     return ad.subtract(within, across)
 
 

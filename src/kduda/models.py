@@ -98,6 +98,8 @@ class Model:
     def features(self, x: Tensor) -> Tensor:
         """Activation after the last hidden layer (post-ReLU)."""
         leaves = self.bind(x.graph)
+        # the cached node reaches x through its inputs, so x stays alive and
+        # id(x) cannot be reused while the entry lives
         key = id(x)
         cached = self._cache.get(key)
         if cached is not None:

@@ -1,5 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kduda.autodiff as ad
 from kduda.autodiff import Graph
@@ -159,6 +164,58 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [5.0])
 
 
+    def test_tape_counts_nodes_and_frees_without_the_cyclic_gc(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = Graph()
+            x = g.tensor([1.0, 2.0])
+            loss = x.square().sum()
+            assert len(g.nodes) == 3
+            assert g.nodes[0]() is x
+            tape = weakref.ref(g)
+            del g, x, loss
+            assert tape() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+
+class TestKernelBankMean:
+    @settings(max_examples=60, deadline=None)
+    @given(rows_a=st.integers(1, 6), rows_b=st.integers(1, 6),
+           width=st.integers(1, 4),
+           sigmas=st.lists(st.floats(0.5, 5.0), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_finite_differences(self, rows_a, rows_b, width, sigmas, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(rows_a, width))
+        b = rng.normal(size=(rows_b, width))
+        d0 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+        def loss_at(d):
+            return ad.kernel_bank_mean(Graph().tensor(d), sigmas).item()
+
+        g = Graph()
+        d = g.tensor(d0)
+        out = ad.kernel_bank_mean(d, sigmas)
+        expected = np.mean([np.exp(-d0 / (2.0 * s * s)) for s in sigmas])
+        np.testing.assert_allclose(out.item(), expected, rtol=1e-12)
+        out.backward()
+        assert relative_error(finite_diff_grad(loss_at, d0.copy()), d.grad) < 1e-5
+
+    @pytest.mark.parametrize("sigmas", [(), (1.0, 0.0), (-1.0,)])
+    def test_rejects_bad_bandwidths(self, sigmas):
+        g = Graph()
+        with pytest.raises(ParameterError):
+            ad.kernel_bank_mean(g.tensor(np.ones((2, 2))), sigmas)
+
+    def test_rejects_an_empty_block(self):
+        g = Graph()
+        with pytest.raises(ShapeError):
+            ad.kernel_bank_mean(g.tensor(np.ones((0, 3))), (1.0,))
+
+
 PRIMITIVE_CASES = [
     ("add", lambda g, a, b: ad.add(g.tensor(a), g.tensor(b)), [(3, 4), (3, 4)]),
     ("subtract", lambda g, a, b: ad.subtract(g.tensor(a), g.tensor(b)), [(3, 4), (3, 4)]),
@@ -201,8 +258,9 @@ class TestPrimitiveGradients:
             out_t = builder(gg, *args)
             loss = scalarize(out_t, weight)
             loss.backward()
-            # the i-th created leaf on this graph is the i-th input
-            leaf = gg.nodes[i]
+            # the i-th created leaf on this graph is the i-th input; the
+            # tape holds weak references, and out_t keeps the leaves alive
+            leaf = gg.nodes[i]()
             np.testing.assert_allclose(leaf.values, inputs[i])
             assert leaf.grad is not None, f"{name}: input {i} got no gradient"
             numeric = finite_diff_grad(loss_at, inputs[i].copy())

@@ -146,6 +146,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="two_moons"):
             parse_config("data.generator = two_moons\ndata.classes = 3\n")
 
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ConfigError, match="experiment.seeds must be >= 0"):
+            parse_config("experiment.seeds = 0, -1\n")
+
+    def test_duplicate_seeds_are_rejected(self):
+        with pytest.raises(ConfigError, match="experiment.seeds: duplicate.*0"):
+            parse_config("experiment.seeds = 0, 1, 0\n")
+
+    def test_duplicate_scenarios_are_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="experiment.scenarios: duplicate.*joint"):
+            parse_config("experiment.scenarios = joint, uda_only, joint\n")
+
+    @pytest.mark.parametrize("lines,key", [
+        ("data.n_per_domain = 0", "data.n_per_domain"),
+        ("data.n_per_domain = 2\ndata.classes = 3", "data.n_per_domain"),
+        ("data.classes = 1", "data.classes"),
+        ("data.dim = 1", "data.dim"),
+    ])
+    def test_dataset_ranges_are_checked_at_load(self, lines, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(lines + "\n")
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.cfg"))
@@ -363,6 +386,16 @@ class TestCli:
     def test_unknown_scenario_is_a_usage_error(self, cli_config, capsys):
         assert main(["train", "--config", cli_config,
                      "--scenario", "warmup"]) == 1
+
+    def test_negative_seed_flag_is_a_usage_error(self, cli_config, capsys):
+        assert main(["train", "--config", cli_config, "--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_empty_dataset_fails_before_any_command(self, tmp_path, capsys):
+        path = tmp_path / "empty.cfg"
+        path.write_text("data.n_per_domain = 0\n")
+        assert main(["complexity", "--config", str(path)]) == 1
+        assert "data.n_per_domain" in capsys.readouterr().err
 
     def test_bad_width_list_is_a_usage_error(self, cli_config, capsys):
         assert main(["sweep", "--config", cli_config, "--teachers", "a,b",

@@ -43,6 +43,40 @@ def brute_force_mmd(fs, ft, sigmas):
     return block(fs, fs) + block(ft, ft) - 2.0 * block(fs, ft)
 
 
+def pooled_median_bandwidths(fs, ft, multipliers=(0.25, 0.5, 1.0, 2.0, 4.0)):
+    """Median-heuristic bandwidths from one pooled distance matrix, the way
+    KernelConfig.resolve formed them before it took the three blocks."""
+    pooled = np.concatenate([fs, ft], axis=0)
+    sq = (pooled * pooled).sum(axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T), 0.0)
+    med = float(np.median(np.sqrt(d2[np.triu_indices(pooled.shape[0], k=1)])))
+    return tuple(med * m for m in multipliers)
+
+
+def unfused_mmd(fs, ft, sigmas):
+    """The estimator as a 5 x (scale, exp, add) + scale + mean composition
+    per block: the reference that ad.kernel_bank_mean replaces."""
+
+    def kernel_mean(a, b):
+        d = ad.pairwise_sqdist(a, b)
+        acc = None
+        for s in sigmas:
+            k = ad.scalar_multiply(d, -1.0 / (2.0 * s * s)).exp()
+            acc = k if acc is None else ad.add(acc, k)
+        return ad.scalar_multiply(acc, 1.0 / len(sigmas)).mean()
+
+    within = ad.add(kernel_mean(fs, fs), kernel_mean(ft, ft))
+    across = ad.scalar_multiply(kernel_mean(fs, ft), 2.0)
+    return ad.subtract(within, across)
+
+
+def sqdist_blocks(fs, ft):
+    """Squared-distance blocks (source-source, target-target, source-target)."""
+    def d(a, b):
+        return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return d(fs, fs), d(ft, ft), d(fs, ft)
+
+
 def _flat_params(model):
     return np.concatenate([p.ravel() for p in model.parameters()])
 
@@ -61,17 +95,31 @@ class TestKernelConfig:
         kc = KernelConfig()
         fs = np.array([[0.0, 0.0]])
         ft = np.array([[3.0, 4.0]])
-        assert kc.resolve(fs, ft) == (1.25, 2.5, 5.0, 10.0, 20.0)
+        assert kc.resolve(*sqdist_blocks(fs, ft)) == (1.25, 2.5, 5.0, 10.0, 20.0)
 
     def test_fixed_mode_passthrough(self):
         kc = KernelConfig(mode="fixed", bandwidths=(0.5, 2.0))
-        assert kc.resolve(np.zeros((2, 3)), np.ones((2, 3))) == (0.5, 2.0)
+        assert kc.resolve(*sqdist_blocks(np.zeros((2, 3)), np.ones((2, 3)))) == (0.5, 2.0)
 
     def test_degenerate_batch_falls_back_to_unit_bandwidth(self):
         kc = KernelConfig()
         fs = np.zeros((2, 2))
         ft = np.zeros((3, 2))
-        assert kc.resolve(fs, ft) == (0.25, 0.5, 1.0, 2.0, 4.0)
+        assert kc.resolve(*sqdist_blocks(fs, ft)) == (0.25, 0.5, 1.0, 2.0, 4.0)
+
+    @pytest.mark.parametrize("rows_s,rows_t,width,seed",
+                             [(1, 1, 1, 0), (4, 7, 3, 1), (32, 32, 16, 2),
+                              (9, 2, 5, 3)])
+    def test_blocks_give_the_pooled_median(self, rows_s, rows_t, width, seed):
+        rng = np.random.default_rng(seed)
+        fs = rng.normal(size=(rows_s, width))
+        ft = rng.normal(size=(rows_t, width)) + 0.7
+        g = ad.Graph()
+        a, b = g.tensor(fs), g.tensor(ft)
+        blocks = (ad.pairwise_sqdist(a, a).values, ad.pairwise_sqdist(b, b).values,
+                  ad.pairwise_sqdist(a, b).values)
+        np.testing.assert_allclose(KernelConfig().resolve(*blocks),
+                                   pooled_median_bandwidths(fs, ft), rtol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -163,6 +211,29 @@ class TestMmd:
         numeric = finite_diff_grad(f, flat0)
         analytic = np.concatenate([fs.grad.ravel(), ft.grad.ravel()])
         assert relative_error(numeric, analytic) < 1e-6
+
+    @pytest.mark.parametrize("rows_s,rows_t,width,seed",
+                             [(1, 1, 1, 0), (5, 3, 2, 1), (32, 32, 64, 2),
+                              (7, 12, 4, 3)])
+    def test_fused_bank_matches_the_unfused_composition(self, rows_s, rows_t,
+                                                        width, seed):
+        rng = np.random.default_rng(seed)
+        fs0 = rng.normal(size=(rows_s, width))
+        ft0 = rng.normal(size=(rows_t, width)) + 0.5
+        sigmas = pooled_median_bandwidths(fs0, ft0)
+        kernel = KernelConfig(mode="fixed", bandwidths=sigmas)
+        runs = []
+        for build_mmd in (lambda a, b: mmd_squared(a, b, kernel),
+                          lambda a, b: unfused_mmd(a, b, sigmas)):
+            g = ad.Graph()
+            fs, ft = g.tensor(fs0), g.tensor(ft0)
+            value = build_mmd(fs, ft)
+            value.backward()
+            runs.append((value.item(), fs.grad, ft.grad))
+        (new, new_gs, new_gt), (old, old_gs, old_gt) = runs
+        assert abs(new - old) <= 1e-12
+        np.testing.assert_allclose(new_gs, old_gs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(new_gt, old_gt, rtol=0, atol=1e-12)
 
     def test_shape_and_emptiness_errors(self):
         g = ad.Graph()

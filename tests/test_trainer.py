@@ -1,9 +1,12 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import kduda.autodiff as ad
 from kduda.data import gen_blob_shift
 from kduda.errors import NumericalAbort, ParameterError, ShapeError
 from kduda.models import Model, ModelSpec, build
@@ -257,6 +260,29 @@ class TestJointTraining:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalAbort, match=r"not finite at epoch \d+"):
                 train_joint(teacher, student, small_pair(), cfg)
+
+    def test_spent_tapes_free_without_the_cyclic_gc(self, monkeypatch):
+        live = weakref.WeakSet()
+        most = [0]
+        original_init = ad.Graph.__init__
+
+        def counting_init(graph):
+            original_init(graph)
+            live.add(graph)
+            most[0] = max(most[0], len(live))
+
+        monkeypatch.setattr(ad.Graph, "__init__", counting_init)
+        teacher, student = small_models()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train_joint(teacher, student, small_pair(), quick_cfg(epochs=3))
+        finally:
+            if was_enabled:
+                gc.enable()
+        # the step being built, plus the last DA and KD graphs that the
+        # teacher and student bindings still hold
+        assert most[0] <= 3
 
     def test_learning_happens_at_all(self):
         teacher, student = small_models()
