@@ -190,46 +190,39 @@ def scalar_multiply(a: Tensor, c: float) -> Tensor:
     return Tensor(a.graph, a.values * c, (a,), vjp)
 
 
-# -- linear algebra ----------------------------------------------------------
+# -- dense layers -------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _same_graph(a, b)
-    if a.values.ndim != 2 or b.values.ndim != 2:
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """One node for x @ w + b, optionally followed by ReLU.
+
+    The adjoint masks the incoming gradient where the ReLU is inactive
+    (gm = g * mask) and returns gm @ w.T, x.T @ gm and gm.sum(axis=0).
+    """
+    _same_graph(x, w)
+    _same_graph(x, b)
+    xv, wv, bv = x.values, w.values, b.values
+    if xv.ndim != 2 or wv.ndim != 2 or bv.ndim != 1:
         raise ShapeError(
-            f"matmul needs 2-d operands, got {a.values.shape} and {b.values.shape}")
-    if a.values.shape[1] != b.values.shape[0]:
+            f"linear needs a matrix, a matrix and a vector, got {xv.shape}, "
+            f"{wv.shape} and {bv.shape}")
+    if xv.shape[1] != wv.shape[0]:
+        raise ShapeError(f"linear: inner dims of {xv.shape} and {wv.shape} differ")
+    if wv.shape[1] != bv.shape[0]:
         raise ShapeError(
-            f"matmul: inner dims of {a.values.shape} and {b.values.shape} differ")
-    av, bv = a.values, b.values
+            f"linear: width of {wv.shape} does not match bias {bv.shape}")
+    z = xv @ wv
+    z += bv
+    mask = None
+    if relu:
+        mask = z > 0
+        z = np.where(mask, z, 0.0)
     def vjp(g):
-        return (g @ bv.T, av.T @ g)
-    return Tensor(a.graph, av @ bv, (a, b), vjp)
-
-
-def broadcast_add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a length-n bias row to every row of an m-by-n matrix."""
-    _same_graph(x, bias)
-    if x.values.ndim != 2 or bias.values.ndim != 1:
-        raise ShapeError(
-            f"broadcast_add_bias needs matrix and vector, got "
-            f"{x.values.shape} and {bias.values.shape}")
-    if x.values.shape[1] != bias.values.shape[0]:
-        raise ShapeError(
-            f"broadcast_add_bias: width of {x.values.shape} does not match "
-            f"bias {bias.values.shape}")
-    def vjp(g):
-        return (g, g.sum(axis=0))
-    return Tensor(x.graph, x.values + bias.values, (x, bias), vjp)
+        gm = g if mask is None else g * mask
+        return (gm @ wv.T, xv.T @ gm, gm.sum(axis=0))
+    return Tensor(x.graph, z, (x, w, b), vjp)
 
 
 # -- nonlinearities ----------------------------------------------------------
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.values > 0
-    def vjp(g):
-        return (g * mask,)
-    return Tensor(x.graph, np.where(mask, x.values, 0.0), (x,), vjp)
-
 
 def softmax_temperature(logits: Tensor, tau: float) -> Tensor:
     """Row-wise softmax of logits / tau, computed in the shifted stable form."""
@@ -328,7 +321,7 @@ def kernel_bank_mean(d: Tensor, sigmas) -> Tensor:
     coef = -0.5 / (sig * sig)
     k = np.exp(coef.reshape((-1,) + (1,) * d.values.ndim) * d.values)
     n = d.values.size * coef.size
-    slope = np.tensordot(coef, k, axes=1)
+    slope = np.dot(coef, k.reshape(coef.size, -1)).reshape(d.values.shape)
     def vjp(g):
         return (slope * (float(g) / n),)
     return Tensor(d.graph, _as_f64(k.sum() / n), (d,), vjp)

@@ -172,8 +172,7 @@ def batches(pair: DomainPair, batch_size: int, epoch: int, seed: int):
     for start in range(0, ns, batch_size):
         src_idx = src_order[start:start + batch_size]
         take = src_idx.size
-        tgt_idx = np.array([tgt_order[(start + k) % nt] for k in range(take)],
-                           dtype=np.intp)
+        tgt_idx = tgt_order[(start + np.arange(take)) % nt]
         out.append((pair.xs[src_idx], pair.ys[src_idx], pair.xt[tgt_idx]))
     return out
 

@@ -2,8 +2,9 @@
 tables, and the teacher/student width sweep.
 
 Config files are flat `key = value` text with dotted keys and # comments.
-Output file names are derived from a hash of the fully resolved config plus
-scenario and seed, so distinct runs never collide in one directory.
+Output file names are derived from a hash of the fully resolved config
+(every field but the output directory) plus scenario and seed, so distinct
+runs never collide in one directory.
 """
 
 from __future__ import annotations
@@ -103,7 +104,10 @@ class ExperimentConfig:
             raise ConfigError("at least one student spec is required")
 
     def config_hash(self) -> str:
-        return hashlib.sha256(repr(self).encode()).hexdigest()[:10]
+        """Digest of every field except output_dir, so moving the output
+        directory keeps every artifact's name."""
+        return hashlib.sha256(
+            repr(replace(self, output_dir="")).encode()).hexdigest()[:10]
 
     def teacher_spec(self, seed: int) -> ModelSpec:
         return ModelSpec(self.dataset.dim, self.teacher_hidden,

@@ -15,6 +15,7 @@ big model through a distillation term.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,13 +75,38 @@ class KernelConfig:
         """
         if self.mode == "fixed":
             return self.bandwidths
-        pairs = np.concatenate([d_ss[np.triu_indices(d_ss.shape[0], k=1)],
-                                d_tt[np.triu_indices(d_tt.shape[0], k=1)],
+        pairs = np.concatenate([d_ss[_strict_upper(d_ss.shape[0])],
+                                d_tt[_strict_upper(d_tt.shape[0])],
                                 d_st.ravel()])
-        med = float(np.median(np.sqrt(pairs))) if pairs.size else 0.0
+        med = _median_of_roots(pairs) if pairs.size else 0.0
         if med < 1e-12:
             med = 1.0  # degenerate batch (all points identical)
         return tuple(med * m for m in self.median_multipliers)
+
+
+@functools.lru_cache(maxsize=8)
+def _strict_upper(n: int) -> np.ndarray:
+    """Read-only boolean mask of the strict upper triangle of an n-by-n
+    block; a run meets at most two sizes (full and short last batch)."""
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _median_of_roots(sq: np.ndarray) -> float:
+    """np.median(np.sqrt(sq)) for non-negative sq, bit for bit, with two
+    square roots instead of one per entry.
+
+    sqrt is monotone and correctly rounded, so the middle order statistics
+    of sqrt(sq) are the roots of those of sq. Partitions sq in place; the
+    last rank is placed too, so a nan makes the result nan as in np.median.
+    """
+    n = sq.size
+    lo, hi = (n - 1) // 2, n // 2
+    sq.partition((lo, hi, n - 1))
+    if np.isnan(sq[-1]):
+        return float("nan")
+    return (math.sqrt(sq[lo]) + math.sqrt(sq[hi])) / 2.0
 
 
 @dataclass(frozen=True)
@@ -197,10 +223,11 @@ def mmd_squared(fs: Tensor, ft: Tensor, kernel: KernelConfig) -> Tensor:
 
 
 def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-probability of the true class.
+    """Mean negative log-probability of the true class, as one tape node.
 
     probs rows must already be distributions; log inputs are clamped at
-    PROB_FLOOR so certain-but-wrong predictions stay finite.
+    PROB_FLOOR so certain-but-wrong predictions stay finite, and the
+    gradient is zero where the clamp is active.
     """
     if probs.values.ndim != 2:
         raise ShapeError(f"cross_entropy needs 2-d probs, got {probs.values.shape}")
@@ -215,35 +242,48 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
             f"[{labels.min()}, {labels.max()}]")
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels.astype(np.intp)] = 1.0
-    picked = ad.multiply(probs.log(floor=PROB_FLOOR), probs.graph.tensor(onehot))
-    return ad.scalar_multiply(picked.sum(), -1.0 / n)
+    p = probs.values
+    clamped = np.maximum(p, PROB_FLOOR)
+    active = p > PROB_FLOOR
+    scale = -1.0 / n
+    value = (np.log(clamped) * onehot).sum() * scale
+    def vjp(g):
+        return (np.where(active, np.full_like(p, g * scale) * onehot / clamped, 0.0),)
+    return Tensor(probs.graph, np.asarray(value), (probs,), vjp)
 
 
 def distill_kl(student_soft: Tensor, teacher_soft, tau: float,
                scale_by_tau_sq: bool = True) -> Tensor:
-    """Mean KL divergence from softened teacher rows to softened student rows.
+    """Mean KL divergence from softened teacher rows to softened student
+    rows, as one tape node.
 
     The teacher side is a constant: values are read once and no gradient is
-    produced for it, even when a graph tensor is passed. Scaled by tau^2 by
-    default so gradient magnitudes stay comparable across temperatures.
+    produced for it, even when a graph tensor is passed. Student inputs to
+    the log are clamped at PROB_FLOOR, with zero gradient where the clamp is
+    active. Scaled by tau^2 by default so gradient magnitudes stay
+    comparable across temperatures.
     """
     if tau <= 0:
         raise ParameterError(f"tau must be positive, got {tau}")
-    t = teacher_soft.values if isinstance(teacher_soft, Tensor) else np.asarray(teacher_soft)
-    if student_soft.values.shape != t.shape:
+    t = np.asarray(teacher_soft.values if isinstance(teacher_soft, Tensor)
+                   else teacher_soft, dtype=np.float64)
+    s = student_soft.values
+    if s.shape != t.shape:
         raise ShapeError(
-            f"distill_kl: student {student_soft.values.shape} and teacher "
-            f"{t.shape} shapes differ")
-    n = t.shape[0]
-    inv_n = 1.0 / n
-    graph = student_soft.graph
-    cross = ad.scalar_multiply(
-        ad.multiply(student_soft.log(floor=PROB_FLOOR), graph.tensor(t)).sum(), -inv_n)
+            f"distill_kl: student {s.shape} and teacher {t.shape} shapes differ")
+    inv_n = 1.0 / t.shape[0]
+    clamped = np.maximum(s, PROB_FLOOR)
+    active = s > PROB_FLOOR
     entropy = float((t * np.log(np.maximum(t, PROB_FLOOR))).sum() * inv_n)
-    kl = ad.add(cross, graph.tensor(entropy))
-    if scale_by_tau_sq:
-        kl = ad.scalar_multiply(kl, tau * tau)
-    return kl
+    value = (np.log(clamped) * t).sum() * -inv_n + entropy
+    tau_sq = float(tau * tau) if scale_by_tau_sq else None
+    if tau_sq is not None:
+        value = value * tau_sq
+    def vjp(g):
+        if tau_sq is not None:
+            g = g * tau_sq
+        return (np.where(active, np.full_like(s, g * -inv_n) * t / clamped, 0.0),)
+    return Tensor(student_soft.graph, np.asarray(value), (student_soft,), vjp)
 
 
 def softmax_np(logits: np.ndarray, tau: float) -> np.ndarray:

@@ -89,11 +89,19 @@ class Model:
         return self._bound
 
     def bound_gradients(self) -> list[np.ndarray]:
-        """Per-parameter gradients from the current binding; zeros where unused."""
+        """Per-parameter gradients from the current binding; zeros where unused.
+
+        Reading them ends the binding, so the model stops holding the spent
+        graph; the next forward pass binds afresh.
+        """
         if self._bound_graph is None:
             raise ParameterError("model is not bound to a graph")
-        return [t.grad if t.grad is not None else np.zeros_like(t.values)
-                for t in self._bound]
+        grads = [t.grad if t.grad is not None else np.zeros_like(t.values)
+                 for t in self._bound]
+        self._bound_graph = None
+        self._bound = []
+        self._cache = {}
+        return grads
 
     def features(self, x: Tensor) -> Tensor:
         """Activation after the last hidden layer (post-ReLU)."""
@@ -110,8 +118,7 @@ class Model:
                 f"got {x.values.shape}")
         h = x
         for i in range(len(self.weights) - 1):
-            w, b = leaves[2 * i], leaves[2 * i + 1]
-            h = ad.relu(ad.broadcast_add_bias(ad.matmul(h, w), b))
+            h = ad.linear(h, leaves[2 * i], leaves[2 * i + 1], relu=True)
         self._cache[key] = h
         return h
 
@@ -123,7 +130,7 @@ class Model:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        out = ad.broadcast_add_bias(ad.matmul(h, leaves[-2]), leaves[-1])
+        out = ad.linear(h, leaves[-2], leaves[-1])
         self._cache[key] = out
         return out
 
@@ -186,28 +193,44 @@ def save_model(model: Model, path: str):
         fh.write("\n".join(lines) + "\n")
 
 
+def _numbers(path: str, lines: list[str], i: int, conv, what: str,
+             count: int | None = None) -> list:
+    """Tokens of line i (0-based) converted by conv, count of them if given.
+
+    A missing, malformed or wrong-length line raises ParameterError naming
+    the file and the 1-based line.
+    """
+    where = f"{path}: line {i + 1} ({what})"
+    if i >= len(lines):
+        raise ParameterError(f"{where} is missing: the file is truncated")
+    try:
+        values = [conv(tok) for tok in lines[i].split()]
+    except ValueError:
+        raise ParameterError(f"{where} is not numeric: {lines[i][:60]!r}") from None
+    if count is not None and len(values) != count:
+        raise ParameterError(f"{where} has {len(values)} values, expected {count}")
+    return values
+
+
 def load_model(path: str) -> Model:
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != MODEL_FORMAT_HEADER:
         raise ParameterError(f"{path}: not a {MODEL_FORMAT_HEADER!r} file")
-    dims = [int(tok) for tok in lines[1].split()]
+    dims = _numbers(path, lines, 1, int, "dims")
     if len(dims) < 3:
         raise ParameterError(f"{path}: need at least input, one hidden, classes")
-    seed = int(lines[2])
+    (seed,) = _numbers(path, lines, 2, int, "seed", count=1)
     spec = ModelSpec(dims[0], tuple(dims[1:-1]), dims[-1], seed=seed)
     weights, biases = [], []
     pos = 3
-    for fan_in, fan_out in spec.layer_dims():
-        rows = []
-        for _ in range(fan_in):
-            rows.append([float(tok) for tok in lines[pos].split()])
-            pos += 1
-        w = np.array(rows, dtype=np.float64)
-        b = np.array([float(tok) for tok in lines[pos].split()], dtype=np.float64)
+    for layer, (fan_in, fan_out) in enumerate(spec.layer_dims()):
+        rows = [_numbers(path, lines, pos + r, float,
+                         f"layer {layer} weight row {r}", count=fan_out)
+                for r in range(fan_in)]
+        pos += fan_in
+        bias = _numbers(path, lines, pos, float, f"layer {layer} bias", count=fan_out)
         pos += 1
-        if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-            raise ParameterError(f"{path}: layer block does not match declared dims")
-        weights.append(w)
-        biases.append(b)
+        weights.append(np.array(rows, dtype=np.float64))
+        biases.append(np.array(bias, dtype=np.float64))
     return Model(spec, weights, biases)

@@ -219,6 +219,45 @@ class _Metrics:
         return self.values
 
 
+# -- steps -------------------------------------------------------------------------
+#
+# Each step builds its own graph and returns only floats, so the graph is
+# freed when the step returns (bound_gradients ends the model's binding).
+
+
+def _da_step(model: Model, xs_np: np.ndarray, ys: np.ndarray, xt_np: np.ndarray,
+             cfg: TrainConfig, weights: LossWeights, opt: OptimizerState,
+             epoch: int, scale: float | None = None) -> tuple[float, float]:
+    """One adaptation step: descend MMD + gamma CE, times scale if given.
+    Returns (mmd, tda)."""
+    graph = Graph()
+    xs, xt = graph.tensor(xs_np), graph.tensor(xt_np)
+    tda, parts = teacher_da_loss(model, xs, ys, xt, cfg.kernel, weights)
+    mmd, tda_val = parts["mmd"], tda.item()
+    _check_finite("L_mmd", mmd, epoch)
+    _check_finite("L_tda", tda_val, epoch)
+    (tda if scale is None else ad.scalar_multiply(tda, scale)).backward()
+    sgd_step(model.parameters(), model.bound_gradients(), opt)
+    return mmd, tda_val
+
+
+def _kd_step(student: Model, teacher: Model, xs_np: np.ndarray, ys: np.ndarray,
+             xt_np: np.ndarray, weights: LossWeights, beta: float,
+             opt: OptimizerState, epoch: int) -> tuple[float, float]:
+    """One distillation step: descend beta * (target KD + source KD) from
+    the teacher's current soft targets. Returns (tkd, skd)."""
+    graph = Graph()
+    xs, xt = graph.tensor(xs_np), graph.tensor(xt_np)
+    tkd = target_kd_loss(student, teacher, xt, weights)
+    skd, _ = source_kd_loss(student, teacher, xs, ys, weights)
+    tkd_val, skd_val = tkd.item(), skd.item()
+    _check_finite("L_tkd", tkd_val, epoch)
+    _check_finite("L_skd", skd_val, epoch)
+    ad.scalar_multiply(ad.add(tkd, skd), beta).backward()
+    sgd_step(student.parameters(), student.bound_gradients(), opt)
+    return tkd_val, skd_val
+
+
 # -- joint procedure ---------------------------------------------------------------
 
 
@@ -268,29 +307,14 @@ def train_joint(teacher: Model, student: Model, pair: DomainPair,
                 step_vals = (report.mmd, report.tda, report.tkd, report.skd,
                              report.total)
             else:
-                graph = Graph()
-                xs, xt = graph.tensor(xs_np), graph.tensor(xt_np)
-                tda, da_parts = teacher_da_loss(teacher, xs, ys, xt,
-                                                cfg.kernel, weights)
-                _check_finite("L_mmd", da_parts["mmd"], epoch)
-                _check_finite("L_tda", tda.item(), epoch)
-                ad.scalar_multiply(tda, 1.0 - beta).backward()
-                sgd_step(teacher.parameters(), teacher.bound_gradients(), da_opt)
-
-                # fresh graph: soft targets come from the just-updated teacher
-                graph = Graph()
-                xs, xt = graph.tensor(xs_np), graph.tensor(xt_np)
-                tkd = target_kd_loss(student, teacher, xt, weights)
-                skd, _ = source_kd_loss(student, teacher, xs, ys, weights)
-                _check_finite("L_tkd", tkd.item(), epoch)
-                _check_finite("L_skd", skd.item(), epoch)
-                ad.scalar_multiply(ad.add(tkd, skd), beta).backward()
-                sgd_step(student.parameters(), student.bound_gradients(), kd_opt)
-
-                total = (1.0 - beta) * tda.item() + beta * (tkd.item() + skd.item())
+                mmd, tda = _da_step(teacher, xs_np, ys, xt_np, cfg, weights,
+                                    da_opt, epoch, scale=1.0 - beta)
+                # soft targets come from the just-updated teacher
+                tkd, skd = _kd_step(student, teacher, xs_np, ys, xt_np,
+                                    weights, beta, kd_opt, epoch)
+                total = (1.0 - beta) * tda + beta * (tkd + skd)
                 _check_finite("L_total", total, epoch)
-                step_vals = (da_parts["mmd"], tda.item(), tkd.item(),
-                             skd.item(), total)
+                step_vals = (mmd, tda, tkd, skd, total)
             sums += np.asarray(step_vals)
         means = sums / nb
         accs = metrics.at_epoch(epoch)
@@ -317,14 +341,7 @@ def _adapt_epochs(model: Model, pair: DomainPair, cfg: TrainConfig,
         batch_list = batches(pair, cfg.batch_size, epoch, cfg.seed)
         sums = np.zeros(2)  # mmd, tda
         for xs_np, ys, xt_np in batch_list:
-            graph = Graph()
-            xs, xt = graph.tensor(xs_np), graph.tensor(xt_np)
-            tda, parts = teacher_da_loss(model, xs, ys, xt, cfg.kernel, weights)
-            _check_finite("L_mmd", parts["mmd"], epoch)
-            _check_finite("L_tda", tda.item(), epoch)
-            tda.backward()
-            sgd_step(model.parameters(), model.bound_gradients(), opt)
-            sums += (parts["mmd"], tda.item())
+            sums += _da_step(model, xs_np, ys, xt_np, cfg, weights, opt, epoch)
         means = sums / len(batch_list)
         accs = metrics.at_epoch(epoch)
         log.records.append(EpochRecord(

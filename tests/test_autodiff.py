@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kduda.autodiff as ad
@@ -20,16 +20,24 @@ def scalarize(out, weight):
     return ad.multiply(out, out.graph.tensor(weight)).sum()
 
 
+def dense(g, x, w, b=None, relu=False):
+    """ad.linear on fresh leaves of g; the bias defaults to zeros."""
+    w = np.asarray(w, dtype=np.float64)
+    b = np.zeros(w.shape[1]) if b is None else b
+    return ad.linear(g.tensor(x), g.tensor(w), g.tensor(b), relu=relu)
+
+
 class TestMatmul:
+    """The matrix product inside ad.linear, with a zero bias and no ReLU."""
+
     def test_identity(self):
         g = Graph()
-        a = g.tensor(np.eye(2))
-        b = g.tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(ad.matmul(a, b).values, [[1, 2], [3, 4]])
+        out = dense(g, np.eye(2), [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_allclose(out.values, [[1, 2], [3, 4]])
 
     def test_hand_case(self):
         g = Graph()
-        out = ad.matmul(g.tensor([[1.0, 2.0]]), g.tensor([[3.0], [4.0]]))
+        out = dense(g, [[1.0, 2.0]], [[3.0], [4.0]])
         np.testing.assert_allclose(out.values, [[11.0]])
 
     def test_grad_of_sum_matches_finite_differences(self):
@@ -38,30 +46,31 @@ class TestMatmul:
         b0 = rng.normal(size=(3, 3))
 
         def loss_at(a):
-            g = Graph()
-            return ad.matmul(g.tensor(a), g.tensor(b0)).sum().item()
+            return dense(Graph(), a, b0).sum().item()
 
         g = Graph()
         a = g.tensor(a0)
-        ad.matmul(a, g.tensor(b0)).sum().backward()
+        ad.linear(a, g.tensor(b0), g.tensor(np.zeros(3))).sum().backward()
         numeric = finite_diff_grad(loss_at, a0.copy())
         assert relative_error(numeric, a.grad) < 1e-6
 
     def test_shape_mismatch_names_both_shapes(self):
         g = Graph()
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(g.tensor(np.ones((2, 3))), g.tensor(np.ones((2, 3))))
+            dense(g, np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestRelu:
+    """The ReLU of ad.linear(..., relu=True), on an identity layer."""
+
     def test_values(self):
         g = Graph()
-        out = ad.relu(g.tensor([-1.0, 0.0, 2.0]))
-        np.testing.assert_allclose(out.values, [0.0, 0.0, 2.0])
+        out = dense(g, [[-1.0, 0.0, 2.0]], np.eye(3), relu=True)
+        np.testing.assert_allclose(out.values, [[0.0, 0.0, 2.0]])
 
     def test_all_negative(self):
         g = Graph()
-        out = ad.relu(g.tensor([-3.0, -0.5, -1e-9]))
+        out = dense(g, [[-3.0, -0.5, -1e-9]], np.eye(3), relu=True)
         np.testing.assert_allclose(out.values, 0.0)
 
     def test_gradient_away_from_kink(self):
@@ -71,13 +80,97 @@ class TestRelu:
         w = rng.normal(size=(4, 4))
 
         def loss_at(x):
-            g = Graph()
-            return scalarize(ad.relu(g.tensor(x)), w).item()
+            return scalarize(dense(Graph(), x, np.eye(4), relu=True), w).item()
 
         g = Graph()
         x = g.tensor(x0)
-        scalarize(ad.relu(x), w).backward()
+        scalarize(ad.linear(x, g.tensor(np.eye(4)), g.tensor(np.zeros(4)),
+                            relu=True), w).backward()
         assert relative_error(finite_diff_grad(loss_at, x0.copy()), x.grad) < 1e-5
+
+
+def _unfused_layer(x, w, b, relu):
+    """x @ w, then + b, then ReLU as three tape nodes: the matmul,
+    broadcast_add_bias and relu ops that ad.linear replaces, kept here as
+    the reference."""
+    xv, wv = x.values, w.values
+    h = ad.Tensor(x.graph, xv @ wv, (x, w), lambda g: (g @ wv.T, xv.T @ g))
+    h = ad.Tensor(x.graph, h.values + b.values, (h, b),
+                  lambda g: (g, g.sum(axis=0)))
+    if relu:
+        mask = h.values > 0
+        h = ad.Tensor(x.graph, np.where(mask, h.values, 0.0), (h,),
+                      lambda g: (g * mask,))
+    return h
+
+
+class TestLinear:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 5), fan_in=st.integers(1, 4),
+           fan_out=st.integers(1, 4), relu=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_finite_differences(self, rows, fan_in, fan_out, relu, seed):
+        rng = np.random.default_rng(seed)
+        inputs = [rng.normal(size=(rows, fan_in)), rng.normal(size=(fan_in, fan_out)),
+                  rng.normal(size=fan_out)]
+        z = inputs[0] @ inputs[1] + inputs[2]
+        # central differences must not straddle the ReLU kink
+        assume(not relu or np.abs(z).min() > 1e-3)
+        weight = rng.normal(size=(rows, fan_out))
+        g = Graph()
+        leaves = [g.tensor(a) for a in inputs]
+        out = ad.linear(*leaves, relu=relu)
+        np.testing.assert_allclose(out.values, np.maximum(z, 0.0) if relu else z,
+                                   rtol=1e-12, atol=1e-12)
+        scalarize(out, weight).backward()
+        for i, leaf in enumerate(leaves):
+            def loss_at(v, i=i):
+                gg = Graph()
+                args = [gg.tensor(v if j == i else a) for j, a in enumerate(inputs)]
+                return scalarize(ad.linear(*args, relu=relu), weight).item()
+
+            err = relative_error(finite_diff_grad(loss_at, inputs[i].copy()), leaf.grad)
+            assert err < 1e-5, f"input {i}: relative error {err:.2e}"
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bitwise_equal_to_the_unfused_layers(self, seed):
+        rng = np.random.default_rng(seed)
+        widths = [3, 16, 8, 4]
+        x0 = rng.normal(size=(7, widths[0]))
+        params = [(rng.normal(size=(a, b)), rng.normal(size=b) * 0.1)
+                  for a, b in zip(widths[:-1], widths[1:])]
+        weight = rng.normal(size=(7, widths[-1]))
+
+        def run(layer):
+            g = Graph()
+            x = g.tensor(x0)
+            leaves = [(g.tensor(w), g.tensor(b)) for w, b in params]
+            h = x
+            for k, (w, b) in enumerate(leaves):
+                h = layer(h, w, b, k < len(leaves) - 1)
+            loss = scalarize(h, weight)
+            loss.backward()
+            return [h.values, x.grad] + [t.grad for pair in leaves for t in pair]
+
+        fused = run(lambda h, w, b, relu: ad.linear(h, w, b, relu=relu))
+        for new, old in zip(fused, run(_unfused_layer)):
+            assert np.array_equal(new, old)
+
+    def test_rejects_bad_shapes(self):
+        g = Graph()
+        x, w = g.tensor(np.ones((2, 3))), g.tensor(np.ones((3, 4)))
+        with pytest.raises(ShapeError, match="bias"):
+            ad.linear(x, w, g.tensor(np.ones(3)))
+        with pytest.raises(ShapeError):
+            ad.linear(x, w, g.tensor(np.ones((1, 4))))
+        with pytest.raises(ShapeError):
+            ad.linear(g.tensor(np.ones(3)), w, g.tensor(np.ones(4)))
+
+    def test_rejects_operands_from_another_graph(self):
+        g, other = Graph(), Graph()
+        with pytest.raises(ParameterError):
+            ad.linear(g.tensor(np.ones((2, 3))), g.tensor(np.ones((3, 4))),
+                      other.tensor(np.ones(4)))
 
 
 class TestSoftmaxTemperature:
@@ -139,9 +232,10 @@ class TestBackward:
 
     def test_sum_of_relu(self):
         g = Graph()
-        x = g.tensor([-1.0, 2.0])
-        ad.relu(x).sum().backward()
-        np.testing.assert_allclose(x.grad, [0.0, 1.0])
+        x = g.tensor([[-1.0, 2.0]])
+        ad.linear(x, g.tensor(np.eye(2)), g.tensor(np.zeros(2)),
+                  relu=True).sum().backward()
+        np.testing.assert_allclose(x.grad, [[0.0, 1.0]])
 
     def test_repeated_calls_accumulate(self):
         g = Graph()
@@ -225,9 +319,8 @@ PRIMITIVE_CASES = [
     ("mean", lambda g, a: g.tensor(a).mean(), [(4, 5)]),
     ("exp", lambda g, a: g.tensor(a).exp(), [(3, 3)]),
     ("square", lambda g, a: g.tensor(a).square(), [(3, 3)]),
-    ("matmul", lambda g, a, b: ad.matmul(g.tensor(a), g.tensor(b)), [(3, 4), (4, 2)]),
-    ("broadcast_add_bias",
-     lambda g, a, b: ad.broadcast_add_bias(g.tensor(a), g.tensor(b)), [(4, 3), (3,)]),
+    ("linear", lambda g, a, b, c: ad.linear(g.tensor(a), g.tensor(b), g.tensor(c)),
+     [(3, 4), (4, 2), (2,)]),
     ("gather_rows",
      lambda g, a: ad.gather_rows(g.tensor(a), [0, 2, 2, 1]), [(4, 3)]),
     ("concatenate_rows",
@@ -340,7 +433,7 @@ class TestGraphDeterminism:
         w0 = rng.normal(size=(3, 2))
         g = Graph()
         x, w = g.tensor(x0), g.tensor(w0)
-        loss = ad.relu(ad.matmul(x, w)).square().mean()
+        loss = ad.linear(x, w, g.tensor(np.zeros(2)), relu=True).square().mean()
         loss.backward()
         return loss.values.copy(), w.grad.copy()
 

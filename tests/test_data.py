@@ -283,6 +283,21 @@ class TestBatches:
         assert len(counts) == 3
         assert sorted(counts.values()) == [2, 3, 3]
 
+    @pytest.mark.parametrize("ns,nt,batch", [(8, 3, 4), (37, 20, 5), (20, 37, 6),
+                                             (10, 10, 10), (9, 1, 2)])
+    def test_target_indices_match_the_per_sample_wrap(self, ns, nt, batch):
+        # reference: the target index of the k-th sample of the batch at
+        # `start` is tgt_order[(start + k) % nt], taken one sample at a time
+        pair = _indexed_pair(ns, nt)
+        rng = np.random.default_rng([7, 2])
+        rng.permutation(ns)
+        tgt_order = rng.permutation(nt)
+        out = batches(pair, batch, epoch=2, seed=7)
+        for b_idx, (_, _, tb) in enumerate(out):
+            start = b_idx * batch
+            expected = [tgt_order[(start + k) % nt] for k in range(tb.shape[0])]
+            np.testing.assert_array_equal(tb[:, 0], np.asarray(expected) + 1000.0)
+
     def test_same_epoch_reproduces_same_batches(self):
         pair = _indexed_pair(50, 40)
         a = batches(pair, 8, epoch=5, seed=9)

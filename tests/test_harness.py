@@ -188,6 +188,11 @@ class TestConfigHash:
         assert len(tag) == 10
         assert all(c in "0123456789abcdef" for c in tag)
 
+    def test_output_dir_does_not_move_the_hash(self):
+        a = ExperimentConfig(output_dir="a")
+        b = ExperimentConfig(output_dir="elsewhere/b")
+        assert a.config_hash() == b.config_hash()
+
     def test_any_field_change_moves_the_hash(self):
         a = ExperimentConfig()
         b = ExperimentConfig(seeds=(0,))

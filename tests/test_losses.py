@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kduda.autodiff as ad
 from kduda.errors import ParameterError, ShapeError
 from kduda.losses import (
+    PROB_FLOOR,
     BetaSchedule,
     KernelConfig,
     LossWeights,
@@ -77,6 +80,54 @@ def sqdist_blocks(fs, ft):
     return d(fs, fs), d(ft, ft), d(fs, ft)
 
 
+def old_resolve(kernel, d_ss, d_tt, d_st):
+    """Reference median-mode resolve: index the strict upper triangles with
+    np.triu_indices, root every pair, take np.median."""
+    pairs = np.concatenate([d_ss[np.triu_indices(d_ss.shape[0], k=1)],
+                            d_tt[np.triu_indices(d_tt.shape[0], k=1)],
+                            d_st.ravel()])
+    med = float(np.median(np.sqrt(pairs))) if pairs.size else 0.0
+    if med < 1e-12:
+        med = 1.0
+    return tuple(med * m for m in kernel.median_multipliers)
+
+
+def unfused_cross_entropy(probs, labels):
+    """Cross-entropy as floored log, one-hot multiply, sum and scale nodes:
+    the composition the one-node cross_entropy replaces."""
+    n, c = probs.values.shape
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), labels] = 1.0
+    picked = ad.multiply(probs.log(floor=PROB_FLOOR), probs.graph.tensor(onehot))
+    return ad.scalar_multiply(picked.sum(), -1.0 / n)
+
+
+def unfused_distill_kl(student_soft, t, tau, scale_by_tau_sq=True):
+    """Distillation KL as floored log, multiply, sum, scale, add and tau^2
+    nodes: the composition the one-node distill_kl replaces."""
+    inv_n = 1.0 / t.shape[0]
+    graph = student_soft.graph
+    cross = ad.scalar_multiply(
+        ad.multiply(student_soft.log(floor=PROB_FLOOR), graph.tensor(t)).sum(), -inv_n)
+    entropy = float((t * np.log(np.maximum(t, PROB_FLOOR))).sum() * inv_n)
+    kl = ad.add(cross, graph.tensor(entropy))
+    if scale_by_tau_sq:
+        kl = ad.scalar_multiply(kl, tau * tau)
+    return kl
+
+
+def _probs_with_clamped_entries(rng, rows, classes, clamp):
+    """Row inputs for the floored log. With clamp, some entries sit far
+    below PROB_FLOOR, so central differences stay on the flat side of the
+    clamp; otherwise every entry is well above it."""
+    p = rng.uniform(0.05, 1.0, size=(rows, classes))
+    if clamp:
+        low = rng.random((rows, classes)) < 0.4
+        low.flat[rng.integers(low.size)] = True
+        p[low] = -rng.uniform(0.1, 1.0, size=int(low.sum()))
+    return p
+
+
 def _flat_params(model):
     return np.concatenate([p.ravel() for p in model.parameters()])
 
@@ -109,7 +160,7 @@ class TestKernelConfig:
 
     @pytest.mark.parametrize("rows_s,rows_t,width,seed",
                              [(1, 1, 1, 0), (4, 7, 3, 1), (32, 32, 16, 2),
-                              (9, 2, 5, 3)])
+                              (9, 2, 5, 3), (32, 16, 16, 4), (2, 2, 3, 5)])
     def test_blocks_give_the_pooled_median(self, rows_s, rows_t, width, seed):
         rng = np.random.default_rng(seed)
         fs = rng.normal(size=(rows_s, width))
@@ -120,6 +171,39 @@ class TestKernelConfig:
                   ad.pairwise_sqdist(a, b).values)
         np.testing.assert_allclose(KernelConfig().resolve(*blocks),
                                    pooled_median_bandwidths(fs, ft), rtol=1e-12)
+        assert KernelConfig().resolve(*blocks) == old_resolve(KernelConfig(), *blocks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows_s=st.integers(1, 9), rows_t=st.integers(1, 9),
+           width=st.integers(1, 3), data=st.sampled_from(["normal", "ties", "identical"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_partition_median_is_bitwise_np_median(self, rows_s, rows_t,
+                                                    width, data, seed):
+        # pair counts s(s-1)/2 + t(t-1)/2 + s*t cover odd and even sizes;
+        # rounded coordinates give tied distances
+        rng = np.random.default_rng(seed)
+        fs = rng.normal(size=(rows_s, width))
+        ft = rng.normal(size=(rows_t, width)) + 0.5
+        if data == "ties":
+            fs, ft = np.round(fs), np.round(ft)
+        elif data == "identical":
+            fs, ft = np.ones_like(fs), np.ones_like(ft)
+        g = ad.Graph()
+        a, b = g.tensor(fs), g.tensor(ft)
+        blocks = [ad.pairwise_sqdist(a, a).values, ad.pairwise_sqdist(b, b).values,
+                  ad.pairwise_sqdist(a, b).values]
+        kc = KernelConfig()
+        expected = old_resolve(kc, *blocks)
+        # resolve must not reorder the blocks it reads
+        before = [blk.copy() for blk in blocks]
+        assert kc.resolve(*blocks) == expected
+        for blk, kept in zip(blocks, before):
+            assert np.array_equal(blk, kept)
+
+    def test_a_nan_distance_gives_nan_bandwidths_like_np_median(self):
+        d_ss, d_tt, d_st = sqdist_blocks(np.zeros((3, 2)), np.ones((3, 2)))
+        d_st[1, 2] = np.nan
+        assert all(math.isnan(b) for b in KernelConfig().resolve(d_ss, d_tt, d_st))
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -281,6 +365,50 @@ class TestCrossEntropy:
         numeric = finite_diff_grad(f, p0.ravel())
         assert relative_error(numeric, probs.grad.ravel()) < 1e-6
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 5), classes=st.integers(2, 4), clamp=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_node_matches_finite_differences(self, rows, classes, clamp, seed):
+        rng = np.random.default_rng(seed)
+        p0 = _probs_with_clamped_entries(rng, rows, classes, clamp)
+        labels = rng.integers(classes, size=rows)
+        if clamp:
+            # at least one true-class entry is clamped, so its zero
+            # gradient is checked too
+            p0[0, labels[0]] = -0.5
+
+        g = ad.Graph()
+        probs = g.tensor(p0)
+        loss = cross_entropy(probs, labels)
+        assert len(g) == 2
+        loss.backward()
+
+        def f(flat):
+            return cross_entropy(ad.Graph().tensor(flat.reshape(p0.shape)), labels).item()
+
+        assert relative_error(finite_diff_grad(f, p0.ravel()), probs.grad.ravel()) < 1e-6
+        if clamp:
+            assert probs.grad[0, labels[0]] == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitwise_equal_to_the_unfused_composition(self, seed):
+        # logits spread wide enough that some softmax entries fall under
+        # PROB_FLOOR, so the clamp is active on some rows
+        rng = np.random.default_rng(seed)
+        logits0 = rng.normal(scale=[1.0, 10.0, 40.0][seed % 3], size=(9, 4))
+        labels = rng.integers(4, size=9)
+
+        def run(ce):
+            g = ad.Graph()
+            logits = g.tensor(logits0)
+            probs = ad.softmax_temperature(logits, 1.0)
+            loss = ce(probs, labels)
+            ad.scalar_multiply(loss, 0.37).backward()
+            return loss.values, probs.grad, logits.grad
+
+        for new, old in zip(run(cross_entropy), run(unfused_cross_entropy)):
+            assert np.array_equal(new, old)
+
     def test_label_validation(self):
         g = ad.Graph()
         probs = g.tensor(np.full((2, 2), 0.5))
@@ -346,6 +474,57 @@ class TestDistillKl:
 
         numeric = finite_diff_grad(f, logits0.ravel())
         assert relative_error(numeric, logits.grad.ravel()) < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 5), classes=st.integers(2, 4), clamp=st.booleans(),
+           tau=st.floats(0.5, 6.0), scaled=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_node_matches_finite_differences(self, rows, classes, clamp, tau,
+                                                 scaled, seed):
+        rng = np.random.default_rng(seed)
+        s0 = _probs_with_clamped_entries(rng, rows, classes, clamp)
+        teacher = softmax_np(rng.normal(size=(rows, classes)), tau)
+
+        g = ad.Graph()
+        student = g.tensor(s0)
+        loss = distill_kl(student, teacher, tau, scaled)
+        assert len(g) == 2
+        loss.backward()
+
+        def f(flat):
+            gg = ad.Graph()
+            return distill_kl(gg.tensor(flat.reshape(s0.shape)), teacher, tau,
+                              scaled).item()
+
+        assert relative_error(finite_diff_grad(f, s0.ravel()), student.grad.ravel()) < 1e-6
+        assert (student.grad[s0 < 0] == 0.0).all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("scaled", [True, False])
+    def test_bitwise_equal_to_the_unfused_composition(self, seed, scaled):
+        rng = np.random.default_rng(seed)
+        tau = [1.0, 4.0, 20.0][seed % 3]
+        logits0 = rng.normal(scale=[40.0, 5.0, 2.0][seed % 3], size=(9, 4))
+        g_teacher = ad.Graph()
+        teacher = ad.softmax_temperature(
+            g_teacher.tensor(rng.normal(scale=30.0, size=(9, 4))), tau)
+
+        def run(kl):
+            g = ad.Graph()
+            logits = g.tensor(logits0)
+            soft = ad.softmax_temperature(logits, tau)
+            loss = kl(soft, teacher.values, tau, scaled)
+            ad.scalar_multiply(loss, 0.61).backward()
+            return loss.values, soft.grad, logits.grad
+
+        new_run, old_run = run(distill_kl), run(unfused_distill_kl)
+        for new, old in zip(new_run, old_run):
+            assert np.array_equal(new, old)
+        # a graph tensor as the teacher reads the same constant values
+        g = ad.Graph()
+        soft = ad.softmax_temperature(g.tensor(logits0), tau)
+        assert np.array_equal(distill_kl(soft, teacher, tau, scaled).values,
+                              new_run[0])
 
     def test_validation(self):
         g = ad.Graph()

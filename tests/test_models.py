@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -88,10 +90,29 @@ class TestForward:
         feats = model.features(x)
         n_before = len(g)
         logits = model.logits(x)
-        # head adds exactly two nodes (matmul + bias); features were reused
-        assert len(g) == n_before + 2
+        # the head adds exactly one node (ad.linear); features were reused
+        assert len(g) == n_before + 1
         assert model.features(x) is feats
         assert model.logits(x) is logits
+
+    def test_each_layer_is_one_node(self):
+        model = build(ModelSpec(2, (5, 4, 3), 2, seed=0))
+        g = Graph()
+        model.logits(g.tensor(np.ones((3, 2))))
+        # input leaf, 8 parameter leaves, one node per layer
+        assert len(g) == 1 + 8 + 4
+
+    def test_reading_gradients_releases_the_graph(self):
+        model = build(ModelSpec(2, (3,), 2, seed=0))
+        g = Graph()
+        model.logits(g.tensor(np.ones((2, 2)))).sum().backward()
+        tape = weakref.ref(g)
+        grads = model.bound_gradients()
+        assert [gr.shape for gr in grads] == [p.shape for p in model.parameters()]
+        del g
+        assert tape() is None
+        with pytest.raises(ParameterError, match="not bound"):
+            model.bound_gradients()
 
     def test_graph_forward_matches_numpy_forward(self):
         model = build(ModelSpec(3, (8, 5), 4, seed=3))
@@ -192,3 +213,36 @@ class TestSaveLoad:
         x = np.random.default_rng(0).normal(size=(4, 2))
         np.testing.assert_array_equal(model.predict_logits(x),
                                       loaded.predict_logits(x))
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(build(ModelSpec(2, (3,), 2, seed=1)), str(path))
+        return path, path.read_text().splitlines()
+
+    def test_truncated_file_names_the_missing_line(self, saved):
+        path, lines = saved
+        path.write_text("\n".join(lines[:5]) + "\n")
+        with pytest.raises(ParameterError, match=r"m\.txt: line 6 .*truncated"):
+            load_model(str(path))
+
+    def test_non_numeric_weight_names_its_line(self, saved):
+        path, lines = saved
+        lines[4] = "0.5 oops 0.25"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError, match=r"m\.txt: line 5 .*not numeric"):
+            load_model(str(path))
+
+    def test_non_numeric_dims_name_their_line(self, saved):
+        path, lines = saved
+        lines[1] = "2 three 2"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError, match=r"m\.txt: line 2 \(dims\) is not numeric"):
+            load_model(str(path))
+
+    def test_short_weight_row_names_its_line(self, saved):
+        path, lines = saved
+        lines[3] = lines[3].rsplit(" ", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError, match=r"m\.txt: line 4 .*expected 3"):
+            load_model(str(path))

@@ -44,6 +44,30 @@ def quick_cfg(**overrides):
     return TrainConfig(**base)
 
 
+def most_live_graphs(monkeypatch, train):
+    """Largest number of Graph objects alive at once during a short run of
+    train(teacher, student, pair, cfg), with the cyclic GC switched off."""
+    live = weakref.WeakSet()
+    most = [0]
+    original_init = ad.Graph.__init__
+
+    def counting_init(graph):
+        original_init(graph)
+        live.add(graph)
+        most[0] = max(most[0], len(live))
+
+    monkeypatch.setattr(ad.Graph, "__init__", counting_init)
+    teacher, student = small_models()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        train(teacher, student, small_pair(), quick_cfg(epochs=4))
+    finally:
+        if was_enabled:
+            gc.enable()
+    return most[0]
+
+
 def params_bytes(model):
     return b"".join(p.tobytes() for p in model.parameters())
 
@@ -262,27 +286,9 @@ class TestJointTraining:
                 train_joint(teacher, student, small_pair(), cfg)
 
     def test_spent_tapes_free_without_the_cyclic_gc(self, monkeypatch):
-        live = weakref.WeakSet()
-        most = [0]
-        original_init = ad.Graph.__init__
-
-        def counting_init(graph):
-            original_init(graph)
-            live.add(graph)
-            most[0] = max(most[0], len(live))
-
-        monkeypatch.setattr(ad.Graph, "__init__", counting_init)
-        teacher, student = small_models()
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            train_joint(teacher, student, small_pair(), quick_cfg(epochs=3))
-        finally:
-            if was_enabled:
-                gc.enable()
-        # the step being built, plus the last DA and KD graphs that the
-        # teacher and student bindings still hold
-        assert most[0] <= 3
+        # each DA and KD step returns floats only and reading the gradients
+        # ends the model's binding, so a step's graph is gone when it returns
+        assert most_live_graphs(monkeypatch, train_joint) <= 1
 
     def test_learning_happens_at_all(self):
         teacher, student = small_models()
@@ -386,6 +392,11 @@ class TestUdaThenKd:
         drift = max(float(np.abs(a - b).max())
                     for a, b in zip(student.parameters(), teacher.parameters()))
         assert drift <= 1e-9
+
+    def test_spent_tapes_free_without_the_cyclic_gc(self, monkeypatch):
+        # the distillation loop's locals keep the previous step's graph
+        # until the next one is built
+        assert most_live_graphs(monkeypatch, train_uda_then_kd) <= 2
 
 
 class TestSourceOnly:
