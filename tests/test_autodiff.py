@@ -310,6 +310,13 @@ class TestKernelBankMean:
             ad.kernel_bank_mean(g.tensor(np.ones((0, 3))), (1.0,))
 
 
+def _add_bias(g, a, b):
+    """ad.linear through an identity weight; the leaves of a and b come first,
+    in input order, and the weight is created after them."""
+    x, bias = g.tensor(a), g.tensor(b)
+    return ad.linear(x, g.tensor(np.eye(a.shape[1])), bias)
+
+
 PRIMITIVE_CASES = [
     ("add", lambda g, a, b: ad.add(g.tensor(a), g.tensor(b)), [(3, 4), (3, 4)]),
     ("subtract", lambda g, a, b: ad.subtract(g.tensor(a), g.tensor(b)), [(3, 4), (3, 4)]),
@@ -321,6 +328,9 @@ PRIMITIVE_CASES = [
     ("square", lambda g, a: g.tensor(a).square(), [(3, 3)]),
     ("linear", lambda g, a, b, c: ad.linear(g.tensor(a), g.tensor(b), g.tensor(c)),
      [(3, 4), (4, 2), (2,)]),
+    # the matrix product and the bias broadcast inside ad.linear, each on its own
+    ("matmul", lambda g, a, b: dense(g, a, b), [(3, 4), (4, 2)]),
+    ("broadcast_add_bias", lambda g, a, b: _add_bias(g, a, b), [(4, 3), (3,)]),
     ("gather_rows",
      lambda g, a: ad.gather_rows(g.tensor(a), [0, 2, 2, 1]), [(4, 3)]),
     ("concatenate_rows",
