@@ -199,28 +199,49 @@ def save_pair_csv(pair: DomainPair, path: str, eval_path: str):
             w.writerow([int(label)])
 
 
+def _parse_field(conv, text: str, where: str):
+    try:
+        return conv(text)
+    except ValueError:
+        kind = "an integer" if conv is int else "a number"
+        raise ParameterError(f"{where}: expected {kind}, got {text!r}") from None
+
+
 def load_pair_csv(path: str, eval_path: str | None = None,
                   shift_descriptor: str = "csv", seed: int = 0) -> DomainPair:
+    """Read a pair written by save_pair_csv. A malformed row raises
+    ParameterError naming the file and its 1-based line."""
     xs, ys, xt = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ParameterError(f"{path}: empty file, expected a header line")
         d = len(header) - 2
         for row in reader:
-            coords = [float(v) for v in row[1:1 + d]]
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise ParameterError(
+                    f"{where}: expected {len(header)} fields, got {len(row)}")
+            coords = [_parse_field(float, v, where) for v in row[1:1 + d]]
             if row[0] == "source":
                 xs.append(coords)
-                ys.append(int(row[-1]))
+                ys.append(_parse_field(int, row[-1], where))
             elif row[0] == "target":
                 xt.append(coords)
             else:
-                raise ParameterError(f"{path}: unknown domain {row[0]!r}")
+                raise ParameterError(f"{where}: unknown domain {row[0]!r}")
     yt = []
     if eval_path is not None:
         with open(eval_path, newline="") as fh:
             reader = csv.reader(fh)
-            next(reader)
-            yt = [int(row[0]) for row in reader]
+            next(reader, None)
+            for row in reader:
+                where = f"{eval_path}: line {reader.line_num}"
+                if len(row) != 1:
+                    raise ParameterError(
+                        f"{where}: expected 1 field, got {len(row)}")
+                yt.append(_parse_field(int, row[0], where))
         if len(yt) != len(xt):
             raise ShapeError(
                 f"eval file has {len(yt)} labels for {len(xt)} target rows")

@@ -5,6 +5,10 @@ Config files are flat `key = value` text with dotted keys and # comments.
 Output file names are derived from a hash of the fully resolved config
 (every field but the output directory) plus scenario and seed, so distinct
 runs never collide in one directory.
+
+Scenario grids and sweeps run their (scenario, seed) cells in forked worker
+processes when the machine has CPUs to spare beyond BLAS's own threads; the
+calling process writes every output file, in cell order.
 """
 
 from __future__ import annotations
@@ -113,6 +117,14 @@ class ExperimentConfig:
         return ModelSpec(self.dataset.dim, self.teacher_hidden,
                          self.dataset.classes, seed=seed + TEACHER_SEED_OFFSET)
 
+    def require_one_student(self):
+        """Training takes one student; only `complexity` reports several."""
+        if len(self.student_hidden) != 1:
+            raise ConfigError(
+                f"model.student_hidden lists {len(self.student_hidden)} "
+                f"students; training takes exactly one (only `complexity` "
+                f"reports several)")
+
     def student_spec(self, seed: int) -> ModelSpec:
         return ModelSpec(self.dataset.dim, self.student_hidden[0],
                          self.dataset.classes, seed=seed + STUDENT_SEED_OFFSET)
@@ -130,7 +142,7 @@ class ScenarioResult:
     student_macs: int
     teacher_params: int
     teacher_macs: int
-    seconds: float
+    seconds: float  # wall time of the cell in the process that ran it
 
 
 # -- config file parsing --------------------------------------------------------
@@ -305,6 +317,7 @@ def run_single(cfg: ExperimentConfig, scenario: str, seed: int
             f"unknown scenario {scenario!r}; valid: {', '.join(VALID_SCENARIOS)}")
     if seed < 0:  # numpy generators take only non-negative seeds
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    cfg.require_one_student()
     pair = cfg.dataset.make_pair(seed)
     train_cfg = replace(cfg.train, seed=seed)
     teacher_spec = cfg.teacher_spec(seed)
@@ -341,6 +354,97 @@ def run_single(cfg: ExperimentConfig, scenario: str, seed: int
         teacher_params=t_params, teacher_macs=t_macs,
         seconds=time.perf_counter() - started)
     return log, result
+
+
+# -- cell runner -------------------------------------------------------------------
+#
+# Cells are fully seeded and independent, so they may run in any process.
+# Each process gets a static share, jobs[i::n]; the caller runs share 0
+# itself and the others go to n - 1 forked workers. The split depends only
+# on the cell count, and the caller trains too, so a profile of the caller
+# always covers the same cells.
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blas_threads(cpus: int) -> int:
+    """Threads OpenBLAS starts per process: its environment variables in
+    order of precedence, else one per CPU."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:  # unset, or a value OpenBLAS would ignore too
+            continue
+        if threads > 0:
+            return threads
+    return cpus
+
+
+def _worker_count(cells: int) -> int:
+    """Processes for a grid: as many as fit on the usable CPUs next to
+    BLAS's threads, so processes never compete with BLAS for cores."""
+    cpus = _usable_cpus()
+    return max(1, min(cells, cpus // _blas_threads(cpus)))
+
+
+def _run_share(jobs) -> tuple[list, Exception | None]:
+    """Run cells in order until one fails; return the finished cells'
+    (log, result) pairs and the failure, if any."""
+    done = []
+    try:
+        for job in jobs:
+            done.append(run_single(*job))
+    except Exception as exc:  # re-raised by _run_cells at this cell's turn
+        return done, exc
+    return done, None
+
+
+def _run_shares(shares: list[list]) -> list[tuple[list, Exception | None]]:
+    # fork, not spawn: workers inherit the loaded numpy and kduda instead of
+    # importing them again, and as waited-for children their CPU time shows
+    # in the caller's RUSAGE_CHILDREN (forkserver workers' would not). The
+    # executor forks every worker at the first submit, before it starts
+    # threads of its own.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(shares) - 1, mp_context=context) as pool:
+        futures = [pool.submit(_run_share, share) for share in shares[1:]]
+        outcomes = [_run_share(shares[0])]
+        for share, future in zip(shares[1:], futures):
+            try:
+                outcomes.append(future.result())
+            except BrokenProcessPool:
+                cells = ", ".join(f"{scenario} seed {seed}"
+                                  for _, scenario, seed in share)
+                outcomes.append(([], KdudaError(
+                    f"a worker process died running cells {cells}")))
+    return outcomes
+
+
+def _run_cells(jobs: list[tuple[ExperimentConfig, str, int]]):
+    """Yield run_single(cfg, scenario, seed)'s (log, result) for each job,
+    in job order. A failing cell raises its error at its turn, so callers
+    see the cells before it and then the error a serial loop would give;
+    a worker that dies fails at its share's first cell."""
+    n = _worker_count(len(jobs))
+    if n == 1 or not hasattr(os, "fork"):
+        for job in jobs:
+            yield run_single(*job)
+        return
+    outcomes = _run_shares([jobs[i::n] for i in range(n)])
+    for i in range(len(jobs)):
+        done, error = outcomes[i % n]
+        if i // n == len(done):
+            raise error
+        yield done[i // n]
 
 
 # -- experiment orchestration -------------------------------------------------------
@@ -385,15 +489,16 @@ def write_summary(cfg: ExperimentConfig, results: list[ScenarioResult],
 
 def run_experiment(cfg: ExperimentConfig) -> list[ScenarioResult]:
     """Train every (scenario, seed) pair; write per-pair logs and a summary."""
+    cfg.require_one_student()
     os.makedirs(cfg.output_dir, exist_ok=True)
     tag = cfg.config_hash()
+    jobs = [(cfg, scenario, seed) for scenario in cfg.scenarios
+            for seed in cfg.seeds]
     results = []
-    for scenario in cfg.scenarios:
-        for seed in cfg.seeds:
-            log, result = run_single(cfg, scenario, seed)
-            log.to_csv(os.path.join(cfg.output_dir,
-                                    f"{tag}_{scenario}_seed{seed}.csv"))
-            results.append(result)
+    for log, result in _run_cells(jobs):
+        log.to_csv(os.path.join(
+            cfg.output_dir, f"{tag}_{result.scenario}_seed{result.seed}.csv"))
+        results.append(result)
     write_summary(cfg, results, os.path.join(cfg.output_dir, f"{tag}_summary.csv"))
     return results
 
@@ -440,21 +545,18 @@ def sweep_sizes(cfg: ExperimentConfig, teacher_widths, student_widths
     """Joint runs over the width cross product; one row per cell."""
     if not teacher_widths or not student_widths:
         raise ConfigError("sweep needs at least one teacher and one student width")
+    cfg.require_one_student()
     os.makedirs(cfg.output_dir, exist_ok=True)
+    widths = [(tw, sw) for tw in teacher_widths for sw in student_widths]
+    jobs = [(replace(cfg, teacher_hidden=teacher_hidden_for(tw),
+                     student_hidden=(student_hidden_for(sw),),
+                     scenarios=("joint",)), "joint", seed)
+            for tw, sw in widths for seed in cfg.seeds]
+    accs = np.array([result.student_tgt_acc for _, result in _run_cells(jobs)])
     rows = []
-    for tw in teacher_widths:
-        for sw in student_widths:
-            cell = replace(cfg,
-                           teacher_hidden=teacher_hidden_for(tw),
-                           student_hidden=(student_hidden_for(sw),),
-                           scenarios=("joint",))
-            accs = []
-            for seed in cfg.seeds:
-                _, result = run_single(cell, "joint", seed)
-                accs.append(result.student_tgt_acc)
-            accs = np.array(accs)
-            rows.append([str(tw), str(sw), repr(float(accs.mean())),
-                         repr(float(accs.std()))])
+    for (tw, sw), cell_accs in zip(widths, accs.reshape(len(widths), -1)):
+        rows.append([str(tw), str(sw), repr(float(cell_accs.mean())),
+                     repr(float(cell_accs.std()))])
     path = os.path.join(cfg.output_dir, f"{cfg.config_hash()}_sweep.csv")
     with open(path, "w") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")

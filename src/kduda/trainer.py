@@ -258,6 +258,32 @@ def _kd_step(student: Model, teacher: Model, xs_np: np.ndarray, ys: np.ndarray,
     return tkd_val, skd_val
 
 
+def _ce_step(model: Model, xs_np: np.ndarray, ys: np.ndarray,
+             opt: OptimizerState, epoch: int) -> float:
+    """One supervised step: descend source cross-entropy. Returns it."""
+    graph = Graph()
+    ce = cross_entropy(
+        ad.softmax_temperature(model.logits(graph.tensor(xs_np)), 1.0), ys)
+    ce_val = ce.item()
+    _check_finite("L_tda", ce_val, epoch)
+    ce.backward()
+    sgd_step(model.parameters(), model.bound_gradients(), opt)
+    return ce_val
+
+
+def _source_kd_step(student: Model, teacher: Model, xs_np: np.ndarray,
+                    ys: np.ndarray, weights: LossWeights, opt: OptimizerState,
+                    epoch: int) -> float:
+    """One labeled-source distillation step, unscaled. Returns skd."""
+    graph = Graph()
+    skd, _ = source_kd_loss(student, teacher, graph.tensor(xs_np), ys, weights)
+    skd_val = skd.item()
+    _check_finite("L_skd", skd_val, epoch)
+    skd.backward()
+    sgd_step(student.parameters(), student.bound_gradients(), opt)
+    return skd_val
+
+
 # -- joint procedure ---------------------------------------------------------------
 
 
@@ -389,14 +415,7 @@ def train_kd_then_uda(teacher: Model, student: Model, pair: DomainPair,
         batch_list = batches(pair, cfg.batch_size, epoch, cfg.seed)
         total = 0.0
         for xs_np, ys, _ in batch_list:
-            graph = Graph()
-            xs = graph.tensor(xs_np)
-            probs = ad.softmax_temperature(teacher.logits(xs), 1.0)
-            ce = cross_entropy(probs, ys)
-            _check_finite("L_tda", ce.item(), epoch)
-            ce.backward()
-            sgd_step(teacher.parameters(), teacher.bound_gradients(), opt)
-            total += ce.item()
+            total += _ce_step(teacher, xs_np, ys, opt, epoch)
         mean_ce = total / len(batch_list)
         accs = metrics.at_epoch(epoch)
         log.records.append(EpochRecord(
@@ -412,13 +431,8 @@ def train_kd_then_uda(teacher: Model, student: Model, pair: DomainPair,
         batch_list = batches(pair, cfg.batch_size, epoch, cfg.seed)
         total = 0.0
         for xs_np, ys, _ in batch_list:
-            graph = Graph()
-            xs = graph.tensor(xs_np)
-            skd, _ = source_kd_loss(student, teacher, xs, ys, weights)
-            _check_finite("L_skd", skd.item(), epoch)
-            skd.backward()
-            sgd_step(student.parameters(), student.bound_gradients(), opt)
-            total += skd.item()
+            total += _source_kd_step(student, teacher, xs_np, ys, weights,
+                                     opt, epoch)
         mean_skd = total / len(batch_list)
         accs = metrics.at_epoch(epoch)
         log.records.append(EpochRecord(
@@ -487,14 +501,7 @@ def train_source_only(model: Model, pair: DomainPair, cfg: TrainConfig,
         batch_list = batches(pair, cfg.batch_size, epoch, cfg.seed)
         total = 0.0
         for xs_np, ys, _ in batch_list:
-            graph = Graph()
-            xs = graph.tensor(xs_np)
-            probs = ad.softmax_temperature(model.logits(xs), 1.0)
-            ce = cross_entropy(probs, ys)
-            _check_finite("L_tda", ce.item(), epoch)
-            ce.backward()
-            sgd_step(model.parameters(), model.bound_gradients(), opt)
-            total += ce.item()
+            total += _ce_step(model, xs_np, ys, opt, epoch)
         mean_ce = total / len(batch_list)
         accs = metrics.at_epoch(epoch)
         log.records.append(EpochRecord(

@@ -7,6 +7,7 @@ checklist. Tolerances appear inline next to what they bound.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from kduda.harness import (
     ExperimentConfig,
     load_config,
     report_complexity,
-    run_single,
+    run_experiment,
     sweep_sizes,
 )
 from kduda.losses import (
@@ -325,15 +326,18 @@ def _headline_cfg():
     )
 
 
-def test_criterion_6_scenario_ordering():
+def test_criterion_6_scenario_ordering(tmp_path):
     """Mean final student target accuracy over 5 seeds keeps the expected
     ordering across the four procedures on the shifted-blob task."""
     started = time.perf_counter()
-    cfg = _headline_cfg()
+    cfg = replace(_headline_cfg(),
+                  scenarios=("joint", "uda_only", "uda_then_kd", "kd_then_uda"),
+                  seeds=(0, 1, 2, 3, 4), output_dir=str(tmp_path))
+    results = run_experiment(cfg)
     means = {}
-    for scenario in ("joint", "uda_only", "uda_then_kd", "kd_then_uda"):
-        accs = [run_single(cfg, scenario, seed)[1].student_tgt_acc
-                for seed in range(5)]
+    for scenario in cfg.scenarios:
+        accs = [r.student_tgt_acc for r in results if r.scenario == scenario]
+        assert len(accs) == 5
         means[scenario] = float(np.mean(accs))
     elapsed = time.perf_counter() - started
 

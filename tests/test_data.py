@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -367,9 +368,46 @@ class TestCsvRoundTrip:
         with pytest.raises(ShapeError):
             load_pair_csv(path_a, ev_b)
 
+    def test_empty_files(self, tmp_path):
+        pair = gen_blob_shift(20, 2, 2, 1.0, 1.0, seed=9)
+        path = os.path.join(tmp_path, "pair.csv")
+        eval_path = os.path.join(tmp_path, "ev.csv")
+        save_pair_csv(pair, path, eval_path)
+        open(eval_path, "w").close()
+        with pytest.raises(ShapeError, match="0 labels for 20 target rows"):
+            load_pair_csv(path, eval_path)
+        open(path, "w").close()
+        with pytest.raises(ParameterError, match="pair.csv: empty file"):
+            load_pair_csv(path)
+
     def test_unknown_domain_tag(self, tmp_path):
         path = os.path.join(tmp_path, "bad.csv")
         with open(path, "w") as fh:
             fh.write("domain,x0,x1,label\nneither,0.0,0.0,0\n")
         with pytest.raises(ParameterError):
             load_pair_csv(path)
+
+    @pytest.mark.parametrize("which,line,edit,message", [
+        ("pair", 3, lambda f: [f[0], "abc", *f[2:]],
+         "expected a number, got 'abc'"),
+        ("pair", 4, lambda f: f[:2], "expected 4 fields, got 2"),
+        ("pair", 2, lambda f: [*f[:-1], "1.5"],
+         "expected an integer, got '1.5'"),
+        ("eval", 5, lambda f: ["x"], "expected an integer, got 'x'"),
+        ("eval", 3, lambda f: [], "expected 1 field, got 0"),
+        ("eval", 6, lambda f: ["1.0"], "expected an integer, got '1.0'"),
+    ])
+    def test_malformed_rows_name_the_file_and_line(self, tmp_path, which,
+                                                   line, edit, message):
+        pair = gen_blob_shift(20, 2, 2, 1.0, 1.0, seed=9)
+        files = {"pair": os.path.join(tmp_path, "pair.csv"),
+                 "eval": os.path.join(tmp_path, "ev.csv")}
+        save_pair_csv(pair, files["pair"], files["eval"])
+        with open(files[which]) as fh:
+            lines = fh.read().splitlines()
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        with open(files[which], "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        expected = re.escape(f"{files[which]}: line {line}: {message}")
+        with pytest.raises(ParameterError, match=expected):
+            load_pair_csv(files["pair"], files["eval"])

@@ -1,12 +1,14 @@
 import csv
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kduda import harness
 from kduda.cli import main
-from kduda.errors import ConfigError
+from kduda.errors import ConfigError, KdudaError, NumericalAbort, ParameterError
 from kduda.harness import (
     SUMMARY_COLUMNS,
     DatasetConfig,
@@ -277,6 +279,34 @@ class TestRunExperiment:
         assert all("seconds" not in col for col in header)
 
 
+class TestOneStudent:
+    def two_students(self, tmp_path):
+        return tiny_cfg(tmp_path / "runs", student_hidden=((4,), (6,)))
+
+    def test_training_entry_points_reject_two_students(self, tmp_path):
+        cfg = self.two_students(tmp_path)
+        for call in (lambda: run_single(cfg, "joint", 0),
+                     lambda: run_experiment(cfg),
+                     lambda: sweep_sizes(cfg, [8], [4])):
+            with pytest.raises(ConfigError, match="lists 2 students"):
+                call()
+        assert not os.path.exists(tmp_path / "runs")
+
+    def test_complexity_still_reports_both(self, tmp_path):
+        rows = report_complexity(self.two_students(tmp_path))
+        assert [r["model"] for r in rows] == ["teacher", "student_0", "student_1"]
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "two.cfg"
+        path.write_text(
+            CLI_CONFIG.replace("model.student_hidden = 4\n",
+                               "model.student_hidden = 4; 6\n")
+            + f"experiment.output_dir = {tmp_path / 'runs'}\n")
+        assert main(["scenarios", "--config", str(path)]) == 1
+        assert "students" in capsys.readouterr().err
+        assert main(["complexity", "--config", str(path)]) == 0
+
+
 class TestComplexityReport:
     def test_rows_and_ratios(self, tmp_path):
         cfg = tiny_cfg(tmp_path, teacher_hidden=(128, 128, 64),
@@ -418,3 +448,200 @@ class TestCli:
             code = main(["train", "--config", str(path), "--scenario", "joint"])
         assert code == 2
         assert "numerical abort" in capsys.readouterr().err
+
+
+# -- parallel cells ------------------------------------------------------------
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """workers(n) makes the cell runner see n usable CPUs and one BLAS
+    thread per process, so grids run on n processes."""
+    def use(n):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: n)
+    return use
+
+
+def grid_outputs(out_dir):
+    """Lines of every output file; epoch logs without their seconds column."""
+    files = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name)) as fh:
+            lines = fh.read().split("\n")
+        if lines[0].endswith(",seconds"):
+            lines = [ln.rsplit(",", 1)[0] for ln in lines]
+        files[name] = lines
+    return files
+
+
+SCENARIO_GRID = os.path.join(os.path.dirname(__file__), os.pardir,
+                             "perfbench", "workloads", "scenario_grid.cfg")
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("env,cpus,cells,expected", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 10, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, 3),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 8, 10, 4),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 8, 10, 2),
+        ({"OPENBLAS_NUM_THREADS": "16"}, 8, 10, 1),
+        ({"OMP_NUM_THREADS": "1"}, 4, 10, 4),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 10, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4, 10, 2),
+        ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "1"}, 4, 10, 4),
+        ({}, 8, 10, 1),  # OpenBLAS's default pool spans every CPU
+        ({}, 1, 10, 1),
+    ])
+    def test_usable_cpus_over_blas_threads(self, monkeypatch, env, cpus,
+                                           cells, expected):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        assert harness._worker_count(cells) == expected
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity call on this platform")
+    def test_usable_cpus_follow_the_affinity_mask(self):
+        assert harness._usable_cpus() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+class TestParallelCells:
+    @pytest.mark.parametrize("source", ["criterion_9", "scenario_grid"])
+    def test_outputs_match_a_serial_run(self, tmp_path, workers, source):
+        if source == "criterion_9":
+            cfg = tiny_cfg(tmp_path, seeds=(0, 1))
+        else:
+            with open(SCENARIO_GRID) as fh:
+                cfg = parse_config(fh.read() + "experiment.seeds = 0, 1\n")
+        outputs = {}
+        for n in (1, 2):
+            workers(n)
+            out = tmp_path / f"workers{n}"
+            results = run_experiment(replace(cfg, output_dir=str(out)))
+            outputs[n] = (grid_outputs(out),
+                          [(r.scenario, r.seed, r.student_tgt_acc)
+                           for r in results])
+        assert len(outputs[1][0]) == len(cfg.scenarios) * 2 + 1
+        assert outputs[1] == outputs[2]
+
+    def test_sweep_rows_match_a_serial_run(self, tmp_path, workers):
+        cfg = tiny_cfg(tmp_path)
+        rows = {}
+        for n in (1, 2):
+            workers(n)
+            out = tmp_path / f"workers{n}"
+            rows[n] = (sweep_sizes(replace(cfg, output_dir=str(out)),
+                                   [4, 8], [2, 4]),
+                       grid_outputs(out))
+        assert rows[1] == rows[2]
+
+    @pytest.mark.parametrize("n,forks,caller_cells", [
+        (1, True, [("joint", 0), ("joint", 1), ("joint", 2),
+                   ("uda_only", 0), ("uda_only", 1), ("uda_only", 2)]),
+        (2, True, [("joint", 0), ("joint", 2), ("uda_only", 1)]),
+        (3, True, [("joint", 0), ("uda_only", 0)]),
+        (2, False, [("joint", 0), ("joint", 1), ("joint", 2),
+                    ("uda_only", 0), ("uda_only", 1), ("uda_only", 2)]),
+    ])
+    def test_the_caller_runs_share_zero(self, tmp_path, monkeypatch, workers,
+                                        n, forks, caller_cells):
+        # cells a forked worker runs are recorded in the worker's copy of
+        # the list, so the caller's list holds only the cells it ran
+        workers(n)
+        if not forks:
+            monkeypatch.delattr(harness.os, "fork")
+        ran_here = []
+        real = harness.run_single
+
+        def recording(cfg, scenario, seed):
+            ran_here.append((scenario, seed))
+            return real(cfg, scenario, seed)
+
+        monkeypatch.setattr(harness, "run_single", recording)
+        results = run_experiment(tiny_cfg(tmp_path / "runs"))
+        assert ran_here == caller_cells
+        assert len(results) == 6
+
+    @pytest.mark.parametrize("failures,expected,written", [
+        # uda_only seed 0 (cell 3) fails in the worker before the caller's
+        # uda_only seed 1 (cell 4) does
+        ({("uda_only", 0): ParameterError("cell 3 failed"),
+          ("uda_only", 1): NumericalAbort("cell 4 failed")},
+         (ParameterError, "cell 3 failed"),
+         [("joint", 0), ("joint", 1), ("joint", 2)]),
+        # the caller's joint seed 2 (cell 2) fails before the worker's cell 3
+        ({("joint", 2): NumericalAbort("cell 2 failed"),
+          ("uda_only", 0): ParameterError("cell 3 failed")},
+         (NumericalAbort, "cell 2 failed"),
+         [("joint", 0), ("joint", 1)]),
+    ])
+    def test_first_failing_cell_wins(self, tmp_path, monkeypatch, workers,
+                                     failures, expected, written):
+        real = harness.run_single
+
+        def failing(cfg, scenario, seed):
+            if (scenario, seed) in failures:
+                raise failures[(scenario, seed)]
+            return real(cfg, scenario, seed)
+
+        monkeypatch.setattr(harness, "run_single", failing)
+        cfg = tiny_cfg(tmp_path)
+        tag = cfg.config_hash()
+        for n in (1, 2):
+            workers(n)
+            out = tmp_path / f"workers{n}"
+            with pytest.raises(KdudaError) as info:
+                run_experiment(replace(cfg, output_dir=str(out)))
+            assert (type(info.value), str(info.value)) == expected
+            assert sorted(os.listdir(out)) == sorted(
+                f"{tag}_{s}_seed{k}.csv" for s, k in written)
+
+    def test_numerical_abort_keeps_exit_code_2(self, tmp_path, workers,
+                                                capsys):
+        workers(2)
+        path = tmp_path / "explode.cfg"
+        path.write_text(
+            "data.n_per_domain = 60\ntrain.epochs = 3\n"
+            "train.batch_size = 30\ntrain.lr_da = 1e154\n"
+            "train.lr_kd = 1e154\nmodel.teacher_hidden = 8\n"
+            "model.student_hidden = 4\nexperiment.seeds = 0, 1\n"
+            "experiment.scenarios = joint\n"
+            f"experiment.output_dir = {tmp_path / 'runs'}\n")
+        with np.errstate(all="ignore"):
+            assert main(["scenarios", "--config", str(path)]) == 2
+        assert "numerical abort" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "runs") == []
+
+    def test_a_dead_worker_is_a_kduda_error(self, tmp_path, monkeypatch,
+                                            workers, capsys):
+        workers(2)
+        caller = os.getpid()
+        real = harness.run_single
+
+        def dying(cfg, scenario, seed):
+            if (scenario, seed) == ("uda_only", 0) and os.getpid() != caller:
+                os._exit(3)
+            return real(cfg, scenario, seed)
+
+        monkeypatch.setattr(harness, "run_single", dying)
+        cfg = tiny_cfg(tmp_path / "runs")
+        with pytest.raises(KdudaError, match="worker process died running "
+                           "cells joint seed 1, uda_only seed 0, "
+                           "uda_only seed 2"):
+            run_experiment(cfg)
+        # the dead worker's share starts at cell 1, so only cell 0 is written
+        assert os.listdir(tmp_path / "runs") == [
+            f"{cfg.config_hash()}_joint_seed0.csv"]
+
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            CLI_CONFIG.replace("experiment.seeds = 0, 1\n",
+                               "experiment.seeds = 0, 1, 2\n")
+            + f"experiment.output_dir = {tmp_path / 'cli'}\n")
+        assert main(["scenarios", "--config", str(path)]) == 1
+        assert "worker process died" in capsys.readouterr().err

@@ -372,6 +372,12 @@ class TestKdThenUda:
         assert float(np.mean(gaps)) < 0.05
 
 
+    def test_spent_tapes_free_without_the_cyclic_gc(self, monkeypatch):
+        # every phase's step returns floats only, so no phase's graph
+        # outlives its step
+        assert most_live_graphs(monkeypatch, train_kd_then_uda) <= 1
+
+
 class TestUdaThenKd:
     def test_phase_bookkeeping(self):
         teacher, student = small_models()
@@ -414,6 +420,12 @@ class TestSourceOnly:
         m = build(ModelSpec(2, (8,), 3, seed=9))
         log = train_source_only(m, small_pair(), quick_cfg(epochs=15))
         assert log.records[-1].l_total < log.records[0].l_total
+
+
+    def test_spent_tapes_free_without_the_cyclic_gc(self, monkeypatch):
+        def train(teacher, student, pair, cfg):
+            return train_source_only(teacher, pair, cfg, role="teacher")
+        assert most_live_graphs(monkeypatch, train) <= 1
 
 
 class TestTrainLogCsv:
