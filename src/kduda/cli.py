@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 config/usage error, 2 numerical abort during
-training. All outputs are CSV files or CSV text on stdout.
+Exit codes: 0 success, 1 config/usage error or an output path that cannot
+be written, 2 numerical abort during training. All outputs are CSV files or
+CSV text on stdout.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def main(argv=None) -> int:
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2
-    except KdudaError as exc:
+    except (KdudaError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,16 +20,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import trainer
 from .data import (DomainPair, gen_blob_shift, gen_two_moons_shift,
                    standardize)
 from .errors import ConfigError, KdudaError
 from .losses import KernelConfig
-from .models import Model, ModelSpec, build, count_complexity
-from .trainer import (TrainConfig, TrainLog, train_joint, train_kd_then_uda,
-                      train_source_only, train_uda_only, train_uda_then_kd)
+from .models import ModelSpec, build, count_complexity
+from .trainer import SCENARIOS, TrainConfig, TrainLog
 
-VALID_SCENARIOS = ("joint", "uda_then_kd", "kd_then_uda", "uda_only",
-                   "source_only")
+VALID_SCENARIOS = tuple(SCENARIOS)
 
 # offsets separating the rng streams of data, teacher init, and student init
 # for one run seed
@@ -264,8 +263,6 @@ def parse_config(text: str) -> ExperimentConfig:
         lr_da_final_fraction=kv.float_("train.lr_da_final_fraction", 0.01),
         eval_every=kv.int_("train.eval_every", 1),
         scale_kd_by_tau_sq=kv.bool_("train.scale_kd_by_tau_sq", True),
-        single_optimizer=kv.bool_("train.single_optimizer", False),
-        beta_per_batch=kv.bool_("train.beta_per_batch", False),
         beta_override=override,
         kernel=kernel,
     )
@@ -298,17 +295,6 @@ def load_config(path: str) -> ExperimentConfig:
 # -- single runs -----------------------------------------------------------------
 
 
-def _merge_source_only(student_log: TrainLog, teacher_log: TrainLog) -> TrainLog:
-    merged = TrainLog(phase_boundaries=[("source_only", 0)])
-    for s_rec, t_rec in zip(student_log.records, teacher_log.records):
-        rec = replace(s_rec,
-                      teacher_src_acc=t_rec.teacher_src_acc,
-                      teacher_tgt_acc=t_rec.teacher_tgt_acc,
-                      seconds=s_rec.seconds + t_rec.seconds)
-        merged.records.append(rec)
-    return merged
-
-
 def run_single(cfg: ExperimentConfig, scenario: str, seed: int
                ) -> tuple[TrainLog, ScenarioResult]:
     """Train one (scenario, seed) cell and package its result."""
@@ -323,24 +309,12 @@ def run_single(cfg: ExperimentConfig, scenario: str, seed: int
     teacher_spec = cfg.teacher_spec(seed)
     student_spec = cfg.student_spec(seed)
     started = time.perf_counter()
-    if scenario == "joint":
-        teacher, student = build(teacher_spec), build(student_spec)
-        log = train_joint(teacher, student, pair, train_cfg)
-    elif scenario == "uda_then_kd":
-        teacher, student = build(teacher_spec), build(student_spec)
-        log = train_uda_then_kd(teacher, student, pair, train_cfg)
-    elif scenario == "kd_then_uda":
-        teacher, student = build(teacher_spec), build(student_spec)
-        log = train_kd_then_uda(teacher, student, pair, train_cfg)
-    elif scenario == "uda_only":
-        student = build(student_spec)
-        log = train_uda_only(student, pair, train_cfg, role="student")
-    else:  # source_only: one supervised model per spec, merged per epoch
-        student = build(student_spec)
-        teacher = build(teacher_spec)
-        s_log = train_source_only(student, pair, train_cfg, role="student")
-        t_log = train_source_only(teacher, pair, train_cfg, role="teacher")
-        log = _merge_source_only(s_log, t_log)
+    # looked up at call time, so a wrapper installed on the module applies
+    train = getattr(trainer, f"train_{scenario}")
+    if scenario == "uda_only":  # the only scenario without a teacher
+        log = train(build(student_spec), pair, train_cfg)
+    else:
+        log = train(build(teacher_spec), build(student_spec), pair, train_cfg)
     final = log.final()
     s_params, s_macs = count_complexity(student_spec)
     t_params, t_macs = count_complexity(teacher_spec)
@@ -545,6 +519,8 @@ def sweep_sizes(cfg: ExperimentConfig, teacher_widths, student_widths
     """Joint runs over the width cross product; one row per cell."""
     if not teacher_widths or not student_widths:
         raise ConfigError("sweep needs at least one teacher and one student width")
+    _reject_duplicates("teacher widths", tuple(teacher_widths))
+    _reject_duplicates("student widths", tuple(student_widths))
     cfg.require_one_student()
     os.makedirs(cfg.output_dir, exist_ok=True)
     widths = [(tw, sw) for tw in teacher_widths for sw in student_widths]

@@ -155,7 +155,7 @@ class BetaSchedule:
 
 
 def beta_at(schedule: BetaSchedule, t) -> float:
-    """Blend weight at epoch t (fractional t allowed for per-batch updates)."""
+    """Blend weight at epoch t (fractional t allowed)."""
     if t < 0:
         raise ParameterError(f"epoch index must be >= 0, got {t}")
     beta = schedule.start * math.exp(schedule.growth * float(t))

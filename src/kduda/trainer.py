@@ -1,22 +1,24 @@
-"""Training loops: the joint progressive procedure and its three references.
+"""Training procedures: the joint progressive one and its four references,
+each a table of phases (`SCENARIOS`) run by one epoch driver.
 
-The joint loop alternates two optimizer steps per paired batch. First the
+The joint phase alternates two optimizer steps per paired batch. First the
 big model takes a domain-adaptation step on (1 - beta) times its alignment
 loss; then, with its just-updated parameters, it produces fresh soft targets
 and the small model takes a distillation step on beta times the two distill
-terms. beta is refreshed once per epoch from the exponential schedule. The
-adaptation optimizer's learning rate decays exponentially to one hundredth
-of its initial value over the run; the distillation optimizer's rate stays
-constant.
+terms. References: adapt-only on the small model, supervised-then-distill
+-then-adapt (three phases), adapt-the-big-model-then-distill (two phases,
+distillation without labels), and supervised source training of both.
 
-Reference procedures: adapt-only on a single model, supervised-then-distill
--then-adapt (three phases), and adapt-the-big-model-then-distill (two
-phases, distillation without labels).
+Clocks: beta (refreshed once per epoch) and gamma follow the run's global
+epoch. Every phase starts with fresh optimizers; an adaptation or supervised
+one decays exponentially from lr_da toward lr_da_final_fraction of it over
+the phase's own epochs, a distillation one keeps lr_kd.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +29,7 @@ from .data import DomainPair, batches
 from .errors import NumericalAbort, ParameterError, ShapeError
 from .losses import (BetaSchedule, KernelConfig, LossWeights, beta_at,
                      cross_entropy, gamma_at, source_kd_loss, target_kd_loss,
-                     teacher_da_loss, total_loss)
+                     teacher_da_loss)
 from .models import Model
 
 CSV_COLUMNS = ("epoch", "beta", "gamma", "L_mmd", "L_tda", "L_tkd", "L_skd",
@@ -56,8 +58,6 @@ class TrainConfig:
     eval_every: int = 1
     seed: int = 0
     scale_kd_by_tau_sq: bool = True
-    single_optimizer: bool = False
-    beta_per_batch: bool = False
     beta_override: float | None = None
     kernel: KernelConfig = field(default_factory=KernelConfig)
 
@@ -191,201 +191,194 @@ def evaluate(model: Model, x: np.ndarray, y_true: np.ndarray) -> float:
     return float(np.mean(preds == y_true))
 
 
-def _check_finite(term: str, value: float, epoch: int):
-    if not np.isfinite(value):
-        raise NumericalAbort(f"{term} is not finite at epoch {epoch}")
-
-
-class _Metrics:
-    """Holds the latest accuracy snapshot; refreshed on eval epochs only."""
-
-    def __init__(self, pair: DomainPair, cfg: TrainConfig,
-                 teacher: Model | None, student: Model | None):
-        self.pair = pair
-        self.cfg = cfg
-        self.teacher = teacher
-        self.student = student
-        self.values = (float("nan"),) * 4
-
-    def at_epoch(self, epoch: int):
-        if epoch % self.cfg.eval_every == 0 or epoch == self.cfg.epochs - 1:
-            p = self.pair
-            def acc(m, x, y):
-                return evaluate(m, x, y) if m is not None else float("nan")
-            self.values = (acc(self.teacher, p.xs, p.ys),
-                           acc(self.teacher, p.xt, p.yt_eval),
-                           acc(self.student, p.xs, p.ys),
-                           acc(self.student, p.xt, p.yt_eval))
-        return self.values
-
-
 # -- steps -------------------------------------------------------------------------
 #
-# Each step builds its own graph and returns only floats, so the graph is
-# freed when the step returns (bound_gradients ends the model's binding).
+# step(trained, teacher, batch, cfg, weights, beta, epoch) trains the
+# phase's (model, optimizer) pairs on one batch (xs, ys, xt) and returns its
+# (mmd, tda, tkd, skd, total) as floats. Each graph lives in a function that
+# returns only floats, so it is freed on return and at most one is alive.
 
 
-def _da_step(model: Model, xs_np: np.ndarray, ys: np.ndarray, xt_np: np.ndarray,
-             cfg: TrainConfig, weights: LossWeights, opt: OptimizerState,
-             epoch: int, scale: float | None = None) -> tuple[float, float]:
-    """One adaptation step: descend MMD + gamma CE, times scale if given.
-    Returns (mmd, tda)."""
-    graph = Graph()
-    xs, xt = graph.tensor(xs_np), graph.tensor(xt_np)
-    tda, parts = teacher_da_loss(model, xs, ys, xt, cfg.kernel, weights)
-    mmd, tda_val = parts["mmd"], tda.item()
-    _check_finite("L_mmd", mmd, epoch)
-    _check_finite("L_tda", tda_val, epoch)
-    (tda if scale is None else ad.scalar_multiply(tda, scale)).backward()
+def _descend(model: Model, opt: OptimizerState, objective, epoch: int,
+             **terms: float):
+    """Abort on a non-finite term, else backpropagate objective and take
+    one optimizer step on model."""
+    for term, value in terms.items():
+        if not np.isfinite(value):
+            raise NumericalAbort(f"{term} is not finite at epoch {epoch}")
+    objective.backward()
     sgd_step(model.parameters(), model.bound_gradients(), opt)
-    return mmd, tda_val
 
 
-def _kd_step(student: Model, teacher: Model, xs_np: np.ndarray, ys: np.ndarray,
-             xt_np: np.ndarray, weights: LossWeights, beta: float,
-             opt: OptimizerState, epoch: int) -> tuple[float, float]:
-    """One distillation step: descend beta * (target KD + source KD) from
-    the teacher's current soft targets. Returns (tkd, skd)."""
+def _adapt_step(trained, teacher, batch, cfg, weights, beta, epoch,
+                scale: float | None = None):
+    """Descend MMD + gamma CE on the first trained model, times scale if
+    given."""
+    model, opt = trained[0]
+    xs, ys, xt = batch
+    graph = Graph()
+    tda, parts = teacher_da_loss(model, graph.tensor(xs), ys, graph.tensor(xt),
+                                 cfg.kernel, weights)
+    mmd, tda_val = parts["mmd"], tda.item()
+    _descend(model, opt, tda if scale is None else ad.scalar_multiply(tda, scale),
+             epoch, L_mmd=mmd, L_tda=tda_val)
+    return mmd, tda_val, 0.0, 0.0, tda_val
+
+
+def _joint_step(trained, teacher, batch, cfg, weights, beta, epoch):
+    """Adapt the teacher on (1 - beta) of its loss, then distill the student
+    on beta times both distillation terms from the just-updated teacher."""
+    mmd, tda, _, _, _ = _adapt_step(trained, teacher, batch, cfg, weights,
+                                    beta, epoch, scale=1.0 - beta)
+    student, opt = trained[1]
+    xs_np, ys, xt_np = batch
     graph = Graph()
     xs, xt = graph.tensor(xs_np), graph.tensor(xt_np)
     tkd = target_kd_loss(student, teacher, xt, weights)
     skd, _ = source_kd_loss(student, teacher, xs, ys, weights)
     tkd_val, skd_val = tkd.item(), skd.item()
-    _check_finite("L_tkd", tkd_val, epoch)
-    _check_finite("L_skd", skd_val, epoch)
-    ad.scalar_multiply(ad.add(tkd, skd), beta).backward()
-    sgd_step(student.parameters(), student.bound_gradients(), opt)
-    return tkd_val, skd_val
+    total = (1.0 - beta) * tda + beta * (tkd_val + skd_val)
+    _descend(student, opt, ad.scalar_multiply(ad.add(tkd, skd), beta), epoch,
+             L_tkd=tkd_val, L_skd=skd_val, L_total=total)
+    return mmd, tda, tkd_val, skd_val, total
 
 
-def _ce_step(model: Model, xs_np: np.ndarray, ys: np.ndarray,
-             opt: OptimizerState, epoch: int) -> float:
-    """One supervised step: descend source cross-entropy. Returns it."""
+def _source_ce(model: Model, opt: OptimizerState, batch, epoch: int) -> float:
+    """One supervised step on model; returns its source cross-entropy."""
     graph = Graph()
     ce = cross_entropy(
-        ad.softmax_temperature(model.logits(graph.tensor(xs_np)), 1.0), ys)
+        ad.softmax_temperature(model.logits(graph.tensor(batch[0])), 1.0),
+        batch[1])
     ce_val = ce.item()
-    _check_finite("L_tda", ce_val, epoch)
-    ce.backward()
-    sgd_step(model.parameters(), model.bound_gradients(), opt)
+    _descend(model, opt, ce, epoch, L_tda=ce_val)
     return ce_val
 
 
-def _source_kd_step(student: Model, teacher: Model, xs_np: np.ndarray,
-                    ys: np.ndarray, weights: LossWeights, opt: OptimizerState,
-                    epoch: int) -> float:
-    """One labeled-source distillation step, unscaled. Returns skd."""
+def _supervised_step(trained, teacher, batch, cfg, weights, beta, epoch):
+    """Descend source cross-entropy on each trained model in turn; the loss
+    columns report the first model's."""
+    ces = [_source_ce(model, opt, batch, epoch) for model, opt in trained]
+    return 0.0, ces[0], 0.0, 0.0, ces[0]
+
+
+def _source_kd_step(trained, teacher, batch, cfg, weights, beta, epoch):
+    """Labeled-source distillation into the student, unscaled."""
+    (student, opt), = trained
     graph = Graph()
-    skd, _ = source_kd_loss(student, teacher, graph.tensor(xs_np), ys, weights)
+    skd, _ = source_kd_loss(student, teacher, graph.tensor(batch[0]), batch[1],
+                            weights)
     skd_val = skd.item()
-    _check_finite("L_skd", skd_val, epoch)
-    skd.backward()
-    sgd_step(student.parameters(), student.bound_gradients(), opt)
-    return skd_val
+    _descend(student, opt, skd, epoch, L_skd=skd_val)
+    return 0.0, 0.0, 0.0, skd_val, skd_val
 
 
-# -- joint procedure ---------------------------------------------------------------
+def _target_kd_step(trained, teacher, batch, cfg, weights, beta, epoch):
+    """Label-free target distillation into the student, unscaled."""
+    (student, opt), = trained
+    graph = Graph()
+    tkd = target_kd_loss(student, teacher, graph.tensor(batch[2]), weights)
+    tkd_val = tkd.item()
+    _descend(student, opt, tkd, epoch, L_tkd=tkd_val)
+    return 0.0, 0.0, tkd_val, 0.0, tkd_val
+
+
+# -- scenarios ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Phase:
+    """One stretch of a scenario: `epochs // share` epochs (the last phase
+    takes the rest), logging `beta`, or the schedule's when None. `trains`
+    lists (model, rate) pairs, "teacher" or "student" at "lr_da" (decaying
+    over the phase) or "lr_kd" (constant), each with a fresh optimizer."""
+
+    name: str
+    share: int
+    beta: float | None
+    trains: tuple[tuple[str, str], ...]
+    step: Callable[..., tuple[float, float, float, float, float]]
+
+
+# the (model, rate) pairs a phase can train
+_TEACHER_DA, _STUDENT_DA, _STUDENT_KD = (
+    ("teacher", "lr_da"), ("student", "lr_da"), ("student", "lr_kd"))
+
+SCENARIOS: dict[str, tuple[Phase, ...]] = {
+    "joint": (Phase("joint", 1, None, (_TEACHER_DA, _STUDENT_KD), _joint_step),),
+    "uda_then_kd": (
+        Phase("teacher_uda", 2, 0.0, (_TEACHER_DA,), _adapt_step),
+        Phase("distill_target", 1, 1.0, (_STUDENT_KD,), _target_kd_step)),
+    "kd_then_uda": (
+        Phase("teacher_supervised", 3, 0.0, (_TEACHER_DA,), _supervised_step),
+        Phase("distill_source", 3, 1.0, (_STUDENT_KD,), _source_kd_step),
+        Phase("student_uda", 1, 0.0, (_STUDENT_DA,), _adapt_step)),
+    "uda_only": (Phase("uda_only", 1, 0.0, (_STUDENT_DA,), _adapt_step),),
+    "source_only": (
+        Phase("source_only", 1, 0.0, (_STUDENT_DA, _TEACHER_DA), _supervised_step),),
+}
+
+
+def _run_phases(scenario: str, teacher: Model | None, student: Model,
+                pair: DomainPair, cfg: TrainConfig) -> TrainLog:
+    """Run a scenario's phases back to back over cfg.epochs epochs."""
+    if teacher is not None and teacher.spec.num_classes != student.spec.num_classes:
+        raise ShapeError(
+            f"class counts differ: teacher {teacher.spec.num_classes}, "
+            f"student {student.spec.num_classes}")
+    models = {"teacher": teacher, "student": student}
+    phases = SCENARIOS[scenario]
+    log = TrainLog()
+    accs = (float("nan"),) * 4  # refreshed on eval epochs only
+    start = 0
+    for i, phase in enumerate(phases):
+        count = (cfg.epochs - start if i == len(phases) - 1
+                 else cfg.epochs // phase.share)
+        log.phase_boundaries.append((phase.name, start))
+        trained = [(models[role], OptimizerState.for_params(
+                        models[role].parameters(), getattr(cfg, rate), cfg.momentum))
+                   for role, rate in phase.trains]
+        decaying = [opt for (_, rate), (_, opt) in zip(phase.trains, trained)
+                    if rate == "lr_da"]
+        for k in range(count):
+            epoch = start + k
+            tic = time.perf_counter()
+            beta = cfg.beta_at_epoch(epoch) if phase.beta is None else phase.beta
+            weights = cfg.weights_at(epoch)
+            for opt in decaying:
+                opt.lr = lr_at(cfg.lr_da, k, count, cfg.lr_da_final_fraction,
+                               cfg.lr_da_decay)
+            batch_list = batches(pair, cfg.batch_size, epoch, cfg.seed)
+            sums = np.zeros(5)  # mmd, tda, tkd, skd, total
+            for batch in batch_list:
+                sums += phase.step(trained, teacher, batch, cfg, weights, beta,
+                                   epoch)
+            if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
+                accs = tuple(float("nan") if m is None else evaluate(m, x, y)
+                             for m in (teacher, student)
+                             for x, y in ((pair.xs, pair.ys), (pair.xt, pair.yt_eval)))
+            log.records.append(EpochRecord(
+                epoch, beta, weights.gamma, *(sums / len(batch_list)), *accs,
+                time.perf_counter() - tic))
+        start += count
+    return log
+
+
+# kduda.harness.run_single looks these up by name when it runs, so a
+# wrapper installed on one of them applies.
 
 
 def train_joint(teacher: Model, student: Model, pair: DomainPair,
                 cfg: TrainConfig) -> TrainLog:
-    if teacher.spec.num_classes != student.spec.num_classes:
-        raise ShapeError(
-            f"class counts differ: teacher {teacher.spec.num_classes}, "
-            f"student {student.spec.num_classes}")
-    log = TrainLog(phase_boundaries=[("joint", 0)])
-    metrics = _Metrics(pair, cfg, teacher, student)
-    da_opt = OptimizerState.for_params(teacher.parameters(), cfg.lr_da, cfg.momentum)
-    kd_opt = OptimizerState.for_params(student.parameters(), cfg.lr_kd, cfg.momentum)
-    joint_opt = None
-    if cfg.single_optimizer:
-        joint_opt = OptimizerState.for_params(
-            teacher.parameters() + student.parameters(), cfg.lr_da, cfg.momentum)
-
-    for epoch in range(cfg.epochs):
-        tic = time.perf_counter()
-        beta_epoch = cfg.beta_at_epoch(epoch)
-        weights = cfg.weights_at(epoch)
-        epoch_lr = lr_at(cfg.lr_da, epoch, cfg.epochs, cfg.lr_da_final_fraction,
-                         cfg.lr_da_decay)
-        da_opt.lr = epoch_lr
-        if joint_opt is not None:
-            joint_opt.lr = epoch_lr
-        batch_list = batches(pair, cfg.batch_size, epoch, cfg.seed)
-        nb = len(batch_list)
-        sums = np.zeros(5)  # mmd, tda, tkd, skd, total
-        for b_idx, (xs_np, ys, xt_np) in enumerate(batch_list):
-            beta = (cfg.beta_at_epoch(epoch + b_idx / nb)
-                    if cfg.beta_per_batch else beta_epoch)
-            if cfg.single_optimizer:
-                graph = Graph()
-                xs, xt = graph.tensor(xs_np), graph.tensor(xt_np)
-                loss, report = total_loss(teacher, student, xs, ys, xt, beta,
-                                          cfg.kernel, weights)
-                for term, val in (("L_mmd", report.mmd), ("L_tda", report.tda),
-                                  ("L_tkd", report.tkd), ("L_skd", report.skd),
-                                  ("L_total", report.total)):
-                    _check_finite(term, val, epoch)
-                loss.backward()
-                grads = teacher.bound_gradients() + student.bound_gradients()
-                sgd_step(teacher.parameters() + student.parameters(), grads,
-                         joint_opt)
-                step_vals = (report.mmd, report.tda, report.tkd, report.skd,
-                             report.total)
-            else:
-                mmd, tda = _da_step(teacher, xs_np, ys, xt_np, cfg, weights,
-                                    da_opt, epoch, scale=1.0 - beta)
-                # soft targets come from the just-updated teacher
-                tkd, skd = _kd_step(student, teacher, xs_np, ys, xt_np,
-                                    weights, beta, kd_opt, epoch)
-                total = (1.0 - beta) * tda + beta * (tkd + skd)
-                _check_finite("L_total", total, epoch)
-                step_vals = (mmd, tda, tkd, skd, total)
-            sums += np.asarray(step_vals)
-        means = sums / nb
-        accs = metrics.at_epoch(epoch)
-        log.records.append(EpochRecord(
-            epoch, beta_epoch, weights.gamma, *means, *accs,
-            time.perf_counter() - tic))
-    return log
+    """Joint progressive KD + UDA: adaptation and distillation interleave on
+    every batch."""
+    return _run_phases("joint", teacher, student, pair, cfg)
 
 
-# -- reference procedures ------------------------------------------------------------
-
-
-def _adapt_epochs(model: Model, pair: DomainPair, cfg: TrainConfig,
-                  log: TrainLog, metrics: _Metrics, start: int, count: int):
-    """UDA epochs on one model: minimize alignment + gamma CE with the
-    decaying-lr optimizer. Logged with beta 0 so each row recomposes."""
-    opt = OptimizerState.for_params(model.parameters(), cfg.lr_da, cfg.momentum)
-    for k in range(count):
-        epoch = start + k
-        tic = time.perf_counter()
-        weights = cfg.weights_at(epoch)
-        opt.lr = lr_at(cfg.lr_da, k, max(count, 1), cfg.lr_da_final_fraction,
-                       cfg.lr_da_decay)
-        batch_list = batches(pair, cfg.batch_size, epoch, cfg.seed)
-        sums = np.zeros(2)  # mmd, tda
-        for xs_np, ys, xt_np in batch_list:
-            sums += _da_step(model, xs_np, ys, xt_np, cfg, weights, opt, epoch)
-        means = sums / len(batch_list)
-        accs = metrics.at_epoch(epoch)
-        log.records.append(EpochRecord(
-            epoch, 0.0, weights.gamma, means[0], means[1], 0.0, 0.0, means[1],
-            *accs, time.perf_counter() - tic))
-
-
-def train_uda_only(model: Model, pair: DomainPair, cfg: TrainConfig,
-                   role: str = "student") -> TrainLog:
-    """Adaptation alone on one model; role picks the accuracy columns."""
-    if role not in ("student", "teacher"):
-        raise ParameterError(f"role must be student or teacher, got {role!r}")
-    log = TrainLog(phase_boundaries=[("uda_only", 0)])
-    metrics = _Metrics(pair, cfg,
-                       model if role == "teacher" else None,
-                       model if role == "student" else None)
-    _adapt_epochs(model, pair, cfg, log, metrics, 0, cfg.epochs)
-    return log
+def train_uda_then_kd(teacher: Model, student: Model, pair: DomainPair,
+                      cfg: TrainConfig) -> TrainLog:
+    """Adapt the teacher first, then distill its target-domain behavior into
+    the student without any label term. Budget is split in half."""
+    return _run_phases("uda_then_kd", teacher, student, pair, cfg)
 
 
 def train_kd_then_uda(teacher: Model, student: Model, pair: DomainPair,
@@ -393,118 +386,17 @@ def train_kd_then_uda(teacher: Model, student: Model, pair: DomainPair,
     """Supervised teacher on source, distill on source with labels, then
     adapt the student. Epoch budget is split into thirds (remainder to the
     adaptation phase)."""
-    if teacher.spec.num_classes != student.spec.num_classes:
-        raise ShapeError(
-            f"class counts differ: teacher {teacher.spec.num_classes}, "
-            f"student {student.spec.num_classes}")
-    n_a = cfg.epochs // 3
-    n_b = cfg.epochs // 3
-    n_c = cfg.epochs - n_a - n_b
-    log = TrainLog(phase_boundaries=[
-        ("teacher_supervised", 0), ("distill_source", n_a),
-        ("student_uda", n_a + n_b)])
-    metrics = _Metrics(pair, cfg, teacher, student)
-
-    # phase 1: plain supervised cross-entropy for the teacher on source
-    opt = OptimizerState.for_params(teacher.parameters(), cfg.lr_da, cfg.momentum)
-    for epoch in range(n_a):
-        tic = time.perf_counter()
-        weights = cfg.weights_at(epoch)
-        opt.lr = lr_at(cfg.lr_da, epoch, max(n_a, 1), cfg.lr_da_final_fraction,
-                       cfg.lr_da_decay)
-        batch_list = batches(pair, cfg.batch_size, epoch, cfg.seed)
-        total = 0.0
-        for xs_np, ys, _ in batch_list:
-            total += _ce_step(teacher, xs_np, ys, opt, epoch)
-        mean_ce = total / len(batch_list)
-        accs = metrics.at_epoch(epoch)
-        log.records.append(EpochRecord(
-            epoch, 0.0, weights.gamma, 0.0, mean_ce, 0.0, 0.0, mean_ce,
-            *accs, time.perf_counter() - tic))
-
-    # phase 2: labeled-source distillation into the student, teacher fixed
-    opt = OptimizerState.for_params(student.parameters(), cfg.lr_kd, cfg.momentum)
-    for k in range(n_b):
-        epoch = n_a + k
-        tic = time.perf_counter()
-        weights = cfg.weights_at(epoch)
-        batch_list = batches(pair, cfg.batch_size, epoch, cfg.seed)
-        total = 0.0
-        for xs_np, ys, _ in batch_list:
-            total += _source_kd_step(student, teacher, xs_np, ys, weights,
-                                     opt, epoch)
-        mean_skd = total / len(batch_list)
-        accs = metrics.at_epoch(epoch)
-        log.records.append(EpochRecord(
-            epoch, 1.0, weights.gamma, 0.0, 0.0, 0.0, mean_skd, mean_skd,
-            *accs, time.perf_counter() - tic))
-
-    # phase 3: adapt the distilled student
-    _adapt_epochs(student, pair, cfg, log, metrics, n_a + n_b, n_c)
-    return log
+    return _run_phases("kd_then_uda", teacher, student, pair, cfg)
 
 
-def train_uda_then_kd(teacher: Model, student: Model, pair: DomainPair,
+def train_uda_only(student: Model, pair: DomainPair, cfg: TrainConfig) -> TrainLog:
+    """Adaptation alone on the student; the teacher columns stay nan."""
+    return _run_phases("uda_only", None, student, pair, cfg)
+
+
+def train_source_only(teacher: Model, student: Model, pair: DomainPair,
                       cfg: TrainConfig) -> TrainLog:
-    """Adapt the teacher first, then distill its target-domain behavior into
-    the student without any label term. Budget is split in half."""
-    if teacher.spec.num_classes != student.spec.num_classes:
-        raise ShapeError(
-            f"class counts differ: teacher {teacher.spec.num_classes}, "
-            f"student {student.spec.num_classes}")
-    n_a = cfg.epochs // 2
-    n_b = cfg.epochs - n_a
-    log = TrainLog(phase_boundaries=[("teacher_uda", 0), ("distill_target", n_a)])
-    metrics = _Metrics(pair, cfg, teacher, student)
-
-    _adapt_epochs(teacher, pair, cfg, log, metrics, 0, n_a)
-
-    opt = OptimizerState.for_params(student.parameters(), cfg.lr_kd, cfg.momentum)
-    for k in range(n_b):
-        epoch = n_a + k
-        tic = time.perf_counter()
-        weights = cfg.weights_at(epoch)
-        batch_list = batches(pair, cfg.batch_size, epoch, cfg.seed)
-        total = 0.0
-        for _, _, xt_np in batch_list:
-            graph = Graph()
-            xt = graph.tensor(xt_np)
-            tkd = target_kd_loss(student, teacher, xt, weights)
-            _check_finite("L_tkd", tkd.item(), epoch)
-            tkd.backward()
-            sgd_step(student.parameters(), student.bound_gradients(), opt)
-            total += tkd.item()
-        mean_tkd = total / len(batch_list)
-        accs = metrics.at_epoch(epoch)
-        log.records.append(EpochRecord(
-            epoch, 1.0, weights.gamma, 0.0, 0.0, mean_tkd, 0.0, mean_tkd,
-            *accs, time.perf_counter() - tic))
-    return log
-
-
-def train_source_only(model: Model, pair: DomainPair, cfg: TrainConfig,
-                      role: str = "student") -> TrainLog:
-    """Supervised training on source only; the floor reference for how much
-    the shift costs an unadapted model."""
-    if role not in ("student", "teacher"):
-        raise ParameterError(f"role must be student or teacher, got {role!r}")
-    log = TrainLog(phase_boundaries=[("source_only", 0)])
-    metrics = _Metrics(pair, cfg,
-                       model if role == "teacher" else None,
-                       model if role == "student" else None)
-    opt = OptimizerState.for_params(model.parameters(), cfg.lr_da, cfg.momentum)
-    for epoch in range(cfg.epochs):
-        tic = time.perf_counter()
-        weights = cfg.weights_at(epoch)
-        opt.lr = lr_at(cfg.lr_da, epoch, cfg.epochs, cfg.lr_da_final_fraction,
-                       cfg.lr_da_decay)
-        batch_list = batches(pair, cfg.batch_size, epoch, cfg.seed)
-        total = 0.0
-        for xs_np, ys, _ in batch_list:
-            total += _ce_step(model, xs_np, ys, opt, epoch)
-        mean_ce = total / len(batch_list)
-        accs = metrics.at_epoch(epoch)
-        log.records.append(EpochRecord(
-            epoch, 0.0, weights.gamma, 0.0, mean_ce, 0.0, 0.0, mean_ce,
-            *accs, time.perf_counter() - tic))
-    return log
+    """Supervised training of both models on source only; the floor
+    reference for how much the shift costs an unadapted model. The loss
+    columns are the student's."""
+    return _run_phases("source_only", teacher, student, pair, cfg)

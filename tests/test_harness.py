@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kduda import harness
+from kduda import harness, trainer
 from kduda.cli import main
 from kduda.errors import ConfigError, KdudaError, NumericalAbort, ParameterError
 from kduda.harness import (
@@ -67,8 +67,6 @@ train.momentum = 0.8
 train.lr_da_decay = constant
 train.eval_every = 2
 train.scale_kd_by_tau_sq = false
-train.single_optimizer = true
-train.beta_per_batch = true
 train.kernel_mode = fixed
 train.kernel_bandwidths = 0.5, 1.0, 2.0
 
@@ -101,8 +99,6 @@ class TestConfigParsing:
         assert t.lr_da_decay == "constant"
         assert t.eval_every == 2
         assert t.scale_kd_by_tau_sq is False
-        assert t.single_optimizer is True
-        assert t.beta_per_batch is True
         assert t.kernel.mode == "fixed"
         assert t.kernel.bandwidths == (0.5, 1.0, 2.0)
         assert cfg.teacher_hidden == (32, 16)
@@ -133,6 +129,16 @@ class TestConfigParsing:
     def test_unknown_keys_are_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys.*train.lr"):
             parse_config("train.lr = 0.1\n")
+
+    @pytest.mark.parametrize("key", ["train.single_optimizer",
+                                     "train.beta_per_batch"])
+    def test_removed_training_keys_are_unknown(self, tmp_path, capsys, key):
+        with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+            parse_config(f"{key} = false\n")
+        path = tmp_path / "old.cfg"
+        path.write_text(f"{key} = true\n")
+        assert main(["complexity", "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
 
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="train.epochs.*integer"):
@@ -221,6 +227,22 @@ class TestRunSingle:
     def test_unknown_scenario(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown scenario"):
             run_single(tiny_cfg(tmp_path), "warmup", 0)
+
+    @pytest.mark.parametrize("scenario", harness.VALID_SCENARIOS)
+    def test_procedure_is_looked_up_when_the_cell_runs(self, tmp_path,
+                                                       monkeypatch, scenario):
+        # a wrapper installed on kduda.trainer after import must be called
+        name = f"train_{scenario}"
+        real = getattr(trainer, name)
+        calls = []
+
+        def wrapper(*args):
+            calls.append(len(args))
+            return real(*args)
+
+        monkeypatch.setattr(trainer, name, wrapper)
+        run_single(tiny_cfg(tmp_path), scenario, 0)
+        assert calls == [3 if scenario == "uda_only" else 4]
 
 
 class TestRunExperiment:
@@ -361,6 +383,17 @@ class TestSweep:
         with pytest.raises(ConfigError, match="at least one"):
             sweep_sizes(tiny_cfg(tmp_path), [], [4])
 
+    def test_duplicate_widths_are_rejected(self, tmp_path, cli_config, capsys):
+        cfg = tiny_cfg(tmp_path / "runs")
+        with pytest.raises(ConfigError, match="teacher widths: duplicate.*32"):
+            sweep_sizes(cfg, [32, 8, 32], [4])
+        with pytest.raises(ConfigError, match="student widths: duplicate.*4"):
+            sweep_sizes(cfg, [8], [4, 4])
+        assert not os.path.exists(tmp_path / "runs")
+        assert main(["sweep", "--config", cli_config, "--teachers", "32,32",
+                     "--students", "4"]) == 1
+        assert "duplicate" in capsys.readouterr().err
+
 
 CLI_CONFIG = """
 data.n_per_domain = 60
@@ -435,6 +468,26 @@ class TestCli:
     def test_bad_width_list_is_a_usage_error(self, cli_config, capsys):
         assert main(["sweep", "--config", cli_config, "--teachers", "a,b",
                      "--students", "4"]) == 1
+
+    def test_out_into_a_missing_directory_is_a_usage_error(self, tmp_path,
+                                                           cli_config, capsys):
+        out = tmp_path / "absent" / "one.csv"
+        assert main(["train", "--config", cli_config, "--scenario", "uda_only",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    @pytest.mark.parametrize("command", ["train", "scenarios"])
+    def test_output_dir_naming_a_file_is_a_usage_error(self, tmp_path, capsys,
+                                                       command):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        path = tmp_path / "exp.cfg"
+        path.write_text(CLI_CONFIG + f"experiment.output_dir = {taken}\n")
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err
+        assert taken.read_text() == "not a directory\n"
 
     def test_numerical_abort_exit_code(self, tmp_path, capsys):
         path = tmp_path / "explode.cfg"

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import kduda.autodiff as ad
+import kduda.trainer
 from kduda.data import gen_blob_shift
 from kduda.errors import NumericalAbort, ParameterError, ShapeError
+from kduda.losses import gamma_at
 from kduda.models import Model, ModelSpec, build
 from kduda.trainer import (
     CSV_COLUMNS,
@@ -209,12 +211,10 @@ class TestJointTraining:
 
     def test_total_recomposes_from_parts(self):
         teacher, student = small_models()
-        for single in (False, True):
-            cfg = quick_cfg(epochs=3, single_optimizer=single)
-            log = train_joint(teacher.copy(), student.copy(), small_pair(), cfg)
-            for r in log.records:
-                expected = (1.0 - r.beta) * r.l_tda + r.beta * (r.l_tkd + r.l_skd)
-                np.testing.assert_allclose(r.l_total, expected, rtol=0, atol=1e-10)
+        log = train_joint(teacher, student, small_pair(), quick_cfg(epochs=3))
+        for r in log.records:
+            expected = (1.0 - r.beta) * r.l_tda + r.beta * (r.l_tkd + r.l_skd)
+            np.testing.assert_allclose(r.l_total, expected, rtol=0, atol=1e-10)
 
     def test_beta_zero_freezes_the_student(self):
         teacher, student = small_models()
@@ -264,18 +264,6 @@ class TestJointTraining:
         with pytest.raises(ShapeError):
             train_joint(teacher, student, small_pair(), quick_cfg())
 
-    def test_single_optimizer_variant_runs(self):
-        teacher, student = small_models()
-        log = train_joint(teacher, student, small_pair(),
-                          quick_cfg(single_optimizer=True))
-        assert len(log.records) == 4
-
-    def test_per_batch_beta_variant_runs(self):
-        teacher, student = small_models()
-        log = train_joint(teacher, student, small_pair(),
-                          quick_cfg(beta_per_batch=True))
-        assert len(log.records) == 4
-
     def test_exploding_rate_aborts_with_context(self):
         # the step has to overflow float64 outright; merely huge rates land in
         # a finite dead state because relu and the log floor bound every term
@@ -312,19 +300,14 @@ class TestEvalCadence:
 
 
 class TestUdaOnly:
-    def test_role_controls_the_accuracy_columns(self):
+    def test_student_fills_the_accuracy_columns(self):
         pair = small_pair()
         m = build(ModelSpec(2, (4,), 3, seed=5))
-        log = train_uda_only(m, pair, quick_cfg(), role="student")
-        assert math.isnan(log.final().teacher_src_acc)
-        assert not math.isnan(log.final().student_src_acc)
-
-        m2 = build(ModelSpec(2, (4,), 3, seed=5))
-        log2 = train_uda_only(m2, pair, quick_cfg(), role="teacher")
-        assert not math.isnan(log2.final().teacher_src_acc)
-        assert math.isnan(log2.final().student_src_acc)
-        with pytest.raises(ParameterError):
-            train_uda_only(m2, pair, quick_cfg(), role="both")
+        final = train_uda_only(m, pair, quick_cfg()).final()
+        assert math.isnan(final.teacher_src_acc)
+        assert math.isnan(final.teacher_tgt_acc)
+        assert final.student_src_acc == evaluate(m, pair.xs, pair.ys)
+        assert final.student_tgt_acc == evaluate(m, pair.xt, pair.yt_eval)
 
     def test_rows_recompose_with_zero_blend(self):
         m = build(ModelSpec(2, (4,), 3, seed=5))
@@ -400,32 +383,97 @@ class TestUdaThenKd:
         assert drift <= 1e-9
 
     def test_spent_tapes_free_without_the_cyclic_gc(self, monkeypatch):
-        # the distillation loop's locals keep the previous step's graph
-        # until the next one is built
-        assert most_live_graphs(monkeypatch, train_uda_then_kd) <= 2
+        # the distillation step returns floats only, like every other step
+        assert most_live_graphs(monkeypatch, train_uda_then_kd) <= 1
 
 
 class TestSourceOnly:
     def test_supervised_floor_runs_and_logs(self):
+        teacher, _ = small_models()
         m = build(ModelSpec(2, (8,), 3, seed=9))
-        log = train_source_only(m, small_pair(), quick_cfg(epochs=15))
+        log = train_source_only(teacher, m, small_pair(), quick_cfg(epochs=15))
         assert len(log.records) == 15
         assert log.phase_boundaries == [("source_only", 0)]
         final = log.final()
         assert final.student_src_acc > 0.8
+        assert final.teacher_src_acc > 0.8
         for r in log.records:
             assert r.l_mmd == 0.0 and r.l_tkd == 0.0 and r.l_skd == 0.0
 
     def test_loss_decreases_overall(self):
+        teacher, _ = small_models()
         m = build(ModelSpec(2, (8,), 3, seed=9))
-        log = train_source_only(m, small_pair(), quick_cfg(epochs=15))
+        log = train_source_only(teacher, m, small_pair(), quick_cfg(epochs=15))
         assert log.records[-1].l_total < log.records[0].l_total
 
+    def test_teacher_columns_from_the_teacher_losses_from_the_student(self):
+        pair = small_pair()
+
+        def run(teacher_seed, student_seed):
+            teacher = build(ModelSpec(2, (8,), 3, seed=teacher_seed))
+            student = build(ModelSpec(2, (4,), 3, seed=student_seed))
+            log = train_source_only(teacher, student, pair, quick_cfg())
+            return teacher, student, log
+
+        teacher, student, log = run(100, 200)
+        final = log.final()
+        assert final.teacher_src_acc == evaluate(teacher, pair.xs, pair.ys)
+        assert final.teacher_tgt_acc == evaluate(teacher, pair.xt, pair.yt_eval)
+        assert final.student_src_acc == evaluate(student, pair.xs, pair.ys)
+        assert final.student_tgt_acc == evaluate(student, pair.xt, pair.yt_eval)
+
+        def losses(log):
+            return [(r.l_tda, r.l_total) for r in log.records]
+        # another teacher leaves the loss columns alone; another student not
+        assert losses(run(101, 200)[2]) == losses(log)
+        assert losses(run(100, 201)[2]) != losses(log)
 
     def test_spent_tapes_free_without_the_cyclic_gc(self, monkeypatch):
-        def train(teacher, student, pair, cfg):
-            return train_source_only(teacher, pair, cfg, role="teacher")
-        assert most_live_graphs(monkeypatch, train) <= 1
+        assert most_live_graphs(monkeypatch, train_source_only) <= 1
+
+
+class TestPhaseClocks:
+    """beta and gamma follow the run's global epoch; every phase starts
+    fresh optimizers, lr_da decaying over the phase's own epochs and lr_kd
+    constant."""
+
+    @pytest.mark.parametrize("train,phases", [
+        (train_uda_then_kd, [("lr_da", 3), ("lr_kd", 4)]),
+        (train_kd_then_uda, [("lr_da", 2), ("lr_kd", 2), ("lr_da", 4)]),
+    ])
+    def test_rates_restart_per_phase(self, monkeypatch, train, phases):
+        real_sgd = kduda.trainer.sgd_step
+        steps = []  # (lr, velocities all zero) per optimizer step
+
+        def recording_sgd(params, grads, opt):
+            steps.append((opt.lr, not any(v.any() for v in opt.velocities)))
+            real_sgd(params, grads, opt)
+
+        monkeypatch.setattr(kduda.trainer, "sgd_step", recording_sgd)
+        cfg = quick_cfg(epochs=sum(n for _, n in phases), gamma_mode="ramp",
+                        lr_da=0.04, lr_kd=0.03)
+        teacher, student = small_models()
+        log = train(teacher, student, small_pair(), cfg)
+
+        per_epoch = 4  # 120 source samples / batches of 30
+        assert len(steps) == per_epoch * cfg.epochs
+        epoch = 0
+        for rate, count in phases:
+            assert steps[per_epoch * epoch][0] == getattr(cfg, rate)
+            for k in range(count):
+                lr = (cfg.lr_kd if rate == "lr_kd" else
+                      cfg.lr_da * cfg.lr_da_final_fraction ** (k / count))
+                block = steps[per_epoch * epoch:per_epoch * (epoch + 1)]
+                assert [s[0] for s in block] == pytest.approx([lr] * per_epoch,
+                                                              rel=1e-12)
+                # only a phase's first step finds zero velocities
+                assert [fresh for _, fresh in block] == \
+                    [k == 0] + [False] * (per_epoch - 1)
+                rec = log.records[epoch]
+                assert rec.beta == (1.0 if rate == "lr_kd" else 0.0)
+                assert rec.gamma == gamma_at(epoch, cfg.epochs, cfg.gamma, "ramp")
+                epoch += 1
+        assert len({rec.gamma for rec in log.records}) == cfg.epochs
 
 
 class TestTrainLogCsv:
