@@ -10,7 +10,7 @@ from .harness import ExperimentConfig, ScenarioResult, load_config, run_experime
 from .losses import (BetaSchedule, KernelConfig, LossReport, LossWeights,
                      beta_at, cross_entropy, distill_kl, gamma_at, mmd_squared,
                      source_kd_loss, target_kd_loss, teacher_da_loss, total_loss)
-from .models import Model, ModelSpec, build, count_complexity, load_model, save_model
+from .models import Model, ModelSpec, build, count_complexity
 from .trainer import (OptimizerState, TrainConfig, TrainLog, evaluate, sgd_step,
                       train_joint, train_kd_then_uda, train_source_only,
                       train_uda_only, train_uda_then_kd)

@@ -64,83 +64,13 @@ class Tensor:
         self._vjp = vjp
         graph.nodes.append(weakref.ref(self))
 
-    @property
-    def shape(self):
-        return self.values.shape
-
     def item(self) -> float:
         if self.values.size != 1:
             raise ShapeError(f"item() needs a scalar, got shape {self.values.shape}")
         return float(self.values)
 
-    def detach(self) -> "Tensor":
-        """A new leaf with the same values; gradient stops here."""
-        return Tensor(self.graph, self.values)
-
     def backward(self):
         backward(self)
-
-    # -- reductions and elementwise unaries -------------------------------
-
-    def sum(self) -> "Tensor":
-        out = _as_f64(self.values.sum())
-        def vjp(g):
-            return (np.full_like(self.values, float(g)),)
-        return Tensor(self.graph, out, (self,), vjp)
-
-    def mean(self) -> "Tensor":
-        n = self.values.size
-        out = _as_f64(self.values.mean())
-        def vjp(g):
-            return (np.full_like(self.values, float(g) / n),)
-        return Tensor(self.graph, out, (self,), vjp)
-
-    def exp(self) -> "Tensor":
-        out = np.exp(self.values)
-        def vjp(g):
-            return (g * out,)
-        return Tensor(self.graph, out, (self,), vjp)
-
-    def log(self, floor: float | None = None) -> "Tensor":
-        """Natural log. With a floor, inputs are clamped at floor first and
-        the gradient is zero where the clamp is active."""
-        if floor is None:
-            x = self.values
-            out = np.log(x)
-            def vjp(g):
-                return (g / x,)
-        else:
-            clamped = np.maximum(self.values, floor)
-            active = self.values > floor
-            out = np.log(clamped)
-            def vjp(g):
-                return (np.where(active, g / clamped, 0.0),)
-        return Tensor(self.graph, out, (self,), vjp)
-
-    def square(self) -> "Tensor":
-        x = self.values
-        def vjp(g):
-            return (2.0 * x * g,)
-        return Tensor(self.graph, x * x, (self,), vjp)
-
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return multiply(self, other)
-        return scalar_multiply(self, float(other))
-
-    def __rmul__(self, other):
-        return scalar_multiply(self, float(other))
-
-    def __neg__(self):
-        return scalar_multiply(self, -1.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, node_id={self.node_id})"
@@ -172,15 +102,6 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return (g, -g)
     return Tensor(a.graph, a.values - b.values, (a, b), vjp)
-
-
-def multiply(a: Tensor, b: Tensor) -> Tensor:
-    _same_graph(a, b)
-    _same_shape(a, b, "multiply")
-    av, bv = a.values, b.values
-    def vjp(g):
-        return (g * bv, g * av)
-    return Tensor(a.graph, av * bv, (a, b), vjp)
 
 
 def scalar_multiply(a: Tensor, c: float) -> Tensor:
@@ -239,42 +160,6 @@ def softmax_temperature(logits: Tensor, tau: float) -> Tensor:
         inner = (g * p).sum(axis=1, keepdims=True)
         return (p * (g - inner) / tau,)
     return Tensor(logits.graph, p, (logits,), vjp)
-
-
-# -- indexing and stacking ---------------------------------------------------
-
-def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows by index. Adjoint scatter-adds back, so repeats are safe."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows needs a 1-d index array, got {idx.shape}")
-    if x.values.ndim != 2:
-        raise ShapeError(f"gather_rows needs a 2-d tensor, got {x.values.shape}")
-    n = x.values.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ParameterError(f"gather_rows: index out of range for {n} rows")
-    xv = x.values
-    def vjp(g):
-        out = np.zeros_like(xv)
-        np.add.at(out, idx, g)
-        return (out,)
-    return Tensor(x.graph, xv[idx], (x,), vjp)
-
-
-def concatenate_rows(a: Tensor, b: Tensor) -> Tensor:
-    _same_graph(a, b)
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError(
-            f"concatenate_rows needs 2-d operands, got {a.values.shape} "
-            f"and {b.values.shape}")
-    if a.values.shape[1] != b.values.shape[1]:
-        raise ShapeError(
-            f"concatenate_rows: widths of {a.values.shape} and "
-            f"{b.values.shape} differ")
-    m = a.values.shape[0]
-    def vjp(g):
-        return (g[:m], g[m:])
-    return Tensor(a.graph, np.concatenate([a.values, b.values], axis=0), (a, b), vjp)
 
 
 def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:

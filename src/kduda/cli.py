@@ -54,12 +54,15 @@ def _parse_widths(text: str, what: str) -> list[int]:
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.seeds[0] if args.seed is None else args.seed
-    log, result = run_single(cfg, args.scenario, seed)
+    # output paths are checked before training, so a bad one fails fast
     out = args.out
     if out is None:
         os.makedirs(cfg.output_dir, exist_ok=True)
         out = os.path.join(cfg.output_dir,
                            f"{cfg.config_hash()}_{args.scenario}_seed{seed}.csv")
+    elif os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+        raise KdudaError(f"--out: {out} is not a file in an existing directory")
+    log, result = run_single(cfg, args.scenario, seed)
     log.to_csv(out)
     print(f"log: {out}")
     print(f"scenario={result.scenario} seed={result.seed} "

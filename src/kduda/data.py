@@ -7,7 +7,6 @@ xs, ys, xt; only evaluation reads yt_eval.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,10 +38,6 @@ class DomainPair:
         if self.ys.shape != (self.xs.shape[0],):
             raise ShapeError(
                 f"source labels {self.ys.shape} do not match inputs {self.xs.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.xs.shape[1]
 
 
 def _split_counts(n: int, parts: int) -> list[int]:
@@ -175,76 +170,3 @@ def batches(pair: DomainPair, batch_size: int, epoch: int, seed: int):
         tgt_idx = tgt_order[(start + np.arange(take)) % nt]
         out.append((pair.xs[src_idx], pair.ys[src_idx], pair.xt[tgt_idx]))
     return out
-
-
-# -- CSV round-trip ------------------------------------------------------------
-
-
-def save_pair_csv(pair: DomainPair, path: str, eval_path: str):
-    """Rows are domain,x0..x{d-1},label. Target labels go only to eval_path,
-    so the main file never carries them."""
-    d = pair.dim
-    header = ["domain", *[f"x{i}" for i in range(d)], "label"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row, label in zip(pair.xs, pair.ys):
-            w.writerow(["source", *[repr(float(v)) for v in row], int(label)])
-        for row in pair.xt:
-            w.writerow(["target", *[repr(float(v)) for v in row], ""])
-    with open(eval_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["label"])
-        for label in pair.yt_eval:
-            w.writerow([int(label)])
-
-
-def _parse_field(conv, text: str, where: str):
-    try:
-        return conv(text)
-    except ValueError:
-        kind = "an integer" if conv is int else "a number"
-        raise ParameterError(f"{where}: expected {kind}, got {text!r}") from None
-
-
-def load_pair_csv(path: str, eval_path: str | None = None,
-                  shift_descriptor: str = "csv", seed: int = 0) -> DomainPair:
-    """Read a pair written by save_pair_csv. A malformed row raises
-    ParameterError naming the file and its 1-based line."""
-    xs, ys, xt = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParameterError(f"{path}: empty file, expected a header line")
-        d = len(header) - 2
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != len(header):
-                raise ParameterError(
-                    f"{where}: expected {len(header)} fields, got {len(row)}")
-            coords = [_parse_field(float, v, where) for v in row[1:1 + d]]
-            if row[0] == "source":
-                xs.append(coords)
-                ys.append(_parse_field(int, row[-1], where))
-            elif row[0] == "target":
-                xt.append(coords)
-            else:
-                raise ParameterError(f"{where}: unknown domain {row[0]!r}")
-    yt = []
-    if eval_path is not None:
-        with open(eval_path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            for row in reader:
-                where = f"{eval_path}: line {reader.line_num}"
-                if len(row) != 1:
-                    raise ParameterError(
-                        f"{where}: expected 1 field, got {len(row)}")
-                yt.append(_parse_field(int, row[0], where))
-        if len(yt) != len(xt):
-            raise ShapeError(
-                f"eval file has {len(yt)} labels for {len(xt)} target rows")
-    return DomainPair(np.array(xs), np.array(ys, dtype=np.intp), np.array(xt),
-                      np.array(yt, dtype=np.intp),
-                      shift_descriptor=shift_descriptor, seed=seed)

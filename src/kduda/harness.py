@@ -165,6 +165,13 @@ def _parse_kv(text: str) -> dict[str, str]:
     return out
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):  # nan and inf parse, but no setting takes them
+        raise ValueError(text)
+    return value
+
+
 class _KV:
     def __init__(self, raw: dict[str, str]):
         self.raw = raw
@@ -187,7 +194,7 @@ class _KV:
         return self._get(key, default, int, "an integer")
 
     def float_(self, key, default):
-        return self._get(key, default, float, "a number")
+        return self._get(key, default, _finite, "a finite number")
 
     def bool_(self, key, default):
         def conv(v):
@@ -206,8 +213,8 @@ class _KV:
 
     def float_list(self, key, default):
         return self._get(key, default,
-                         lambda v: tuple(float(tok) for tok in v.split(",") if tok.strip()),
-                         "comma-separated numbers")
+                         lambda v: tuple(_finite(tok) for tok in v.split(",") if tok.strip()),
+                         "comma-separated finite numbers")
 
     def str_list(self, key, default):
         return self._get(key, default,

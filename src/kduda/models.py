@@ -17,8 +17,6 @@ from . import autodiff as ad
 from .autodiff import Graph, Tensor
 from .errors import ParameterError, ShapeError
 
-MODEL_FORMAT_HEADER = "kduda-model v1"
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -71,12 +69,6 @@ class Model:
         return Model(self.spec,
                      [w.copy() for w in self.weights],
                      [b.copy() for b in self.biases])
-
-    def load_parameters_from(self, other: "Model"):
-        if other.spec.layer_dims() != self.spec.layer_dims():
-            raise ShapeError("parameter copy between models of different layer dims")
-        for dst, src in zip(self.parameters(), other.parameters()):
-            dst[...] = src
 
     # -- graph binding -----------------------------------------------------
 
@@ -158,13 +150,12 @@ def build(spec: ModelSpec) -> Model:
     return Model(spec, weights, biases)
 
 
-def count_complexity(model_or_spec) -> tuple[int, int]:
+def count_complexity(spec: ModelSpec) -> tuple[int, int]:
     """(parameter count, multiply-accumulate count) for one forward pass.
 
     params = sum over layers of fan_in*fan_out + fan_out
     MACs   = sum over layers of fan_in*fan_out
     """
-    spec = model_or_spec.spec if isinstance(model_or_spec, Model) else model_or_spec
     params = 0
     macs = 0
     for fan_in, fan_out in spec.layer_dims():
@@ -172,65 +163,3 @@ def count_complexity(model_or_spec) -> tuple[int, int]:
         macs += fan_in * fan_out
     return params, macs
 
-
-# -- flat text serialization ---------------------------------------------------
-
-def save_model(model: Model, path: str):
-    """Write header, dims, seed, then one whitespace line per weight row / bias.
-
-    Floats are written with repr(), which round-trips float64 exactly.
-    """
-    spec = model.spec
-    lines = [MODEL_FORMAT_HEADER]
-    dims = [spec.input_dim, *spec.hidden_widths, spec.num_classes]
-    lines.append(" ".join(str(d) for d in dims))
-    lines.append(str(spec.seed))
-    for w, b in zip(model.weights, model.biases):
-        for row in w:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        lines.append(" ".join(repr(float(v)) for v in b))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _numbers(path: str, lines: list[str], i: int, conv, what: str,
-             count: int | None = None) -> list:
-    """Tokens of line i (0-based) converted by conv, count of them if given.
-
-    A missing, malformed or wrong-length line raises ParameterError naming
-    the file and the 1-based line.
-    """
-    where = f"{path}: line {i + 1} ({what})"
-    if i >= len(lines):
-        raise ParameterError(f"{where} is missing: the file is truncated")
-    try:
-        values = [conv(tok) for tok in lines[i].split()]
-    except ValueError:
-        raise ParameterError(f"{where} is not numeric: {lines[i][:60]!r}") from None
-    if count is not None and len(values) != count:
-        raise ParameterError(f"{where} has {len(values)} values, expected {count}")
-    return values
-
-
-def load_model(path: str) -> Model:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != MODEL_FORMAT_HEADER:
-        raise ParameterError(f"{path}: not a {MODEL_FORMAT_HEADER!r} file")
-    dims = _numbers(path, lines, 1, int, "dims")
-    if len(dims) < 3:
-        raise ParameterError(f"{path}: need at least input, one hidden, classes")
-    (seed,) = _numbers(path, lines, 2, int, "seed", count=1)
-    spec = ModelSpec(dims[0], tuple(dims[1:-1]), dims[-1], seed=seed)
-    weights, biases = [], []
-    pos = 3
-    for layer, (fan_in, fan_out) in enumerate(spec.layer_dims()):
-        rows = [_numbers(path, lines, pos + r, float,
-                         f"layer {layer} weight row {r}", count=fan_out)
-                for r in range(fan_in)]
-        pos += fan_in
-        bias = _numbers(path, lines, pos, float, f"layer {layer} bias", count=fan_out)
-        pos += 1
-        weights.append(np.array(rows, dtype=np.float64))
-        biases.append(np.array(bias, dtype=np.float64))
-    return Model(spec, weights, biases)

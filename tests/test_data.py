@@ -1,6 +1,3 @@
-import os
-import re
-
 import numpy as np
 import pytest
 
@@ -10,8 +7,6 @@ from kduda.data import (
     batches,
     gen_blob_shift,
     gen_two_moons_shift,
-    load_pair_csv,
-    save_pair_csv,
     simplex_vertices,
     standardize,
 )
@@ -187,10 +182,6 @@ class TestBlobShift:
 
 
 class TestDomainPair:
-    def test_dim_property(self):
-        pair = gen_blob_shift(50, 2, 3, 0.5, 1.0, seed=0)
-        assert pair.dim == 3
-
     def test_empty_eval_labels_are_allowed(self):
         pair = DomainPair(np.zeros((4, 2)), np.zeros(4, dtype=np.intp),
                           np.zeros((5, 2)), np.array([], dtype=np.intp),
@@ -324,90 +315,3 @@ class TestBatches:
         with pytest.raises(ParameterError):
             batches(pair, 5, epoch=-1, seed=0)
 
-
-class TestCsvRoundTrip:
-    def test_exact_round_trip(self, tmp_path):
-        pair = gen_blob_shift(60, 3, 4, 1.5, 1.2, seed=8)
-        path = os.path.join(tmp_path, "pair.csv")
-        eval_path = os.path.join(tmp_path, "pair_eval.csv")
-        save_pair_csv(pair, path, eval_path)
-        back = load_pair_csv(path, eval_path)
-        np.testing.assert_array_equal(back.xs, pair.xs)
-        np.testing.assert_array_equal(back.ys, pair.ys)
-        np.testing.assert_array_equal(back.xt, pair.xt)
-        np.testing.assert_array_equal(back.yt_eval, pair.yt_eval)
-
-    def test_main_file_carries_no_target_labels(self, tmp_path):
-        pair = gen_blob_shift(20, 2, 2, 1.0, 1.0, seed=9)
-        path = os.path.join(tmp_path, "pair.csv")
-        eval_path = os.path.join(tmp_path, "pair_eval.csv")
-        save_pair_csv(pair, path, eval_path)
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        target_rows = [ln for ln in lines[1:] if ln.startswith("target")]
-        assert len(target_rows) == 20
-        assert all(ln.endswith(",") for ln in target_rows)
-
-    def test_load_without_eval_file(self, tmp_path):
-        pair = gen_blob_shift(20, 2, 2, 1.0, 1.0, seed=9)
-        path = os.path.join(tmp_path, "pair.csv")
-        save_pair_csv(pair, path, os.path.join(tmp_path, "ev.csv"))
-        back = load_pair_csv(path)
-        assert back.yt_eval.size == 0
-        np.testing.assert_array_equal(back.xt, pair.xt)
-
-    def test_eval_length_mismatch(self, tmp_path):
-        a = gen_blob_shift(20, 2, 2, 1.0, 1.0, seed=9)
-        b = gen_blob_shift(30, 2, 2, 1.0, 1.0, seed=9)
-        path_a = os.path.join(tmp_path, "a.csv")
-        path_b = os.path.join(tmp_path, "b.csv")
-        ev_a = os.path.join(tmp_path, "a_ev.csv")
-        ev_b = os.path.join(tmp_path, "b_ev.csv")
-        save_pair_csv(a, path_a, ev_a)
-        save_pair_csv(b, path_b, ev_b)
-        with pytest.raises(ShapeError):
-            load_pair_csv(path_a, ev_b)
-
-    def test_empty_files(self, tmp_path):
-        pair = gen_blob_shift(20, 2, 2, 1.0, 1.0, seed=9)
-        path = os.path.join(tmp_path, "pair.csv")
-        eval_path = os.path.join(tmp_path, "ev.csv")
-        save_pair_csv(pair, path, eval_path)
-        open(eval_path, "w").close()
-        with pytest.raises(ShapeError, match="0 labels for 20 target rows"):
-            load_pair_csv(path, eval_path)
-        open(path, "w").close()
-        with pytest.raises(ParameterError, match="pair.csv: empty file"):
-            load_pair_csv(path)
-
-    def test_unknown_domain_tag(self, tmp_path):
-        path = os.path.join(tmp_path, "bad.csv")
-        with open(path, "w") as fh:
-            fh.write("domain,x0,x1,label\nneither,0.0,0.0,0\n")
-        with pytest.raises(ParameterError):
-            load_pair_csv(path)
-
-    @pytest.mark.parametrize("which,line,edit,message", [
-        ("pair", 3, lambda f: [f[0], "abc", *f[2:]],
-         "expected a number, got 'abc'"),
-        ("pair", 4, lambda f: f[:2], "expected 4 fields, got 2"),
-        ("pair", 2, lambda f: [*f[:-1], "1.5"],
-         "expected an integer, got '1.5'"),
-        ("eval", 5, lambda f: ["x"], "expected an integer, got 'x'"),
-        ("eval", 3, lambda f: [], "expected 1 field, got 0"),
-        ("eval", 6, lambda f: ["1.0"], "expected an integer, got '1.0'"),
-    ])
-    def test_malformed_rows_name_the_file_and_line(self, tmp_path, which,
-                                                   line, edit, message):
-        pair = gen_blob_shift(20, 2, 2, 1.0, 1.0, seed=9)
-        files = {"pair": os.path.join(tmp_path, "pair.csv"),
-                 "eval": os.path.join(tmp_path, "ev.csv")}
-        save_pair_csv(pair, files["pair"], files["eval"])
-        with open(files[which]) as fh:
-            lines = fh.read().splitlines()
-        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
-        with open(files[which], "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        expected = re.escape(f"{files[which]}: line {line}: {message}")
-        with pytest.raises(ParameterError, match=expected):
-            load_pair_csv(files["pair"], files["eval"])

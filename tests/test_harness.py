@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kduda import harness, trainer
+from kduda import cli, harness, trainer
 from kduda.cli import main
 from kduda.errors import ConfigError, KdudaError, NumericalAbort, ParameterError
 from kduda.harness import (
@@ -411,6 +411,15 @@ experiment.seeds = 0, 1
 
 
 @pytest.fixture
+def no_training(monkeypatch):
+    """Fail the test if any command starts to train a cell."""
+    def refuse(*args):
+        raise AssertionError("training started")
+    monkeypatch.setattr(harness, "run_single", refuse)
+    monkeypatch.setattr(cli, "run_single", refuse)
+
+
+@pytest.fixture
 def cli_config(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(CLI_CONFIG
@@ -470,16 +479,24 @@ class TestCli:
                      "--students", "4"]) == 1
 
     def test_out_into_a_missing_directory_is_a_usage_error(self, tmp_path,
-                                                           cli_config, capsys):
+                                                           cli_config, capsys,
+                                                           no_training):
         out = tmp_path / "absent" / "one.csv"
         assert main(["train", "--config", cli_config, "--scenario", "uda_only",
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
+        assert not (tmp_path / "absent").exists()
+
+    def test_out_naming_a_directory_is_a_usage_error(self, tmp_path, cli_config,
+                                                     capsys, no_training):
+        assert main(["train", "--config", cli_config, "--out",
+                     str(tmp_path)]) == 1
+        assert str(tmp_path) in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "scenarios"])
     def test_output_dir_naming_a_file_is_a_usage_error(self, tmp_path, capsys,
-                                                       command):
+                                                       command, no_training):
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")
         path = tmp_path / "exp.cfg"
@@ -488,6 +505,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(taken) in err
         assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("key,value", [
+        ("train.tau", "nan"), ("train.gamma", "nan"), ("train.lr_da", "nan"),
+        ("train.alpha", "inf"), ("data.scale", "nan"),
+        ("data.mean_shift", "inf"), ("train.kernel_bandwidths", "1.0, nan"),
+    ])
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys,
+                                                  no_training, key, value):
+        # bandwidths are read only under the fixed kernel mode
+        mode = "fixed" if key == "train.kernel_bandwidths" else "median"
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"train.kernel_mode = {mode}\n{key} = {value}\n"
+                        f"experiment.output_dir = {tmp_path / 'runs'}\n")
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key}: expected" in err
+        assert not (tmp_path / "runs").exists()
 
     def test_numerical_abort_exit_code(self, tmp_path, capsys):
         path = tmp_path / "explode.cfg"

@@ -25,7 +25,7 @@ from kduda.losses import (
 )
 from kduda.models import ModelSpec, build
 
-from fdcheck import finite_diff_grad, relative_error
+from fdcheck import exp, finite_diff_grad, log, mean, relative_error, weighted_sum
 
 
 def mmd_value(fs, ft, kernel):
@@ -64,9 +64,9 @@ def unfused_mmd(fs, ft, sigmas):
         d = ad.pairwise_sqdist(a, b)
         acc = None
         for s in sigmas:
-            k = ad.scalar_multiply(d, -1.0 / (2.0 * s * s)).exp()
+            k = exp(ad.scalar_multiply(d, -1.0 / (2.0 * s * s)))
             acc = k if acc is None else ad.add(acc, k)
-        return ad.scalar_multiply(acc, 1.0 / len(sigmas)).mean()
+        return mean(ad.scalar_multiply(acc, 1.0 / len(sigmas)))
 
     within = ad.add(kernel_mean(fs, fs), kernel_mean(ft, ft))
     across = ad.scalar_multiply(kernel_mean(fs, ft), 2.0)
@@ -93,22 +93,22 @@ def old_resolve(kernel, d_ss, d_tt, d_st):
 
 
 def unfused_cross_entropy(probs, labels):
-    """Cross-entropy as floored log, one-hot multiply, sum and scale nodes:
+    """Cross-entropy as floored log, one-hot weighted sum and scale nodes:
     the composition the one-node cross_entropy replaces."""
     n, c = probs.values.shape
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    picked = ad.multiply(probs.log(floor=PROB_FLOOR), probs.graph.tensor(onehot))
-    return ad.scalar_multiply(picked.sum(), -1.0 / n)
+    picked = weighted_sum(log(probs, PROB_FLOOR), onehot)
+    return ad.scalar_multiply(picked, -1.0 / n)
 
 
 def unfused_distill_kl(student_soft, t, tau, scale_by_tau_sq=True):
-    """Distillation KL as floored log, multiply, sum, scale, add and tau^2
+    """Distillation KL as floored log, weighted sum, scale, add and tau^2
     nodes: the composition the one-node distill_kl replaces."""
     inv_n = 1.0 / t.shape[0]
     graph = student_soft.graph
     cross = ad.scalar_multiply(
-        ad.multiply(student_soft.log(floor=PROB_FLOOR), graph.tensor(t)).sum(), -inv_n)
+        weighted_sum(log(student_soft, PROB_FLOOR), t), -inv_n)
     entropy = float((t * np.log(np.maximum(t, PROB_FLOOR))).sum() * inv_n)
     kl = ad.add(cross, graph.tensor(entropy))
     if scale_by_tau_sq:
