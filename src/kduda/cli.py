@@ -8,12 +8,33 @@ CSV text on stdout.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
 from .errors import KdudaError, NumericalAbort
-from .harness import (SUMMARY_COLUMNS, load_config, report_complexity,
-                      run_experiment, run_single, summary_rows, sweep_sizes)
+from .harness import (SUMMARY_COLUMNS, check_cell, load_config,
+                      report_complexity, run_experiment, run_single,
+                      summary_rows, sweep_sizes)
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+
+
+def _keep_freed_heap():
+    """Stop glibc from returning the heap top to the kernel whenever a
+    training step frees its temporaries, which the next step then faults
+    back in page by page. Only the program entry point calls this, so
+    importing kduda leaves the allocator alone; where the C library has no
+    mallopt it does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # not glibc, or no libc handle
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)  # keep up to 1 GiB of freed heap top
+    # blocks below 32 MiB, glibc's 64-bit maximum, come from the heap rather
+    # than from mappings of their own
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,7 +75,9 @@ def _parse_widths(text: str, what: str) -> list[int]:
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.seeds[0] if args.seed is None else args.seed
-    # output paths are checked before training, so a bad one fails fast
+    # the cell and the output paths are checked before anything is created
+    # or trained, so a bad one fails fast and leaves nothing behind
+    check_cell(cfg, args.scenario, seed)
     out = args.out
     if out is None:
         os.makedirs(cfg.output_dir, exist_ok=True)
@@ -104,6 +127,7 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = _build_parser().parse_args(argv)
     handlers = {"train": _cmd_train, "scenarios": _cmd_scenarios,
                 "complexity": _cmd_complexity, "sweep": _cmd_sweep}

@@ -14,7 +14,12 @@ class ShapeError(KdudaError, ValueError):
 
 
 class ParameterError(KdudaError, ValueError):
-    """A scalar argument or config field is out of its valid range."""
+    """A scalar argument or config field is out of its valid range. `field`
+    names the config dataclass field at fault, if it is one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ConfigError(KdudaError, ValueError):

@@ -23,7 +23,7 @@ import numpy as np
 from . import trainer
 from .data import (DomainPair, gen_blob_shift, gen_two_moons_shift,
                    standardize)
-from .errors import ConfigError, KdudaError
+from .errors import ConfigError, KdudaError, ParameterError
 from .losses import KernelConfig
 from .models import ModelSpec, build, count_complexity
 from .trainer import SCENARIOS, TrainConfig, TrainLog
@@ -56,10 +56,11 @@ class DatasetConfig:
 
     def __post_init__(self):
         if self.generator not in ("blobs", "two_moons"):
-            raise ConfigError(
-                f"unknown generator {self.generator!r}; valid: blobs, two_moons")
+            raise ConfigError(f"data.generator: unknown generator "
+                              f"{self.generator!r}; valid: blobs, two_moons")
         if self.generator == "two_moons" and (self.classes != 2 or self.dim != 2):
-            raise ConfigError("two_moons generator is fixed at classes=2, dim=2")
+            raise ConfigError("data.generator = two_moons is fixed at "
+                              "data.classes = 2 and data.dim = 2")
         if self.classes < 2:
             raise ConfigError(f"data.classes must be >= 2, got {self.classes}")
         if self.n_per_domain < self.classes:
@@ -92,19 +93,21 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.scenarios:
-            raise ConfigError("at least one scenario is required")
+            raise ConfigError("experiment.scenarios: at least one scenario is "
+                              "required")
         if not self.seeds:
-            raise ConfigError("at least one seed is required")
+            raise ConfigError("experiment.seeds: at least one seed is required")
         for s in self.scenarios:
             if s not in VALID_SCENARIOS:
-                raise ConfigError(
-                    f"unknown scenario {s!r}; valid: {', '.join(VALID_SCENARIOS)}")
+                raise ConfigError(f"experiment.scenarios: unknown scenario {s!r}; "
+                                  f"valid: {', '.join(VALID_SCENARIOS)}")
         if min(self.seeds) < 0:
             raise ConfigError(f"experiment.seeds must be >= 0, got {min(self.seeds)}")
         _reject_duplicates("experiment.scenarios", self.scenarios)
         _reject_duplicates("experiment.seeds", self.seeds)
         if not self.student_hidden:
-            raise ConfigError("at least one student spec is required")
+            raise ConfigError("model.student_hidden: at least one student spec "
+                              "is required")
 
     def config_hash(self) -> str:
         """Digest of every field except output_dir, so moving the output
@@ -233,6 +236,13 @@ class _KV:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
 
+# the config key of each KernelConfig field; a TrainConfig field's is
+# `train.<field>`
+_KERNEL_KEYS = {"mode": "train.kernel_mode",
+                "bandwidths": "train.kernel_bandwidths",
+                "median_multipliers": "train.kernel_multipliers"}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     kv = _KV(_parse_kv(text))
     dataset = DatasetConfig(
@@ -246,33 +256,36 @@ def parse_config(text: str) -> ExperimentConfig:
         noise_std=kv.float_("data.noise_std", 0.1),
         standardize=kv.bool_("data.standardize", True),
     )
-    kernel_mode = kv.str_("train.kernel_mode", "median")
-    kernel = KernelConfig(
-        mode=kernel_mode,
-        bandwidths=kv.float_list("train.kernel_bandwidths", ()),
-        median_multipliers=kv.float_list("train.kernel_multipliers",
-                                         KernelConfig().median_multipliers),
-    )
-    override = kv.float_("train.beta_override", None)
-    train = TrainConfig(
-        epochs=kv.int_("train.epochs", 100),
-        batch_size=kv.int_("train.batch_size", 32),
-        beta_start=kv.float_("train.beta_start", 0.1),
-        beta_end=kv.float_("train.beta_end", 0.9),
-        tau=kv.float_("train.tau", 20.0),
-        alpha=kv.float_("train.alpha", 0.8),
-        gamma=kv.float_("train.gamma", 1.0),
-        gamma_mode=kv.str_("train.gamma_mode", "constant"),
-        lr_da=kv.float_("train.lr_da", 0.001),
-        lr_kd=kv.float_("train.lr_kd", 0.001),
-        momentum=kv.float_("train.momentum", 0.9),
-        lr_da_decay=kv.str_("train.lr_da_decay", "exponential"),
-        lr_da_final_fraction=kv.float_("train.lr_da_final_fraction", 0.01),
-        eval_every=kv.int_("train.eval_every", 1),
-        scale_kd_by_tau_sq=kv.bool_("train.scale_kd_by_tau_sq", True),
-        beta_override=override,
-        kernel=kernel,
-    )
+    try:
+        kernel = KernelConfig(
+            mode=kv.str_("train.kernel_mode", "median"),
+            bandwidths=kv.float_list("train.kernel_bandwidths", ()),
+            median_multipliers=kv.float_list("train.kernel_multipliers",
+                                             KernelConfig().median_multipliers),
+        )
+        override = kv.float_("train.beta_override", None)
+        train = TrainConfig(
+            epochs=kv.int_("train.epochs", 100),
+            batch_size=kv.int_("train.batch_size", 32),
+            beta_start=kv.float_("train.beta_start", 0.1),
+            beta_end=kv.float_("train.beta_end", 0.9),
+            tau=kv.float_("train.tau", 20.0),
+            alpha=kv.float_("train.alpha", 0.8),
+            gamma=kv.float_("train.gamma", 1.0),
+            gamma_mode=kv.str_("train.gamma_mode", "constant"),
+            lr_da=kv.float_("train.lr_da", 0.001),
+            lr_kd=kv.float_("train.lr_kd", 0.001),
+            momentum=kv.float_("train.momentum", 0.9),
+            lr_da_decay=kv.str_("train.lr_da_decay", "exponential"),
+            lr_da_final_fraction=kv.float_("train.lr_da_final_fraction", 0.01),
+            eval_every=kv.int_("train.eval_every", 1),
+            scale_kd_by_tau_sq=kv.bool_("train.scale_kd_by_tau_sq", True),
+            beta_override=override,
+            kernel=kernel,
+        )
+    except ParameterError as exc:
+        key = _KERNEL_KEYS.get(exc.field, f"train.{exc.field}")
+        raise ConfigError(f"{key}: {exc}") from None
     cfg = ExperimentConfig(
         dataset=dataset,
         teacher_hidden=kv.int_list("model.teacher_hidden", (128, 128, 64)),
@@ -302,15 +315,20 @@ def load_config(path: str) -> ExperimentConfig:
 # -- single runs -----------------------------------------------------------------
 
 
-def run_single(cfg: ExperimentConfig, scenario: str, seed: int
-               ) -> tuple[TrainLog, ScenarioResult]:
-    """Train one (scenario, seed) cell and package its result."""
+def check_cell(cfg: ExperimentConfig, scenario: str, seed: int):
+    """Reject a (scenario, seed) cell of cfg that run_single cannot train."""
     if scenario not in VALID_SCENARIOS:
         raise ConfigError(
             f"unknown scenario {scenario!r}; valid: {', '.join(VALID_SCENARIOS)}")
     if seed < 0:  # numpy generators take only non-negative seeds
         raise ConfigError(f"seed must be >= 0, got {seed}")
     cfg.require_one_student()
+
+
+def run_single(cfg: ExperimentConfig, scenario: str, seed: int
+               ) -> tuple[TrainLog, ScenarioResult]:
+    """Train one (scenario, seed) cell and package its result."""
+    check_cell(cfg, scenario, seed)
     pair = cfg.dataset.make_pair(seed)
     train_cfg = replace(cfg.train, seed=seed)
     teacher_spec = cfg.teacher_spec(seed)

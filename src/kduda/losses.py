@@ -49,21 +49,26 @@ class KernelConfig:
 
     def __post_init__(self):
         if self.mode not in ("median", "fixed"):
-            raise ParameterError(f"unknown kernel mode {self.mode!r}")
+            raise ParameterError(f"unknown kernel mode {self.mode!r}", "mode")
         object.__setattr__(self, "bandwidths", tuple(float(b) for b in self.bandwidths))
         object.__setattr__(self, "median_multipliers",
                            tuple(float(m) for m in self.median_multipliers))
         if self.mode == "fixed":
             if not self.bandwidths:
-                raise ParameterError("fixed kernel mode needs at least one bandwidth")
+                raise ParameterError("fixed kernel mode needs at least one "
+                                     "bandwidth", "bandwidths")
             if any(b <= 0 for b in self.bandwidths):
-                raise ParameterError(f"bandwidths must be positive, got {self.bandwidths}")
+                raise ParameterError(
+                    f"bandwidths must be positive, got {self.bandwidths}",
+                    "bandwidths")
         else:
             if not self.median_multipliers:
-                raise ParameterError("median kernel mode needs at least one multiplier")
+                raise ParameterError("median kernel mode needs at least one "
+                                     "multiplier", "median_multipliers")
             if any(m <= 0 for m in self.median_multipliers):
                 raise ParameterError(
-                    f"multipliers must be positive, got {self.median_multipliers}")
+                    f"multipliers must be positive, got {self.median_multipliers}",
+                    "median_multipliers")
 
     def resolve(self, d_ss: np.ndarray, d_tt: np.ndarray,
                 d_st: np.ndarray) -> tuple[float, ...]:

@@ -63,24 +63,32 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
+            raise ParameterError(f"epochs must be >= 1, got {self.epochs}",
+                                 "epochs")
         if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr_da <= 0 or self.lr_kd <= 0:
             raise ParameterError(
-                f"learning rates must be positive, got {self.lr_da} and {self.lr_kd}")
+                f"batch_size must be >= 1, got {self.batch_size}", "batch_size")
+        for name in ("lr_da", "lr_kd"):
+            if getattr(self, name) <= 0:
+                raise ParameterError(
+                    f"{name} must be positive, got {getattr(self, name)}", name)
         if not (0.0 <= self.momentum < 1.0):
-            raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise ParameterError(
+                f"momentum must be in [0, 1), got {self.momentum}", "momentum")
         if self.lr_da_decay not in ("exponential", "constant"):
-            raise ParameterError(f"unknown lr decay mode {self.lr_da_decay!r}")
+            raise ParameterError(f"unknown lr decay mode {self.lr_da_decay!r}",
+                                 "lr_da_decay")
         if not (0.0 < self.lr_da_final_fraction <= 1.0):
             raise ParameterError(
-                f"lr_da_final_fraction must be in (0, 1], got {self.lr_da_final_fraction}")
+                f"lr_da_final_fraction must be in (0, 1], got "
+                f"{self.lr_da_final_fraction}", "lr_da_final_fraction")
         if self.eval_every < 1:
-            raise ParameterError(f"eval_every must be >= 1, got {self.eval_every}")
+            raise ParameterError(
+                f"eval_every must be >= 1, got {self.eval_every}", "eval_every")
         if self.beta_override is not None and not (0.0 <= self.beta_override <= 1.0):
             raise ParameterError(
-                f"beta_override must be in [0, 1], got {self.beta_override}")
+                f"beta_override must be in [0, 1], got {self.beta_override}",
+                "beta_override")
 
     def schedule(self) -> BetaSchedule:
         return BetaSchedule(self.beta_start, self.beta_end, self.epochs)
@@ -328,7 +336,11 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
     models = {"teacher": teacher, "student": student}
     phases = SCENARIOS[scenario]
     log = TrainLog()
-    accs = (float("nan"),) * 4  # refreshed on eval epochs only
+    # (source, target) accuracy of each model, refreshed on eval epochs only
+    # and only for a model trained since its last evaluation: another
+    # evaluation of unchanged parameters would repeat them bit for bit
+    accs = {role: (float("nan"),) * 2 for role in models}
+    stale = {role for role, model in models.items() if model is not None}
     start = 0
     for i, phase in enumerate(phases):
         count = (cfg.epochs - start if i == len(phases) - 1
@@ -352,13 +364,15 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
             for batch in batch_list:
                 sums += phase.step(trained, teacher, batch, cfg, weights, beta,
                                    epoch)
+            stale.update(role for role, _ in phase.trains)
             if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-                accs = tuple(float("nan") if m is None else evaluate(m, x, y)
-                             for m in (teacher, student)
-                             for x, y in ((pair.xs, pair.ys), (pair.xt, pair.yt_eval)))
+                for role in stale:
+                    accs[role] = tuple(evaluate(models[role], x, y) for x, y in
+                                       ((pair.xs, pair.ys), (pair.xt, pair.yt_eval)))
+                stale.clear()
             log.records.append(EpochRecord(
-                epoch, beta, weights.gamma, *(sums / len(batch_list)), *accs,
-                time.perf_counter() - tic))
+                epoch, beta, weights.gamma, *(sums / len(batch_list)),
+                *accs["teacher"], *accs["student"], time.perf_counter() - tic))
         start += count
     return log
 

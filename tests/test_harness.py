@@ -1,11 +1,19 @@
 import csv
+import ctypes
 import math
 import os
+import re
+import subprocess
+import sys
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kduda
 from kduda import cli, harness, trainer
 from kduda.cli import main
 from kduda.errors import ConfigError, KdudaError, NumericalAbort, ParameterError
@@ -25,6 +33,36 @@ from kduda.harness import (
 )
 from kduda.models import count_complexity
 from kduda.trainer import TrainConfig
+
+
+# every key parse_config reads, and keys it does not know
+CONFIG_KEYS = (
+    "data.generator", "data.n_per_domain", "data.classes", "data.dim",
+    "data.mean_shift", "data.scale", "data.rotation_deg", "data.noise_std",
+    "data.standardize", "train.epochs", "train.batch_size", "train.beta_start",
+    "train.beta_end", "train.tau", "train.alpha", "train.gamma",
+    "train.gamma_mode", "train.lr_da", "train.lr_kd", "train.momentum",
+    "train.lr_da_decay", "train.lr_da_final_fraction", "train.eval_every",
+    "train.scale_kd_by_tau_sq", "train.beta_override", "train.kernel_mode",
+    "train.kernel_bandwidths", "train.kernel_multipliers",
+    "model.teacher_hidden", "model.student_hidden", "experiment.scenarios",
+    "experiment.seeds", "experiment.output_dir")
+OTHER_KEYS = ("train.lr", "model.depth", "seed")
+
+# values in range, out of range, of the wrong type, and malformed lists,
+# plus arbitrary text
+CONFIG_VALUES = st.one_of(
+    st.sampled_from([
+        "0", "1", "2", "3", "-1", "0.5", "-0.5", "1.0001", "1e400", "nan",
+        "-inf", "99999999999999999999", "true", "maybe", "blobs", "two_moons",
+        "circles", "median", "fixed", "ramp", "constant", "linear", "joint",
+        "warmup", "joint, joint", "joint, uda_only", "1, 1", "0, -1", "8; 4",
+        "8,, 4", ",", ";", "1, x", "4;;2"]),
+    st.text(min_size=1, max_size=10))
+CONFIG_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(CONFIG_KEYS + OTHER_KEYS),
+              CONFIG_VALUES),
+    st.builds("{} {}".format, st.sampled_from(CONFIG_KEYS), CONFIG_VALUES))
 
 
 def tiny_cfg(output_dir, **overrides):
@@ -176,6 +214,36 @@ class TestConfigParsing:
     def test_dataset_ranges_are_checked_at_load(self, lines, key):
         with pytest.raises(ConfigError, match=key):
             parse_config(lines + "\n")
+
+    @pytest.mark.parametrize("lines,key", [
+        ("train.epochs = 0", "train.epochs"),
+        ("train.lr_kd = -1", "train.lr_kd"),
+        ("train.lr_da_decay = linear", "train.lr_da_decay"),
+        ("train.beta_override = 2", "train.beta_override"),
+        ("train.kernel_mode = adaptive", "train.kernel_mode"),
+        ("train.kernel_mode = fixed", "train.kernel_bandwidths"),
+        ("train.kernel_multipliers = 1, -2", "train.kernel_multipliers"),
+        ("data.generator = circles", "data.generator"),
+        ("data.generator = two_moons\ndata.dim = 3", "data.generator"),
+        ("experiment.scenarios = ,", "experiment.scenarios"),
+        ("experiment.seeds = ,", "experiment.seeds"),
+        ("model.student_hidden = ;", "model.student_hidden"),
+    ])
+    def test_range_errors_name_the_key(self, lines, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(lines + "\n")
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(lines=st.lists(CONFIG_LINES, min_size=1, max_size=6))
+    def test_every_rejection_is_a_config_error_naming_a_line_or_key(self,
+                                                                     lines):
+        try:
+            parse_config("\n".join(lines))
+        except ConfigError as exc:
+            message = str(exc)
+            assert re.search(r"\bline \d+", message) or any(
+                re.search(re.escape(key) + r"\b", message)
+                for key in CONFIG_KEYS + OTHER_KEYS), message
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -460,13 +528,18 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_unknown_scenario_is_a_usage_error(self, cli_config, capsys):
+    def test_unknown_scenario_is_a_usage_error(self, tmp_path, cli_config,
+                                               capsys, no_training):
         assert main(["train", "--config", cli_config,
                      "--scenario", "warmup"]) == 1
+        assert "unknown scenario 'warmup'" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
-    def test_negative_seed_flag_is_a_usage_error(self, cli_config, capsys):
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, cli_config,
+                                                 capsys, no_training):
         assert main(["train", "--config", cli_config, "--seed", "-1"]) == 1
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_empty_dataset_fails_before_any_command(self, tmp_path, capsys):
         path = tmp_path / "empty.cfg"
@@ -732,3 +805,117 @@ class TestParallelCells:
             + f"experiment.output_dir = {tmp_path / 'cli'}\n")
         assert main(["scenarios", "--config", str(path)]) == 1
         assert "worker process died" in capsys.readouterr().err
+
+
+# -- allocator settings ---------------------------------------------------------
+
+
+def libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """Standard output of code run in a fresh interpreter that imports kduda
+    from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kduda.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# counts lookups of mallopt through ctypes.CDLL, the setter's only way in
+COUNT_MALLOPT_LOOKUPS = """
+import ctypes, sys
+lookups = []
+class Recording(ctypes.CDLL):
+    def __getattr__(self, name):
+        if name == "mallopt":
+            lookups.append(name)
+        return super().__getattr__(name)
+ctypes.CDLL = Recording
+"""
+
+# the joint_headline workload's data and models, shortened to 20 epochs
+HEADLINE_SHAPED = """
+data.generator = blobs
+data.n_per_domain = 400
+data.classes = 3
+data.dim = 2
+data.mean_shift = 3.0
+model.teacher_hidden = 128, 128, 64
+model.student_hidden = 32, 16
+train.epochs = 20
+train.batch_size = 32
+experiment.scenarios = joint
+experiment.seeds = 0
+"""
+
+
+class TestHeapSettings:
+    def test_main_sets_the_heap_once_per_call(self, monkeypatch, cli_config,
+                                              capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append(1))
+        assert main(["complexity", "--config", cli_config]) == 0
+        assert calls == [1]
+        assert main(["train", "--config", cli_config,
+                     "--scenario", "warmup"]) == 1
+        assert calls == [1, 1]
+        with pytest.raises(SystemExit):  # set before the arguments are parsed
+            main(["no-such-command"])
+        assert calls == [1, 1, 1]
+
+    @pytest.mark.parametrize("libc", ["without_mallopt", "unloadable"])
+    def test_a_libc_without_mallopt_is_left_alone(self, tmp_path, monkeypatch,
+                                                  capsys, libc):
+        opened = []
+
+        def fake_cdll(name, *args, **kwargs):
+            opened.append(name)
+            if libc == "unloadable":
+                raise OSError("no C library")
+            return types.SimpleNamespace()
+
+        monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+        path = tmp_path / "one.cfg"
+        path.write_text(CLI_CONFIG.replace("train.epochs = 3", "train.epochs = 1")
+                        + f"experiment.output_dir = {tmp_path / 'runs'}\n")
+        assert main(["train", "--config", str(path)]) == 0
+        assert opened == [None]
+        assert "student_tgt_acc=" in capsys.readouterr().out
+
+    @pytest.mark.skipif(not libc_has_mallopt(), reason="libc has no mallopt")
+    def test_the_library_leaves_the_allocator_alone(self, cli_config):
+        library = COUNT_MALLOPT_LOOKUPS + (
+            "import kduda, kduda.cli\n"
+            "from kduda.harness import load_config, run_single\n"
+            "run_single(load_config(sys.argv[1]), 'joint', 0)\n"
+            "print(len(lookups))\n")
+        program = COUNT_MALLOPT_LOOKUPS + (
+            "from kduda import cli\n"
+            "assert cli.main(['train', '--config', sys.argv[1]]) == 0\n"
+            "print(len(lookups))\n")
+        assert run_fresh(library, cli_config).split() == ["0"]
+        assert run_fresh(program, cli_config).split()[-1] == "1"
+
+    @pytest.mark.skipif(not libc_has_mallopt(), reason="libc has no mallopt")
+    def test_training_does_not_fault_its_heap_back_in(self, tmp_path):
+        # glibc trimming the heap after each step made this run take about
+        # 54k minor page faults; with the trim kept it takes under 1k
+        path = tmp_path / "headline.cfg"
+        path.write_text(HEADLINE_SHAPED
+                        + f"experiment.output_dir = {tmp_path / 'runs'}\n")
+        code = ("import resource, sys\n"
+                "from kduda import cli\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "assert cli.main(['train', '--config', sys.argv[1]]) == 0\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+                " - before)\n")
+        faults = int(run_fresh(code, str(path)).split()[-1])
+        assert faults < 10_000

@@ -298,6 +298,56 @@ class TestEvalCadence:
         # final epoch is always measured
         assert not math.isnan(log.records[6].student_tgt_acc)
 
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    @pytest.mark.parametrize("scenario", list(kduda.trainer.SCENARIOS))
+    def test_reused_accuracies_repeat_a_full_evaluation(self, monkeypatch,
+                                                        scenario, eval_every):
+        # a model not trained since its last evaluation is not evaluated
+        # again; every log line, seconds apart, must still be the bytes of
+        # a run that evaluates both models on every eval epoch
+        teacher, student = small_models()
+        if scenario == "uda_only":
+            teacher = None
+        pair = small_pair()
+        cfg = quick_cfg(epochs=7, eval_every=eval_every)
+        record = kduda.trainer.EpochRecord
+        full = []  # the records of a full evaluation
+
+        def fully_evaluated(epoch, *fields):
+            if epoch % eval_every == 0 or epoch == cfg.epochs - 1:
+                accs = [math.nan if m is None else evaluate(m.copy(), x, y)
+                        for m in (teacher, student)
+                        for x, y in ((pair.xs, pair.ys), (pair.xt, pair.yt_eval))]
+            else:
+                accs = full[-1].row()[8:12]
+            full.append(record(epoch, *fields[:7], *map(float, accs), fields[11]))
+            return record(epoch, *fields)
+
+        monkeypatch.setattr(kduda.trainer, "EpochRecord", fully_evaluated)
+        log = kduda.trainer._run_phases(scenario, teacher, student, pair, cfg)
+        assert [r.row()[:-1] for r in log.records] == \
+            [r.row()[:-1] for r in full]
+
+    @pytest.mark.parametrize("scenario,calls", [
+        ("joint", 4 * 7), ("source_only", 4 * 7), ("uda_only", 2 * 7),
+        # the model a phase does not train is evaluated once, then reused
+        ("uda_then_kd", 2 * 7 + 2), ("kd_then_uda", 2 * 7 + 2),
+    ])
+    def test_evaluations_per_scenario(self, monkeypatch, scenario, calls):
+        counted = []
+        real = kduda.trainer.evaluate
+
+        def counting(*args):
+            counted.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(kduda.trainer, "evaluate", counting)
+        teacher, student = small_models()
+        kduda.trainer._run_phases(scenario,
+                                  None if scenario == "uda_only" else teacher,
+                                  student, small_pair(), quick_cfg(epochs=7))
+        assert len(counted) == calls
+
 
 class TestUdaOnly:
     def test_student_fills_the_accuracy_columns(self):
