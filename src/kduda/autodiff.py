@@ -12,8 +12,10 @@ Tensors point at their graph and at their inputs; the graph holds only weak
 references to its tensors. Without a cycle between the two, reference
 counting frees a spent graph as soon as its last tensor is dropped.
 
-All values are float64. No op mutates its inputs; optimizers update
-parameter arrays between graphs, never inside one.
+All values are float64. An op writes only into arrays it allocated in the
+same call: never into an input's values, which belong to other nodes, nor
+into an incoming adjoint, which add's vjp hands to both of its inputs.
+Optimizers update parameter arrays between graphs, never inside one.
 """
 
 from __future__ import annotations
@@ -113,6 +115,13 @@ def scalar_multiply(a: Tensor, c: float) -> Tensor:
 
 # -- dense layers -------------------------------------------------------------
 
+def _relu_in_place(z: Array):
+    """Overwrite z with np.where(z > 0, z, 0.0), bit for bit. fmax maps nan
+    to 0 but may keep a -0.0, which adding +0.0 turns into +0.0."""
+    np.fmax(z, 0.0, out=z)
+    z += 0.0
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """One node for x @ w + b, optionally followed by ReLU.
 
@@ -136,7 +145,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     mask = None
     if relu:
         mask = z > 0
-        z = np.where(mask, z, 0.0)
+        _relu_in_place(z)
     def vjp(g):
         gm = g if mask is None else g * mask
         return (gm @ wv.T, xv.T @ gm, gm.sum(axis=0))
@@ -152,10 +161,10 @@ def softmax_temperature(logits: Tensor, tau: float) -> Tensor:
     tau = float(tau)
     if tau <= 0.0:
         raise ParameterError(f"temperature must be positive, got {tau}")
-    z = logits.values / tau
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = logits.values / tau
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
     def vjp(g):
         inner = (g * p).sum(axis=1, keepdims=True)
         return (p * (g - inner) / tau,)
@@ -181,10 +190,17 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     aa = (av * av).sum(axis=1)[:, None]
     bb = (bv * bv).sum(axis=1)[None, :]
-    d = np.maximum(aa + bb - 2.0 * (av @ bv.T), 0.0)
+    d = av @ bv.T
+    d *= 2.0
+    np.subtract(aa + bb, d, out=d)
+    np.maximum(d, 0.0, out=d)
     def vjp(g):
-        ga = 2.0 * (av * g.sum(axis=1)[:, None] - g @ bv)
-        gb = 2.0 * (bv * g.sum(axis=0)[:, None] - g.T @ av)
+        ga = av * g.sum(axis=1)[:, None]
+        ga -= g @ bv
+        ga *= 2.0
+        gb = bv * g.sum(axis=0)[:, None]
+        gb -= g.T @ av
+        gb *= 2.0
         return (ga, gb)
     return Tensor(a.graph, d, (a, b), vjp)
 

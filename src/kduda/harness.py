@@ -108,6 +108,13 @@ class ExperimentConfig:
         if not self.student_hidden:
             raise ConfigError("model.student_hidden: at least one student spec "
                               "is required")
+        widths = [("model.teacher_hidden", self.teacher_hidden)]
+        widths += [("model.student_hidden", s) for s in self.student_hidden]
+        for key, hidden in widths:
+            try:
+                ModelSpec(self.dataset.dim, hidden, self.dataset.classes)
+            except ParameterError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
 
     def config_hash(self) -> str:
         """Digest of every field except output_dir, so moving the output

@@ -103,15 +103,18 @@ def _median_of_roots(sq: np.ndarray) -> float:
     square roots instead of one per entry.
 
     sqrt is monotone and correctly rounded, so the middle order statistics
-    of sqrt(sq) are the roots of those of sq. Partitions sq in place; the
-    last rank is placed too, so a nan makes the result nan as in np.median.
+    of sqrt(sq) are the roots of those of sq. Partitions sq in place at the
+    upper middle rank only: the lower middle is the largest entry left of
+    it, and nan sorts last, so the part from it on holds any nan there is
+    and a nan makes the result nan as in np.median.
     """
     n = sq.size
-    lo, hi = (n - 1) // 2, n // 2
-    sq.partition((lo, hi, n - 1))
-    if np.isnan(sq[-1]):
+    mid = n // 2
+    sq.partition(mid)
+    if np.isnan(sq[mid:].max()):
         return float("nan")
-    return (math.sqrt(sq[lo]) + math.sqrt(sq[hi])) / 2.0
+    lo = sq[:mid].max() if n % 2 == 0 else sq[mid]
+    return (math.sqrt(lo) + math.sqrt(sq[mid])) / 2.0
 
 
 @dataclass(frozen=True)
@@ -127,11 +130,11 @@ class LossWeights:
 
     def __post_init__(self):
         if self.gamma < 0:
-            raise ParameterError(f"gamma must be >= 0, got {self.gamma}")
+            raise ParameterError(f"gamma must be >= 0, got {self.gamma}", "gamma")
         if self.alpha < 0:
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
+            raise ParameterError(f"alpha must be >= 0, got {self.alpha}", "alpha")
         if self.tau <= 0:
-            raise ParameterError(f"tau must be positive, got {self.tau}")
+            raise ParameterError(f"tau must be positive, got {self.tau}", "tau")
 
 
 @dataclass(frozen=True)
@@ -148,11 +151,13 @@ class BetaSchedule:
 
     def __post_init__(self):
         if not (0.0 < self.start <= 1.0):
-            raise ParameterError(f"start must be in (0, 1], got {self.start}")
+            raise ParameterError(f"start must be in (0, 1], got {self.start}",
+                                 "start")
         if not (0.0 < self.end <= 1.0):
-            raise ParameterError(f"end must be in (0, 1], got {self.end}")
+            raise ParameterError(f"end must be in (0, 1], got {self.end}", "end")
         if self.epochs < 1:
-            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
+            raise ParameterError(f"epochs must be >= 1, got {self.epochs}",
+                                 "epochs")
 
     @property
     def growth(self) -> float:
@@ -178,12 +183,13 @@ def gamma_at(t, epochs: int, gamma_max: float, mode: str = "constant") -> float:
     if epochs < 1:
         raise ParameterError(f"epochs must be >= 1, got {epochs}")
     if gamma_max < 0:
-        raise ParameterError(f"gamma_max must be >= 0, got {gamma_max}")
+        raise ParameterError(f"gamma_max must be >= 0, got {gamma_max}",
+                             "gamma_max")
     if mode == "constant":
         return gamma_max
     if mode == "ramp":
         return 2.0 * gamma_max / (1.0 + math.exp(-10.0 * float(t) / epochs)) - gamma_max
-    raise ParameterError(f"unknown gamma mode {mode!r}")
+    raise ParameterError(f"unknown gamma mode {mode!r}", "mode")
 
 
 @dataclass
@@ -295,10 +301,11 @@ def softmax_np(logits: np.ndarray, tau: float) -> np.ndarray:
     """Graph-free stable softmax of logits / tau, for constant soft targets."""
     if tau <= 0:
         raise ParameterError(f"tau must be positive, got {tau}")
-    z = np.asarray(logits, dtype=np.float64) / tau
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    p = np.asarray(logits, dtype=np.float64) / tau
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
 # -- model-level terms ---------------------------------------------------------

@@ -134,9 +134,13 @@ class Model:
             raise ShapeError(
                 f"expected input of shape (n, {self.spec.input_dim}), got {x.shape}")
         h = x
-        for i in range(len(self.weights) - 1):
-            h = np.maximum(h @ self.weights[i] + self.biases[i], 0.0)
-        return h @ self.weights[-1] + self.biases[-1]
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
+        out = h @ self.weights[-1]
+        out += self.biases[-1]
+        return out
 
 
 def build(spec: ModelSpec) -> Model:

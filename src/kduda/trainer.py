@@ -37,6 +37,12 @@ CSV_COLUMNS = ("epoch", "beta", "gamma", "L_mmd", "L_tda", "L_tkd", "L_skd",
                "student_src_acc", "student_tgt_acc", "seconds")
 
 
+# the TrainConfig field behind each BetaSchedule field or gamma_at argument
+# whose name differs
+_LOSS_FIELDS = {"start": "beta_start", "end": "beta_end", "gamma_max": "gamma",
+                "mode": "gamma_mode"}
+
+
 @dataclass
 class TrainConfig:
     """Defaults follow the reference setup; harness configs usually override
@@ -89,6 +95,14 @@ class TrainConfig:
             raise ParameterError(
                 f"beta_override must be in [0, 1], got {self.beta_override}",
                 "beta_override")
+        # the schedule and loss weights check the rest; their fields are
+        # renamed to the ones of this config
+        try:
+            self.schedule()
+            self.weights_at(0)
+        except ParameterError as exc:
+            raise ParameterError(str(exc), _LOSS_FIELDS.get(exc.field, exc.field)
+                                 ) from None
 
     def schedule(self) -> BetaSchedule:
         return BetaSchedule(self.beta_start, self.beta_end, self.epochs)

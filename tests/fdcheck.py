@@ -1,5 +1,6 @@
-"""Central finite-difference gradient oracle shared by the test modules, and
-the plain tape nodes that test-only reference compositions are built from."""
+"""Central finite-difference gradient oracle shared by the test modules, the
+plain tape nodes that test-only reference compositions are built from, and
+allocating references for the ops that compute in place."""
 
 import numpy as np
 
@@ -67,3 +68,68 @@ def weighted_sum(x, w):
     w = np.asarray(w, dtype=np.float64)
     return ad.Tensor(x.graph, np.asarray((x.values * w).sum()), (x,),
                      lambda g: (g * w,))
+
+
+# -- allocating references of the in-place ops ---------------------------------
+#
+# Each is the op as it read before it computed into its own buffers: the same
+# numpy operations in the same order, every step into a fresh array. The ops
+# must match them bit for bit.
+
+
+def old_linear(x, w, b, relu=False):
+    xv, wv, bv = x.values, w.values, b.values
+    z = xv @ wv
+    z += bv
+    mask = None
+    if relu:
+        mask = z > 0
+        z = np.where(mask, z, 0.0)
+    def vjp(g):
+        gm = g if mask is None else g * mask
+        return (gm @ wv.T, xv.T @ gm, gm.sum(axis=0))
+    return ad.Tensor(x.graph, z, (x, w, b), vjp)
+
+
+def old_softmax_temperature(logits, tau):
+    tau = float(tau)
+    z = logits.values / tau
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    def vjp(g):
+        inner = (g * p).sum(axis=1, keepdims=True)
+        return (p * (g - inner) / tau,)
+    return ad.Tensor(logits.graph, p, (logits,), vjp)
+
+
+def old_softmax_np(logits, tau):
+    z = np.asarray(logits, dtype=np.float64) / tau
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def old_pairwise_sqdist(a, b):
+    av, bv = a.values, b.values
+    aa = (av * av).sum(axis=1)[:, None]
+    bb = (bv * bv).sum(axis=1)[None, :]
+    d = np.maximum(aa + bb - 2.0 * (av @ bv.T), 0.0)
+    def vjp(g):
+        ga = 2.0 * (av * g.sum(axis=1)[:, None] - g @ bv)
+        gb = 2.0 * (bv * g.sum(axis=0)[:, None] - g.T @ av)
+        return (ga, gb)
+    return ad.Tensor(a.graph, d, (a, b), vjp)
+
+
+def old_predict_logits(model, x):
+    """Model.predict_logits with a fresh array per step."""
+    h = np.asarray(x, dtype=np.float64)
+    for i in range(len(model.weights) - 1):
+        h = np.maximum(h @ model.weights[i] + model.biases[i], 0.0)
+    return h @ model.weights[-1] + model.biases[-1]
+
+
+def median_of_roots(sq):
+    """What losses._median_of_roots must equal bit for bit."""
+    return float(np.median(np.sqrt(sq)))

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import kduda.autodiff as ad
 from kduda.autodiff import Graph
 from kduda.errors import ParameterError, ShapeError
-from fdcheck import (exp, finite_diff_grad, log, mean, relative_error,
-                     weighted_sum)
+from fdcheck import (exp, finite_diff_grad, log, mean, old_linear,
+                     old_pairwise_sqdist, old_softmax_temperature,
+                     relative_error, weighted_sum)
 
 
 def dense(g, x, w, b=None, relu=False):
@@ -451,3 +452,152 @@ class TestElementwiseShapeChecks:
         g = Graph()
         with pytest.raises(ShapeError):
             op(g.tensor(np.ones((2, 2))), g.tensor(np.ones((2, 3))))
+
+
+SPECIALS = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -1.5,
+                     5e-324, -5e-324])
+
+
+def specials(rng, shape):
+    """Random draws from SPECIALS, so signed zeros, nans and infinities land
+    in both the vector body and the scalar tail of numpy's loops."""
+    return SPECIALS[rng.integers(0, SPECIALS.size, size=shape)]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestInPlaceOps:
+    """The ops that compute into their own buffers equal the allocating
+    references in tests/fdcheck.py bit for bit, values and adjoints."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 31, 64, 67, 131])
+    def test_relu_is_np_where_on_special_values(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            z = specials(rng, n)
+            expected = np.where(z > 0, z, 0.0)
+            ad._relu_in_place(z)
+            assert same_bits(z, expected)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("rows,width", [(1, 1), (5, 7), (32, 17), (9, 64)])
+    def test_linear_matches_the_reference_on_special_inputs(self, rows, width,
+                                                            relu):
+        rng = np.random.default_rng(rows * 100 + width)
+        xv = rng.normal(size=(rows, 3))
+        wv = rng.normal(size=(3, width))
+        bv = specials(rng, width)
+        xv[0] = specials(rng, 3)
+        wv[:, -1] = specials(rng, 3)
+        gv = specials(rng, (rows, width))
+        outs = []
+        with np.errstate(invalid="ignore", over="ignore"):
+            for op in (ad.linear, old_linear):
+                g = Graph()
+                out = op(g.tensor(xv), g.tensor(wv), g.tensor(bv), relu=relu)
+                outs.append((out.values, *out._vjp(gv)))
+        for new, old in zip(*outs):
+            assert same_bits(new, old)
+
+    @pytest.mark.parametrize("tau", [0.05, 1.0, 20.0])
+    def test_softmax_matches_the_reference_on_extreme_logits(self, tau):
+        rng = np.random.default_rng(int(tau * 100))
+        logits = np.array([[1e4, -1e4, 0.0, 3.0],
+                           [-745.0, -746.0, -1e300, -700.0],
+                           [1e300, 1e300, -1e300, 0.0],
+                           [5.0, 5.0, 5.0, 5.0],
+                           [0.0, -0.0, 1e-320, -1e-320],
+                           [np.inf, 1.0, 2.0, 3.0],
+                           [np.nan, 1.0, 2.0, 3.0]])
+        logits = np.vstack([logits, rng.normal(scale=50.0, size=(9, 4))])
+        gv = rng.normal(size=logits.shape)
+        outs = []
+        with np.errstate(invalid="ignore", over="ignore"):
+            for op in (ad.softmax_temperature, old_softmax_temperature):
+                out = op(Graph().tensor(logits), tau)
+                outs.append((out.values, *out._vjp(gv)))
+        for new, old in zip(*outs):
+            assert same_bits(new, old)
+
+    @pytest.mark.parametrize("rows_a,rows_b,width", [(1, 1, 1), (7, 5, 3),
+                                                     (32, 32, 16), (17, 9, 2)])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_pairwise_sqdist_matches_the_reference(self, rows_a, rows_b, width,
+                                                   shared):
+        rng = np.random.default_rng(rows_a * rows_b + width)
+        av = rng.normal(size=(rows_a, width))
+        bv = av if shared else rng.normal(size=(rows_b, width)) + 0.3
+        av[0] = np.round(av[0])  # exact zeros among the distances
+        gv = rng.normal(size=(av.shape[0], bv.shape[0]))
+        outs = []
+        for op in (ad.pairwise_sqdist, old_pairwise_sqdist):
+            g = Graph()
+            a = g.tensor(av)
+            out = op(a, a if shared else g.tensor(bv))
+            outs.append((out.values, *out._vjp(gv)))
+            if shared:  # a is b: both adjoints reach the one input
+                weighted_sum(op(a, a), gv).backward()
+                outs[-1] += (a.grad,)
+        for new, old in zip(*outs):
+            assert same_bits(new, old)
+
+
+def _every_op(g, rng):
+    """One node of each op with its inputs, on fresh leaves of g."""
+    x = g.tensor(rng.normal(size=(6, 4)))
+    y = g.tensor(rng.normal(size=(6, 4)))
+    w = g.tensor(rng.normal(size=(4, 3)))
+    b = g.tensor(rng.normal(size=3))
+    d = g.tensor(rng.random((6, 6)))
+    return [ad.add(x, y), ad.add(x, x), ad.subtract(x, y),
+            ad.scalar_multiply(x, 3.0), ad.linear(x, w, b),
+            ad.linear(x, w, b, relu=True), ad.softmax_temperature(x, 0.5),
+            ad.pairwise_sqdist(x, y), ad.pairwise_sqdist(x, x),
+            ad.kernel_bank_mean(d, (0.5, 1.0, 2.0))]
+
+
+class TestAliasing:
+    def test_ops_never_write_into_their_inputs_or_adjoint(self):
+        rng = np.random.default_rng(3)
+        g = Graph()
+        for out in _every_op(g, rng):
+            before = [inp.values.copy() for inp in out._inputs]
+            gv = rng.normal(size=out.values.shape)
+            kept = gv.copy()
+            contribs = out._vjp(gv)
+            assert same_bits(gv, kept)
+            for inp, old, contrib in zip(out._inputs, before, contribs):
+                assert same_bits(inp.values, old)
+                assert not np.shares_memory(out.values, inp.values)
+                assert not np.shares_memory(contrib, inp.values)
+
+    @pytest.mark.parametrize("pair", ["softmax+linear", "sqdist+sqdist"])
+    def test_a_shared_adjoint_reaches_both_inputs_unchanged(self, pair):
+        # add hands one adjoint array to both of its inputs, so each input's
+        # vjp must leave it as it was for the other: the sum's gradient is
+        # the sum of the two gradients taken apart
+        rng = np.random.default_rng(4)
+        xv, wv = rng.normal(size=(5, 4)), rng.normal(size=(4, 4))
+        yv, bv = rng.normal(size=(5, 4)), rng.normal(size=4)
+        weights = rng.normal(size=(5, 4 if pair == "softmax+linear" else 5))
+
+        def branches(g, x):
+            if pair == "softmax+linear":
+                return (ad.softmax_temperature(x, 2.0),
+                        ad.linear(x, g.tensor(wv), g.tensor(bv), relu=True))
+            return (ad.pairwise_sqdist(x, g.tensor(yv)),
+                    ad.pairwise_sqdist(g.tensor(yv[::-1]), x))
+
+        g = Graph()
+        x = g.tensor(xv)
+        weighted_sum(ad.add(*branches(g, x)), weights).backward()
+        apart = []
+        for k in range(2):
+            g = Graph()
+            xk = g.tensor(xv)
+            weighted_sum(branches(g, xk)[k], weights).backward()
+            apart.append(xk.grad)
+        assert same_bits(x.grad, apart[1] + apart[0])

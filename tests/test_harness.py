@@ -228,6 +228,15 @@ class TestConfigParsing:
         ("experiment.scenarios = ,", "experiment.scenarios"),
         ("experiment.seeds = ,", "experiment.seeds"),
         ("model.student_hidden = ;", "model.student_hidden"),
+        ("train.gamma_mode = linear", "train.gamma_mode"),
+        ("train.tau = -1", "train.tau"),
+        ("train.beta_start = 2", "train.beta_start"),
+        ("train.beta_end = 0", "train.beta_end"),
+        ("train.gamma = -1", "train.gamma"),
+        ("train.alpha = -1", "train.alpha"),
+        ("model.teacher_hidden = 0", "model.teacher_hidden"),
+        ("model.student_hidden = 0", "model.student_hidden"),
+        ("model.student_hidden = 8, 4; 3, 0", "model.student_hidden"),
     ])
     def test_range_errors_name_the_key(self, lines, key):
         with pytest.raises(ConfigError, match=re.escape(key)):
@@ -539,6 +548,22 @@ class TestCli:
                                                  capsys, no_training):
         assert main(["train", "--config", cli_config, "--seed", "-1"]) == 1
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("line,key", [("train.tau = -1", "train.tau"),
+                                          ("train.beta_start = 2",
+                                           "train.beta_start"),
+                                          ("model.teacher_hidden = 0",
+                                           "model.teacher_hidden")])
+    def test_out_of_range_key_fails_before_any_output(self, tmp_path, capsys,
+                                                      line, key, no_training):
+        kept = [ln for ln in CLI_CONFIG.splitlines()
+                if not ln.startswith(f"{key} ")]
+        path = tmp_path / "exp.cfg"
+        path.write_text("\n".join(kept + [
+            line, f"experiment.output_dir = {tmp_path / 'runs'}", ""]))
+        assert main(["train", "--config", str(path)]) == 1
+        assert f"{key}: " in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_empty_dataset_fails_before_any_command(self, tmp_path, capsys):

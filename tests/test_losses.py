@@ -23,9 +23,11 @@ from kduda.losses import (
     teacher_da_loss,
     total_loss,
 )
+from kduda.losses import _median_of_roots
 from kduda.models import ModelSpec, build
 
-from fdcheck import exp, finite_diff_grad, log, mean, relative_error, weighted_sum
+from fdcheck import (exp, finite_diff_grad, log, mean, median_of_roots,
+                     old_softmax_np, relative_error, weighted_sum)
 
 
 def mmd_value(fs, ft, kernel):
@@ -214,6 +216,63 @@ class TestKernelConfig:
             KernelConfig(mode="fixed", bandwidths=(1.0, -2.0))
         with pytest.raises(ParameterError):
             KernelConfig(median_multipliers=())
+
+
+def _same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or (
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+class TestMedianOfRoots:
+    """The one-rank partition median equals np.median(np.sqrt(x)) bit for
+    bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 11, 64, 129, 1000, 1001])
+    @pytest.mark.parametrize("data", ["normal", "ties", "zeros", "nan",
+                                      "many_nan", "all_nan", "inf"])
+    def test_equals_np_median_of_roots(self, n, data):
+        rng = np.random.default_rng(n)
+        x = rng.random(n) * 10.0
+        if data == "ties":
+            x = np.round(x / 3.0)
+        elif data == "zeros":
+            x[: n // 2 + 1] = 0.0
+        elif data == "nan":
+            x[rng.integers(n)] = np.nan
+        elif data == "many_nan":
+            x[rng.random(n) < 0.6] = np.nan
+        elif data == "all_nan":
+            x[:] = np.nan
+        elif data == "inf":
+            x[rng.integers(n)] = np.inf
+        expected = median_of_roots(x)
+        assert _same_float(_median_of_roots(x.copy()), expected)
+
+    def test_upper_middle_nan_with_finite_lower_middle(self):
+        # nans fill the upper half, so the upper middle rank is a nan while
+        # the lower middle is finite
+        x = np.array([4.0, np.nan, 1.0, np.nan, 9.0, np.nan, np.nan, 16.0])
+        assert math.isnan(median_of_roots(x))
+        assert math.isnan(_median_of_roots(x.copy()))
+
+
+class TestSoftmaxNp:
+    @pytest.mark.parametrize("tau", [0.05, 1.0, 20.0])
+    def test_matches_the_allocating_reference(self, tau):
+        rng = np.random.default_rng(7)
+        logits = np.array([[1e4, -1e4, 0.0], [-745.0, -1e300, -700.0],
+                           [1e300, 1e300, -1e300], [5.0, 5.0, 5.0],
+                           [0.0, -0.0, 1e-320], [np.inf, 1.0, 2.0],
+                           [-np.inf, 1.0, np.nan]])
+        logits = np.vstack([logits, rng.normal(scale=50.0, size=(9, 3))])
+        with np.errstate(invalid="ignore", over="ignore"):
+            new, old = softmax_np(logits, tau), old_softmax_np(logits, tau)
+        assert new.tobytes() == old.tobytes()
+
+    def test_leaves_its_input_alone(self):
+        logits = np.arange(6.0).reshape(2, 3)
+        softmax_np(logits, 1.0)
+        assert np.array_equal(logits, np.arange(6.0).reshape(2, 3))
 
 
 class TestMmd:

@@ -8,7 +8,8 @@ from kduda.autodiff import Graph
 from kduda.errors import ParameterError, ShapeError
 from kduda.losses import KernelConfig, mmd_squared
 from kduda.models import Model, ModelSpec, build, count_complexity
-from fdcheck import finite_diff_grad, relative_error, weighted_sum
+from fdcheck import (finite_diff_grad, old_predict_logits, relative_error,
+                     weighted_sum)
 
 
 class TestBuild:
@@ -44,6 +45,30 @@ class TestBuild:
             ModelSpec(2, (), 2)
         with pytest.raises(ParameterError):
             ModelSpec(2, (4,), 1)
+
+
+class TestPredictLogits:
+    @pytest.mark.parametrize("hidden", [(1,), (5,), (16, 7), (9, 33, 4)])
+    def test_matches_the_allocating_reference(self, hidden):
+        model = build(ModelSpec(3, hidden, 4, seed=len(hidden)))
+        rng = np.random.default_rng(sum(hidden))
+        model.biases[0][:] = rng.normal(size=hidden[0])
+        x = rng.normal(size=(37, 3))
+        x[0] = (np.nan, 1.0, 0.0)
+        x[1] = (np.inf, -np.inf, 1.0)
+        x[2] = (-0.0, 0.0, -0.0)
+        x[3] = (1e300, -1e300, 1e300)
+        with np.errstate(invalid="ignore", over="ignore"):
+            new, old = model.predict_logits(x), old_predict_logits(model, x)
+        assert new.tobytes() == old.tobytes()
+
+    def test_leaves_its_input_and_parameters_alone(self):
+        model = build(ModelSpec(3, (5, 4), 2))
+        x = np.random.default_rng(1).normal(size=(6, 3))
+        before = [p.copy() for p in [x, *model.parameters()]]
+        model.predict_logits(x)
+        for p, kept in zip([x, *model.parameters()], before):
+            assert np.array_equal(p, kept)
 
 
 class TestForward:

@@ -6,7 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
+import fdcheck
 import kduda.autodiff as ad
+import kduda.losses
 import kduda.trainer
 from kduda.data import gen_blob_shift
 from kduda.errors import NumericalAbort, ParameterError, ShapeError
@@ -347,6 +349,40 @@ class TestEvalCadence:
                                   None if scenario == "uda_only" else teacher,
                                   student, small_pair(), quick_cfg(epochs=7))
         assert len(counted) == calls
+
+
+class TestInPlaceOpsInTraining:
+    @pytest.mark.parametrize("scenario", ["joint", "kd_then_uda"])
+    def test_logs_match_a_run_on_the_allocating_ops(self, monkeypatch,
+                                                     scenario):
+        # every log line, seconds apart, must be the bytes of a run whose
+        # hot ops allocate a fresh array per step (tests/fdcheck.py)
+        def run():
+            teacher = build(ModelSpec(2, (16, 8), 3, seed=100))
+            student = build(ModelSpec(2, (8, 4), 3, seed=200))
+            log = kduda.trainer._run_phases(scenario, teacher, student,
+                                            small_pair(), quick_cfg(epochs=3))
+            return [r.row()[:-1] for r in log.records]
+
+        new = run()
+        called = set()
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                called.add(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner, name, old in [
+                (ad, "linear", fdcheck.old_linear),
+                (ad, "softmax_temperature", fdcheck.old_softmax_temperature),
+                (ad, "pairwise_sqdist", fdcheck.old_pairwise_sqdist),
+                (kduda.losses, "softmax_np", fdcheck.old_softmax_np),
+                (kduda.losses, "_median_of_roots", fdcheck.median_of_roots),
+                (Model, "predict_logits", fdcheck.old_predict_logits)]:
+            monkeypatch.setattr(owner, name, counted(old))
+        assert run() == new
+        assert len(called) == 6
 
 
 class TestUdaOnly:
