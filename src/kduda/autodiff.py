@@ -16,6 +16,13 @@ All values are float64. An op writes only into arrays it allocated in the
 same call: never into an input's values, which belong to other nodes, nor
 into an incoming adjoint, which add's vjp hands to both of its inputs.
 Optimizers update parameter arrays between graphs, never inside one.
+
+Every op works over its operands' trailing axes, so operands may carry
+leading axes: a stack of S independent cells is one graph whose tensors
+have a leading axis of length S, and cell s of every result is what the
+op gives on cell s alone, bit for bit. A 2-d operand is the unstacked case
+of the same code. Such a graph's `stack` shape is (S,), and a loss on it
+holds one value per cell.
 """
 
 from __future__ import annotations
@@ -37,11 +44,14 @@ class Graph:
     """Append-only record of tensors in construction order.
 
     `nodes[i]` is a weak reference to the tensor with node id i: call it to
-    get the tensor, or None once nothing else holds that tensor.
+    get the tensor, or None once nothing else holds that tensor. `stack` is
+    the shape of a loss on this graph: () for one cell, (S,) for S stacked
+    cells.
     """
 
-    def __init__(self):
+    def __init__(self, stack: tuple[int, ...] = ()):
         self.nodes: list[weakref.ref[Tensor]] = []
+        self.stack = tuple(stack)
 
     def tensor(self, values) -> "Tensor":
         """Create a leaf tensor (parameter or constant) on this graph."""
@@ -115,6 +125,11 @@ def scalar_multiply(a: Tensor, c: float) -> Tensor:
 
 # -- dense layers -------------------------------------------------------------
 
+def _t(a: Array) -> Array:
+    """The transpose of every matrix in a stack of them."""
+    return a.swapaxes(-1, -2)
+
+
 def _relu_in_place(z: Array):
     """Overwrite z with np.where(z > 0, z, 0.0), bit for bit. fmax maps nan
     to 0 but may keep a -0.0, which adding +0.0 turns into +0.0."""
@@ -123,32 +138,36 @@ def _relu_in_place(z: Array):
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """One node for x @ w + b, optionally followed by ReLU.
+    """One node for x @ w + b, optionally followed by ReLU, over the last
+    two axes of x and w and the last axis of b.
 
     The adjoint masks the incoming gradient where the ReLU is inactive
-    (gm = g * mask) and returns gm @ w.T, x.T @ gm and gm.sum(axis=0).
+    (gm = g * mask) and returns gm @ w^T, x^T @ gm and gm summed over rows.
     """
     _same_graph(x, w)
     _same_graph(x, b)
     xv, wv, bv = x.values, w.values, b.values
-    if xv.ndim != 2 or wv.ndim != 2 or bv.ndim != 1:
+    if xv.ndim < 2 or wv.ndim != xv.ndim or bv.ndim != xv.ndim - 1:
         raise ShapeError(
-            f"linear needs a matrix, a matrix and a vector, got {xv.shape}, "
-            f"{wv.shape} and {bv.shape}")
-    if xv.shape[1] != wv.shape[0]:
+            f"linear needs matrices x and w and a bias vector, each with the "
+            f"same leading axes, got {xv.shape}, {wv.shape} and {bv.shape}")
+    if xv.shape[:-2] != wv.shape[:-2] or wv.shape[:-2] != bv.shape[:-1]:
+        raise ShapeError(f"linear: leading axes of {xv.shape}, {wv.shape} and "
+                         f"{bv.shape} differ")
+    if xv.shape[-1] != wv.shape[-2]:
         raise ShapeError(f"linear: inner dims of {xv.shape} and {wv.shape} differ")
-    if wv.shape[1] != bv.shape[0]:
+    if wv.shape[-1] != bv.shape[-1]:
         raise ShapeError(
             f"linear: width of {wv.shape} does not match bias {bv.shape}")
     z = xv @ wv
-    z += bv
+    z += bv[..., None, :]
     mask = None
     if relu:
         mask = z > 0
         _relu_in_place(z)
     def vjp(g):
         gm = g if mask is None else g * mask
-        return (gm @ wv.T, xv.T @ gm, gm.sum(axis=0))
+        return (gm @ _t(wv), _t(xv) @ gm, gm.sum(axis=-2))
     return Tensor(x.graph, z, (x, w, b), vjp)
 
 
@@ -156,17 +175,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
 def softmax_temperature(logits: Tensor, tau: float) -> Tensor:
     """Row-wise softmax of logits / tau, computed in the shifted stable form."""
-    if logits.values.ndim != 2:
-        raise ShapeError(f"softmax needs a 2-d tensor, got {logits.values.shape}")
+    if logits.values.ndim < 2:
+        raise ShapeError(f"softmax needs rows, got shape {logits.values.shape}")
     tau = float(tau)
     if tau <= 0.0:
         raise ParameterError(f"temperature must be positive, got {tau}")
     p = logits.values / tau
-    p -= p.max(axis=1, keepdims=True)
+    p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
+    p /= p.sum(axis=-1, keepdims=True)
     def vjp(g):
-        inner = (g * p).sum(axis=1, keepdims=True)
+        inner = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - inner) / tau,)
     return Tensor(logits.graph, p, (logits,), vjp)
 
@@ -179,53 +198,63 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     agrees with the clip because the gradient vanishes where distances do.
     """
     _same_graph(a, b)
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError(
-            f"pairwise_sqdist needs 2-d operands, got {a.values.shape} "
-            f"and {b.values.shape}")
-    if a.values.shape[1] != b.values.shape[1]:
-        raise ShapeError(
-            f"pairwise_sqdist: widths of {a.values.shape} and "
-            f"{b.values.shape} differ")
     av, bv = a.values, b.values
-    aa = (av * av).sum(axis=1)[:, None]
-    bb = (bv * bv).sum(axis=1)[None, :]
-    d = av @ bv.T
+    if av.ndim < 2 or bv.ndim != av.ndim or av.shape[:-2] != bv.shape[:-2]:
+        raise ShapeError(
+            f"pairwise_sqdist needs row matrices with the same leading axes, "
+            f"got {av.shape} and {bv.shape}")
+    if av.shape[-1] != bv.shape[-1]:
+        raise ShapeError(
+            f"pairwise_sqdist: widths of {av.shape} and {bv.shape} differ")
+    aa = (av * av).sum(axis=-1)[..., :, None]
+    bb = (bv * bv).sum(axis=-1)[..., None, :]
+    d = av @ _t(bv)
     d *= 2.0
     np.subtract(aa + bb, d, out=d)
     np.maximum(d, 0.0, out=d)
     def vjp(g):
-        ga = av * g.sum(axis=1)[:, None]
+        ga = av * g.sum(axis=-1)[..., :, None]
         ga -= g @ bv
         ga *= 2.0
-        gb = bv * g.sum(axis=0)[:, None]
-        gb -= g.T @ av
+        gb = bv * g.sum(axis=-2)[..., :, None]
+        gb -= _t(g) @ av
         gb *= 2.0
         return (ga, gb)
     return Tensor(a.graph, d, (a, b), vjp)
 
 
 def kernel_bank_mean(d: Tensor, sigmas) -> Tensor:
-    """Mean over all entries of (1/S) * sum_s exp(-d / (2 s^2)).
+    """Mean over all entries of (1/K) * sum_k exp(-d / (2 s_k^2)), for each
+    block of a stack.
 
-    One node for a whole Gaussian kernel bank over a block of squared
-    distances d. The adjoint is g / (N S) * sum_s (-1/(2 s^2)) exp(-d/(2 s^2)),
-    with N = d.size; its weighted kernel sum is formed in the forward pass,
-    so the S kernel blocks are not kept.
+    One node for a whole Gaussian kernel bank of K bandwidths over a block
+    of squared distances d, or over each (N, M) block of a stack of them;
+    sigmas is (K,) for all blocks or one row of K per block. The adjoint is
+    g / (N M K) * sum_k (-1/(2 s_k^2)) exp(-d/(2 s_k^2)); its weighted
+    kernel sum is formed in the forward pass, so the K kernel blocks are
+    not kept.
     """
-    sig = _as_f64(sigmas).ravel()
+    sig = _as_f64(sigmas)
+    if sig.ndim == 0:
+        sig = sig.reshape(1)
     # nan passes, so a diverged batch reaches the caller's finiteness check
     if sig.size == 0 or np.any(sig <= 0):
         raise ParameterError(f"kernel_bank_mean needs positive bandwidths, got {sigmas}")
-    if d.values.size == 0:
-        raise ShapeError(f"kernel_bank_mean needs a non-empty block, got {d.values.shape}")
+    dv = d.values
+    if dv.size == 0 or dv.ndim < 2:
+        raise ShapeError(f"kernel_bank_mean needs a non-empty block, got {dv.shape}")
+    if sig.ndim > 1 and sig.shape[:-1] != dv.shape[:-2]:
+        raise ShapeError(f"kernel_bank_mean: bandwidths {sig.shape} do not match "
+                         f"the blocks {dv.shape}")
     coef = -0.5 / (sig * sig)
-    k = np.exp(coef.reshape((-1,) + (1,) * d.values.ndim) * d.values)
-    n = d.values.size * coef.size
-    slope = np.dot(coef, k.reshape(coef.size, -1)).reshape(d.values.shape)
+    k = np.exp(coef[..., :, None, None] * dv[..., None, :, :])
+    n = dv.shape[-1] * dv.shape[-2] * coef.shape[-1]
+    # (.., 1, K) @ (.., K, N M): a stacked product, bitwise per block
+    slope = (coef[..., None, :] @ k.reshape(k.shape[:-2] + (-1,))).reshape(dv.shape)
     def vjp(g):
-        return (slope * (float(g) / n),)
-    return Tensor(d.graph, _as_f64(k.sum() / n), (d,), vjp)
+        return (slope * (np.asarray(g) / n)[..., None, None],)
+    value = k.reshape(k.shape[:-3] + (-1,)).sum(axis=-1) / n
+    return Tensor(d.graph, _as_f64(value), (d,), vjp)
 
 
 # -- reverse pass -------------------------------------------------------------
@@ -233,13 +262,17 @@ def kernel_bank_mean(d: Tensor, sigmas) -> Tensor:
 def backward(loss: Tensor):
     """Populate .grad for every tensor the loss depends on.
 
-    The scalar loss is seeded with 1. Node ids are visited from the loss
-    down to 0; only tensors reached through inputs carry an adjoint, so the
-    graph's tape itself is never read. Adjoints live in a per-call table so
-    that calling backward twice adds a second full gradient onto .grad.
+    The loss holds one value per cell of its graph's stack, each seeded with
+    1, so every cell's adjoint is exactly its own. Node ids are visited from
+    the loss down to 0; only tensors reached through inputs carry an
+    adjoint, so the graph's tape itself is never read. Adjoints live in a
+    per-call table so that calling backward twice adds a second full
+    gradient onto .grad.
     """
-    if loss.values.size != 1:
-        raise ShapeError(f"backward needs a scalar loss, got shape {loss.values.shape}")
+    stack = loss.graph.stack
+    if not (loss.values.shape == stack if stack else loss.values.size == 1):
+        raise ShapeError(f"backward needs a loss of shape {stack} (one value per "
+                         f"stacked cell), got shape {loss.values.shape}")
     adjoint: dict[int, Array] = {loss.node_id: np.ones_like(loss.values)}
     reached: dict[int, Tensor] = {loss.node_id: loss}
     for pos in range(loss.node_id, -1, -1):

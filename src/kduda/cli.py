@@ -85,7 +85,7 @@ def _cmd_train(args) -> int:
                            f"{cfg.config_hash()}_{args.scenario}_seed{seed}.csv")
     elif os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
         raise KdudaError(f"--out: {out} is not a file in an existing directory")
-    log, result = run_single(cfg, args.scenario, seed)
+    (log, result), = run_single(cfg, args.scenario, (seed,))
     log.to_csv(out)
     print(f"log: {out}")
     print(f"scenario={result.scenario} seed={result.seed} "

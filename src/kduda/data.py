@@ -2,11 +2,13 @@
 
 Both generators return a DomainPair: labeled source data plus target inputs
 whose labels are kept in a separate eval-only field. Training code consumes
-xs, ys, xt; only evaluation reads yt_eval.
+xs, ys, xt; only evaluation reads yt_eval. stack_pairs joins the pairs of S
+cells into one whose arrays carry a leading axis of length S.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,13 +31,14 @@ class DomainPair:
     seed: int
 
     def __post_init__(self):
-        if self.xs.ndim != 2 or self.xt.ndim != 2:
-            raise ShapeError(
-                f"domain inputs must be 2-d, got {self.xs.shape} and {self.xt.shape}")
-        if self.xs.shape[1] != self.xt.shape[1]:
+        if (self.xs.ndim < 2 or self.xt.ndim != self.xs.ndim
+                or self.xs.shape[:-2] != self.xt.shape[:-2]):
+            raise ShapeError(f"domain inputs must be rows with the same leading "
+                             f"axes, got {self.xs.shape} and {self.xt.shape}")
+        if self.xs.shape[-1] != self.xt.shape[-1]:
             raise ShapeError(
                 f"source dim {self.xs.shape} does not match target {self.xt.shape}")
-        if self.ys.shape != (self.xs.shape[0],):
+        if self.ys.shape != self.xs.shape[:-1]:
             raise ShapeError(
                 f"source labels {self.ys.shape} do not match inputs {self.xs.shape}")
 
@@ -144,15 +147,28 @@ def standardize(pair: DomainPair) -> DomainPair:
                    shift_descriptor=pair.shift_descriptor + " standardized")
 
 
-def batches(pair: DomainPair, batch_size: int, epoch: int, seed: int):
+def stack_pairs(pairs: list[DomainPair]) -> DomainPair:
+    """The pairs of S cells as one pair whose arrays carry a leading axis of
+    length S; its seed is the tuple of theirs."""
+    if len({(p.xs.shape, p.xt.shape, p.yt_eval.shape) for p in pairs}) != 1:
+        raise ShapeError("stacked domain pairs need one shape")
+    return DomainPair(*(np.stack([getattr(p, name) for p in pairs])
+                        for name in ("xs", "ys", "xt", "yt_eval")),
+                      shift_descriptor=pairs[0].shift_descriptor,
+                      seed=tuple(p.seed for p in pairs))
+
+
+def batches(pair: DomainPair, batch_size: int, epoch: int, seed):
     """Paired minibatches for one epoch.
 
     Every source sample is visited exactly once (last batch may be short).
     Target indices come from their own per-epoch shuffle and wrap cyclically
     when the target side runs out. Shuffles are derived from (seed, epoch),
-    so an epoch's order is reproducible in isolation.
+    so an epoch's order is reproducible in isolation. A stacked pair takes
+    one seed per cell, and each cell's batches follow that cell's own order.
     """
-    ns, nt = pair.xs.shape[0], pair.xt.shape[0]
+    stack = pair.xs.shape[:-2]
+    ns, nt = pair.xs.shape[-2], pair.xt.shape[-2]
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     if batch_size > ns:
@@ -160,13 +176,21 @@ def batches(pair: DomainPair, batch_size: int, epoch: int, seed: int):
             f"batch_size {batch_size} exceeds source size {ns}")
     if epoch < 0:
         raise ParameterError(f"epoch must be >= 0, got {epoch}")
-    rng = np.random.default_rng([seed, epoch])
-    src_order = rng.permutation(ns)
-    tgt_order = rng.permutation(nt)
+    seeds = np.ravel(seed)
+    if seeds.size != math.prod(stack):
+        raise ParameterError(f"{seeds.size} seeds for a stack of shape {stack}")
+    orders = []
+    for cell_seed in seeds:
+        rng = np.random.default_rng([int(cell_seed), epoch])
+        orders.append((rng.permutation(ns), rng.permutation(nt)))
+    src_order = np.stack([o[0] for o in orders]).reshape(stack + (ns,))
+    tgt_order = np.stack([o[1] for o in orders]).reshape(stack + (nt,))
+    # each cell's rows are gathered from that cell's arrays
+    cells = (np.arange(stack[0])[:, None],) if stack else ()
     out = []
     for start in range(0, ns, batch_size):
-        src_idx = src_order[start:start + batch_size]
-        take = src_idx.size
-        tgt_idx = tgt_order[(start + np.arange(take)) % nt]
+        src_idx = cells + (src_order[..., start:start + batch_size],)
+        take = src_idx[-1].shape[-1]
+        tgt_idx = cells + (tgt_order[..., (start + np.arange(take)) % nt],)
         out.append((pair.xs[src_idx], pair.ys[src_idx], pair.xt[tgt_idx]))
     return out

@@ -6,9 +6,10 @@ Output file names are derived from a hash of the fully resolved config
 (every field but the output directory) plus scenario and seed, so distinct
 runs never collide in one directory.
 
-Scenario grids and sweeps run their (scenario, seed) cells in forked worker
-processes when the machine has CPUs to spare beyond BLAS's own threads; the
-calling process writes every output file, in cell order.
+Scenario grids and sweeps train the seeds of each (config, scenario) as one
+stack (see kduda.trainer), and run their stacks in forked worker processes
+when the machine has CPUs to spare beyond BLAS's own threads; the calling
+process writes every output file, in cell order.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import numpy as np
 
 from . import trainer
 from .data import (DomainPair, gen_blob_shift, gen_two_moons_shift,
-                   standardize)
+                   stack_pairs, standardize)
 from .errors import ConfigError, KdudaError, ParameterError
 from .losses import KernelConfig
-from .models import ModelSpec, build, count_complexity
+from .models import ModelSpec, build, count_complexity, stack
 from .trainer import SCENARIOS, TrainConfig, TrainLog
 
 VALID_SCENARIOS = tuple(SCENARIOS)
@@ -151,7 +152,9 @@ class ScenarioResult:
     student_macs: int
     teacher_params: int
     teacher_macs: int
-    seconds: float  # wall time of the cell in the process that ran it
+    # wall time of the cell's stack in the process that ran it, shared
+    # equally among the stack's cells
+    seconds: float
 
 
 # -- config file parsing --------------------------------------------------------
@@ -332,43 +335,55 @@ def check_cell(cfg: ExperimentConfig, scenario: str, seed: int):
     cfg.require_one_student()
 
 
-def run_single(cfg: ExperimentConfig, scenario: str, seed: int
-               ) -> tuple[TrainLog, ScenarioResult]:
-    """Train one (scenario, seed) cell and package its result."""
-    check_cell(cfg, scenario, seed)
-    pair = cfg.dataset.make_pair(seed)
-    train_cfg = replace(cfg.train, seed=seed)
-    teacher_spec = cfg.teacher_spec(seed)
-    student_spec = cfg.student_spec(seed)
+def run_single(cfg: ExperimentConfig, scenario: str, seeds: tuple[int, ...]
+               ) -> list[tuple[TrainLog, ScenarioResult]]:
+    """Train the (scenario, seed) cells of cfg at the given seeds as one
+    stack, and package each cell's log and result, in seed order."""
+    for seed in seeds:
+        check_cell(cfg, scenario, seed)
+    # One seed trains without the stack axis: the same code, minus numpy's
+    # per-op cost of a third axis (about 3% of a headline step).
+    def join(items, stack_items):
+        return items[0] if len(items) == 1 else stack_items(items)
+
+    pair = join([cfg.dataset.make_pair(seed) for seed in seeds], stack_pairs)
+    train_cfg = replace(cfg.train, seed=join(tuple(seeds), tuple))
     started = time.perf_counter()
+    student = join([build(cfg.student_spec(seed)) for seed in seeds], stack)
     # looked up at call time, so a wrapper installed on the module applies
     train = getattr(trainer, f"train_{scenario}")
     if scenario == "uda_only":  # the only scenario without a teacher
-        log = train(build(student_spec), pair, train_cfg)
+        log = train(student, pair, train_cfg)
     else:
-        log = train(build(teacher_spec), build(student_spec), pair, train_cfg)
-    final = log.final()
-    s_params, s_macs = count_complexity(student_spec)
-    t_params, t_macs = count_complexity(teacher_spec)
-    result = ScenarioResult(
-        scenario=scenario, seed=seed,
-        student_tgt_acc=final.student_tgt_acc,
-        student_src_acc=final.student_src_acc,
-        teacher_tgt_acc=final.teacher_tgt_acc,
-        teacher_src_acc=final.teacher_src_acc,
-        student_params=s_params, student_macs=s_macs,
-        teacher_params=t_params, teacher_macs=t_macs,
-        seconds=time.perf_counter() - started)
-    return log, result
+        teacher = join([build(cfg.teacher_spec(seed)) for seed in seeds], stack)
+        log = train(teacher, student, pair, train_cfg)
+    seconds = (time.perf_counter() - started) / len(seeds)
+    s_params, s_macs = count_complexity(cfg.student_spec(0))
+    t_params, t_macs = count_complexity(cfg.teacher_spec(0))
+    cells = []
+    for seed, cell_log in zip(seeds, log.cells()):
+        final = cell_log.final()
+        cells.append((cell_log, ScenarioResult(
+            scenario=scenario, seed=seed,
+            student_tgt_acc=float(final.student_tgt_acc),
+            student_src_acc=float(final.student_src_acc),
+            teacher_tgt_acc=float(final.teacher_tgt_acc),
+            teacher_src_acc=float(final.teacher_src_acc),
+            student_params=s_params, student_macs=s_macs,
+            teacher_params=t_params, teacher_macs=t_macs,
+            seconds=seconds)))
+    return cells
 
 
 # -- cell runner -------------------------------------------------------------------
 #
-# Cells are fully seeded and independent, so they may run in any process.
-# Each process gets a static share, jobs[i::n]; the caller runs share 0
-# itself and the others go to n - 1 forked workers. The split depends only
-# on the cell count, and the caller trains too, so a profile of the caller
-# always covers the same cells.
+# A stack is (cfg, scenario, seeds): cells that differ only in seed, trained
+# together by one run_single call. Stacks are fully seeded and independent,
+# so they may run in any process. Before any of them runs, _assign_stacks
+# deals them out from the configs alone, longest estimate first; the caller
+# runs share 0 itself and the others go to n - 1 forked workers. The caller
+# trains too, and its share does not depend on timing, so a profile of the
+# caller always covers the same stacks.
 
 
 def _usable_cpus() -> int:
@@ -391,20 +406,56 @@ def _blas_threads(cpus: int) -> int:
     return cpus
 
 
-def _worker_count(cells: int) -> int:
+def _worker_count(stacks: int) -> int:
     """Processes for a grid: as many as fit on the usable CPUs next to
     BLAS's threads, so processes never compete with BLAS for cores."""
     cpus = _usable_cpus()
-    return max(1, min(cells, cpus // _blas_threads(cpus)))
+    return max(1, min(stacks, cpus // _blas_threads(cpus)))
 
 
-def _run_share(jobs) -> tuple[list, Exception | None]:
-    """Run cells in order until one fails; return the finished cells'
+def _stack_seconds(cfg: ExperimentConfig, scenario: str, seeds) -> float:
+    return trainer.estimate_seconds(scenario, cfg.teacher_spec(0),
+                                    cfg.student_spec(0), cfg.dataset.n_per_domain,
+                                    cfg.train, len(seeds))
+
+
+def _assign_stacks(stacks: list, n: int) -> list[list[int]]:
+    """Indices of the stacks each of n processes runs, each share in stack
+    order: longest estimate first, each to the process with the least
+    estimated work so far (the lowest-numbered on ties)."""
+    loads = [0.0] * n
+    shares = [[] for _ in range(n)]
+    costs = [_stack_seconds(*job) for job in stacks]
+    for i in sorted(range(len(stacks)), key=lambda i: -costs[i]):
+        p = loads.index(min(loads))
+        shares[p].append(i)
+        loads[p] += costs[i]
+    return [sorted(share) for share in shares]
+
+
+def _stack_cells(stacks):
+    """Yield each cell's (log, result), stack by stack. A stack that fails
+    with a KdudaError (a term gone non-finite in some cell) is rerun one
+    cell at a time, so the cells before its failing one are yielded and the
+    error raised is the one that cell gives on its own."""
+    for cfg, scenario, seeds in stacks:
+        try:
+            cells = run_single(cfg, scenario, seeds)
+        except KdudaError:
+            if len(seeds) == 1:
+                raise
+            cells = (cell for seed in seeds
+                     for cell in run_single(cfg, scenario, (seed,)))
+        yield from cells
+
+
+def _run_share(stacks) -> tuple[list, Exception | None]:
+    """Run stacks in order until a cell fails; return the finished cells'
     (log, result) pairs and the failure, if any."""
     done = []
     try:
-        for job in jobs:
-            done.append(run_single(*job))
+        for cell in _stack_cells(stacks):
+            done.append(cell)
     except Exception as exc:  # re-raised by _run_cells at this cell's turn
         return done, exc
     return done, None
@@ -429,28 +480,38 @@ def _run_shares(shares: list[list]) -> list[tuple[list, Exception | None]]:
                 outcomes.append(future.result())
             except BrokenProcessPool:
                 cells = ", ".join(f"{scenario} seed {seed}"
-                                  for _, scenario, seed in share)
+                                  for _, scenario, seeds in share
+                                  for seed in seeds)
                 outcomes.append(([], KdudaError(
                     f"a worker process died running cells {cells}")))
     return outcomes
 
 
-def _run_cells(jobs: list[tuple[ExperimentConfig, str, int]]):
-    """Yield run_single(cfg, scenario, seed)'s (log, result) for each job,
-    in job order. A failing cell raises its error at its turn, so callers
-    see the cells before it and then the error a serial loop would give;
-    a worker that dies fails at its share's first cell."""
-    n = _worker_count(len(jobs))
+def _run_cells(stacks: list[tuple[ExperimentConfig, str, tuple[int, ...]]]):
+    """Yield the (log, result) of every cell of every stack, in stack and
+    seed order. A failing cell raises its error at its turn, so callers
+    see the cells before it and then the error a serial loop over single
+    cells would give; a worker that dies fails at its share's first cell."""
+    n = _worker_count(len(stacks))
     if n == 1 or not hasattr(os, "fork"):
-        for job in jobs:
-            yield run_single(*job)
+        yield from _stack_cells(stacks)
         return
-    outcomes = _run_shares([jobs[i::n] for i in range(n)])
-    for i in range(len(jobs)):
-        done, error = outcomes[i % n]
-        if i // n == len(done):
-            raise error
-        yield done[i // n]
+    shares = _assign_stacks(stacks, n)
+    outcomes = _run_shares([[stacks[i] for i in share] for share in shares])
+    # (process, position of its first cell there) of each stack
+    where = {}
+    for p, share in enumerate(shares):
+        offset = 0
+        for i in share:
+            where[i] = (p, offset)
+            offset += len(stacks[i][2])
+    for i, (_, _, seeds) in enumerate(stacks):
+        p, offset = where[i]
+        done, error = outcomes[p]
+        for k in range(offset, offset + len(seeds)):
+            if k == len(done):
+                raise error
+            yield done[k]
 
 
 # -- experiment orchestration -------------------------------------------------------
@@ -498,10 +559,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ScenarioResult]:
     cfg.require_one_student()
     os.makedirs(cfg.output_dir, exist_ok=True)
     tag = cfg.config_hash()
-    jobs = [(cfg, scenario, seed) for scenario in cfg.scenarios
-            for seed in cfg.seeds]
+    stacks = [(cfg, scenario, cfg.seeds) for scenario in cfg.scenarios]
     results = []
-    for log, result in _run_cells(jobs):
+    for log, result in _run_cells(stacks):
         log.to_csv(os.path.join(
             cfg.output_dir, f"{tag}_{result.scenario}_seed{result.seed}.csv"))
         results.append(result)
@@ -556,11 +616,11 @@ def sweep_sizes(cfg: ExperimentConfig, teacher_widths, student_widths
     cfg.require_one_student()
     os.makedirs(cfg.output_dir, exist_ok=True)
     widths = [(tw, sw) for tw in teacher_widths for sw in student_widths]
-    jobs = [(replace(cfg, teacher_hidden=teacher_hidden_for(tw),
-                     student_hidden=(student_hidden_for(sw),),
-                     scenarios=("joint",)), "joint", seed)
-            for tw, sw in widths for seed in cfg.seeds]
-    accs = np.array([result.student_tgt_acc for _, result in _run_cells(jobs)])
+    stacks = [(replace(cfg, teacher_hidden=teacher_hidden_for(tw),
+                       student_hidden=(student_hidden_for(sw),),
+                       scenarios=("joint",)), "joint", cfg.seeds)
+              for tw, sw in widths]
+    accs = np.array([result.student_tgt_acc for _, result in _run_cells(stacks)])
     rows = []
     for (tw, sw), cell_accs in zip(widths, accs.reshape(len(widths), -1)):
         rows.append([str(tw), str(sw), repr(float(cell_accs.mean())),

@@ -11,6 +11,10 @@ moves the emphasis from alignment to distillation:
 
 Soft teacher targets are always constants here: no gradient flows into the
 big model through a distillation term.
+
+Like the autodiff ops, every loss works over trailing axes: on a stack of S
+cells (inputs with a leading axis of length S, a stacked model) it returns
+one value per cell, each equal bit for bit to the cell's loss on its own.
 """
 
 from __future__ import annotations
@@ -71,50 +75,58 @@ class KernelConfig:
                     "median_multipliers")
 
     def resolve(self, d_ss: np.ndarray, d_tt: np.ndarray,
-                d_st: np.ndarray) -> tuple[float, ...]:
-        """Concrete bandwidths for one batch, from its squared-distance blocks.
+                d_st: np.ndarray) -> np.ndarray:
+        """Concrete bandwidths for one batch, from its squared-distance
+        blocks: (K,) for one cell, (S, K) for the blocks of S stacked cells.
 
-        The median runs over the distinct pairs of the pooled sample: the
-        strict upper triangles of the within-domain blocks d_ss and d_tt,
-        and every entry of the cross-domain block d_st.
+        The median runs over the distinct pairs of each cell's pooled
+        sample: the strict upper triangles of the within-domain blocks d_ss
+        and d_tt, and every entry of the cross-domain block d_st.
         """
+        stack = d_st.shape[:-2]
         if self.mode == "fixed":
-            return self.bandwidths
-        pairs = np.concatenate([d_ss[_strict_upper(d_ss.shape[0])],
-                                d_tt[_strict_upper(d_tt.shape[0])],
-                                d_st.ravel()])
-        med = _median_of_roots(pairs) if pairs.size else 0.0
-        if med < 1e-12:
-            med = 1.0  # degenerate batch (all points identical)
-        return tuple(med * m for m in self.median_multipliers)
+            return np.broadcast_to(self.bandwidths, stack + (len(self.bandwidths),))
+        pairs = np.concatenate([_strict_upper(d_ss), _strict_upper(d_tt),
+                                d_st.reshape(stack + (-1,))], axis=-1)
+        med = np.asarray(_median_of_roots(pairs) if pairs.shape[-1]
+                         else np.zeros(stack))
+        med[med < 1e-12] = 1.0  # degenerate batch (all points identical)
+        return med[..., None] * np.array(self.median_multipliers)
+
+
+def _strict_upper(d: np.ndarray) -> np.ndarray:
+    """The strict upper triangle of each square block of d, row by row."""
+    n = d.shape[-1]
+    return d.reshape(d.shape[:-2] + (-1,)).take(_strict_upper_index(n), axis=-1)
 
 
 @functools.lru_cache(maxsize=8)
-def _strict_upper(n: int) -> np.ndarray:
-    """Read-only boolean mask of the strict upper triangle of an n-by-n
+def _strict_upper_index(n: int) -> np.ndarray:
+    """Read-only flat indices of the strict upper triangle of an n-by-n
     block; a run meets at most two sizes (full and short last batch)."""
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    mask.flags.writeable = False
-    return mask
+    index = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
+    index.flags.writeable = False
+    return index
 
 
-def _median_of_roots(sq: np.ndarray) -> float:
-    """np.median(np.sqrt(sq)) for non-negative sq, bit for bit, with two
-    square roots instead of one per entry.
+def _median_of_roots(sq: np.ndarray) -> np.ndarray:
+    """np.median(np.sqrt(sq), axis=-1) for non-negative sq, bit for bit,
+    with two square roots per row instead of one per entry.
 
     sqrt is monotone and correctly rounded, so the middle order statistics
-    of sqrt(sq) are the roots of those of sq. Partitions sq in place at the
-    upper middle rank only: the lower middle is the largest entry left of
-    it, and nan sorts last, so the part from it on holds any nan there is
-    and a nan makes the result nan as in np.median.
+    of sqrt(sq) are the roots of those of sq. Partitions each row of sq in
+    place at the upper middle rank only: the lower middle is the largest
+    entry left of it, and nan sorts last, so the part from it on holds any
+    nan there is and a nan makes the row's result nan as in np.median.
     """
-    n = sq.size
+    n = sq.shape[-1]
     mid = n // 2
-    sq.partition(mid)
-    if np.isnan(sq[mid:].max()):
-        return float("nan")
-    lo = sq[:mid].max() if n % 2 == 0 else sq[mid]
-    return (math.sqrt(lo) + math.sqrt(sq[mid])) / 2.0
+    sq.partition(mid, axis=-1)
+    hi = sq[..., mid]
+    lo = sq[..., :mid].max(axis=-1) if n % 2 == 0 else hi
+    med = np.asarray((np.sqrt(lo) + np.sqrt(hi)) / 2.0)
+    med[np.isnan(sq[..., mid:].max(axis=-1))] = np.nan
+    return med
 
 
 @dataclass(frozen=True)
@@ -208,6 +220,12 @@ class LossReport:
 # -- primitive losses ----------------------------------------------------------
 
 
+def _cell_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last two axes, one value per stacked cell, added in
+    the order a.sum() adds one cell's block."""
+    return a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1)
+
+
 def mmd_squared(fs: Tensor, ft: Tensor, kernel: KernelConfig) -> Tensor:
     """Biased squared kernel discrepancy between two feature samples.
 
@@ -215,13 +233,14 @@ def mmd_squared(fs: Tensor, ft: Tensor, kernel: KernelConfig) -> Tensor:
     with k(x, y) = average over bandwidths of exp(-|x - y|^2 / (2 sigma^2)).
     Bandwidths are resolved from the current values and treated as constants.
     """
-    if fs.values.ndim != 2 or ft.values.ndim != 2:
+    fv, tv = fs.values, ft.values
+    if fv.ndim < 2 or tv.ndim != fv.ndim or fv.shape[:-2] != tv.shape[:-2]:
+        raise ShapeError(f"mmd_squared needs row samples with the same leading "
+                         f"axes, got {fv.shape} and {tv.shape}")
+    if fv.shape[-1] != tv.shape[-1]:
         raise ShapeError(
-            f"mmd_squared needs 2-d samples, got {fs.values.shape} and {ft.values.shape}")
-    if fs.values.shape[1] != ft.values.shape[1]:
-        raise ShapeError(
-            f"mmd_squared: feature widths {fs.values.shape} and {ft.values.shape} differ")
-    if fs.values.shape[0] == 0 or ft.values.shape[0] == 0:
+            f"mmd_squared: feature widths {fv.shape} and {tv.shape} differ")
+    if fv.shape[-2] == 0 or tv.shape[-2] == 0:
         raise ParameterError("mmd_squared: empty sample")
     d_ss = ad.pairwise_sqdist(fs, fs)
     d_tt = ad.pairwise_sqdist(ft, ft)
@@ -240,26 +259,26 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
     PROB_FLOOR so certain-but-wrong predictions stay finite, and the
     gradient is zero where the clamp is active.
     """
-    if probs.values.ndim != 2:
-        raise ShapeError(f"cross_entropy needs 2-d probs, got {probs.values.shape}")
+    p = probs.values
+    if p.ndim < 2:
+        raise ShapeError(f"cross_entropy needs rows of probs, got {p.shape}")
     labels = np.asarray(labels)
-    n, c = probs.values.shape
-    if labels.shape != (n,):
-        raise ShapeError(
-            f"cross_entropy: labels shape {labels.shape} does not match batch {n}")
+    n, c = p.shape[-2:]
+    if labels.shape != p.shape[:-1]:
+        raise ShapeError(f"cross_entropy: labels shape {labels.shape} does not "
+                         f"match batch {p.shape[:-1]}")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ParameterError(
             f"cross_entropy: labels must be in [0, {c}), got range "
             f"[{labels.min()}, {labels.max()}]")
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels.astype(np.intp)] = 1.0
-    p = probs.values
+    onehot = (labels[..., None] == np.arange(c)).astype(np.float64)
     clamped = np.maximum(p, PROB_FLOOR)
     active = p > PROB_FLOOR
     scale = -1.0 / n
-    value = (np.log(clamped) * onehot).sum() * scale
+    value = _cell_sum(np.log(clamped) * onehot) * scale
     def vjp(g):
-        return (np.where(active, np.full_like(p, g * scale) * onehot / clamped, 0.0),)
+        coef = np.asarray(g * scale)[..., None, None]
+        return (np.where(active, coef * onehot / clamped, 0.0),)
     return Tensor(probs.graph, np.asarray(value), (probs,), vjp)
 
 
@@ -282,18 +301,19 @@ def distill_kl(student_soft: Tensor, teacher_soft, tau: float,
     if s.shape != t.shape:
         raise ShapeError(
             f"distill_kl: student {s.shape} and teacher {t.shape} shapes differ")
-    inv_n = 1.0 / t.shape[0]
+    inv_n = 1.0 / t.shape[-2]
     clamped = np.maximum(s, PROB_FLOOR)
     active = s > PROB_FLOOR
-    entropy = float((t * np.log(np.maximum(t, PROB_FLOOR))).sum() * inv_n)
-    value = (np.log(clamped) * t).sum() * -inv_n + entropy
+    entropy = _cell_sum(t * np.log(np.maximum(t, PROB_FLOOR))) * inv_n
+    value = _cell_sum(np.log(clamped) * t) * -inv_n + entropy
     tau_sq = float(tau * tau) if scale_by_tau_sq else None
     if tau_sq is not None:
         value = value * tau_sq
     def vjp(g):
         if tau_sq is not None:
             g = g * tau_sq
-        return (np.where(active, np.full_like(s, g * -inv_n) * t / clamped, 0.0),)
+        coef = np.asarray(g * -inv_n)[..., None, None]
+        return (np.where(active, coef * t / clamped, 0.0),)
     return Tensor(student_soft.graph, np.asarray(value), (student_soft,), vjp)
 
 
@@ -302,10 +322,28 @@ def softmax_np(logits: np.ndarray, tau: float) -> np.ndarray:
     if tau <= 0:
         raise ParameterError(f"tau must be positive, got {tau}")
     p = np.asarray(logits, dtype=np.float64) / tau
-    p -= p.max(axis=1, keepdims=True)
+    p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
+    p /= p.sum(axis=-1, keepdims=True)
     return p
+
+
+def soft_targets(teacher: Model, tau: float, *blocks: np.ndarray
+                 ) -> list[np.ndarray]:
+    """The teacher's softened predictions on each row block, from one
+    graph-free forward over all the blocks' rows stacked.
+
+    Rows pass through the layers independently, so the split equals a
+    forward per block wherever the BLAS gives each row of a product the
+    same bits whatever rows sit beside it.
+    """
+    soft = softmax_np(teacher.predict_logits(np.concatenate(blocks, axis=-2)), tau)
+    parts, start = [], 0
+    for block in blocks:
+        end = start + block.shape[-2]
+        parts.append(soft[..., start:end, :])
+        start = end
+    return parts
 
 
 # -- model-level terms ---------------------------------------------------------
@@ -315,36 +353,35 @@ def teacher_da_loss(teacher: Model, xs: Tensor, ys: np.ndarray, xt: Tensor,
                     kernel: KernelConfig, weights: LossWeights):
     """Adaptation term for the big model: feature discrepancy across domains
     plus gamma times supervised cross-entropy on source. Returns the loss
-    tensor and the two subterm values."""
+    tensor and the two subterms' values."""
     fs = teacher.features(xs)
     ft = teacher.features(xt)
     mmd = mmd_squared(fs, ft, kernel)
     probs = ad.softmax_temperature(teacher.logits(xs), 1.0)
     ce = cross_entropy(probs, ys)
     total = ad.add(mmd, ad.scalar_multiply(ce, weights.gamma))
-    return total, {"mmd": mmd.item(), "ce": ce.item()}
+    return total, {"mmd": mmd.values, "ce": ce.values}
 
 
-def target_kd_loss(student: Model, teacher: Model, xt: Tensor,
+def target_kd_loss(student: Model, targets: np.ndarray, xt: Tensor,
                    weights: LossWeights) -> Tensor:
     """Distillation on unlabeled target data: softened student rows pulled
-    toward the current teacher's softened predictions."""
-    soft_t = softmax_np(teacher.predict_logits(xt.values), weights.tau)
+    toward the teacher's soft targets on xt (see soft_targets)."""
     soft_s = ad.softmax_temperature(student.logits(xt), weights.tau)
-    return distill_kl(soft_s, soft_t, weights.tau, weights.scale_kd_by_tau_sq)
+    return distill_kl(soft_s, targets, weights.tau, weights.scale_kd_by_tau_sq)
 
 
-def source_kd_loss(student: Model, teacher: Model, xs: Tensor, ys: np.ndarray,
-                   weights: LossWeights):
-    """Distillation on labeled source data plus alpha times the student's own
-    supervised cross-entropy. Returns the loss tensor and subterm values."""
-    soft_t = softmax_np(teacher.predict_logits(xs.values), weights.tau)
+def source_kd_loss(student: Model, targets: np.ndarray, xs: Tensor,
+                   ys: np.ndarray, weights: LossWeights):
+    """Distillation on labeled source data toward the teacher's soft targets
+    on xs, plus alpha times the student's own supervised cross-entropy.
+    Returns the loss tensor and the subterms' values."""
     soft_s = ad.softmax_temperature(student.logits(xs), weights.tau)
-    kl = distill_kl(soft_s, soft_t, weights.tau, weights.scale_kd_by_tau_sq)
+    kl = distill_kl(soft_s, targets, weights.tau, weights.scale_kd_by_tau_sq)
     probs = ad.softmax_temperature(student.logits(xs), 1.0)
     ce = cross_entropy(probs, ys)
     total = ad.add(kl, ad.scalar_multiply(ce, weights.alpha))
-    return total, {"kl": kl.item(), "ce": ce.item()}
+    return total, {"kl": kl.values, "ce": ce.values}
 
 
 def total_loss(teacher: Model, student: Model, xs: Tensor, ys: np.ndarray,
@@ -357,11 +394,12 @@ def total_loss(teacher: Model, student: Model, xs: Tensor, ys: np.ndarray,
     if not (0.0 <= beta <= 1.0):
         raise ParameterError(f"beta must be in [0, 1], got {beta}")
     tda, da_parts = teacher_da_loss(teacher, xs, ys, xt, kernel, weights)
-    tkd = target_kd_loss(student, teacher, xt, weights)
-    skd, _ = source_kd_loss(student, teacher, xs, ys, weights)
+    soft_s, soft_t = soft_targets(teacher, weights.tau, xs.values, xt.values)
+    tkd = target_kd_loss(student, soft_t, xt, weights)
+    skd, _ = source_kd_loss(student, soft_s, xs, ys, weights)
     combined = ad.add(ad.scalar_multiply(tda, 1.0 - beta),
                       ad.scalar_multiply(ad.add(tkd, skd), beta))
     report = LossReport(
-        mmd=da_parts["mmd"], tda=tda.item(), tkd=tkd.item(), skd=skd.item(),
+        mmd=float(da_parts["mmd"]), tda=tda.item(), tkd=tkd.item(), skd=skd.item(),
         total=combined.item(), beta=float(beta), gamma=weights.gamma)
     return combined, report

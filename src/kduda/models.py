@@ -5,6 +5,10 @@ layer. features() returns the activation after the last hidden layer; the
 head is the final linear layer alone, so logits(x) is head(features(x)) on
 the same graph nodes. The alignment losses operate on features, the
 classification losses on logits.
+
+stack() joins S models of one shape into a model whose parameters carry a
+leading axis of length S; it takes inputs with the same leading axis, and
+cell s of each output is what model s gives on its own inputs.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ class Model:
     Parameter arrays are owned by the model and updated in place by the
     optimizer. Binding to a graph creates leaf tensors that wrap the live
     arrays, so a model bound to a fresh graph always sees current values.
+    A stacked model's weights are (S, fan_in, fan_out) and its biases
+    (S, fan_out); its spec is that of its first member.
     """
 
     def __init__(self, spec: ModelSpec, weights: list[np.ndarray], biases: list[np.ndarray]):
@@ -64,6 +70,18 @@ class Model:
         for w, b in zip(self.weights, self.biases):
             out.extend((w, b))
         return out
+
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """() for one model, (S,) for a stack of S."""
+        return self.biases[0].shape[:-1]
+
+    def _check_input(self, shape: tuple[int, ...]):
+        if (len(shape) < 2 or shape[:-2] != self.stack_shape
+                or shape[-1] != self.spec.input_dim):
+            expected = ", ".join([*map(str, self.stack_shape), "n",
+                                  str(self.spec.input_dim)])
+            raise ShapeError(f"expected input of shape ({expected}), got {shape}")
 
     def copy(self) -> "Model":
         return Model(self.spec,
@@ -104,10 +122,7 @@ class Model:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        if x.values.ndim != 2 or x.values.shape[1] != self.spec.input_dim:
-            raise ShapeError(
-                f"expected input of shape (n, {self.spec.input_dim}), "
-                f"got {x.values.shape}")
+        self._check_input(x.values.shape)
         h = x
         for i in range(len(self.weights) - 1):
             h = ad.linear(h, leaves[2 * i], leaves[2 * i + 1], relu=True)
@@ -130,16 +145,14 @@ class Model:
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise ShapeError(
-                f"expected input of shape (n, {self.spec.input_dim}), got {x.shape}")
+        self._check_input(x.shape)
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             h = h @ w
-            h += b
+            h += b[..., None, :]
             np.maximum(h, 0.0, out=h)
         out = h @ self.weights[-1]
-        out += self.biases[-1]
+        out += self.biases[-1][..., None, :]
         return out
 
 
@@ -152,6 +165,17 @@ def build(spec: ModelSpec) -> Model:
         weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return Model(spec, weights, biases)
+
+
+def stack(models: list[Model]) -> Model:
+    """One model training S models of one shape together: every parameter
+    is the members' parameters stacked along a new leading axis."""
+    first = models[0].spec
+    if any(m.spec.layer_dims() != first.layer_dims() or m.stack_shape
+           for m in models):
+        raise ShapeError("stack needs unstacked models of one shape")
+    return Model(first, [np.stack(ws) for ws in zip(*(m.weights for m in models))],
+                 [np.stack(bs) for bs in zip(*(m.biases for m in models))])
 
 
 def count_complexity(spec: ModelSpec) -> tuple[int, int]:

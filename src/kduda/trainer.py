@@ -4,22 +4,31 @@ each a table of phases (`SCENARIOS`) run by one epoch driver.
 The joint phase alternates two optimizer steps per paired batch. First the
 big model takes a domain-adaptation step on (1 - beta) times its alignment
 loss; then, with its just-updated parameters, it produces fresh soft targets
-and the small model takes a distillation step on beta times the two distill
-terms. References: adapt-only on the small model, supervised-then-distill
--then-adapt (three phases), adapt-the-big-model-then-distill (two phases,
-distillation without labels), and supervised source training of both.
+on both domains in one graph-free forward, and the small model takes a
+distillation step on beta times the two distill terms. References:
+adapt-only on the small model, supervised-then-distill-then-adapt (three
+phases), adapt-the-big-model-then-distill (two phases, distillation without
+labels), and supervised source training of both.
 
 Clocks: beta (refreshed once per epoch) and gamma follow the run's global
 epoch. Every phase starts with fresh optimizers; an adaptation or supervised
 one decays exponentially from lr_da toward lr_da_final_fraction of it over
 the phase's own epochs, a distillation one keeps lr_kd.
+
+Stacks: the cells of one config and scenario that differ only in seed run
+the same ops on different numbers, so they train as one stack. Their models
+are stacked (models.stack), their pairs too (data.stack_pairs), cfg.seed
+holds one batch-order seed per cell, and every step runs one graph whose
+loss holds one value per cell. Each cell's numbers equal those of its own
+run bit for bit; TrainLog.cells splits the log. Models and a pair without
+the leading axis are one cell, trained by the same code.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,9 +37,9 @@ from .autodiff import Graph
 from .data import DomainPair, batches
 from .errors import NumericalAbort, ParameterError, ShapeError
 from .losses import (BetaSchedule, KernelConfig, LossWeights, beta_at,
-                     cross_entropy, gamma_at, source_kd_loss, target_kd_loss,
-                     teacher_da_loss)
-from .models import Model
+                     cross_entropy, gamma_at, soft_targets, source_kd_loss,
+                     target_kd_loss, teacher_da_loss)
+from .models import Model, ModelSpec, count_complexity
 
 CSV_COLUMNS = ("epoch", "beta", "gamma", "L_mmd", "L_tda", "L_tkd", "L_skd",
                "L_total", "teacher_src_acc", "teacher_tgt_acc",
@@ -62,7 +71,7 @@ class TrainConfig:
     lr_da_decay: str = "exponential"
     lr_da_final_fraction: float = 0.01
     eval_every: int = 1
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0  # orders the batches; one per stacked cell
     scale_kd_by_tau_sq: bool = True
     beta_override: float | None = None
     kernel: KernelConfig = field(default_factory=KernelConfig)
@@ -121,6 +130,9 @@ class TrainConfig:
 
 @dataclass
 class EpochRecord:
+    """One epoch's log row; in a stacked run's log each loss and accuracy
+    holds one value per cell."""
+
     epoch: int
     beta: float
     gamma: float
@@ -153,6 +165,26 @@ class TrainLog:
             raise ParameterError("empty training log")
         return self.records[-1]
 
+    def cells(self) -> list["TrainLog"]:
+        """One log per cell of a stacked run, in stack order, each with an
+        equal share of every epoch's seconds; a one-cell log gives itself."""
+        stack = np.shape(self.final().l_total)
+        if not stack:
+            return [self]
+        share = int(np.prod(stack))
+        names = [f.name for f in fields(EpochRecord)[1:-1]]
+        out = []
+        for cell in np.ndindex(stack):
+            log = TrainLog(phase_boundaries=list(self.phase_boundaries))
+            for rec in self.records:
+                log.records.append(EpochRecord(
+                    rec.epoch,
+                    *(np.broadcast_to(getattr(rec, name), stack)[cell]
+                      for name in names),
+                    rec.seconds / share))
+            out.append(log)
+        return out
+
     def to_csv(self, path: str):
         with open(path, "w") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
@@ -178,7 +210,8 @@ class OptimizerState:
 
 def sgd_step(params: list[np.ndarray], grads: list[np.ndarray],
              state: OptimizerState):
-    """v <- momentum v + g; p <- p - lr v; grads are zeroed afterwards."""
+    """v <- momentum v + g; p <- p - lr v, elementwise, so a stack's cells
+    step independently. The gradients are only read."""
     if len(params) != len(grads) or len(params) != len(state.velocities):
         raise ShapeError(
             f"sgd_step: {len(params)} params, {len(grads)} grads, "
@@ -190,7 +223,6 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray],
         v *= state.momentum
         v += g
         p -= state.lr * v
-        g[...] = 0.0
 
 
 def lr_at(initial: float, epoch: int, epochs: int, final_fraction: float,
@@ -203,30 +235,33 @@ def lr_at(initial: float, epoch: int, epochs: int, final_fraction: float,
 # -- evaluation -------------------------------------------------------------------
 
 
-def evaluate(model: Model, x: np.ndarray, y_true: np.ndarray) -> float:
-    """Accuracy of argmax predictions; argmax takes the lowest index on ties."""
+def evaluate(model: Model, x: np.ndarray, y_true: np.ndarray):
+    """Accuracy of argmax predictions, one per stacked cell; argmax takes
+    the lowest index on ties."""
     y_true = np.asarray(y_true)
-    if x.shape[0] != y_true.shape[0]:
+    if x.shape[:-1] != y_true.shape:
         raise ShapeError(
-            f"evaluate: {x.shape[0]} inputs but {y_true.shape[0]} labels")
-    preds = np.argmax(model.predict_logits(x), axis=1)
-    return float(np.mean(preds == y_true))
+            f"evaluate: inputs {x.shape} do not match labels {y_true.shape}")
+    preds = np.argmax(model.predict_logits(x), axis=-1)
+    return np.mean(preds == y_true, axis=-1)
 
 
 # -- steps -------------------------------------------------------------------------
 #
 # step(trained, teacher, batch, cfg, weights, beta, epoch) trains the
 # phase's (model, optimizer) pairs on one batch (xs, ys, xt) and returns its
-# (mmd, tda, tkd, skd, total) as floats. Each graph lives in a function that
-# returns only floats, so it is freed on return and at most one is alive.
+# (mmd, tda, tkd, skd, total), each a float or one value per stacked cell.
+# Each graph lives in a function that returns only arrays, so it is freed
+# on return and at most one is alive. A graph's stack is the labels' shape
+# without the row axis.
 
 
 def _descend(model: Model, opt: OptimizerState, objective, epoch: int,
              **terms: float):
-    """Abort on a non-finite term, else backpropagate objective and take
-    one optimizer step on model."""
+    """Abort on a term that is not finite in some cell, else backpropagate
+    objective and take one optimizer step on model."""
     for term, value in terms.items():
-        if not np.isfinite(value):
+        if not np.isfinite(value).all():
             raise NumericalAbort(f"{term} is not finite at epoch {epoch}")
     objective.backward()
     sgd_step(model.parameters(), model.bound_gradients(), opt)
@@ -238,10 +273,10 @@ def _adapt_step(trained, teacher, batch, cfg, weights, beta, epoch,
     given."""
     model, opt = trained[0]
     xs, ys, xt = batch
-    graph = Graph()
+    graph = Graph(ys.shape[:-1])
     tda, parts = teacher_da_loss(model, graph.tensor(xs), ys, graph.tensor(xt),
                                  cfg.kernel, weights)
-    mmd, tda_val = parts["mmd"], tda.item()
+    mmd, tda_val = parts["mmd"], tda.values
     _descend(model, opt, tda if scale is None else ad.scalar_multiply(tda, scale),
              epoch, L_mmd=mmd, L_tda=tda_val)
     return mmd, tda_val, 0.0, 0.0, tda_val
@@ -249,16 +284,18 @@ def _adapt_step(trained, teacher, batch, cfg, weights, beta, epoch,
 
 def _joint_step(trained, teacher, batch, cfg, weights, beta, epoch):
     """Adapt the teacher on (1 - beta) of its loss, then distill the student
-    on beta times both distillation terms from the just-updated teacher."""
+    on beta times both distillation terms from the just-updated teacher,
+    whose soft targets on both domains come from one forward."""
     mmd, tda, _, _, _ = _adapt_step(trained, teacher, batch, cfg, weights,
                                     beta, epoch, scale=1.0 - beta)
     student, opt = trained[1]
     xs_np, ys, xt_np = batch
-    graph = Graph()
+    graph = Graph(ys.shape[:-1])
     xs, xt = graph.tensor(xs_np), graph.tensor(xt_np)
-    tkd = target_kd_loss(student, teacher, xt, weights)
-    skd, _ = source_kd_loss(student, teacher, xs, ys, weights)
-    tkd_val, skd_val = tkd.item(), skd.item()
+    soft_s, soft_t = soft_targets(teacher, weights.tau, xs_np, xt_np)
+    tkd = target_kd_loss(student, soft_t, xt, weights)
+    skd, _ = source_kd_loss(student, soft_s, xs, ys, weights)
+    tkd_val, skd_val = tkd.values, skd.values
     total = (1.0 - beta) * tda + beta * (tkd_val + skd_val)
     _descend(student, opt, ad.scalar_multiply(ad.add(tkd, skd), beta), epoch,
              L_tkd=tkd_val, L_skd=skd_val, L_total=total)
@@ -267,11 +304,11 @@ def _joint_step(trained, teacher, batch, cfg, weights, beta, epoch):
 
 def _source_ce(model: Model, opt: OptimizerState, batch, epoch: int) -> float:
     """One supervised step on model; returns its source cross-entropy."""
-    graph = Graph()
+    graph = Graph(batch[1].shape[:-1])
     ce = cross_entropy(
         ad.softmax_temperature(model.logits(graph.tensor(batch[0])), 1.0),
         batch[1])
-    ce_val = ce.item()
+    ce_val = ce.values
     _descend(model, opt, ce, epoch, L_tda=ce_val)
     return ce_val
 
@@ -286,10 +323,11 @@ def _supervised_step(trained, teacher, batch, cfg, weights, beta, epoch):
 def _source_kd_step(trained, teacher, batch, cfg, weights, beta, epoch):
     """Labeled-source distillation into the student, unscaled."""
     (student, opt), = trained
-    graph = Graph()
-    skd, _ = source_kd_loss(student, teacher, graph.tensor(batch[0]), batch[1],
+    graph = Graph(batch[1].shape[:-1])
+    soft_s, = soft_targets(teacher, weights.tau, batch[0])
+    skd, _ = source_kd_loss(student, soft_s, graph.tensor(batch[0]), batch[1],
                             weights)
-    skd_val = skd.item()
+    skd_val = skd.values
     _descend(student, opt, skd, epoch, L_skd=skd_val)
     return 0.0, 0.0, 0.0, skd_val, skd_val
 
@@ -297,9 +335,10 @@ def _source_kd_step(trained, teacher, batch, cfg, weights, beta, epoch):
 def _target_kd_step(trained, teacher, batch, cfg, weights, beta, epoch):
     """Label-free target distillation into the student, unscaled."""
     (student, opt), = trained
-    graph = Graph()
-    tkd = target_kd_loss(student, teacher, graph.tensor(batch[2]), weights)
-    tkd_val = tkd.item()
+    graph = Graph(batch[1].shape[:-1])
+    soft_t, = soft_targets(teacher, weights.tau, batch[2])
+    tkd = target_kd_loss(student, soft_t, graph.tensor(batch[2]), weights)
+    tkd_val = tkd.values
     _descend(student, opt, tkd, epoch, L_tkd=tkd_val)
     return 0.0, 0.0, tkd_val, 0.0, tkd_val
 
@@ -340,25 +379,80 @@ SCENARIOS: dict[str, tuple[Phase, ...]] = {
 }
 
 
+# Rough cost of one batch of each step, for ranking stacks against each
+# other: (tape ops, multiply-accumulates per batch row and cell), from the
+# (layers, MACs) of each trained model in phase order and of the teacher. A
+# graph step's products cost three forwards: the forward and two adjoints.
+# The kernel-bank loss counts as 30 ops: its distance blocks, kernels and
+# bandwidth median are heavier than a layer.
+_STEP_COST = {
+    _adapt_step: lambda trained, t: (2 * trained[0][0] + 30, 6 * trained[0][1]),
+    _joint_step: lambda trained, t: (2 * (t[0] + trained[1][0]) + 39,
+                                     6 * (t[1] + trained[1][1]) + 2 * t[1]),
+    _supervised_step: lambda trained, t: (sum(n + 2 for n, _ in trained),
+                                          sum(3 * m for _, m in trained)),
+    _source_kd_step: lambda trained, t: (trained[0][0] + 6,
+                                         3 * trained[0][1] + t[1]),
+    _target_kd_step: lambda trained, t: (trained[0][0] + 2,
+                                         3 * trained[0][1] + t[1]),
+}
+# seconds per tape op and per multiply-accumulate, fitted to 20-epoch
+# stacks of every scenario at 2 and 5 seeds on the headline models (2 vCPU,
+# one BLAS thread), which it then estimates within about 20%
+_OP_S, _MAC_S = 27e-6, 1.2e-10
+
+
+def _phase_epochs(scenario: str, epochs: int):
+    """(phase, first epoch, epoch count) of each phase of a scenario; the
+    last phase takes the epochs the others leave."""
+    phases = SCENARIOS[scenario]
+    start = 0
+    for i, phase in enumerate(phases):
+        count = epochs - start if i == len(phases) - 1 else epochs // phase.share
+        yield phase, start, count
+        start += count
+
+
+def estimate_seconds(scenario: str, teacher: ModelSpec, student: ModelSpec,
+                     rows: int, cfg: TrainConfig, cells: int) -> float:
+    """Rough CPU seconds to train a stack of `cells` cells of scenario with
+    `rows` source rows each: per batch a fixed cost per tape op and a cost
+    per multiply-accumulate of every cell, and per epoch the trained
+    models' evaluations on both domains. Good for ranking stacks only."""
+    sizes = {role: (len(spec.hidden_widths) + 1, count_complexity(spec)[1])
+             for role, spec in (("teacher", teacher), ("student", student))}
+    steps = -(-rows // cfg.batch_size)
+    total = 0.0
+    for phase, _, count in _phase_epochs(scenario, cfg.epochs):
+        trained = [sizes[role] for role, _ in phase.trains]
+        ops, macs = _STEP_COST[phase.step](trained, sizes["teacher"])
+        evals = 2 * rows * sum(m for _, m in trained)
+        total += count * (steps * _OP_S * ops
+                          + cells * _MAC_S * (rows * macs + evals))
+    return total
+
+
 def _run_phases(scenario: str, teacher: Model | None, student: Model,
                 pair: DomainPair, cfg: TrainConfig) -> TrainLog:
-    """Run a scenario's phases back to back over cfg.epochs epochs."""
+    """Run a scenario's phases back to back over cfg.epochs epochs, on one
+    cell or on a stack of them."""
     if teacher is not None and teacher.spec.num_classes != student.spec.num_classes:
         raise ShapeError(
             f"class counts differ: teacher {teacher.spec.num_classes}, "
             f"student {student.spec.num_classes}")
+    stack = pair.xs.shape[:-2]
     models = {"teacher": teacher, "student": student}
-    phases = SCENARIOS[scenario]
+    for role, model in models.items():
+        if model is not None and model.stack_shape != stack:
+            raise ShapeError(f"{role} stack {model.stack_shape} does not match "
+                             f"the pair's {stack}")
     log = TrainLog()
     # (source, target) accuracy of each model, refreshed on eval epochs only
     # and only for a model trained since its last evaluation: another
     # evaluation of unchanged parameters would repeat them bit for bit
-    accs = {role: (float("nan"),) * 2 for role in models}
+    accs = {role: (np.full(stack, np.nan),) * 2 for role in models}
     stale = {role for role, model in models.items() if model is not None}
-    start = 0
-    for i, phase in enumerate(phases):
-        count = (cfg.epochs - start if i == len(phases) - 1
-                 else cfg.epochs // phase.share)
+    for phase, start, count in _phase_epochs(scenario, cfg.epochs):
         log.phase_boundaries.append((phase.name, start))
         trained = [(models[role], OptimizerState.for_params(
                         models[role].parameters(), getattr(cfg, rate), cfg.momentum))
@@ -374,10 +468,12 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
                 opt.lr = lr_at(cfg.lr_da, k, count, cfg.lr_da_final_fraction,
                                cfg.lr_da_decay)
             batch_list = batches(pair, cfg.batch_size, epoch, cfg.seed)
-            sums = np.zeros(5)  # mmd, tda, tkd, skd, total
+            sums = np.zeros((5,) + stack)  # mmd, tda, tkd, skd, total
             for batch in batch_list:
-                sums += phase.step(trained, teacher, batch, cfg, weights, beta,
+                terms = phase.step(trained, teacher, batch, cfg, weights, beta,
                                    epoch)
+                for i, term in enumerate(terms):
+                    sums[i] += term
             stale.update(role for role, _ in phase.trains)
             if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
                 for role in stale:
@@ -387,7 +483,6 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
             log.records.append(EpochRecord(
                 epoch, beta, weights.gamma, *(sums / len(batch_list)),
                 *accs["teacher"], *accs["student"], time.perf_counter() - tic))
-        start += count
     return log
 
 

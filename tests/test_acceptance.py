@@ -31,6 +31,7 @@ from kduda.losses import (
     cross_entropy,
     distill_kl,
     mmd_squared,
+    soft_targets,
     softmax_np,
     source_kd_loss,
     target_kd_loss,
@@ -126,16 +127,17 @@ def test_criterion_1_gradient_correctness():
     teacher = build(ModelSpec(3, (4,), 3, seed=11))
     student = build(ModelSpec(3, (4,), 3, seed=12))
 
+    soft_s, soft_t = soft_targets(teacher, w.tau, xs, xt)
     errors["target_kd"] = _model_grad_error(
         student,
-        lambda: target_kd_loss(student, teacher, ad.Graph().tensor(xt), w).item(),
-        lambda g: target_kd_loss(student, teacher, g.tensor(xt), w))
+        lambda: target_kd_loss(student, soft_t, ad.Graph().tensor(xt), w).item(),
+        lambda g: target_kd_loss(student, soft_t, g.tensor(xt), w))
 
     errors["source_kd"] = _model_grad_error(
         student,
-        lambda: source_kd_loss(student, teacher, ad.Graph().tensor(xs), ys,
+        lambda: source_kd_loss(student, soft_s, ad.Graph().tensor(xs), ys,
                                w)[0].item(),
-        lambda g: source_kd_loss(student, teacher, g.tensor(xs), ys, w)[0])
+        lambda g: source_kd_loss(student, soft_s, g.tensor(xs), ys, w)[0])
 
     def da_on(graph):
         return teacher_da_loss(teacher, graph.tensor(xs), ys, graph.tensor(xt),
@@ -226,10 +228,11 @@ def test_criterion_4_distillation_fixed_point():
     ys = rng.integers(0, 3, size=6)
     w = LossWeights(tau=20.0, alpha=0.0)
 
+    soft_s, soft_t = soft_targets(teacher, w.tau, xs, xt)
     g = ad.Graph()
-    tkd = abs(target_kd_loss(student, teacher, g.tensor(xt), w).item())
+    tkd = abs(target_kd_loss(student, soft_t, g.tensor(xt), w).item())
     g2 = ad.Graph()
-    skd = abs(source_kd_loss(student, teacher, g2.tensor(xs), ys, w)[0].item())
+    skd = abs(source_kd_loss(student, soft_s, g2.tensor(xs), ys, w)[0].item())
 
     kl_min = math.inf
     for _ in range(1000):

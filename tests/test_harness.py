@@ -287,14 +287,14 @@ class TestConfigHash:
 class TestRunSingle:
     def test_source_only_fills_both_model_columns(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        log, result = run_single(cfg, "source_only", 0)
+        (log, result), = run_single(cfg, "source_only", (0,))
         assert not math.isnan(result.student_src_acc)
         assert not math.isnan(result.teacher_src_acc)
         assert len(log.records) == cfg.train.epochs
 
     def test_result_carries_complexity_counts(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        _, result = run_single(cfg, "joint", 1)
+        (_, result), = run_single(cfg, "joint", (1,))
         assert (result.student_params, result.student_macs) == \
             count_complexity(cfg.student_spec(1))
         assert (result.teacher_params, result.teacher_macs) == \
@@ -303,7 +303,7 @@ class TestRunSingle:
 
     def test_unknown_scenario(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown scenario"):
-            run_single(tiny_cfg(tmp_path), "warmup", 0)
+            run_single(tiny_cfg(tmp_path), "warmup", (0,))
 
     @pytest.mark.parametrize("scenario", harness.VALID_SCENARIOS)
     def test_procedure_is_looked_up_when_the_cell_runs(self, tmp_path,
@@ -318,7 +318,7 @@ class TestRunSingle:
             return real(*args)
 
         monkeypatch.setattr(trainer, name, wrapper)
-        run_single(tiny_cfg(tmp_path), scenario, 0)
+        run_single(tiny_cfg(tmp_path), scenario, (0, 1))
         assert calls == [3 if scenario == "uda_only" else 4]
 
 
@@ -384,7 +384,7 @@ class TestOneStudent:
 
     def test_training_entry_points_reject_two_students(self, tmp_path):
         cfg = self.two_students(tmp_path)
-        for call in (lambda: run_single(cfg, "joint", 0),
+        for call in (lambda: run_single(cfg, "joint", (0,)),
                      lambda: run_experiment(cfg),
                      lambda: sweep_sizes(cfg, [8], [4])):
             with pytest.raises(ConfigError, match="lists 2 students"):
@@ -725,27 +725,27 @@ class TestParallelCells:
                        grid_outputs(out))
         assert rows[1] == rows[2]
 
+    # the grid is two stacks, joint and uda_only, at seeds 0-2; the joint
+    # stack has the longer estimate, so it goes to the caller
     @pytest.mark.parametrize("n,forks,caller_cells", [
-        (1, True, [("joint", 0), ("joint", 1), ("joint", 2),
-                   ("uda_only", 0), ("uda_only", 1), ("uda_only", 2)]),
-        (2, True, [("joint", 0), ("joint", 2), ("uda_only", 1)]),
-        (3, True, [("joint", 0), ("uda_only", 0)]),
-        (2, False, [("joint", 0), ("joint", 1), ("joint", 2),
-                    ("uda_only", 0), ("uda_only", 1), ("uda_only", 2)]),
+        (1, True, [("joint", (0, 1, 2)), ("uda_only", (0, 1, 2))]),
+        (2, True, [("joint", (0, 1, 2))]),
+        (3, True, [("joint", (0, 1, 2))]),  # no more processes than stacks
+        (2, False, [("joint", (0, 1, 2)), ("uda_only", (0, 1, 2))]),
     ])
     def test_the_caller_runs_share_zero(self, tmp_path, monkeypatch, workers,
                                         n, forks, caller_cells):
-        # cells a forked worker runs are recorded in the worker's copy of
-        # the list, so the caller's list holds only the cells it ran
+        # stacks a forked worker runs are recorded in the worker's copy of
+        # the list, so the caller's list holds only the stacks it ran
         workers(n)
         if not forks:
             monkeypatch.delattr(harness.os, "fork")
         ran_here = []
         real = harness.run_single
 
-        def recording(cfg, scenario, seed):
-            ran_here.append((scenario, seed))
-            return real(cfg, scenario, seed)
+        def recording(cfg, scenario, seeds):
+            ran_here.append((scenario, tuple(seeds)))
+            return real(cfg, scenario, seeds)
 
         monkeypatch.setattr(harness, "run_single", recording)
         results = run_experiment(tiny_cfg(tmp_path / "runs"))
@@ -753,8 +753,8 @@ class TestParallelCells:
         assert len(results) == 6
 
     @pytest.mark.parametrize("failures,expected,written", [
-        # uda_only seed 0 (cell 3) fails in the worker before the caller's
-        # uda_only seed 1 (cell 4) does
+        # uda_only seed 0 (cell 3) fails in the worker's stack, whose rerun
+        # stops there, before uda_only seed 1 (cell 4) is reached
         ({("uda_only", 0): ParameterError("cell 3 failed"),
           ("uda_only", 1): NumericalAbort("cell 4 failed")},
          (ParameterError, "cell 3 failed"),
@@ -769,10 +769,12 @@ class TestParallelCells:
                                      failures, expected, written):
         real = harness.run_single
 
-        def failing(cfg, scenario, seed):
-            if (scenario, seed) in failures:
-                raise failures[(scenario, seed)]
-            return real(cfg, scenario, seed)
+        def failing(cfg, scenario, seeds):
+            # a stack fails with the error of its first failing cell
+            for seed in seeds:
+                if (scenario, seed) in failures:
+                    raise failures[(scenario, seed)]
+            return real(cfg, scenario, seeds)
 
         monkeypatch.setattr(harness, "run_single", failing)
         cfg = tiny_cfg(tmp_path)
@@ -808,20 +810,21 @@ class TestParallelCells:
         caller = os.getpid()
         real = harness.run_single
 
-        def dying(cfg, scenario, seed):
-            if (scenario, seed) == ("uda_only", 0) and os.getpid() != caller:
+        def dying(cfg, scenario, seeds):
+            if scenario == "uda_only" and 0 in seeds and os.getpid() != caller:
                 os._exit(3)
-            return real(cfg, scenario, seed)
+            return real(cfg, scenario, seeds)
 
         monkeypatch.setattr(harness, "run_single", dying)
         cfg = tiny_cfg(tmp_path / "runs")
         with pytest.raises(KdudaError, match="worker process died running "
-                           "cells joint seed 1, uda_only seed 0, "
+                           "cells uda_only seed 0, uda_only seed 1, "
                            "uda_only seed 2"):
             run_experiment(cfg)
-        # the dead worker's share starts at cell 1, so only cell 0 is written
-        assert os.listdir(tmp_path / "runs") == [
-            f"{cfg.config_hash()}_joint_seed0.csv"]
+        # the dead worker's share starts at cell 3, so cells 0-2 are written
+        tag = cfg.config_hash()
+        assert sorted(os.listdir(tmp_path / "runs")) == [
+            f"{tag}_joint_seed{k}.csv" for k in range(3)]
 
         path = tmp_path / "exp.cfg"
         path.write_text(
@@ -830,6 +833,125 @@ class TestParallelCells:
             + f"experiment.output_dir = {tmp_path / 'cli'}\n")
         assert main(["scenarios", "--config", str(path)]) == 1
         assert "worker process died" in capsys.readouterr().err
+
+
+def scenario_grid_cfg(tmp_path, seeds="0, 1", epochs=20):
+    with open(SCENARIO_GRID) as fh:
+        text = fh.read()
+    assert "train.epochs = 20\n" in text
+    return parse_config(text.replace("train.epochs = 20\n", f"train.epochs = {epochs}\n")
+                        + f"experiment.seeds = {seeds}\n"
+                        + f"experiment.output_dir = {tmp_path}\n")
+
+
+class TestStackAssignment:
+    def test_scenario_grid_splits_by_estimate(self, tmp_path):
+        cfg = scenario_grid_cfg(tmp_path)
+        stacks = [(cfg, scenario, cfg.seeds) for scenario in cfg.scenarios]
+        costs = {scenario: harness._stack_seconds(cfg, scenario, cfg.seeds)
+                 for scenario in cfg.scenarios}
+        assert max(costs, key=costs.get) == "joint"
+        shares = harness._assign_stacks(stacks, 2)
+        assert shares == harness._assign_stacks(stacks, 2)  # config alone
+        assert sorted(i for share in shares for i in share) == list(range(5))
+        assert all(share == sorted(share) for share in shares)
+        assert 0 in shares[0]  # the longest stack goes to the caller
+        # jobs[i::2] would give one process joint, kd_then_uda and
+        # source_only, the three longest cells
+        assert [0, 2, 4] not in shares
+        loads = [sum(costs[cfg.scenarios[i]] for i in share) for share in shares]
+        assert abs(loads[0] - loads[1]) <= min(costs.values())
+
+    def test_criterion_7_sweep_puts_one_teacher_width_on_each_process(self):
+        cfg = ExperimentConfig(train=TrainConfig(epochs=100))
+        stacks = [(replace(cfg, teacher_hidden=teacher_hidden_for(tw),
+                           student_hidden=(student_hidden_for(16),)),
+                   "joint", cfg.seeds) for tw in (32, 128)]
+        small, large = (harness._stack_seconds(*job) for job in stacks)
+        assert large > small
+        assert harness._assign_stacks(stacks, 2) == [[1], [0]]
+        assert harness._assign_stacks(stacks, 1) == [[0, 1]]
+
+    def test_estimates_grow_with_seeds_and_epochs(self):
+        cfg = ExperimentConfig(train=TrainConfig(epochs=20))
+        longer = replace(cfg, train=TrainConfig(epochs=40))
+        for scenario in harness.VALID_SCENARIOS:
+            one = harness._stack_seconds(cfg, scenario, (0,))
+            assert 0 < one < harness._stack_seconds(cfg, scenario, (0, 1))
+            assert one < harness._stack_seconds(longer, scenario, (0,))
+
+
+@pytest.fixture
+def single_cells(monkeypatch):
+    """single_cells() makes every stack train its cells one at a time, as
+    separate runs without a stack axis."""
+    real = harness.run_single
+
+    def one_by_one(cfg, scenario, seeds):
+        return [cell for seed in seeds for cell in real(cfg, scenario, (seed,))]
+
+    return lambda: monkeypatch.setattr(harness, "run_single", one_by_one)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+class TestStacksMatchSingleCells:
+    """Stacked training writes the bytes of one-cell-at-a-time training:
+    every epoch CSV but its seconds column, summaries and sweep rows."""
+
+    def _outputs(self, run, out, workers, n):
+        workers(n)
+        result = run(str(out))
+        return result, grid_outputs(out)
+
+    @pytest.mark.parametrize("source", ["scenario_grid", "criterion_9"])
+    def test_scenario_grids(self, tmp_path, workers, single_cells, source):
+        if source == "scenario_grid":
+            # the workload's data and models at seeds 0-4, on fewer epochs
+            cfg = scenario_grid_cfg(tmp_path, "0, 1, 2, 3, 4", epochs=6)
+        else:
+            cfg = tiny_cfg(tmp_path, seeds=(0, 1))
+
+        def run(out):
+            return [(r.scenario, r.seed, repr(r.student_tgt_acc),
+                     repr(r.teacher_tgt_acc))
+                    for r in run_experiment(replace(cfg, output_dir=out))]
+
+        stacked = self._outputs(run, tmp_path / "stacked", workers, 2)
+        single_cells()
+        single = self._outputs(run, tmp_path / "single", workers, 1)
+        assert len(single[1]) == len(cfg.scenarios) * len(cfg.seeds) + 1
+        assert stacked == single
+
+    def test_sweep(self, tmp_path, workers, single_cells):
+        cfg = tiny_cfg(tmp_path)
+
+        def run(out):
+            return sweep_sizes(replace(cfg, output_dir=out), [4, 8], [2, 4])
+
+        stacked = self._outputs(run, tmp_path / "stacked", workers, 2)
+        single_cells()
+        assert stacked == self._outputs(run, tmp_path / "single", workers, 1)
+
+    def test_a_diverging_seed_fails_as_in_a_single_cell_run(
+            self, tmp_path, workers, single_cells):
+        # at this rate uda_only goes non-finite at seed 5 but not at seed 4,
+        # and joint at seed 4: each stack fails, and the reruns one cell at
+        # a time write uda_only seed 4 before uda_only seed 5 raises
+        cfg = tiny_cfg(tmp_path, scenarios=("uda_only", "joint"), seeds=(4, 5, 6),
+                       train=TrainConfig(epochs=3, batch_size=30, tau=4.0,
+                                         lr_da=1e154, lr_kd=1e154))
+        tag = cfg.config_hash()
+        outcomes = []
+        for n, single in ((1, False), (2, False), (1, True)):
+            if single:
+                single_cells()
+            workers(n)
+            out = tmp_path / f"run{len(outcomes)}"
+            with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as info:
+                run_experiment(replace(cfg, output_dir=str(out)))
+            outcomes.append((str(info.value), grid_outputs(out)))
+        assert sorted(outcomes[0][1]) == [f"{tag}_uda_only_seed4.csv"]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 # -- allocator settings ---------------------------------------------------------
@@ -920,7 +1042,7 @@ class TestHeapSettings:
         library = COUNT_MALLOPT_LOOKUPS + (
             "import kduda, kduda.cli\n"
             "from kduda.harness import load_config, run_single\n"
-            "run_single(load_config(sys.argv[1]), 'joint', 0)\n"
+            "run_single(load_config(sys.argv[1]), 'joint', (0,))\n"
             "print(len(lookups))\n")
         program = COUNT_MALLOPT_LOOKUPS + (
             "from kduda import cli\n"

@@ -18,6 +18,7 @@ from kduda.losses import (
     gamma_at,
     mmd_squared,
     softmax_np,
+    soft_targets,
     source_kd_loss,
     target_kd_loss,
     teacher_da_loss,
@@ -80,6 +81,11 @@ def sqdist_blocks(fs, ft):
     def d(a, b):
         return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
     return d(fs, fs), d(ft, ft), d(fs, ft)
+
+
+def soft(teacher, x, tau):
+    """The teacher's soft targets on x alone."""
+    return soft_targets(teacher, tau, x)[0]
 
 
 def old_resolve(kernel, d_ss, d_tt, d_st):
@@ -148,17 +154,17 @@ class TestKernelConfig:
         kc = KernelConfig()
         fs = np.array([[0.0, 0.0]])
         ft = np.array([[3.0, 4.0]])
-        assert kc.resolve(*sqdist_blocks(fs, ft)) == (1.25, 2.5, 5.0, 10.0, 20.0)
+        assert tuple(kc.resolve(*sqdist_blocks(fs, ft))) == (1.25, 2.5, 5.0, 10.0, 20.0)
 
     def test_fixed_mode_passthrough(self):
         kc = KernelConfig(mode="fixed", bandwidths=(0.5, 2.0))
-        assert kc.resolve(*sqdist_blocks(np.zeros((2, 3)), np.ones((2, 3)))) == (0.5, 2.0)
+        assert tuple(kc.resolve(*sqdist_blocks(np.zeros((2, 3)), np.ones((2, 3))))) == (0.5, 2.0)
 
     def test_degenerate_batch_falls_back_to_unit_bandwidth(self):
         kc = KernelConfig()
         fs = np.zeros((2, 2))
         ft = np.zeros((3, 2))
-        assert kc.resolve(*sqdist_blocks(fs, ft)) == (0.25, 0.5, 1.0, 2.0, 4.0)
+        assert tuple(kc.resolve(*sqdist_blocks(fs, ft))) == (0.25, 0.5, 1.0, 2.0, 4.0)
 
     @pytest.mark.parametrize("rows_s,rows_t,width,seed",
                              [(1, 1, 1, 0), (4, 7, 3, 1), (32, 32, 16, 2),
@@ -173,7 +179,7 @@ class TestKernelConfig:
                   ad.pairwise_sqdist(a, b).values)
         np.testing.assert_allclose(KernelConfig().resolve(*blocks),
                                    pooled_median_bandwidths(fs, ft), rtol=1e-12)
-        assert KernelConfig().resolve(*blocks) == old_resolve(KernelConfig(), *blocks)
+        assert tuple(KernelConfig().resolve(*blocks)) == old_resolve(KernelConfig(), *blocks)
 
     @settings(max_examples=150, deadline=None)
     @given(rows_s=st.integers(1, 9), rows_t=st.integers(1, 9),
@@ -198,7 +204,7 @@ class TestKernelConfig:
         expected = old_resolve(kc, *blocks)
         # resolve must not reorder the blocks it reads
         before = [blk.copy() for blk in blocks]
-        assert kc.resolve(*blocks) == expected
+        assert tuple(kc.resolve(*blocks)) == expected
         for blk, kept in zip(blocks, before):
             assert np.array_equal(blk, kept)
 
@@ -663,7 +669,7 @@ class TestTargetKdLoss:
         student = teacher.copy()
         _, _, xt = _small_pair()
         g = ad.Graph()
-        val = target_kd_loss(student, teacher, g.tensor(xt), LossWeights(tau=20.0))
+        val = target_kd_loss(student, soft(teacher, xt, 20.0), g.tensor(xt), LossWeights(tau=20.0))
         assert abs(val.item()) <= 1e-12
 
     def test_single_step_reduces_loss(self):
@@ -673,14 +679,14 @@ class TestTargetKdLoss:
         w = LossWeights(tau=4.0)
 
         g = ad.Graph()
-        loss = target_kd_loss(student, teacher, g.tensor(xt), w)
+        loss = target_kd_loss(student, soft(teacher, xt, w.tau), g.tensor(xt), w)
         before = loss.item()
         loss.backward()
         for p, gr in zip(student.parameters(), student.bound_gradients()):
             p -= 1e-3 * gr
 
         g2 = ad.Graph()
-        after = target_kd_loss(student, teacher, g2.tensor(xt), w).item()
+        after = target_kd_loss(student, soft(teacher, xt, w.tau), g2.tensor(xt), w).item()
         assert 0.0 < after < before
 
     def test_no_gradient_reaches_the_teacher(self):
@@ -690,7 +696,7 @@ class TestTargetKdLoss:
 
         g = ad.Graph()
         teacher.bind(g)
-        loss = target_kd_loss(student, teacher, g.tensor(xt), LossWeights(tau=4.0))
+        loss = target_kd_loss(student, soft(teacher, xt, 4.0), g.tensor(xt), LossWeights(tau=4.0))
         loss.backward()
         for gr in teacher.bound_gradients():
             np.testing.assert_array_equal(gr, np.zeros_like(gr))
@@ -703,14 +709,14 @@ class TestTargetKdLoss:
         w = LossWeights(tau=4.0)
 
         g = ad.Graph()
-        target_kd_loss(student, teacher, g.tensor(xt), w).backward()
+        target_kd_loss(student, soft(teacher, xt, w.tau), g.tensor(xt), w).backward()
         analytic = np.concatenate([a.ravel() for a in student.bound_gradients()])
         base = _flat_params(student)
 
         def f(flat):
             _set_params(student, flat)
             gg = ad.Graph()
-            return target_kd_loss(student, teacher, gg.tensor(xt), w).item()
+            return target_kd_loss(student, soft(teacher, xt, w.tau), gg.tensor(xt), w).item()
 
         numeric = finite_diff_grad(f, base)
         _set_params(student, base)
@@ -725,13 +731,13 @@ class TestSourceKdLoss:
 
         g = ad.Graph()
         w0 = LossWeights(tau=20.0, alpha=0.0)
-        val, parts = source_kd_loss(student, teacher, g.tensor(xs), ys, w0)
+        val, parts = source_kd_loss(student, soft(teacher, xs, w0.tau), g.tensor(xs), ys, w0)
         assert abs(val.item()) <= 1e-12
 
         g2 = ad.Graph()
         w1 = LossWeights(tau=20.0, alpha=1.0)
         xs_t = g2.tensor(xs)
-        val, parts = source_kd_loss(student, teacher, xs_t, ys, w1)
+        val, parts = source_kd_loss(student, soft(teacher, xs, w1.tau), xs_t, ys, w1)
         ce = cross_entropy(ad.softmax_temperature(student.logits(xs_t), 1.0), ys)
         np.testing.assert_allclose(val.item(), ce.item(), rtol=0, atol=1e-12)
 
@@ -741,7 +747,7 @@ class TestSourceKdLoss:
         xs, ys, _ = _small_pair()
         g = ad.Graph()
         w = LossWeights(tau=4.0, alpha=0.8)
-        val, parts = source_kd_loss(student, teacher, g.tensor(xs), ys, w)
+        val, parts = source_kd_loss(student, soft(teacher, xs, w.tau), g.tensor(xs), ys, w)
         np.testing.assert_allclose(val.item(), parts["kl"] + 0.8 * parts["ce"],
                                    rtol=0, atol=1e-12)
 
@@ -752,7 +758,7 @@ class TestSourceKdLoss:
         w = LossWeights(tau=4.0, alpha=0.8)
 
         g = ad.Graph()
-        loss, _ = source_kd_loss(student, teacher, g.tensor(xs), ys, w)
+        loss, _ = source_kd_loss(student, soft(teacher, xs, w.tau), g.tensor(xs), ys, w)
         loss.backward()
         analytic = np.concatenate([a.ravel() for a in student.bound_gradients()])
         base = _flat_params(student)
@@ -760,7 +766,7 @@ class TestSourceKdLoss:
         def f(flat):
             _set_params(student, flat)
             gg = ad.Graph()
-            val, _ = source_kd_loss(student, teacher, gg.tensor(xs), ys, w)
+            val, _ = source_kd_loss(student, soft(teacher, xs, w.tau), gg.tensor(xs), ys, w)
             return val.item()
 
         numeric = finite_diff_grad(f, base)

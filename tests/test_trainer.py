@@ -55,8 +55,8 @@ def most_live_graphs(monkeypatch, train):
     most = [0]
     original_init = ad.Graph.__init__
 
-    def counting_init(graph):
-        original_init(graph)
+    def counting_init(graph, *args, **kwargs):
+        original_init(graph, *args, **kwargs)
         live.add(graph)
         most[0] = max(most[0], len(live))
 
@@ -106,12 +106,30 @@ class TestSgdStep:
         sgd_step(p, [np.zeros(2)], st)
         np.testing.assert_array_equal(p[0], before)
 
-    def test_gradients_are_zeroed_in_place(self):
-        p = [np.array([0.0, 0.0])]
-        g = [np.array([1.0, -2.0])]
-        st = OptimizerState.for_params(p, lr=0.1, momentum=0.0)
+    def test_gradients_are_left_unchanged(self):
+        p = [np.array([0.0, 0.0]), np.zeros((2, 3))]
+        g = [np.array([1.0, -2.0]), np.arange(6.0).reshape(2, 3) - 2.5]
+        kept = [a.copy() for a in g]
+        st = OptimizerState.for_params(p, lr=0.1, momentum=0.9)
         sgd_step(p, g, st)
-        np.testing.assert_array_equal(g[0], np.zeros(2))
+        sgd_step(p, g, st)
+        for now, before in zip(g, kept):
+            assert now.tobytes() == before.tobytes()
+
+    def test_a_stack_steps_each_cell_as_alone(self):
+        rng = np.random.default_rng(0)
+        p = rng.normal(size=(3, 4, 2))
+        grads = [rng.normal(size=p.shape) for _ in range(3)]
+        st = OptimizerState.for_params([p], lr=0.05, momentum=0.9)
+        cells = [p[s].copy() for s in range(3)]
+        cell_states = [OptimizerState.for_params([c], lr=0.05, momentum=0.9)
+                       for c in cells]
+        for g in grads:
+            sgd_step([p], [g], st)
+            for s, (c, cs) in enumerate(zip(cells, cell_states)):
+                sgd_step([c], [g[s].copy()], cs)
+        for s, c in enumerate(cells):
+            assert p[s].tobytes() == c.tobytes()
 
     def test_shape_validation(self):
         p = [np.zeros(2)]
