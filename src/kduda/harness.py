@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -62,14 +62,22 @@ class DatasetConfig:
         if self.generator == "two_moons" and (self.classes != 2 or self.dim != 2):
             raise ConfigError("data.generator = two_moons is fixed at "
                               "data.classes = 2 and data.dim = 2")
-        if self.classes < 2:
-            raise ConfigError(f"data.classes must be >= 2, got {self.classes}")
-        if self.n_per_domain < self.classes:
-            raise ConfigError(
-                f"data.n_per_domain must be >= data.classes ({self.classes}), "
-                f"got {self.n_per_domain}")
-        if self.dim < 2:
-            raise ConfigError(f"data.dim must be >= 2, got {self.dim}")
+        # every range make_pair needs, so a bad one fails at load, not later
+        blobs = self.generator == "blobs"
+        for bad, name, rule in (
+                (self.classes < 2, "classes", ">= 2"),
+                (self.n_per_domain < self.classes, "n_per_domain",
+                 f">= data.classes ({self.classes})"),
+                (self.dim < 2, "dim", ">= 2"),
+                (blobs and self.classes > self.dim + 1, "classes",
+                 f"<= data.dim + 1 ({self.dim + 1})"),
+                (blobs and self.scale <= 0, "scale", "positive"),
+                (not blobs and self.n_per_domain < 4, "n_per_domain",
+                 ">= 4 for two_moons"),
+                (not blobs and self.noise_std < 0, "noise_std", ">= 0")):
+            if bad:
+                raise ConfigError(f"data.{name} must be {rule}, "
+                                  f"got {getattr(self, name)}")
 
     def make_pair(self, seed: int) -> DomainPair:
         if self.generator == "blobs":
@@ -106,6 +114,9 @@ class ExperimentConfig:
             raise ConfigError(f"experiment.seeds must be >= 0, got {min(self.seeds)}")
         _reject_duplicates("experiment.scenarios", self.scenarios)
         _reject_duplicates("experiment.seeds", self.seeds)
+        if self.train.batch_size > self.dataset.n_per_domain:
+            raise ConfigError(f"train.batch_size {self.train.batch_size} exceeds "
+                              f"data.n_per_domain {self.dataset.n_per_domain}")
         if not self.student_hidden:
             raise ConfigError("model.student_hidden: at least one student spec "
                               "is required")
@@ -185,128 +196,82 @@ def _finite(text: str) -> float:
     return value
 
 
-class _KV:
-    def __init__(self, raw: dict[str, str]):
-        self.raw = raw
-        self.used: set[str] = set()
-
-    def _get(self, key, default, conv, what):
-        if key not in self.raw:
-            return default
-        self.used.add(key)
-        try:
-            return conv(self.raw[key])
-        except (ValueError, TypeError):
-            raise ConfigError(
-                f"{key}: expected {what}, got {self.raw[key]!r}") from None
-
-    def str_(self, key, default):
-        return self._get(key, default, str, "a string")
-
-    def int_(self, key, default):
-        return self._get(key, default, int, "an integer")
-
-    def float_(self, key, default):
-        return self._get(key, default, _finite, "a finite number")
-
-    def bool_(self, key, default):
-        def conv(v):
-            low = v.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(v)
-        return self._get(key, default, conv, "true or false")
-
-    def int_list(self, key, default):
-        return self._get(key, default,
-                         lambda v: tuple(int(tok) for tok in v.split(",") if tok.strip()),
-                         "comma-separated integers")
-
-    def float_list(self, key, default):
-        return self._get(key, default,
-                         lambda v: tuple(_finite(tok) for tok in v.split(",") if tok.strip()),
-                         "comma-separated finite numbers")
-
-    def str_list(self, key, default):
-        return self._get(key, default,
-                         lambda v: tuple(tok.strip() for tok in v.split(",") if tok.strip()),
-                         "comma-separated names")
-
-    def nested_int_lists(self, key, default):
-        def conv(v):
-            return tuple(tuple(int(tok) for tok in part.split(",") if tok.strip())
-                         for part in v.split(";") if part.strip())
-        return self._get(key, default, conv, "semicolon-separated integer lists")
-
-    def reject_unknown(self):
-        unknown = set(self.raw) - self.used
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+def _items(read, sep: str = ","):
+    """A reader of sep-separated items, skipping empty ones."""
+    return lambda text: tuple(read(tok) for tok in text.split(sep) if tok.strip())
 
 
-# the config key of each KernelConfig field; a TrainConfig field's is
-# `train.<field>`
-_KERNEL_KEYS = {"mode": "train.kernel_mode",
-                "bandwidths": "train.kernel_bandwidths",
-                "median_multipliers": "train.kernel_multipliers"}
+_FLAGS = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
+
+# the reader of each field annotation, and what a value it rejects should
+# have been; an optional field (`X | None`) reads as X
+_READERS = {
+    "int": (int, "an integer"),
+    "float": (_finite, "a finite number"),
+    "str": (str, "a string"),
+    "bool": (lambda text: _FLAGS[text.lower()], "true or false"),
+    "tuple[int, ...]": (_items(int), "comma-separated integers"),
+    "tuple[float, ...]": (_items(_finite), "comma-separated finite numbers"),
+    "tuple[str, ...]": (_items(str.strip), "comma-separated names"),
+    "tuple[tuple[int, ...], ...]": (_items(_items(int), ";"),
+                                    "semicolon-separated integer lists"),
+}
+
+
+def _keyed(cls, keys: dict[str, str]) -> dict[str, tuple]:
+    """(key, reader, expected) of each field of cls that keys names; a field
+    that is not cls's, or whose annotation has no reader, fails at import."""
+    types = {f.name: f.type.removesuffix(" | None") for f in fields(cls)}
+    return {name: (key, *_READERS[types[name]]) for name, key in keys.items()}
+
+
+# every field a config file may set, by dataclass: its key, reader and the
+# expected value; its default is the dataclass's
+_FIELDS = {cls: _keyed(cls, keys) for cls, keys in (
+    (DatasetConfig, {f.name: f"data.{f.name}" for f in fields(DatasetConfig)}),
+    (KernelConfig, {"mode": "train.kernel_mode",
+                    "bandwidths": "train.kernel_bandwidths",
+                    "median_multipliers": "train.kernel_multipliers"}),
+    (TrainConfig, {f.name: f"train.{f.name}" for f in fields(TrainConfig)
+                   if f.name not in ("seed", "kernel")}),
+    (ExperimentConfig, {"teacher_hidden": "model.teacher_hidden",
+                        "student_hidden": "model.student_hidden",
+                        "scenarios": "experiment.scenarios",
+                        "seeds": "experiment.seeds",
+                        "output_dir": "experiment.output_dir"}))}
+
+
+def _section(raw: dict[str, str], default, **given):
+    """default with each field raw sets read from its key, and the given
+    fields raw leaves unset; a range error names the key of its field."""
+    table = _FIELDS[type(default)]
+    values = {}
+    for name, (key, read, expected) in table.items():
+        if key in raw:
+            try:
+                values[name] = read(raw[key])
+            except (KeyError, ValueError):
+                raise ConfigError(
+                    f"{key}: expected {expected}, got {raw[key]!r}") from None
+    try:
+        return replace(default, **{**given, **values})
+    except ParameterError as exc:
+        raise ConfigError(f"{table[exc.field][0]}: {exc}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    kv = _KV(_parse_kv(text))
-    dataset = DatasetConfig(
-        generator=kv.str_("data.generator", "blobs"),
-        n_per_domain=kv.int_("data.n_per_domain", 400),
-        classes=kv.int_("data.classes", 3 if kv.raw.get("data.generator", "blobs") == "blobs" else 2),
-        dim=kv.int_("data.dim", 2),
-        mean_shift=kv.float_("data.mean_shift", 3.0),
-        scale=kv.float_("data.scale", 1.0),
-        rotation_deg=kv.float_("data.rotation_deg", 45.0),
-        noise_std=kv.float_("data.noise_std", 0.1),
-        standardize=kv.bool_("data.standardize", True),
-    )
-    try:
-        kernel = KernelConfig(
-            mode=kv.str_("train.kernel_mode", "median"),
-            bandwidths=kv.float_list("train.kernel_bandwidths", ()),
-            median_multipliers=kv.float_list("train.kernel_multipliers",
-                                             KernelConfig().median_multipliers),
-        )
-        override = kv.float_("train.beta_override", None)
-        train = TrainConfig(
-            epochs=kv.int_("train.epochs", 100),
-            batch_size=kv.int_("train.batch_size", 32),
-            beta_start=kv.float_("train.beta_start", 0.1),
-            beta_end=kv.float_("train.beta_end", 0.9),
-            tau=kv.float_("train.tau", 20.0),
-            alpha=kv.float_("train.alpha", 0.8),
-            gamma=kv.float_("train.gamma", 1.0),
-            gamma_mode=kv.str_("train.gamma_mode", "constant"),
-            lr_da=kv.float_("train.lr_da", 0.001),
-            lr_kd=kv.float_("train.lr_kd", 0.001),
-            momentum=kv.float_("train.momentum", 0.9),
-            lr_da_decay=kv.str_("train.lr_da_decay", "exponential"),
-            lr_da_final_fraction=kv.float_("train.lr_da_final_fraction", 0.01),
-            eval_every=kv.int_("train.eval_every", 1),
-            scale_kd_by_tau_sq=kv.bool_("train.scale_kd_by_tau_sq", True),
-            beta_override=override,
-            kernel=kernel,
-        )
-    except ParameterError as exc:
-        key = _KERNEL_KEYS.get(exc.field, f"train.{exc.field}")
-        raise ConfigError(f"{key}: {exc}") from None
-    cfg = ExperimentConfig(
-        dataset=dataset,
-        teacher_hidden=kv.int_list("model.teacher_hidden", (128, 128, 64)),
-        student_hidden=kv.nested_int_lists("model.student_hidden", ((32, 16),)),
-        train=train,
-        scenarios=kv.str_list("experiment.scenarios",
-                              ("joint", "uda_then_kd", "kd_then_uda", "uda_only")),
-        seeds=kv.int_list("experiment.seeds", (0, 1, 2, 3, 4)),
-        output_dir=kv.str_("experiment.output_dir", "runs"),
-    )
-    kv.reject_unknown()
+    raw = _parse_kv(text)
+    default = ExperimentConfig()  # whose train defaults to 100 epochs
+    moons = {"classes": 2} if raw.get("data.generator") == "two_moons" else {}
+    # sections build in this order, so their errors come in it too
+    cfg = _section(raw, default, dataset=_section(raw, default.dataset, **moons),
+                   train=_section(raw, default.train,
+                                  kernel=_section(raw, default.train.kernel)))
+    unknown = raw.keys() - {key for table in _FIELDS.values()
+                            for key, _, _ in table.values()}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return cfg
 
 
@@ -549,9 +514,8 @@ def summary_rows(cfg: ExperimentConfig,
 def write_summary(cfg: ExperimentConfig, results: list[ScenarioResult],
                   path: str):
     with open(path, "w") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in summary_rows(cfg, results):
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(row) + "\n"
+                      for row in [SUMMARY_COLUMNS, *summary_rows(cfg, results)])
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ScenarioResult]:
@@ -621,13 +585,9 @@ def sweep_sizes(cfg: ExperimentConfig, teacher_widths, student_widths
                        scenarios=("joint",)), "joint", cfg.seeds)
               for tw, sw in widths]
     accs = np.array([result.student_tgt_acc for _, result in _run_cells(stacks)])
-    rows = []
-    for (tw, sw), cell_accs in zip(widths, accs.reshape(len(widths), -1)):
-        rows.append([str(tw), str(sw), repr(float(cell_accs.mean())),
-                     repr(float(cell_accs.std()))])
+    rows = [[str(tw), str(sw), repr(float(a.mean())), repr(float(a.std()))]
+            for (tw, sw), a in zip(widths, accs.reshape(len(widths), -1))]
     path = os.path.join(cfg.output_dir, f"{cfg.config_hash()}_sweep.csv")
     with open(path, "w") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in [SWEEP_COLUMNS, *rows])
     return rows

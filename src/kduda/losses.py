@@ -357,7 +357,7 @@ def teacher_da_loss(teacher: Model, xs: Tensor, ys: np.ndarray, xt: Tensor,
     fs = teacher.features(xs)
     ft = teacher.features(xt)
     mmd = mmd_squared(fs, ft, kernel)
-    probs = ad.softmax_temperature(teacher.logits(xs), 1.0)
+    probs = ad.softmax_temperature(teacher.head(fs), 1.0)
     ce = cross_entropy(probs, ys)
     total = ad.add(mmd, ad.scalar_multiply(ce, weights.gamma))
     return total, {"mmd": mmd.values, "ce": ce.values}
@@ -376,9 +376,10 @@ def source_kd_loss(student: Model, targets: np.ndarray, xs: Tensor,
     """Distillation on labeled source data toward the teacher's soft targets
     on xs, plus alpha times the student's own supervised cross-entropy.
     Returns the loss tensor and the subterms' values."""
-    soft_s = ad.softmax_temperature(student.logits(xs), weights.tau)
+    logits = student.logits(xs)
+    soft_s = ad.softmax_temperature(logits, weights.tau)
     kl = distill_kl(soft_s, targets, weights.tau, weights.scale_kd_by_tau_sq)
-    probs = ad.softmax_temperature(student.logits(xs), 1.0)
+    probs = ad.softmax_temperature(logits, 1.0)
     ce = cross_entropy(probs, ys)
     total = ad.add(kl, ad.scalar_multiply(ce, weights.alpha))
     return total, {"kl": kl.values, "ce": ce.values}

@@ -1,10 +1,11 @@
 """Feedforward classifiers with an explicit feature/head split.
 
 A model is a stack of fully connected layers with ReLU after every hidden
-layer. features() returns the activation after the last hidden layer; the
-head is the final linear layer alone, so logits(x) is head(features(x)) on
-the same graph nodes. The alignment losses operate on features, the
-classification losses on logits.
+layer. features() returns the activation after the last hidden layer and
+head() applies the final linear layer alone, so logits(x) is
+head(features(x)); a loss that needs both applies head() to the features it
+has. The alignment losses operate on features, the classification losses on
+logits.
 
 stack() joins S models of one shape into a model whose parameters carry a
 leading axis of length S; it takes inputs with the same leading axis, and
@@ -61,7 +62,6 @@ class Model:
         self.biases = biases
         self._bound_graph: Graph | None = None
         self._bound: list[Tensor] = []
-        self._cache: dict[int, Tensor] = {}
 
     # -- parameter access --------------------------------------------------
 
@@ -95,7 +95,6 @@ class Model:
         if self._bound_graph is not graph:
             self._bound_graph = graph
             self._bound = [graph.tensor(p) for p in self.parameters()]
-            self._cache = {}
         return self._bound
 
     def bound_gradients(self) -> list[np.ndarray]:
@@ -110,36 +109,24 @@ class Model:
                  for t in self._bound]
         self._bound_graph = None
         self._bound = []
-        self._cache = {}
         return grads
 
     def features(self, x: Tensor) -> Tensor:
         """Activation after the last hidden layer (post-ReLU)."""
         leaves = self.bind(x.graph)
-        # the cached node reaches x through its inputs, so x stays alive and
-        # id(x) cannot be reused while the entry lives
-        key = id(x)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         self._check_input(x.values.shape)
         h = x
         for i in range(len(self.weights) - 1):
             h = ad.linear(h, leaves[2 * i], leaves[2 * i + 1], relu=True)
-        self._cache[key] = h
         return h
 
+    def head(self, h: Tensor) -> Tensor:
+        """The final linear layer on features h, as one graph node."""
+        leaves = self.bind(h.graph)
+        return ad.linear(h, leaves[-2], leaves[-1])
+
     def logits(self, x: Tensor) -> Tensor:
-        """head(features(x)); shares the feature nodes for the same input."""
-        h = self.features(x)
-        leaves = self._bound
-        key = ("logits", id(x))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        out = ad.linear(h, leaves[-2], leaves[-1])
-        self._cache[key] = out
-        return out
+        return self.head(self.features(x))
 
     # -- graph-free inference ----------------------------------------------
 

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import types
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -31,6 +31,7 @@ from kduda.harness import (
     sweep_sizes,
     teacher_hidden_for,
 )
+from kduda.losses import KernelConfig
 from kduda.models import count_complexity
 from kduda.trainer import TrainConfig
 
@@ -63,6 +64,19 @@ CONFIG_LINES = st.one_of(
     st.builds("{} = {}".format, st.sampled_from(CONFIG_KEYS + OTHER_KEYS),
               CONFIG_VALUES),
     st.builds("{} {}".format, st.sampled_from(CONFIG_KEYS), CONFIG_VALUES))
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def config_text(value) -> str:
+    """value as a config file writes it."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        sep = "; " if isinstance(value[0], tuple) else ", "
+        return sep.join(map(config_text, value))
+    return str(value)
 
 
 def tiny_cfg(output_dir, **overrides):
@@ -237,6 +251,12 @@ class TestConfigParsing:
         ("model.teacher_hidden = 0", "model.teacher_hidden"),
         ("model.student_hidden = 0", "model.student_hidden"),
         ("model.student_hidden = 8, 4; 3, 0", "model.student_hidden"),
+        ("data.classes = 4\ndata.dim = 2", "data.classes"),
+        ("data.scale = 0", "data.scale"),
+        ("data.generator = two_moons\ndata.noise_std = -1", "data.noise_std"),
+        ("data.generator = two_moons\ndata.n_per_domain = 3",
+         "data.n_per_domain"),
+        ("data.n_per_domain = 40\ntrain.batch_size = 64", "train.batch_size"),
     ])
     def test_range_errors_name_the_key(self, lines, key):
         with pytest.raises(ConfigError, match=re.escape(key)):
@@ -253,6 +273,39 @@ class TestConfigParsing:
             assert re.search(r"\bline \d+", message) or any(
                 re.search(re.escape(key) + r"\b", message)
                 for key in CONFIG_KEYS + OTHER_KEYS), message
+
+    def test_the_table_holds_every_key(self):
+        keys = [key for table in harness._FIELDS.values()
+                for key, _, _ in table.values()]
+        assert sorted(keys) == sorted(CONFIG_KEYS)
+
+    def test_each_key_set_to_its_default_parses_to_the_defaults(self):
+        default = ExperimentConfig()
+        sections = {DatasetConfig: default.dataset, TrainConfig: default.train,
+                    KernelConfig: default.train.kernel, ExperimentConfig: default}
+        unwritable = []
+        for cls, table in harness._FIELDS.items():
+            for name, (key, _, _) in table.items():
+                value = getattr(sections[cls], name)
+                if value in (None, ()):  # a config line cannot be empty
+                    unwritable.append(key)
+                    continue
+                assert parse_config(f"{key} = {config_text(value)}\n") == default, key
+        assert sorted(unwritable) == ["train.beta_override",
+                                      "train.kernel_bandwidths"]
+
+    def test_a_keyed_field_without_a_reader_fails(self):
+        @dataclass
+        class Odd:
+            widths: "list[int]" = ()
+        with pytest.raises(KeyError):
+            harness._keyed(Odd, {"widths": "odd.widths"})
+
+    def test_the_readme_config_block_is_the_defaults(self):
+        with open(os.path.join(REPO, "README.md")) as fh:
+            readme = fh.read()
+        block, = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        assert parse_config(block) == ExperimentConfig()
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -282,6 +335,15 @@ class TestConfigHash:
         a = ExperimentConfig()
         b = ExperimentConfig(seeds=(0,))
         assert a.config_hash() != b.config_hash()
+
+
+    # output file names come from these hashes
+    @pytest.mark.parametrize("name,tag", [("joint_headline", "b0525d8980"),
+                                          ("scenario_grid", "0b1bc86668"),
+                                          ("wide_batch", "350be758d4")])
+    def test_benchmark_workloads_keep_their_hash(self, name, tag):
+        path = os.path.join(REPO, "perfbench", "workloads", f"{name}.cfg")
+        assert load_config(path).config_hash() == tag
 
 
 class TestRunSingle:
@@ -564,6 +626,23 @@ class TestCli:
             line, f"experiment.output_dir = {tmp_path / 'runs'}", ""]))
         assert main(["train", "--config", str(path)]) == 1
         assert f"{key}: " in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("lines,key", [
+        ("data.classes = 4\ndata.dim = 2", "data.classes"),
+        ("data.scale = 0", "data.scale"),
+        ("data.generator = two_moons\ndata.noise_std = -1", "data.noise_std"),
+        ("data.generator = two_moons\ndata.n_per_domain = 3",
+         "data.n_per_domain"),
+        ("data.n_per_domain = 40\ntrain.batch_size = 64", "train.batch_size"),
+    ])
+    def test_bad_dataset_values_fail_before_any_output(self, tmp_path, capsys,
+                                                       lines, key, no_training):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{lines}\nexperiment.output_dir = {tmp_path / 'runs'}\n")
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
         assert not (tmp_path / "runs").exists()
 
     def test_empty_dataset_fails_before_any_command(self, tmp_path, capsys):

@@ -107,17 +107,17 @@ class TestForward:
             row = model.predict_logits(x[i:i + 1])
             np.testing.assert_allclose(row, full[i:i + 1], atol=1e-12)
 
-    def test_logits_share_feature_nodes(self):
+    def test_head_adds_one_node_on_shared_features(self):
         model = build(ModelSpec(2, (3,), 2, seed=0))
         g = Graph()
         x = g.tensor(np.ones((2, 2)))
         feats = model.features(x)
         n_before = len(g)
-        logits = model.logits(x)
-        # the head adds exactly one node (ad.linear); features were reused
+        logits = model.head(feats)
+        # the head is exactly one node (ad.linear) reading the given features
         assert len(g) == n_before + 1
-        assert model.features(x) is feats
-        assert model.logits(x) is logits
+        assert logits._inputs[0] is feats
+        assert np.array_equal(logits.values, model.logits(x).values)
 
     def test_each_layer_is_one_node(self):
         model = build(ModelSpec(2, (5, 4, 3), 2, seed=0))
