@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 config/usage error or an output path that cannot
-be written, 2 numerical abort during training. All outputs are CSV files or
+Exit codes: 0 success, 1 config/usage error, an output path that cannot be
+written or a model too large to allocate, 2 numerical abort during training. All outputs are CSV files or
 CSV text on stdout.
 """
 
@@ -13,7 +13,7 @@ import os
 import sys
 
 from .errors import KdudaError, NumericalAbort
-from .harness import (SUMMARY_COLUMNS, check_cell, load_config,
+from .harness import (SUMMARY_COLUMNS, check_cell, load_config, output_path,
                       report_complexity, run_experiment, run_single,
                       summary_rows, sweep_sizes)
 
@@ -81,8 +81,7 @@ def _cmd_train(args) -> int:
     out = args.out
     if out is None:
         os.makedirs(cfg.output_dir, exist_ok=True)
-        out = os.path.join(cfg.output_dir,
-                           f"{cfg.config_hash()}_{args.scenario}_seed{seed}.csv")
+        out = output_path(cfg, f"{args.scenario}_seed{seed}.csv")
     elif os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
         raise KdudaError(f"--out: {out} is not a file in an existing directory")
     (log, result), = run_single(cfg, args.scenario, (seed,))
@@ -97,8 +96,7 @@ def _cmd_train(args) -> int:
 def _cmd_scenarios(args) -> int:
     cfg = load_config(args.config)
     results = run_experiment(cfg)
-    tag = cfg.config_hash()
-    print(f"summary: {os.path.join(cfg.output_dir, f'{tag}_summary.csv')}")
+    print(f"summary: {output_path(cfg, 'summary.csv')}")
     print(",".join(SUMMARY_COLUMNS))
     for row in summary_rows(cfg, results):
         print(",".join(row))
@@ -136,8 +134,10 @@ def main(argv=None) -> int:
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2
-    except (KdudaError, OSError) as exc:  # OSError: an unwritable output path
-        print(f"error: {exc}", file=sys.stderr)
+    # OSError: an unwritable output path; MemoryError: a model too large
+    # to allocate
+    except (KdudaError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -2,21 +2,20 @@
 tables, and the teacher/student width sweep.
 
 Config files are flat `key = value` text with dotted keys and # comments.
-Output file names are derived from a hash of the fully resolved config
-(every field but the output directory) plus scenario and seed, so distinct
-runs never collide in one directory.
+Output file names start with a hash of the fully resolved config (every
+field but the output directory), so distinct runs never collide in one
+directory; output_path names every one.
 
 Scenario grids and sweeps train the seeds of each (config, scenario) as one
 stack (see kduda.trainer), and run their stacks in forked worker processes
 when the machine has CPUs to spare beyond BLAS's own threads; the calling
-process writes every output file, in cell order.
+process writes every output file, in cell order, once the grid has run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -163,9 +162,6 @@ class ScenarioResult:
     student_macs: int
     teacher_params: int
     teacher_macs: int
-    # wall time of the cell's stack in the process that ran it, shared
-    # equally among the stack's cells
-    seconds: float
 
 
 # -- config file parsing --------------------------------------------------------
@@ -277,9 +273,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
         return parse_config(text)
@@ -313,7 +309,6 @@ def run_single(cfg: ExperimentConfig, scenario: str, seeds: tuple[int, ...]
 
     pair = join([cfg.dataset.make_pair(seed) for seed in seeds], stack_pairs)
     train_cfg = replace(cfg.train, seed=join(tuple(seeds), tuple))
-    started = time.perf_counter()
     student = join([build(cfg.student_spec(seed)) for seed in seeds], stack)
     # looked up at call time, so a wrapper installed on the module applies
     train = getattr(trainer, f"train_{scenario}")
@@ -322,7 +317,6 @@ def run_single(cfg: ExperimentConfig, scenario: str, seeds: tuple[int, ...]
     else:
         teacher = join([build(cfg.teacher_spec(seed)) for seed in seeds], stack)
         log = train(teacher, student, pair, train_cfg)
-    seconds = (time.perf_counter() - started) / len(seeds)
     s_params, s_macs = count_complexity(cfg.student_spec(0))
     t_params, t_macs = count_complexity(cfg.teacher_spec(0))
     cells = []
@@ -335,8 +329,7 @@ def run_single(cfg: ExperimentConfig, scenario: str, seeds: tuple[int, ...]
             teacher_tgt_acc=float(final.teacher_tgt_acc),
             teacher_src_acc=float(final.teacher_src_acc),
             student_params=s_params, student_macs=s_macs,
-            teacher_params=t_params, teacher_macs=t_macs,
-            seconds=seconds)))
+            teacher_params=t_params, teacher_macs=t_macs)))
     return cells
 
 
@@ -346,9 +339,9 @@ def run_single(cfg: ExperimentConfig, scenario: str, seeds: tuple[int, ...]
 # together by one run_single call. Stacks are fully seeded and independent,
 # so they may run in any process. Before any of them runs, _assign_stacks
 # deals them out from the configs alone, longest estimate first; the caller
-# runs share 0 itself and the others go to n - 1 forked workers. The caller
-# trains too, and its share does not depend on timing, so a profile of the
-# caller always covers the same stacks.
+# runs share 0 itself and the others go to n - 1 forked workers, none when n
+# is 1. The caller trains too, and its share does not depend on timing, so a
+# profile of the caller always covers the same stacks.
 
 
 def _usable_cpus() -> int:
@@ -398,35 +391,32 @@ def _assign_stacks(stacks: list, n: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _stack_cells(stacks):
-    """Yield each cell's (log, result), stack by stack. A stack that fails
-    with a KdudaError (a term gone non-finite in some cell) is rerun one
-    cell at a time, so the cells before its failing one are yielded and the
-    error raised is the one that cell gives on its own."""
-    for cfg, scenario, seeds in stacks:
-        try:
-            cells = run_single(cfg, scenario, seeds)
-        except KdudaError:
-            if len(seeds) == 1:
-                raise
-            cells = (cell for seed in seeds
-                     for cell in run_single(cfg, scenario, (seed,)))
-        yield from cells
-
-
 def _run_share(stacks) -> tuple[list, Exception | None]:
     """Run stacks in order until a cell fails; return the finished cells'
-    (log, result) pairs and the failure, if any."""
+    (log, result) pairs and the failure, if any. A stack that fails with a
+    KdudaError (a term gone non-finite in some cell) is rerun one cell at a
+    time, so the cells before its failing one are kept and the failure is
+    the one that cell gives on its own."""
     done = []
     try:
-        for cell in _stack_cells(stacks):
-            done.append(cell)
+        for cfg, scenario, seeds in stacks:
+            try:
+                done += run_single(cfg, scenario, seeds)
+            except KdudaError:
+                if len(seeds) == 1:
+                    raise
+                for seed in seeds:
+                    done += run_single(cfg, scenario, (seed,))
     except Exception as exc:  # re-raised by _run_cells at this cell's turn
         return done, exc
     return done, None
 
 
 def _run_shares(shares: list[list]) -> list[tuple[list, Exception | None]]:
+    """The _run_share outcome of each share: the caller runs share 0, and
+    one forked worker each of the others."""
+    if len(shares) == 1:  # no worker, so no pool machinery to import
+        return [_run_share(shares[0])]
     # fork, not spawn: workers inherit the loaded numpy and kduda instead of
     # importing them again, and as waited-for children their CPU time shows
     # in the caller's RUSAGE_CHILDREN (forkserver workers' would not). The
@@ -454,29 +444,21 @@ def _run_shares(shares: list[list]) -> list[tuple[list, Exception | None]]:
 
 def _run_cells(stacks: list[tuple[ExperimentConfig, str, tuple[int, ...]]]):
     """Yield the (log, result) of every cell of every stack, in stack and
-    seed order. A failing cell raises its error at its turn, so callers
-    see the cells before it and then the error a serial loop over single
-    cells would give; a worker that dies fails at its share's first cell."""
-    n = _worker_count(len(stacks))
-    if n == 1 or not hasattr(os, "fork"):
-        yield from _stack_cells(stacks)
-        return
+    seed order, once every share has run. A failing cell raises its error
+    at its turn, so callers see the cells before it and then the error a
+    serial loop over single cells would give; a worker that dies fails at
+    its share's first cell."""
+    n = _worker_count(len(stacks)) if hasattr(os, "fork") else 1
     shares = _assign_stacks(stacks, n)
     outcomes = _run_shares([[stacks[i] for i in share] for share in shares])
-    # (process, position of its first cell there) of each stack
-    where = {}
-    for p, share in enumerate(shares):
-        offset = 0
-        for i in share:
-            where[i] = (p, offset)
-            offset += len(stacks[i][2])
-    for i, (_, _, seeds) in enumerate(stacks):
-        p, offset = where[i]
-        done, error = outcomes[p]
-        for k in range(offset, offset + len(seeds)):
-            if k == len(done):
-                raise error
-            yield done[k]
+    # each process's cells come in the order of its stacks
+    pending = [iter(done) for done, _ in outcomes]
+    for i, p in sorted((i, p) for p, share in enumerate(shares) for i in share):
+        for _ in stacks[i][2]:
+            cell = next(pending[p], None)
+            if cell is None:
+                raise outcomes[p][1]
+            yield cell
 
 
 # -- experiment orchestration -------------------------------------------------------
@@ -511,25 +493,28 @@ def summary_rows(cfg: ExperimentConfig,
     return rows
 
 
-def write_summary(cfg: ExperimentConfig, results: list[ScenarioResult],
-                  path: str):
+def output_path(cfg: ExperimentConfig, name: str) -> str:
+    """Where cfg's artifact name goes: `{hash}_{name}` in its output
+    directory."""
+    return os.path.join(cfg.output_dir, f"{cfg.config_hash()}_{name}")
+
+
+def _write_rows(path: str, header: tuple[str, ...], rows: list[list[str]]):
     with open(path, "w") as fh:
-        fh.writelines(",".join(row) + "\n"
-                      for row in [SUMMARY_COLUMNS, *summary_rows(cfg, results)])
+        fh.writelines(",".join(row) + "\n" for row in [header, *rows])
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ScenarioResult]:
     """Train every (scenario, seed) pair; write per-pair logs and a summary."""
     cfg.require_one_student()
     os.makedirs(cfg.output_dir, exist_ok=True)
-    tag = cfg.config_hash()
     stacks = [(cfg, scenario, cfg.seeds) for scenario in cfg.scenarios]
     results = []
     for log, result in _run_cells(stacks):
-        log.to_csv(os.path.join(
-            cfg.output_dir, f"{tag}_{result.scenario}_seed{result.seed}.csv"))
+        log.to_csv(output_path(cfg, f"{result.scenario}_seed{result.seed}.csv"))
         results.append(result)
-    write_summary(cfg, results, os.path.join(cfg.output_dir, f"{tag}_summary.csv"))
+    _write_rows(output_path(cfg, "summary.csv"), SUMMARY_COLUMNS,
+                summary_rows(cfg, results))
     return results
 
 
@@ -587,7 +572,5 @@ def sweep_sizes(cfg: ExperimentConfig, teacher_widths, student_widths
     accs = np.array([result.student_tgt_acc for _, result in _run_cells(stacks)])
     rows = [[str(tw), str(sw), repr(float(a.mean())), repr(float(a.std()))]
             for (tw, sw), a in zip(widths, accs.reshape(len(widths), -1))]
-    path = os.path.join(cfg.output_dir, f"{cfg.config_hash()}_sweep.csv")
-    with open(path, "w") as fh:
-        fh.writelines(",".join(row) + "\n" for row in [SWEEP_COLUMNS, *rows])
+    _write_rows(output_path(cfg, "sweep.csv"), SWEEP_COLUMNS, rows)
     return rows

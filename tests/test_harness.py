@@ -549,6 +549,11 @@ experiment.seeds = 0, 1
 """
 
 
+# numpy's words for an allocation it cannot make, here of a 3M x 3M layer
+TOO_LARGE = ("Unable to allocate 65.5 TiB for an array with shape "
+             "(3000000, 3000000) and data type float64")
+
+
 @pytest.fixture
 def no_training(monkeypatch):
     """Fail the test if any command starts to train a cell."""
@@ -598,6 +603,29 @@ class TestCli:
         code = main(["train", "--config", str(tmp_path / "absent.cfg")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,content", [
+        ("train", b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256))),
+        ("complexity", b"data.classes = 3\xff\n"),
+    ])
+    def test_a_config_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys,
+                                                         command, content):
+        path = tmp_path / "bin.cfg"
+        path.write_bytes(content)
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {path}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_a_model_too_large_to_allocate_is_an_error(self, tmp_path,
+                                                       cli_config, monkeypatch,
+                                                       capsys):
+        def too_large(spec):
+            raise MemoryError(TOO_LARGE)
+
+        monkeypatch.setattr(harness, "build", too_large)
+        assert main(["train", "--config", cli_config]) == 1
+        assert capsys.readouterr().err == f"error: {TOO_LARGE}\n"
 
     def test_unknown_scenario_is_a_usage_error(self, tmp_path, cli_config,
                                                capsys, no_training):
@@ -912,6 +940,39 @@ class TestParallelCells:
             + f"experiment.output_dir = {tmp_path / 'cli'}\n")
         assert main(["scenarios", "--config", str(path)]) == 1
         assert "worker process died" in capsys.readouterr().err
+
+    def test_a_worker_out_of_memory_is_an_error(self, tmp_path, monkeypatch,
+                                                workers, cli_config, capsys):
+        workers(2)
+        caller = os.getpid()
+        real = harness.build
+
+        def build(spec):
+            if os.getpid() != caller:
+                raise MemoryError(TOO_LARGE)
+            return real(spec)
+
+        monkeypatch.setattr(harness, "build", build)
+        assert main(["scenarios", "--config", cli_config]) == 1
+        assert capsys.readouterr().err == f"error: {TOO_LARGE}\n"
+        # the caller's joint stack is written; the worker's uda_only is not
+        tag = load_config(cli_config).config_hash()
+        assert sorted(os.listdir(tmp_path / "runs")) == [
+            f"{tag}_joint_seed{k}.csv" for k in (0, 1)]
+
+    def test_one_process_loads_no_pool_machinery(self, monkeypatch,
+                                                 cli_config):
+        # importing the pool modules after numpy moved the heap so that a
+        # pool process took about 56k more page faults; a grid on one
+        # process has no pool, so it should not import them at all
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(harness._usable_cpus()))
+        code = ("import sys\n"
+                "from kduda import harness\n"
+                "assert harness._worker_count(2) == 1\n"
+                "harness.run_experiment(harness.load_config(sys.argv[1]))\n"
+                "print(sorted({'concurrent.futures', 'multiprocessing'}"
+                " & set(sys.modules)))\n")
+        assert run_fresh(code, cli_config).split() == ["[]"]
 
 
 def scenario_grid_cfg(tmp_path, seeds="0, 1", epochs=20):
