@@ -81,8 +81,8 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar, got shape {self.values.shape}")
         return float(self.values)
 
-    def backward(self):
-        backward(self)
+    def backward(self, weight: float = 1.0):
+        backward(self, weight)
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, node_id={self.node_id})"
@@ -259,21 +259,22 @@ def kernel_bank_mean(d: Tensor, sigmas) -> Tensor:
 
 # -- reverse pass -------------------------------------------------------------
 
-def backward(loss: Tensor):
-    """Populate .grad for every tensor the loss depends on.
+def backward(loss: Tensor, weight: float = 1.0):
+    """Populate .grad for every tensor weight * loss depends on.
 
     The loss holds one value per cell of its graph's stack, each seeded with
-    1, so every cell's adjoint is exactly its own. Node ids are visited from
-    the loss down to 0; only tensors reached through inputs carry an
-    adjoint, so the graph's tape itself is never read. Adjoints live in a
-    per-call table so that calling backward twice adds a second full
-    gradient onto .grad.
+    weight, so every cell's adjoint is exactly its own, and the same bits
+    as backpropagating scalar_multiply(loss, weight) from 1. Node ids are
+    visited from the loss down to 0; only tensors reached through inputs
+    carry an adjoint, so the graph's tape itself is never read. Adjoints
+    live in a per-call table so that calling backward twice adds a second
+    full gradient onto .grad.
     """
     stack = loss.graph.stack
     if not (loss.values.shape == stack if stack else loss.values.size == 1):
         raise ShapeError(f"backward needs a loss of shape {stack} (one value per "
                          f"stacked cell), got shape {loss.values.shape}")
-    adjoint: dict[int, Array] = {loss.node_id: np.ones_like(loss.values)}
+    adjoint: dict[int, Array] = {loss.node_id: np.full_like(loss.values, weight)}
     reached: dict[int, Tensor] = {loss.node_id: loss}
     for pos in range(loss.node_id, -1, -1):
         g = adjoint.get(pos)

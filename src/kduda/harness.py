@@ -23,7 +23,7 @@ import numpy as np
 from . import trainer
 from .data import (DomainPair, gen_blob_shift, gen_two_moons_shift,
                    stack_pairs, standardize)
-from .errors import ConfigError, KdudaError, ParameterError
+from .errors import ConfigError, KdudaError, NumericalAbort, ParameterError
 from .losses import KernelConfig
 from .models import ModelSpec, build, count_complexity, stack
 from .trainer import SCENARIOS, TrainConfig, TrainLog
@@ -312,11 +312,16 @@ def run_single(cfg: ExperimentConfig, scenario: str, seeds: tuple[int, ...]
     student = join([build(cfg.student_spec(seed)) for seed in seeds], stack)
     # looked up at call time, so a wrapper installed on the module applies
     train = getattr(trainer, f"train_{scenario}")
-    if scenario == "uda_only":  # the only scenario without a teacher
-        log = train(student, pair, train_cfg)
-    else:
-        teacher = join([build(cfg.teacher_spec(seed)) for seed in seeds], stack)
-        log = train(teacher, student, pair, train_cfg)
+    try:
+        if scenario == "uda_only":  # the only scenario without a teacher
+            log = train(student, pair, train_cfg)
+        else:
+            teacher = join([build(cfg.teacher_spec(seed)) for seed in seeds], stack)
+            log = train(teacher, student, pair, train_cfg)
+    except NumericalAbort as exc:
+        if len(seeds) > 1:  # _run_share reruns the stack one cell at a time
+            raise
+        raise NumericalAbort(f"{scenario} seed {seeds[0]}: {exc}") from None
     s_params, s_macs = count_complexity(cfg.student_spec(0))
     t_params, t_macs = count_complexity(cfg.teacher_spec(0))
     cells = []

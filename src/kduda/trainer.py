@@ -1,14 +1,15 @@
 """Training procedures: the joint progressive one and its four references,
 each a table of phases (`SCENARIOS`) run by one epoch driver.
 
-The joint phase alternates two optimizer steps per paired batch. First the
-big model takes a domain-adaptation step on (1 - beta) times its alignment
-loss; then, with its just-updated parameters, it produces fresh soft targets
-on both domains in one graph-free forward, and the small model takes a
-distillation step on beta times the two distill terms. References:
-adapt-only on the small model, supervised-then-distill-then-adapt (three
-phases), adapt-the-big-model-then-distill (two phases, distillation without
-labels), and supervised source training of both.
+A phase steps its models in turn on every paired batch, each by one of three
+moves: adaptation (MMD + gamma source CE), supervised source CE, or
+distillation from the teacher's fresh soft targets on the source domain,
+the target domain or both. A move at lr_da descends (1 - beta) times its
+objective, one at lr_kd beta times it. So the joint phase adapts the big
+model, then distills both domains into the small one from the just-updated
+big model. References: adapt-only on the small model,
+supervised-then-distill-then-adapt, adapt-then-distill (distillation
+without labels), and supervised source training of both.
 
 Clocks: beta (refreshed once per epoch) and gamma follow the run's global
 epoch. Every phase starts with fresh optimizers; an adaptation or supervised
@@ -29,6 +30,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from functools import partial, reduce
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from .models import Model, ModelSpec, count_complexity
 CSV_COLUMNS = ("epoch", "beta", "gamma", "L_mmd", "L_tda", "L_tkd", "L_skd",
                "L_total", "teacher_src_acc", "teacher_tgt_acc",
                "student_src_acc", "student_tgt_acc", "seconds")
+_LOSS_COLUMNS = CSV_COLUMNS[3:8]
 
 
 # the TrainConfig field behind each BetaSchedule field or gamma_at argument
@@ -246,101 +249,68 @@ def evaluate(model: Model, x: np.ndarray, y_true: np.ndarray):
     return np.mean(preds == y_true, axis=-1)
 
 
-# -- steps -------------------------------------------------------------------------
+# -- moves -------------------------------------------------------------------------
 #
-# step(trained, teacher, batch, cfg, weights, beta, epoch) trains the
-# phase's (model, optimizer) pairs on one batch (xs, ys, xt) and returns its
-# (mmd, tda, tkd, skd, total), each a float or one value per stacked cell.
-# Each graph lives in a function that returns only arrays, so it is freed
-# on return and at most one is alive. A graph's stack is the labels' shape
-# without the row axis.
+# move(model, opt, weight, teacher, batch, cfg, weights, epoch) takes model
+# one optimizer step down weight times its objective on one batch
+# (xs, ys, xt) and returns its loss terms by CSV column, each a float or one
+# value per stacked cell. Each graph lives in a move, which returns only
+# arrays, so it is freed on return and at most one is alive. A graph's stack
+# is the labels' shape without the row axis.
 
 
-def _descend(model: Model, opt: OptimizerState, objective, epoch: int,
-             **terms: float):
-    """Abort on a term that is not finite in some cell, else backpropagate
-    objective and take one optimizer step on model."""
+def _check_finite(terms: dict, epoch: int):
+    """Abort on a term that is not finite in some cell."""
     for term, value in terms.items():
         if not np.isfinite(value).all():
             raise NumericalAbort(f"{term} is not finite at epoch {epoch}")
-    objective.backward()
+
+
+def _descend(model: Model, opt: OptimizerState, objective, weight: float,
+             epoch: int, terms: dict) -> dict:
+    """Check terms, then backpropagate weight times objective and take one
+    optimizer step on model; returns terms."""
+    _check_finite(terms, epoch)
+    objective.backward(weight)
     sgd_step(model.parameters(), model.bound_gradients(), opt)
+    return terms
 
 
-def _adapt_step(trained, teacher, batch, cfg, weights, beta, epoch,
-                scale: float | None = None):
-    """Descend MMD + gamma CE on the first trained model, times scale if
-    given."""
-    model, opt = trained[0]
+def _adapt(model, opt, weight, teacher, batch, cfg, weights, epoch):
+    """MMD between the domains' features + gamma source cross-entropy."""
     xs, ys, xt = batch
     graph = Graph(ys.shape[:-1])
     tda, parts = teacher_da_loss(model, graph.tensor(xs), ys, graph.tensor(xt),
                                  cfg.kernel, weights)
-    mmd, tda_val = parts["mmd"], tda.values
-    _descend(model, opt, tda if scale is None else ad.scalar_multiply(tda, scale),
-             epoch, L_mmd=mmd, L_tda=tda_val)
-    return mmd, tda_val, 0.0, 0.0, tda_val
+    return _descend(model, opt, tda, weight, epoch,
+                    {"L_mmd": parts["mmd"], "L_tda": tda.values})
 
 
-def _joint_step(trained, teacher, batch, cfg, weights, beta, epoch):
-    """Adapt the teacher on (1 - beta) of its loss, then distill the student
-    on beta times both distillation terms from the just-updated teacher,
-    whose soft targets on both domains come from one forward."""
-    mmd, tda, _, _, _ = _adapt_step(trained, teacher, batch, cfg, weights,
-                                    beta, epoch, scale=1.0 - beta)
-    student, opt = trained[1]
-    xs_np, ys, xt_np = batch
-    graph = Graph(ys.shape[:-1])
-    xs, xt = graph.tensor(xs_np), graph.tensor(xt_np)
-    soft_s, soft_t = soft_targets(teacher, weights.tau, xs_np, xt_np)
-    tkd = target_kd_loss(student, soft_t, xt, weights)
-    skd, _ = source_kd_loss(student, soft_s, xs, ys, weights)
-    tkd_val, skd_val = tkd.values, skd.values
-    total = (1.0 - beta) * tda + beta * (tkd_val + skd_val)
-    _descend(student, opt, ad.scalar_multiply(ad.add(tkd, skd), beta), epoch,
-             L_tkd=tkd_val, L_skd=skd_val, L_total=total)
-    return mmd, tda, tkd_val, skd_val, total
-
-
-def _source_ce(model: Model, opt: OptimizerState, batch, epoch: int) -> float:
-    """One supervised step on model; returns its source cross-entropy."""
+def _supervised(model, opt, weight, teacher, batch, cfg, weights, epoch):
+    """Source cross-entropy, logged as L_tda."""
     graph = Graph(batch[1].shape[:-1])
     ce = cross_entropy(
         ad.softmax_temperature(model.logits(graph.tensor(batch[0])), 1.0),
         batch[1])
-    ce_val = ce.values
-    _descend(model, opt, ce, epoch, L_tda=ce_val)
-    return ce_val
+    return _descend(model, opt, ce, weight, epoch, {"L_tda": ce.values})
 
 
-def _supervised_step(trained, teacher, batch, cfg, weights, beta, epoch):
-    """Descend source cross-entropy on each trained model in turn; the loss
-    columns report the first model's."""
-    ces = [_source_ce(model, opt, batch, epoch) for model, opt in trained]
-    return 0.0, ces[0], 0.0, 0.0, ces[0]
-
-
-def _source_kd_step(trained, teacher, batch, cfg, weights, beta, epoch):
-    """Labeled-source distillation into the student, unscaled."""
-    (student, opt), = trained
-    graph = Graph(batch[1].shape[:-1])
-    soft_s, = soft_targets(teacher, weights.tau, batch[0])
-    skd, _ = source_kd_loss(student, soft_s, graph.tensor(batch[0]), batch[1],
-                            weights)
-    skd_val = skd.values
-    _descend(student, opt, skd, epoch, L_skd=skd_val)
-    return 0.0, 0.0, 0.0, skd_val, skd_val
-
-
-def _target_kd_step(trained, teacher, batch, cfg, weights, beta, epoch):
-    """Label-free target distillation into the student, unscaled."""
-    (student, opt), = trained
-    graph = Graph(batch[1].shape[:-1])
-    soft_t, = soft_targets(teacher, weights.tau, batch[2])
-    tkd = target_kd_loss(student, soft_t, graph.tensor(batch[2]), weights)
-    tkd_val = tkd.values
-    _descend(student, opt, tkd, epoch, L_tkd=tkd_val)
-    return 0.0, 0.0, tkd_val, 0.0, tkd_val
+def _distill(model, opt, weight, teacher, batch, cfg, weights, epoch, domains):
+    """Target KD, source KD or their sum, against the teacher's soft targets
+    from one forward over the rows of the given domains, source first."""
+    xs, ys, xt = batch
+    graph = Graph(ys.shape[:-1])
+    rows = [{"source": xs, "target": xt}[d] for d in domains]
+    soft = dict(zip(domains, soft_targets(teacher, weights.tau, *rows)))
+    x = dict(zip(domains, map(graph.tensor, rows)))
+    losses = {}
+    if "target" in soft:
+        losses["L_tkd"] = target_kd_loss(model, soft["target"], x["target"], weights)
+    if "source" in soft:
+        losses["L_skd"], _ = source_kd_loss(model, soft["source"], x["source"], ys,
+                                            weights)
+    return _descend(model, opt, reduce(ad.add, losses.values()), weight, epoch,
+                    {column: loss.values for column, loss in losses.items()})
 
 
 # -- scenarios ---------------------------------------------------------------------
@@ -350,56 +320,58 @@ def _target_kd_step(trained, teacher, batch, cfg, weights, beta, epoch):
 class Phase:
     """One stretch of a scenario: `epochs // share` epochs (the last phase
     takes the rest), logging `beta`, or the schedule's when None. `trains`
-    lists (model, rate) pairs, "teacher" or "student" at "lr_da" (decaying
-    over the phase) or "lr_kd" (constant), each with a fresh optimizer."""
+    lists (model, rate, move) in step order: "teacher" or "student", with a
+    fresh optimizer at "lr_da" (decaying over the phase) or "lr_kd"
+    (constant), whose move descends 1 - beta or beta times its objective."""
 
     name: str
     share: int
     beta: float | None
-    trains: tuple[tuple[str, str], ...]
-    step: Callable[..., tuple[float, float, float, float, float]]
+    trains: tuple[tuple[str, str, Callable[..., dict]], ...]
 
 
-# the (model, rate) pairs a phase can train
-_TEACHER_DA, _STUDENT_DA, _STUDENT_KD = (
-    ("teacher", "lr_da"), ("student", "lr_da"), ("student", "lr_kd"))
+_distill_both = partial(_distill, domains=("source", "target"))
+_distill_source = partial(_distill, domains=("source",))
+_distill_target = partial(_distill, domains=("target",))
 
 SCENARIOS: dict[str, tuple[Phase, ...]] = {
-    "joint": (Phase("joint", 1, None, (_TEACHER_DA, _STUDENT_KD), _joint_step),),
+    "joint": (Phase("joint", 1, None, (("teacher", "lr_da", _adapt),
+                                       ("student", "lr_kd", _distill_both))),),
     "uda_then_kd": (
-        Phase("teacher_uda", 2, 0.0, (_TEACHER_DA,), _adapt_step),
-        Phase("distill_target", 1, 1.0, (_STUDENT_KD,), _target_kd_step)),
+        Phase("teacher_uda", 2, 0.0, (("teacher", "lr_da", _adapt),)),
+        Phase("distill_target", 1, 1.0, (("student", "lr_kd", _distill_target),))),
     "kd_then_uda": (
-        Phase("teacher_supervised", 3, 0.0, (_TEACHER_DA,), _supervised_step),
-        Phase("distill_source", 3, 1.0, (_STUDENT_KD,), _source_kd_step),
-        Phase("student_uda", 1, 0.0, (_STUDENT_DA,), _adapt_step)),
-    "uda_only": (Phase("uda_only", 1, 0.0, (_STUDENT_DA,), _adapt_step),),
-    "source_only": (
-        Phase("source_only", 1, 0.0, (_STUDENT_DA, _TEACHER_DA), _supervised_step),),
+        Phase("teacher_supervised", 3, 0.0, (("teacher", "lr_da", _supervised),)),
+        Phase("distill_source", 3, 1.0, (("student", "lr_kd", _distill_source),)),
+        Phase("student_uda", 1, 0.0, (("student", "lr_da", _adapt),))),
+    "uda_only": (Phase("uda_only", 1, 0.0, (("student", "lr_da", _adapt),)),),
+    "source_only": (Phase("source_only", 1, 0.0, (("student", "lr_da", _supervised),
+                                                  ("teacher", "lr_da", _supervised))),),
 }
 
 
-# Rough cost of one batch of each step, for ranking stacks against each
+# Rough cost of one batch of each move, for ranking stacks against each
 # other: (tape ops, multiply-accumulates per batch row and cell), from the
-# (layers, MACs) of each trained model in phase order and of the teacher. A
-# graph step's products cost three forwards: the forward and two adjoints.
-# The kernel-bank loss counts as 30 ops: its distance blocks, kernels and
+# (layers, MACs) of the moved model and of the teacher. A graph step's
+# products cost three forwards: the forward and two adjoints. The
+# kernel-bank loss counts as 30 ops: its distance blocks, kernels and
 # bandwidth median are heavier than a layer.
 _STEP_COST = {
-    _adapt_step: lambda trained, t: (2 * trained[0][0] + 30, 6 * trained[0][1]),
-    _joint_step: lambda trained, t: (2 * (t[0] + trained[1][0]) + 39,
-                                     6 * (t[1] + trained[1][1]) + 2 * t[1]),
-    _supervised_step: lambda trained, t: (sum(n + 2 for n, _ in trained),
-                                          sum(3 * m for _, m in trained)),
-    _source_kd_step: lambda trained, t: (trained[0][0] + 6,
-                                         3 * trained[0][1] + t[1]),
-    _target_kd_step: lambda trained, t: (trained[0][0] + 2,
-                                         3 * trained[0][1] + t[1]),
+    _adapt: lambda m, t: (2 * m[0] + 30, 6 * m[1]),
+    _supervised: lambda m, t: (m[0] + 2, 3 * m[1]),
+    _distill_both: lambda m, t: (2 * m[0] + 9, 6 * m[1] + 2 * t[1]),
+    _distill_source: lambda m, t: (m[0] + 6, 3 * m[1] + t[1]),
+    _distill_target: lambda m, t: (m[0] + 2, 3 * m[1] + t[1]),
 }
 # seconds per tape op and per multiply-accumulate, fitted to 20-epoch
 # stacks of every scenario at 2 and 5 seeds on the headline models (2 vCPU,
 # one BLAS thread), which it then estimates within about 20%
 _OP_S, _MAC_S = 27e-6, 1.2e-10
+
+# a layer whose weight norm grows past this many times its value before
+# training has diverged: healthy runs stay within 1.3 times it, runs at
+# chance accuracy pass 30 times it
+_GROWTH_LIMIT = 10.0
 
 
 def _phase_epochs(scenario: str, epochs: int):
@@ -424,18 +396,34 @@ def estimate_seconds(scenario: str, teacher: ModelSpec, student: ModelSpec,
     steps = -(-rows // cfg.batch_size)
     total = 0.0
     for phase, _, count in _phase_epochs(scenario, cfg.epochs):
-        trained = [sizes[role] for role, _ in phase.trains]
-        ops, macs = _STEP_COST[phase.step](trained, sizes["teacher"])
-        evals = 2 * rows * sum(m for _, m in trained)
-        total += count * (steps * _OP_S * ops
-                          + cells * _MAC_S * (rows * macs + evals))
+        costs = [_STEP_COST[move](sizes[role], sizes["teacher"])
+                 for role, _, move in phase.trains]
+        evals = 2 * rows * sum(sizes[role][1] for role, _, _ in phase.trains)
+        total += count * (steps * _OP_S * sum(ops for ops, _ in costs)
+                          + cells * _MAC_S * (rows * sum(m for _, m in costs)
+                                              + evals))
     return total
+
+
+def _check_weights(role: str, model: Model, start: list, epoch: int):
+    """Abort when a layer's weight norm is not finite, or has grown past
+    _GROWTH_LIMIT times its value before training, in some cell; start
+    holds those values squared."""
+    for layer, (w, start_sq) in enumerate(zip(model.weights, start)):
+        growth = np.sqrt(np.max(np.einsum("...ij,...ij->...", w, w) / start_sq))
+        if not growth <= _GROWTH_LIMIT:
+            state = (f"grew {growth:.3g}x" if np.isfinite(growth)
+                     else "is not finite")
+            raise NumericalAbort(
+                f"{role} layer {layer} weight norm {state} at epoch {epoch}")
 
 
 def _run_phases(scenario: str, teacher: Model | None, student: Model,
                 pair: DomainPair, cfg: TrainConfig) -> TrainLog:
     """Run a scenario's phases back to back over cfg.epochs epochs, on one
-    cell or on a stack of them."""
+    cell or on a stack of them. Each batch runs the phase's moves in turn;
+    a loss column logs the first value a move gives it, and L_total is
+    recomposed from the others."""
     if teacher is not None and teacher.spec.num_classes != student.spec.num_classes:
         raise ShapeError(
             f"class counts differ: teacher {teacher.spec.num_classes}, "
@@ -446,6 +434,8 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
         if model is not None and model.stack_shape != stack:
             raise ShapeError(f"{role} stack {model.stack_shape} does not match "
                              f"the pair's {stack}")
+    start_sq = {role: [np.einsum("...ij,...ij->...", w, w) for w in model.weights]
+                for role, model in models.items() if model is not None}
     log = TrainLog()
     # (source, target) accuracy of each model, refreshed on eval epochs only
     # and only for a model trained since its last evaluation: another
@@ -454,27 +444,36 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
     stale = {role for role, model in models.items() if model is not None}
     for phase, start, count in _phase_epochs(scenario, cfg.epochs):
         log.phase_boundaries.append((phase.name, start))
-        trained = [(models[role], OptimizerState.for_params(
+        trained = [(role, rate, move, OptimizerState.for_params(
                         models[role].parameters(), getattr(cfg, rate), cfg.momentum))
-                   for role, rate in phase.trains]
-        decaying = [opt for (_, rate), (_, opt) in zip(phase.trains, trained)
-                    if rate == "lr_da"]
+                   for role, rate, move in phase.trains]
         for k in range(count):
             epoch = start + k
             tic = time.perf_counter()
             beta = cfg.beta_at_epoch(epoch) if phase.beta is None else phase.beta
             weights = cfg.weights_at(epoch)
-            for opt in decaying:
-                opt.lr = lr_at(cfg.lr_da, k, count, cfg.lr_da_final_fraction,
-                               cfg.lr_da_decay)
+            for _, rate, _, opt in trained:
+                if rate == "lr_da":
+                    opt.lr = lr_at(cfg.lr_da, k, count, cfg.lr_da_final_fraction,
+                                   cfg.lr_da_decay)
             batch_list = batches(pair, cfg.batch_size, epoch, cfg.seed)
-            sums = np.zeros((5,) + stack)  # mmd, tda, tkd, skd, total
+            moves = [(models[role], opt, move, 1.0 - beta if rate == "lr_da" else beta)
+                     for role, rate, move, opt in trained]
+            sums = np.zeros((len(_LOSS_COLUMNS),) + stack)
             for batch in batch_list:
-                terms = phase.step(trained, teacher, batch, cfg, weights, beta,
-                                   epoch)
-                for i, term in enumerate(terms):
-                    sums[i] += term
-            stale.update(role for role, _ in phase.trains)
+                terms = {}
+                for model, opt, move, weight in moves:
+                    for column, value in move(model, opt, weight, teacher, batch,
+                                              cfg, weights, epoch).items():
+                        terms.setdefault(column, value)
+                terms["L_total"] = ((1.0 - beta) * terms.get("L_tda", 0.0) + beta
+                                    * (terms.get("L_tkd", 0.0) + terms.get("L_skd", 0.0)))
+                _check_finite({"L_total": terms["L_total"]}, epoch)
+                for i, column in enumerate(_LOSS_COLUMNS):
+                    sums[i] += terms.get(column, 0.0)
+            for role, _, _, _ in trained:
+                _check_weights(role, models[role], start_sq[role], epoch)
+                stale.add(role)
             if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
                 for role in stale:
                     accs[role] = tuple(evaluate(models[role], x, y) for x, y in

@@ -258,6 +258,34 @@ class TestBackward:
         ad.add(squared_norm(x), x).backward()
         np.testing.assert_allclose(x.grad, [[5.0]])
 
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    @pytest.mark.parametrize("weight", [0.37, -2.5, 0.0, 1e-300])
+    def test_a_weighted_backward_gives_the_bits_of_a_scaled_loss(self, stack,
+                                                                 weight):
+        def leaves_and_loss():
+            g = Graph(stack)
+            rng = np.random.default_rng(5)
+            x, w, b, y = (g.tensor(rng.normal(size=stack + shape))
+                          for shape in ((6, 4), (4, 3), (3,), (5, 3)))
+            h = ad.softmax_temperature(ad.linear(x, w, b, relu=True), 2.0)
+            d = ad.pairwise_sqdist(h, ad.subtract(y, ad.add(y, y)))
+            return (x, w, b, y), ad.kernel_bank_mean(d, (0.5, 2.0))
+        weighted, loss = leaves_and_loss()
+        loss.backward(weight)
+        scaled, loss = leaves_and_loss()
+        ad.scalar_multiply(loss, weight).backward()
+        for a, b in zip(weighted, scaled):
+            assert same_bits(a.grad, b.grad)
+
+    @pytest.mark.parametrize("stack,values", [((), 3.0), ((3,), [1.0, -2.0, 5.0])])
+    def test_the_adjoint_starts_at_the_weight(self, stack, values):
+        g = Graph(stack)
+        x, y = g.tensor(values), g.tensor(values)
+        x.backward()
+        y.backward(0.25)
+        assert same_bits(x.grad, np.ones_like(x.values))
+        assert same_bits(y.grad, np.full_like(y.values, 0.25))
+
     def test_tape_counts_nodes_and_frees_without_the_cyclic_gc(self):
         was_enabled = gc.isenabled()
         gc.disable()

@@ -13,7 +13,7 @@ import kduda.trainer
 from kduda.data import gen_blob_shift
 from kduda.errors import NumericalAbort, ParameterError, ShapeError
 from kduda.losses import gamma_at
-from kduda.models import Model, ModelSpec, build
+from kduda.models import Model, ModelSpec, build, stack
 from kduda.trainer import (
     CSV_COLUMNS,
     OptimizerState,
@@ -578,6 +578,79 @@ class TestPhaseClocks:
                 assert rec.gamma == gamma_at(epoch, cfg.epochs, cfg.gamma, "ramp")
                 epoch += 1
         assert len({rec.gamma for rec in log.records}) == cfg.epochs
+
+    @pytest.mark.parametrize("scenario", list(kduda.trainer.SCENARIOS))
+    def test_moves_descend_their_rates_share_of_the_objective(self, monkeypatch,
+                                                              scenario):
+        # an lr_da move descends 1 - beta times its objective and an lr_kd
+        # move beta times it, which is exactly 1 in every fixed-beta phase
+        real = kduda.trainer._descend
+        seen = []  # (teacher?, weight, epoch) per step
+
+        def recording(model, opt, objective, weight, epoch, terms):
+            seen.append((model is teacher, weight, epoch))
+            return real(model, opt, objective, weight, epoch, terms)
+
+        monkeypatch.setattr(kduda.trainer, "_descend", recording)
+        teacher, student = small_models()
+        log = kduda.trainer._run_phases(
+            scenario, None if scenario == "uda_only" else teacher, student,
+            small_pair(), quick_cfg(epochs=6, beta_start=0.2, beta_end=0.7))
+        assert len(seen) == 4 * 6 * (1 + (scenario in ("joint", "source_only")))
+        for is_teacher, weight, epoch in seen:
+            beta = log.records[epoch].beta
+            if scenario == "joint":
+                assert 0.0 < beta < 1.0
+                assert weight == (1.0 - beta if is_teacher else beta)
+            else:
+                assert weight == 1.0
+
+
+class TestDivergenceGuard:
+    """After each epoch every model the phase trained must keep each
+    layer's weight norm finite and within 10x of its value before
+    training, in every cell."""
+
+    def test_growth_up_to_the_limit_passes_and_past_it_aborts(self):
+        _, model = small_models()
+        start = [np.sum(w * w) for w in model.weights]
+        model.weights[1] *= 9.9
+        kduda.trainer._check_weights("student", model, start, 3)
+        model.weights[1] *= 10.2 / 9.9
+        with pytest.raises(NumericalAbort, match=r"^student layer 1 weight norm "
+                                                 r"grew 10\.2x at epoch 3$"):
+            kduda.trainer._check_weights("student", model, start, 3)
+        model.weights[1][0, 0] = np.nan
+        with pytest.raises(NumericalAbort, match=r"^student layer 1 weight norm "
+                                                 r"is not finite at epoch 3$"):
+            kduda.trainer._check_weights("student", model, start, 3)
+
+    def test_one_cell_of_a_stack_trips_it(self):
+        model = stack([small_models(seed)[0] for seed in range(3)])
+        start = [np.einsum("sij,sij->s", w, w) for w in model.weights]
+        kduda.trainer._check_weights("teacher", model, start, 0)
+        model.weights[0][1] *= 11.0
+        with pytest.raises(NumericalAbort, match=r"^teacher layer 0 weight norm "
+                                                 r"grew 11x at epoch 0$"):
+            kduda.trainer._check_weights("teacher", model, start, 0)
+
+    @pytest.mark.parametrize("train,roles", [
+        (train_kd_then_uda, ["teacher", "student", "student"]),
+        (train_source_only, ["student", "teacher"] * 3),
+    ])
+    def test_each_epoch_checks_the_models_its_phase_trained(self, monkeypatch,
+                                                            train, roles):
+        real = kduda.trainer._check_weights
+        checked = []
+
+        def recording(role, *args):
+            checked.append(role)
+            real(role, *args)
+
+        monkeypatch.setattr(kduda.trainer, "_check_weights", recording)
+        teacher, student = small_models()
+        train(teacher, student, small_pair(), quick_cfg(epochs=3))
+        assert checked == roles
 
 
 class TestTrainLogCsv:
