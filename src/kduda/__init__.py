@@ -8,10 +8,10 @@ from .data import (DomainPair, batches, gen_blob_shift, gen_two_moons_shift,
 from .errors import (ConfigError, KdudaError, NumericalAbort, ParameterError,
                      ShapeError)
 from .harness import ExperimentConfig, ScenarioResult, load_config, run_experiment
-from .losses import (BetaSchedule, KernelConfig, LossReport, LossWeights,
-                     beta_at, cross_entropy, distill_kl, gamma_at, mmd_squared,
+from .losses import (BetaSchedule, KernelConfig, LossWeights, beta_at,
+                     cross_entropy, distill_kl, gamma_at, mmd_squared,
                      soft_targets, source_kd_loss, target_kd_loss,
-                     teacher_da_loss, total_loss)
+                     teacher_da_loss)
 from .models import Model, ModelSpec, build, count_complexity, stack
 from .trainer import (OptimizerState, TrainConfig, TrainLog, evaluate, sgd_step,
                       train_joint, train_kd_then_uda, train_source_only,

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 config/usage error, an output path that cannot be
-written or a model too large to allocate, 2 numerical abort during training. All outputs are CSV files or
-CSV text on stdout.
+written or a model too large to allocate, 2 numerical abort during
+training. All outputs are CSV files or CSV text on stdout.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ import argparse
 import ctypes
 import os
 import sys
+
+import numpy as np
 
 from .errors import KdudaError, NumericalAbort
 from .harness import (SUMMARY_COLUMNS, check_cell, load_config, output_path,
@@ -130,7 +132,12 @@ def main(argv=None) -> int:
     handlers = {"train": _cmd_train, "scenarios": _cmd_scenarios,
                 "complexity": _cmd_complexity, "sweep": _cmd_sweep}
     try:
-        return handlers[args.command](args)
+        # a diverging run ends in a NumericalAbort: numpy's overflow and
+        # invalid-value warnings on the way would only precede it on stderr.
+        # Forked grid workers inherit the setting; library callers keep
+        # numpy's defaults.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return handlers[args.command](args)
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2

@@ -27,4 +27,6 @@ class ConfigError(KdudaError, ValueError):
 
 
 class NumericalAbort(KdudaError, RuntimeError):
-    """Training produced a non-finite loss. Message names the term and epoch."""
+    """Training produced a non-finite loss, or a layer's weight norm that is
+    not finite or past the divergence guard's limit. The message names the
+    term or the model and layer, and the epoch."""

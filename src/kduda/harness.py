@@ -399,9 +399,9 @@ def _assign_stacks(stacks: list, n: int) -> list[list[int]]:
 def _run_share(stacks) -> tuple[list, Exception | None]:
     """Run stacks in order until a cell fails; return the finished cells'
     (log, result) pairs and the failure, if any. A stack that fails with a
-    KdudaError (a term gone non-finite in some cell) is rerun one cell at a
-    time, so the cells before its failing one are kept and the failure is
-    the one that cell gives on its own."""
+    KdudaError (a term gone non-finite, or a layer past the weight guard, in
+    some cell) is rerun one cell at a time, so the cells before its failing
+    one are kept and the failure is the one that cell gives on its own."""
     done = []
     try:
         for cfg, scenario, seeds in stacks:

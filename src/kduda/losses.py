@@ -1,13 +1,14 @@
-"""Alignment, classification, and distillation losses, plus their blending.
+"""Alignment, classification and distillation losses and their schedules.
 
 The training objective couples two models. The big model aligns its feature
 distributions across domains (kernel two-sample discrepancy) while staying
 accurate on labeled source data. The small model is distilled from it with
 temperature-softened targets on both domains, anchored by a supervised term
 on source labels. A single blend weight, grown exponentially over epochs,
-moves the emphasis from alignment to distillation:
+moves the emphasis from alignment to distillation; the trainer applies it,
+each model descending its own share:
 
-    loss = (1 - blend) * adapt_term + blend * (target_distill + source_distill)
+    (1 - blend) * adapt_term    and    blend * (target_distill + source_distill)
 
 Soft teacher targets are always constants here: no gradient flows into the
 big model through a distillation term.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, softmax_np
 from .errors import ParameterError, ShapeError
 from .models import Model
 
@@ -204,19 +205,6 @@ def gamma_at(t, epochs: int, gamma_max: float, mode: str = "constant") -> float:
     raise ParameterError(f"unknown gamma mode {mode!r}", "mode")
 
 
-@dataclass
-class LossReport:
-    """Scalar values of every term at one step, for logging."""
-
-    mmd: float
-    tda: float
-    tkd: float
-    skd: float
-    total: float
-    beta: float
-    gamma: float
-
-
 # -- primitive losses ----------------------------------------------------------
 
 
@@ -252,18 +240,31 @@ def mmd_squared(fs: Tensor, ft: Tensor, kernel: KernelConfig) -> Tensor:
     return ad.subtract(within, across)
 
 
-def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-probability of the true class, as one tape node.
+def _log_loss(probs: Tensor, t: np.ndarray, offset, scale: float) -> Tensor:
+    """(offset - mean over rows of sum(t * log(probs))) * scale per cell, as
+    one tape node with t constant. Log inputs are clamped at PROB_FLOOR, so
+    certain-but-wrong predictions stay finite, with zero gradient where the
+    clamp is active."""
+    p = probs.values
+    neg_inv_n = -(1.0 / p.shape[-2])
+    clamped = np.maximum(p, PROB_FLOOR)
+    active = p > PROB_FLOOR
+    value = (_cell_sum(np.log(clamped) * t) * neg_inv_n + offset) * scale
+    def vjp(g):
+        coef = np.asarray(g * scale * neg_inv_n)[..., None, None]
+        return (np.where(active, coef * t / clamped, 0.0),)
+    return Tensor(probs.graph, np.asarray(value), (probs,), vjp)
 
-    probs rows must already be distributions; log inputs are clamped at
-    PROB_FLOOR so certain-but-wrong predictions stay finite, and the
-    gradient is zero where the clamp is active.
-    """
+
+def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-probability of the true class: the log-loss node on
+    one-hot rows of distributions. Its offset -0.0 is the exact identity of
+    IEEE addition, so even a zero loss keeps its sign."""
     p = probs.values
     if p.ndim < 2:
         raise ShapeError(f"cross_entropy needs rows of probs, got {p.shape}")
     labels = np.asarray(labels)
-    n, c = p.shape[-2:]
+    c = p.shape[-1]
     if labels.shape != p.shape[:-1]:
         raise ShapeError(f"cross_entropy: labels shape {labels.shape} does not "
                          f"match batch {p.shape[:-1]}")
@@ -272,60 +273,26 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
             f"cross_entropy: labels must be in [0, {c}), got range "
             f"[{labels.min()}, {labels.max()}]")
     onehot = (labels[..., None] == np.arange(c)).astype(np.float64)
-    clamped = np.maximum(p, PROB_FLOOR)
-    active = p > PROB_FLOOR
-    scale = -1.0 / n
-    value = _cell_sum(np.log(clamped) * onehot) * scale
-    def vjp(g):
-        coef = np.asarray(g * scale)[..., None, None]
-        return (np.where(active, coef * onehot / clamped, 0.0),)
-    return Tensor(probs.graph, np.asarray(value), (probs,), vjp)
+    return _log_loss(probs, onehot, -0.0, 1.0)
 
 
 def distill_kl(student_soft: Tensor, teacher_soft, tau: float,
                scale_by_tau_sq: bool = True) -> Tensor:
     """Mean KL divergence from softened teacher rows to softened student
-    rows, as one tape node.
-
-    The teacher side is a constant: values are read once and no gradient is
-    produced for it, even when a graph tensor is passed. Student inputs to
-    the log are clamped at PROB_FLOOR, with zero gradient where the clamp is
-    active. Scaled by tau^2 by default so gradient magnitudes stay
-    comparable across temperatures.
-    """
+    rows: the log-loss node on the teacher's rows, offset by their mean
+    entropy. The teacher side is a constant, even when a graph tensor is
+    passed. Scaled by tau^2 by default so gradient magnitudes stay
+    comparable across temperatures."""
     if tau <= 0:
         raise ParameterError(f"tau must be positive, got {tau}")
     t = np.asarray(teacher_soft.values if isinstance(teacher_soft, Tensor)
                    else teacher_soft, dtype=np.float64)
-    s = student_soft.values
-    if s.shape != t.shape:
-        raise ShapeError(
-            f"distill_kl: student {s.shape} and teacher {t.shape} shapes differ")
-    inv_n = 1.0 / t.shape[-2]
-    clamped = np.maximum(s, PROB_FLOOR)
-    active = s > PROB_FLOOR
-    entropy = _cell_sum(t * np.log(np.maximum(t, PROB_FLOOR))) * inv_n
-    value = _cell_sum(np.log(clamped) * t) * -inv_n + entropy
-    tau_sq = float(tau * tau) if scale_by_tau_sq else None
-    if tau_sq is not None:
-        value = value * tau_sq
-    def vjp(g):
-        if tau_sq is not None:
-            g = g * tau_sq
-        coef = np.asarray(g * -inv_n)[..., None, None]
-        return (np.where(active, coef * t / clamped, 0.0),)
-    return Tensor(student_soft.graph, np.asarray(value), (student_soft,), vjp)
-
-
-def softmax_np(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Graph-free stable softmax of logits / tau, for constant soft targets."""
-    if tau <= 0:
-        raise ParameterError(f"tau must be positive, got {tau}")
-    p = np.asarray(logits, dtype=np.float64) / tau
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+    if student_soft.values.shape != t.shape:
+        raise ShapeError(f"distill_kl: student {student_soft.values.shape} and "
+                         f"teacher {t.shape} shapes differ")
+    entropy = _cell_sum(t * np.log(np.maximum(t, PROB_FLOOR))) * (1.0 / t.shape[-2])
+    return _log_loss(student_soft, t, entropy,
+                     float(tau * tau) if scale_by_tau_sq else 1.0)
 
 
 def soft_targets(teacher: Model, tau: float, *blocks: np.ndarray
@@ -384,23 +351,3 @@ def source_kd_loss(student: Model, targets: np.ndarray, xs: Tensor,
     total = ad.add(kl, ad.scalar_multiply(ce, weights.alpha))
     return total, {"kl": kl.values, "ce": ce.values}
 
-
-def total_loss(teacher: Model, student: Model, xs: Tensor, ys: np.ndarray,
-               xt: Tensor, beta: float, kernel: KernelConfig,
-               weights: LossWeights):
-    """Full blended objective on one graph, and its LossReport.
-
-    total = (1 - beta) * adapt + beta * (target_distill + source_distill)
-    """
-    if not (0.0 <= beta <= 1.0):
-        raise ParameterError(f"beta must be in [0, 1], got {beta}")
-    tda, da_parts = teacher_da_loss(teacher, xs, ys, xt, kernel, weights)
-    soft_s, soft_t = soft_targets(teacher, weights.tau, xs.values, xt.values)
-    tkd = target_kd_loss(student, soft_t, xt, weights)
-    skd, _ = source_kd_loss(student, soft_s, xs, ys, weights)
-    combined = ad.add(ad.scalar_multiply(tda, 1.0 - beta),
-                      ad.scalar_multiply(ad.add(tkd, skd), beta))
-    report = LossReport(
-        mmd=float(da_parts["mmd"]), tda=tda.item(), tkd=tkd.item(), skd=skd.item(),
-        total=combined.item(), beta=float(beta), gamma=weights.gamma)
-    return combined, report

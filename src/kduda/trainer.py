@@ -407,13 +407,16 @@ def estimate_seconds(scenario: str, teacher: ModelSpec, student: ModelSpec,
 
 def _check_weights(role: str, model: Model, start: list, epoch: int):
     """Abort when a layer's weight norm is not finite, or has grown past
-    _GROWTH_LIMIT times its value before training, in some cell; start
-    holds those values squared."""
+    _GROWTH_LIMIT times a positive value before training, in some cell;
+    start holds those values squared. A cell whose layer starts at zero is
+    checked for finiteness only."""
     for layer, (w, start_sq) in enumerate(zip(model.weights, start)):
-        growth = np.sqrt(np.max(np.einsum("...ij,...ij->...", w, w) / start_sq))
-        if not growth <= _GROWTH_LIMIT:
-            state = (f"grew {growth:.3g}x" if np.isfinite(growth)
-                     else "is not finite")
+        sq = np.einsum("...ij,...ij->...", w, w)
+        finite = np.isfinite(sq).all()
+        growth = np.sqrt(np.max(np.divide(sq, start_sq, out=np.zeros_like(sq),
+                                          where=start_sq > 0)))
+        if not (finite and growth <= _GROWTH_LIMIT):
+            state = f"grew {growth:.3g}x" if finite else "is not finite"
             raise NumericalAbort(
                 f"{role} layer {layer} weight norm {state} at epoch {epoch}")
 

@@ -1,10 +1,12 @@
 """Central finite-difference gradient oracle shared by the test modules, the
-plain tape nodes that test-only reference compositions are built from, and
-allocating references for the ops that compute in place."""
+plain tape nodes that test-only reference compositions are built from,
+allocating references for the ops that compute in place, and the loss nodes
+as they read before they shared one."""
 
 import numpy as np
 
 import kduda.autodiff as ad
+from kduda.losses import PROB_FLOOR, _cell_sum
 
 
 def finite_diff_grad(f, x, step=1e-5):
@@ -101,6 +103,40 @@ def old_softmax_temperature(logits, tau):
         inner = (g * p).sum(axis=1, keepdims=True)
         return (p * (g - inner) / tau,)
     return ad.Tensor(logits.graph, p, (logits,), vjp)
+
+
+def old_cross_entropy(probs, labels):
+    """cross_entropy as its own node, before it shared one with distill_kl."""
+    p = probs.values
+    n, c = p.shape[-2:]
+    onehot = (labels[..., None] == np.arange(c)).astype(np.float64)
+    clamped = np.maximum(p, PROB_FLOOR)
+    active = p > PROB_FLOOR
+    scale = -1.0 / n
+    value = _cell_sum(np.log(clamped) * onehot) * scale
+    def vjp(g):
+        coef = np.asarray(g * scale)[..., None, None]
+        return (np.where(active, coef * onehot / clamped, 0.0),)
+    return ad.Tensor(probs.graph, np.asarray(value), (probs,), vjp)
+
+
+def old_distill_kl(student_soft, t, tau, scale_by_tau_sq=True):
+    """distill_kl as its own node, before it shared one with cross_entropy."""
+    s = student_soft.values
+    inv_n = 1.0 / t.shape[-2]
+    clamped = np.maximum(s, PROB_FLOOR)
+    active = s > PROB_FLOOR
+    entropy = _cell_sum(t * np.log(np.maximum(t, PROB_FLOOR))) * inv_n
+    value = _cell_sum(np.log(clamped) * t) * -inv_n + entropy
+    tau_sq = float(tau * tau) if scale_by_tau_sq else None
+    if tau_sq is not None:
+        value = value * tau_sq
+    def vjp(g):
+        if tau_sq is not None:
+            g = g * tau_sq
+        coef = np.asarray(g * -inv_n)[..., None, None]
+        return (np.where(active, coef * t / clamped, 0.0),)
+    return ad.Tensor(student_soft.graph, np.asarray(value), (student_soft,), vjp)
 
 
 def old_softmax_np(logits, tau):

@@ -36,7 +36,6 @@ from kduda.losses import (
     source_kd_loss,
     target_kd_loss,
     teacher_da_loss,
-    total_loss,
 )
 from kduda.models import ModelSpec, build, count_complexity
 from kduda.trainer import TrainConfig, train_joint
@@ -64,11 +63,12 @@ def _set_params(model, flat):
         pos += n
 
 
-def _model_grad_error(model, value_fn, loss_fn):
-    """Relative error between backward and central differences, over every
-    parameter of `model`. loss_fn builds the loss on a fresh graph."""
+def _model_grad_error(model, value_fn, loss_fn, weight=1.0):
+    """Relative error between backward(weight) and central differences of
+    value_fn, over every parameter of `model`. loss_fn builds the loss on a
+    fresh graph."""
     g = ad.Graph()
-    loss_fn(g).backward()
+    loss_fn(g).backward(weight)
     analytic = np.concatenate([a.ravel() for a in model.bound_gradients()])
     base = _flat_params(model)
 
@@ -146,14 +146,16 @@ def test_criterion_1_gradient_correctness():
     errors["teacher_da"] = _model_grad_error(
         teacher, lambda: da_on(ad.Graph()).item(), da_on)
 
-    # blended objective; teacher soft targets are constants by definition, so
-    # the numeric check runs over the student parameters
-    def blended(graph):
-        return total_loss(teacher, student, graph.tensor(xs), ys,
-                          graph.tensor(xt), 0.3, FIXED_KERNEL, w)[0]
+    # what the joint phase's student descends: beta times target plus source
+    # distillation on the teacher's fixed soft targets, beta seeding backward
+    beta = 0.3
+
+    def distilled(graph):
+        return ad.add(target_kd_loss(student, soft_t, graph.tensor(xt), w),
+                      source_kd_loss(student, soft_s, graph.tensor(xs), ys, w)[0])
 
     errors["total"] = _model_grad_error(
-        student, lambda: blended(ad.Graph()).item(), blended)
+        student, lambda: beta * distilled(ad.Graph()).item(), distilled, beta)
 
     elapsed = time.perf_counter() - started
     worst = max(errors.values())

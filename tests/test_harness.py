@@ -773,6 +773,24 @@ class TestCli:
         assert capsys.readouterr().err == (
             "numerical abort: joint seed 0: L_tkd is not finite at epoch 0\n")
 
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_a_diverging_grid_prints_its_abort_alone(self, tmp_path, capsys,
+                                                     workers, processes):
+        # no errstate of the test's own: a numpy warning that reached the
+        # suite's warnings-as-errors filter would end main in a traceback
+        workers(processes)
+        path = tmp_path / "explode.cfg"
+        path.write_text("data.n_per_domain = 60\ntrain.epochs = 3\n"
+                        "train.batch_size = 30\ntrain.lr_da = 1e308\n"
+                        "experiment.scenarios = joint, uda_only\n"
+                        "experiment.seeds = 0, 1\n"
+                        f"experiment.output_dir = {tmp_path / 'runs'}\n")
+        before = np.geterr()
+        assert main(["scenarios", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical abort: joint seed 0: L_tkd is not finite at epoch 0\n")
+        assert np.geterr() == before
+
 
 # -- parallel cells ------------------------------------------------------------
 

@@ -22,13 +22,13 @@ from kduda.losses import (
     source_kd_loss,
     target_kd_loss,
     teacher_da_loss,
-    total_loss,
 )
 from kduda.losses import _median_of_roots
 from kduda.models import ModelSpec, build
 
 from fdcheck import (exp, finite_diff_grad, log, mean, median_of_roots,
-                     old_softmax_np, relative_error, weighted_sum)
+                     old_cross_entropy, old_distill_kl, old_softmax_np,
+                     relative_error, weighted_sum)
 
 
 def mmd_value(fs, ft, kernel):
@@ -600,6 +600,50 @@ class TestDistillKl:
             distill_kl(student, np.full((2, 2), 0.5), tau=0.0)
 
 
+class TestSharedLogLossNode:
+    """cross_entropy and distill_kl share one node, and each gives the bits
+    of its own node as it read before: values and gradients, on one cell
+    and on a stack, through log inputs below PROB_FLOOR."""
+
+    @staticmethod
+    def _run(loss_fn, probs0, *args, weight):
+        g = ad.Graph(probs0.shape[:-2])
+        probs = g.tensor(probs0)
+        loss = loss_fn(probs, *args)
+        assert len(g) == 2
+        loss.backward(weight)
+        return loss.values.tobytes(), probs.grad.tobytes()
+
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    @pytest.mark.parametrize("weight", [1.0, 0.3, -2.5])
+    def test_cross_entropy(self, stack, weight):
+        rng = np.random.default_rng(len(stack))
+        for _ in range(10):
+            probs0 = softmax_np(rng.normal(scale=20.0, size=stack + (7, 4)), 1.0)
+            labels = rng.integers(0, 4, size=stack + (7,))
+            assert (probs0 < PROB_FLOOR).any()
+            assert (self._run(cross_entropy, probs0, labels, weight=weight)
+                    == self._run(old_cross_entropy, probs0, labels, weight=weight))
+
+    def test_a_zero_cross_entropy_keeps_its_sign(self):
+        new = self._run(cross_entropy, np.eye(3), np.arange(3), weight=0.3)
+        assert new == self._run(old_cross_entropy, np.eye(3), np.arange(3),
+                                weight=0.3)
+        assert new[0] == np.array(-0.0).tobytes()
+
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    @pytest.mark.parametrize("scaled", [True, False])
+    @pytest.mark.parametrize("weight", [1.0, 0.3, -2.5])
+    def test_distill_kl(self, stack, scaled, weight):
+        rng = np.random.default_rng(len(stack))
+        for tau in (1.0, 4.0, 20.0):
+            s0, t = (softmax_np(rng.normal(scale=30.0, size=stack + (6, 4)), temp)
+                     for temp in (1.0, tau))
+            assert (s0 < PROB_FLOOR).any()
+            assert (self._run(distill_kl, s0, t, tau, scaled, weight=weight)
+                    == self._run(old_distill_kl, s0, t, tau, scaled, weight=weight))
+
+
 def _small_pair():
     rng = np.random.default_rng(0)
     xs = rng.normal(size=(5, 3))
@@ -767,74 +811,6 @@ class TestSourceKdLoss:
             _set_params(student, flat)
             gg = ad.Graph()
             val, _ = source_kd_loss(student, soft(teacher, xs, w.tau), gg.tensor(xs), ys, w)
-            return val.item()
-
-        numeric = finite_diff_grad(f, base)
-        _set_params(student, base)
-        assert relative_error(numeric, analytic) < 1e-5
-
-
-class TestTotalLoss:
-    def _setup(self):
-        teacher = build(ModelSpec(3, (4,), 3, seed=11))
-        student = build(ModelSpec(3, (3,), 3, seed=12))
-        xs, ys, xt = _small_pair()
-        return teacher, student, xs, ys, xt
-
-    def test_beta_zero_is_adaptation_only(self):
-        teacher, student, xs, ys, xt = self._setup()
-        g = ad.Graph()
-        w = LossWeights(tau=4.0)
-        combined, rep = total_loss(teacher, student, g.tensor(xs), ys, g.tensor(xt),
-                                   0.0, KERNEL, w)
-        np.testing.assert_allclose(rep.total, rep.tda, rtol=0, atol=1e-12)
-
-    def test_beta_one_is_distillation_only(self):
-        teacher, student, xs, ys, xt = self._setup()
-        g = ad.Graph()
-        w = LossWeights(tau=4.0)
-        combined, rep = total_loss(teacher, student, g.tensor(xs), ys, g.tensor(xt),
-                                   1.0, KERNEL, w)
-        np.testing.assert_allclose(rep.total, rep.tkd + rep.skd, rtol=0, atol=1e-12)
-
-    def test_recomposition_at_interior_beta(self):
-        teacher, student, xs, ys, xt = self._setup()
-        g = ad.Graph()
-        w = LossWeights(tau=4.0)
-        combined, rep = total_loss(teacher, student, g.tensor(xs), ys, g.tensor(xt),
-                                   0.3, KERNEL, w)
-        expected = 0.7 * rep.tda + 0.3 * (rep.tkd + rep.skd)
-        np.testing.assert_allclose(rep.total, expected, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(combined.item(), rep.total, rtol=0, atol=0)
-        assert rep.beta == 0.3
-        assert rep.gamma == w.gamma
-
-    def test_beta_out_of_range(self):
-        teacher, student, xs, ys, xt = self._setup()
-        g = ad.Graph()
-        for bad in (-0.1, 1.5):
-            with pytest.raises(ParameterError):
-                total_loss(teacher, student, g.tensor(xs), ys, g.tensor(xt),
-                           bad, KERNEL, LossWeights())
-
-    def test_student_gradient_matches_finite_differences(self):
-        # teacher soft targets are constants by construction, so only the
-        # student side admits a clean numeric check of the blended loss
-        teacher, student, xs, ys, xt = self._setup()
-        w = LossWeights(tau=4.0, alpha=0.8, gamma=0.7)
-
-        g = ad.Graph()
-        combined, _ = total_loss(teacher, student, g.tensor(xs), ys, g.tensor(xt),
-                                 0.3, KERNEL, w)
-        combined.backward()
-        analytic = np.concatenate([a.ravel() for a in student.bound_gradients()])
-        base = _flat_params(student)
-
-        def f(flat):
-            _set_params(student, flat)
-            gg = ad.Graph()
-            val, _ = total_loss(teacher, student, gg.tensor(xs), ys, gg.tensor(xt),
-                                0.3, KERNEL, w)
             return val.item()
 
         numeric = finite_diff_grad(f, base)

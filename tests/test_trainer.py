@@ -606,6 +606,35 @@ class TestPhaseClocks:
                 assert weight == 1.0
 
 
+class TestMoveNodeCounts:
+    @pytest.mark.parametrize("move,role,nodes", [
+        ("_adapt", "teacher", 30), ("_adapt", "student", 26),
+        ("_supervised", "teacher", 15), ("_supervised", "student", 12),
+        ("_distill_both", "student", 23), ("_distill_source", "student", 16),
+        ("_distill_target", "student", 12)])
+    def test_each_move_builds_its_known_tape(self, monkeypatch, move, role, nodes):
+        # the headline models on one 32-row batch; a change to these counts
+        # changes what _STEP_COST prices
+        real, seen = ad.backward, []
+
+        def recording(loss, weight=1.0):
+            seen.append(len(loss.graph))
+            return real(loss, weight)
+
+        monkeypatch.setattr(ad, "backward", recording)
+        models = {"teacher": build(ModelSpec(2, (128, 128, 64), 3, seed=1)),
+                  "student": build(ModelSpec(2, (32, 16), 3, seed=2))}
+        rng = np.random.default_rng(0)
+        batch = (rng.normal(size=(32, 2)), rng.integers(0, 3, 32),
+                 rng.normal(size=(32, 2)))
+        cfg = TrainConfig()
+        model = models[role]
+        opt = OptimizerState.for_params(model.parameters(), cfg.lr_da, cfg.momentum)
+        getattr(kduda.trainer, move)(model, opt, 1.0, models["teacher"], batch,
+                                     cfg, cfg.weights_at(0), 0)
+        assert seen == [nodes]
+
+
 class TestDivergenceGuard:
     """After each epoch every model the phase trained must keep each
     layer's weight norm finite and within 10x of its value before
@@ -633,6 +662,29 @@ class TestDivergenceGuard:
         with pytest.raises(NumericalAbort, match=r"^teacher layer 0 weight norm "
                                                  r"grew 11x at epoch 0$"):
             kduda.trainer._check_weights("teacher", model, start, 0)
+
+    def test_a_layer_that_starts_at_zero_is_checked_for_finiteness_only(self):
+        model = stack([small_models(seed)[1] for seed in range(2)])
+        model.weights[1][0] = 0.0
+        start = [np.einsum("sij,sij->s", w, w) for w in model.weights]
+        model.weights[1][0] = 1e100
+        kduda.trainer._check_weights("student", model, start, 2)
+        model.weights[1][1] *= 11.0
+        with pytest.raises(NumericalAbort, match=r"^student layer 1 weight norm "
+                                                 r"grew 11x at epoch 2$"):
+            kduda.trainer._check_weights("student", model, start, 2)
+        model.weights[1][0, 0, 0] = np.inf
+        with pytest.raises(NumericalAbort, match=r"^student layer 1 weight norm "
+                                                 r"is not finite at epoch 2$"):
+            kduda.trainer._check_weights("student", model, start, 2)
+
+    def test_a_zeroed_head_trains(self):
+        teacher, student = small_models()
+        student.weights[-1][...] = 0.0
+        log = train_joint(teacher, student, small_pair(n=200), quick_cfg(epochs=3))
+        assert len(log.records) == 3
+        assert np.isfinite(student.weights[-1]).all()
+        assert np.abs(student.weights[-1]).max() > 0.0
 
     @pytest.mark.parametrize("train,roles", [
         (train_kd_then_uda, ["teacher", "student", "student"]),
