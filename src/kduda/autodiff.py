@@ -197,73 +197,6 @@ def softmax_temperature(logits: Tensor, tau: float) -> Tensor:
     return Tensor(logits.graph, p, (logits,), vjp)
 
 
-def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    """All squared Euclidean distances between rows of a and rows of b.
-
-    Computed by the expansion |x|^2 + |y|^2 - 2 x.y, clipped at zero to
-    absorb cancellation; the adjoint uses the exact difference form, which
-    agrees with the clip because the gradient vanishes where distances do.
-    """
-    _same_graph(a, b)
-    av, bv = a.values, b.values
-    if av.ndim < 2 or bv.ndim != av.ndim or av.shape[:-2] != bv.shape[:-2]:
-        raise ShapeError(
-            f"pairwise_sqdist needs row matrices with the same leading axes, "
-            f"got {av.shape} and {bv.shape}")
-    if av.shape[-1] != bv.shape[-1]:
-        raise ShapeError(
-            f"pairwise_sqdist: widths of {av.shape} and {bv.shape} differ")
-    aa = (av * av).sum(axis=-1)[..., :, None]
-    bb = (bv * bv).sum(axis=-1)[..., None, :]
-    d = av @ _t(bv)
-    d *= 2.0
-    np.subtract(aa + bb, d, out=d)
-    np.maximum(d, 0.0, out=d)
-    def vjp(g):
-        ga = av * g.sum(axis=-1)[..., :, None]
-        ga -= g @ bv
-        ga *= 2.0
-        gb = bv * g.sum(axis=-2)[..., :, None]
-        gb -= _t(g) @ av
-        gb *= 2.0
-        return (ga, gb)
-    return Tensor(a.graph, d, (a, b), vjp)
-
-
-def kernel_bank_mean(d: Tensor, sigmas) -> Tensor:
-    """Mean over all entries of (1/K) * sum_k exp(-d / (2 s_k^2)), for each
-    block of a stack.
-
-    One node for a whole Gaussian kernel bank of K bandwidths over a block
-    of squared distances d, or over each (N, M) block of a stack of them;
-    sigmas is (K,) for all blocks or one row of K per block. The adjoint is
-    g / (N M K) * sum_k (-1/(2 s_k^2)) exp(-d/(2 s_k^2)); its weighted
-    kernel sum is formed in the forward pass, so the K kernel blocks are
-    not kept.
-    """
-    sig = _as_f64(sigmas)
-    if sig.ndim == 0:
-        sig = sig.reshape(1)
-    # nan passes, so a diverged batch reaches the caller's finiteness check
-    if sig.size == 0 or np.any(sig <= 0):
-        raise ParameterError(f"kernel_bank_mean needs positive bandwidths, got {sigmas}")
-    dv = d.values
-    if dv.size == 0 or dv.ndim < 2:
-        raise ShapeError(f"kernel_bank_mean needs a non-empty block, got {dv.shape}")
-    if sig.ndim > 1 and sig.shape[:-1] != dv.shape[:-2]:
-        raise ShapeError(f"kernel_bank_mean: bandwidths {sig.shape} do not match "
-                         f"the blocks {dv.shape}")
-    coef = -0.5 / (sig * sig)
-    k = np.exp(coef[..., :, None, None] * dv[..., None, :, :])
-    n = dv.shape[-1] * dv.shape[-2] * coef.shape[-1]
-    # (.., 1, K) @ (.., K, N M): a stacked product, bitwise per block
-    slope = (coef[..., None, :] @ k.reshape(k.shape[:-2] + (-1,))).reshape(dv.shape)
-    def vjp(g):
-        return (slope * (np.asarray(g) / n)[..., None, None],)
-    value = k.reshape(k.shape[:-3] + (-1,)).sum(axis=-1) / n
-    return Tensor(d.graph, _as_f64(value), (d,), vjp)
-
-
 # -- reverse pass -------------------------------------------------------------
 
 def backward(loss: Tensor, weight: float = 1.0):

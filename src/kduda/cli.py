@@ -132,11 +132,12 @@ def main(argv=None) -> int:
     handlers = {"train": _cmd_train, "scenarios": _cmd_scenarios,
                 "complexity": _cmd_complexity, "sweep": _cmd_sweep}
     try:
-        # a diverging run ends in a NumericalAbort: numpy's overflow and
-        # invalid-value warnings on the way would only precede it on stderr.
-        # Forked grid workers inherit the setting; library callers keep
-        # numpy's defaults.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # a diverging run ends in a NumericalAbort: numpy's overflow,
+        # invalid-value and divide-by-zero warnings on the way (a kernel
+        # bandwidth whose square underflows divides by zero) would only
+        # precede it on stderr. Forked grid workers inherit the setting;
+        # library callers keep numpy's defaults.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return handlers[args.command](args)
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

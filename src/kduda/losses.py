@@ -35,6 +35,11 @@ PROB_FLOOR = 1e-12
 
 MEDIAN_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
+# pairs per pass of mmd_squared's kernel bank: its (K, pairs) block of
+# kernels stays within K x 64 KiB, so a 512-row pooled batch (130816 pairs)
+# does not hold all of its kernels at once
+_PAIR_CHUNK = 8192
+
 
 # -- configuration types -------------------------------------------------------
 
@@ -75,37 +80,30 @@ class KernelConfig:
                     f"multipliers must be positive, got {self.median_multipliers}",
                     "median_multipliers")
 
-    def resolve(self, d_ss: np.ndarray, d_tt: np.ndarray,
-                d_st: np.ndarray) -> np.ndarray:
-        """Concrete bandwidths for one batch, from its squared-distance
-        blocks: (K,) for one cell, (S, K) for the blocks of S stacked cells.
-
-        The median runs over the distinct pairs of each cell's pooled
-        sample: the strict upper triangles of the within-domain blocks d_ss
-        and d_tt, and every entry of the cross-domain block d_st.
+    def resolve(self, pairs: np.ndarray) -> np.ndarray:
+        """Concrete bandwidths for one batch, from the squared distances of
+        its pooled sample's distinct pairs: (K,) for one cell's (P,) pairs,
+        (S, K) for S stacked cells' (S, P). The pairs keep their order.
         """
-        stack = d_st.shape[:-2]
+        stack = pairs.shape[:-1]
         if self.mode == "fixed":
             return np.broadcast_to(self.bandwidths, stack + (len(self.bandwidths),))
-        pairs = np.concatenate([_strict_upper(d_ss), _strict_upper(d_tt),
-                                d_st.reshape(stack + (-1,))], axis=-1)
-        med = np.asarray(_median_of_roots(pairs) if pairs.shape[-1]
-                         else np.zeros(stack))
+        med = np.asarray(_median_of_roots(pairs.copy()))
         med[med < 1e-12] = 1.0  # degenerate batch (all points identical)
         return med[..., None] * np.array(self.median_multipliers)
 
 
-def _strict_upper(d: np.ndarray) -> np.ndarray:
-    """The strict upper triangle of each square block of d, row by row."""
-    n = d.shape[-1]
-    return d.reshape(d.shape[:-2] + (-1,)).take(_strict_upper_index(n), axis=-1)
-
-
 @functools.lru_cache(maxsize=8)
-def _strict_upper_index(n: int) -> np.ndarray:
-    """Read-only flat indices of the strict upper triangle of an n-by-n
-    block; a run meets at most two sizes (full and short last batch)."""
-    index = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
+def _pair_index(ns: int, nt: int) -> np.ndarray:
+    """Read-only flat indices of the distinct pairs of an (ns + nt)-row
+    pooled sample in its square block: source-source pairs, then
+    target-target, then every source-target pair, each row by row. A run
+    meets at most two sizes (full and short last batch)."""
+    n = ns + nt
+    across = np.zeros((n, n), dtype=bool)
+    across[:ns, ns:] = True
+    within = np.triu(~across, k=1)
+    index = np.concatenate([np.flatnonzero(within), np.flatnonzero(across)])
     index.flags.writeable = False
     return index
 
@@ -214,12 +212,32 @@ def _cell_sum(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1)
 
 
+def _pair_sqdist(z: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Squared distances |z_i|^2 + |z_j|^2 - 2 z_i.z_j of the row pairs
+    that index picks from each cell's square block, clipped at zero to
+    absorb cancellation. The block is freed once its pairs are taken."""
+    sq = (z * z).sum(axis=-1)
+    block = z @ ad._t(z)
+    block *= 2.0
+    np.subtract(sq[..., :, None] + sq[..., None, :], block, out=block)
+    d = block.reshape(block.shape[:-2] + (-1,)).take(index, axis=-1)
+    np.maximum(d, 0.0, out=d)
+    return d
+
+
 def mmd_squared(fs: Tensor, ft: Tensor, kernel: KernelConfig) -> Tensor:
     """Biased squared kernel discrepancy between two feature samples.
 
     mean_ii' k(fs_i, fs_i') + mean_jj' k(ft_j, ft_j') - 2 mean_ij k(fs_i, ft_j)
     with k(x, y) = average over bandwidths of exp(-|x - y|^2 / (2 sigma^2)).
     Bandwidths are resolved from the current values and treated as constants.
+
+    One tape node over the pooled sample z = [fs; ft] of N rows: one Gram
+    product gives the squared distances of its N(N-1)/2 distinct pairs, and
+    the kernel bank runs over those alone. Each pair is weighted by its
+    block, 2/ns^2, 2/nt^2 or -2/(ns nt); the diagonal adds exactly
+    1/ns + 1/nt. With M the symmetric matrix of weighted kernel slopes,
+    the adjoint is 2 (rowsum(M) z - M z), split back into fs and ft.
     """
     fv, tv = fs.values, ft.values
     if fv.ndim < 2 or tv.ndim != fv.ndim or fv.shape[:-2] != tv.shape[:-2]:
@@ -228,16 +246,42 @@ def mmd_squared(fs: Tensor, ft: Tensor, kernel: KernelConfig) -> Tensor:
     if fv.shape[-1] != tv.shape[-1]:
         raise ShapeError(
             f"mmd_squared: feature widths {fv.shape} and {tv.shape} differ")
-    if fv.shape[-2] == 0 or tv.shape[-2] == 0:
+    ns, nt = fv.shape[-2], tv.shape[-2]
+    if ns == 0 or nt == 0:
         raise ParameterError("mmd_squared: empty sample")
-    d_ss = ad.pairwise_sqdist(fs, fs)
-    d_tt = ad.pairwise_sqdist(ft, ft)
-    d_st = ad.pairwise_sqdist(fs, ft)
-    sigmas = kernel.resolve(d_ss.values, d_tt.values, d_st.values)
-    within = ad.add(ad.kernel_bank_mean(d_ss, sigmas),
-                    ad.kernel_bank_mean(d_tt, sigmas))
-    across = ad.scalar_multiply(ad.kernel_bank_mean(d_st, sigmas), 2.0)
-    return ad.subtract(within, across)
+    ad._same_graph(fs, ft)
+    n, stack = ns + nt, fv.shape[:-2]
+    z = np.concatenate((fv, tv), axis=-2)
+    index = _pair_index(ns, nt)
+    d = _pair_sqdist(z, index)
+    sig = kernel.resolve(d)
+    coef = -0.5 / (sig * sig)
+    # per pair: the bank's kernel sum, and its slope in d from a stacked
+    # (.., 1, K) @ (.., K, pairs) product, bitwise per cell
+    bank, slope = np.empty_like(d), np.empty_like(d)
+    for lo in range(0, d.shape[-1], _PAIR_CHUNK):
+        part = slice(lo, lo + _PAIR_CHUNK)
+        k = np.exp(coef[..., :, None] * d[..., None, part])
+        bank[..., part] = k.sum(axis=-2)
+        slope[..., part] = (coef[..., None, :] @ k)[..., 0, :]
+    c = 2.0 / coef.shape[-1]
+    weights = (c / (ns * ns), c / (nt * nt), -c / (ns * nt))
+    ss = ns * (ns - 1) // 2
+    tt = ss + nt * (nt - 1) // 2
+    blocks = (slice(0, ss), slice(ss, tt), slice(tt, None))
+    value = 1.0 / ns + 1.0 / nt
+    for w, b in zip(weights, blocks):
+        value = value + w * bank[..., b].sum(axis=-1)
+        slope[..., b] *= w
+    def vjp(g):
+        m = np.zeros(stack + (n * n,))
+        m[..., index] = slope * (2.0 * np.asarray(g))[..., None]
+        m = m.reshape(stack + (n, n))
+        m = m + ad._t(m)
+        gz = m.sum(axis=-1)[..., :, None] * z
+        gz -= m @ z
+        return gz[..., :ns, :], gz[..., ns:, :]
+    return Tensor(fs.graph, np.asarray(value), (fs, ft), vjp)
 
 
 def _log_loss(probs: Tensor, t: np.ndarray, offset, scale: float) -> Tensor:

@@ -354,7 +354,7 @@ SCENARIOS: dict[str, tuple[Phase, ...]] = {
 # other: (tape ops, multiply-accumulates per batch row and cell), from the
 # (layers, MACs) of the moved model and of the teacher. A graph step's
 # products cost three forwards: the forward and two adjoints. The
-# kernel-bank loss counts as 30 ops: its distance blocks, kernels and
+# MMD, one tape node, counts as 30 ops: its Gram product, pair kernels and
 # bandwidth median are heavier than a layer.
 _STEP_COST = {
     _adapt: lambda m, t: (2 * m[0] + 30, 6 * m[1]),

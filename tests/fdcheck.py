@@ -1,11 +1,13 @@
 """Central finite-difference gradient oracle shared by the test modules, the
 plain tape nodes that test-only reference compositions are built from,
-allocating references for the ops that compute in place, and the loss nodes
-as they read before they shared one."""
+allocating references for the ops that compute in place, the loss nodes
+as they read before they shared one, and the MMD as it read before it was
+one node."""
 
 import numpy as np
 
 import kduda.autodiff as ad
+from kduda.errors import ParameterError, ShapeError
 from kduda.losses import PROB_FLOOR, _cell_sum
 
 
@@ -147,13 +149,15 @@ def old_softmax_np(logits, tau):
 
 
 def old_pairwise_sqdist(a, b):
+    """All squared distances between rows of a and rows of b, per cell of a
+    stack."""
     av, bv = a.values, b.values
-    aa = (av * av).sum(axis=1)[:, None]
-    bb = (bv * bv).sum(axis=1)[None, :]
-    d = np.maximum(aa + bb - 2.0 * (av @ bv.T), 0.0)
+    aa = (av * av).sum(axis=-1)[..., :, None]
+    bb = (bv * bv).sum(axis=-1)[..., None, :]
+    d = np.maximum(aa + bb - 2.0 * (av @ ad._t(bv)), 0.0)
     def vjp(g):
-        ga = 2.0 * (av * g.sum(axis=1)[:, None] - g @ bv)
-        gb = 2.0 * (bv * g.sum(axis=0)[:, None] - g.T @ av)
+        ga = 2.0 * (av * g.sum(axis=-1)[..., :, None] - g @ bv)
+        gb = 2.0 * (bv * g.sum(axis=-2)[..., :, None] - ad._t(g) @ av)
         return (ga, gb)
     return ad.Tensor(a.graph, d, (a, b), vjp)
 
@@ -164,6 +168,61 @@ def old_predict_logits(model, x):
     for i in range(len(model.weights) - 1):
         h = np.maximum(h @ model.weights[i] + model.biases[i], 0.0)
     return h @ model.weights[-1] + model.biases[-1]
+
+
+# -- the MMD as three distance blocks and three kernel banks --------------------
+
+
+def old_kernel_bank_mean(d, sigmas):
+    """Mean over all entries of (1/K) * sum_k exp(-d / (2 s_k^2)), for each
+    block of a stack; sigmas is (K,) for all blocks or one row of K per
+    block."""
+    sig = np.asarray(sigmas, dtype=np.float64)
+    if sig.ndim == 0:
+        sig = sig.reshape(1)
+    # nan passes, so a diverged batch reaches the caller's finiteness check
+    if sig.size == 0 or np.any(sig <= 0):
+        raise ParameterError(f"kernel_bank_mean needs positive bandwidths, got {sigmas}")
+    dv = d.values
+    if dv.size == 0 or dv.ndim < 2:
+        raise ShapeError(f"kernel_bank_mean needs a non-empty block, got {dv.shape}")
+    coef = -0.5 / (sig * sig)
+    k = np.exp(coef[..., :, None, None] * dv[..., None, :, :])
+    n = dv.shape[-1] * dv.shape[-2] * coef.shape[-1]
+    slope = (coef[..., None, :] @ k.reshape(k.shape[:-2] + (-1,))).reshape(dv.shape)
+    def vjp(g):
+        return (slope * (np.asarray(g) / n)[..., None, None],)
+    value = k.reshape(k.shape[:-3] + (-1,)).sum(axis=-1) / n
+    return ad.Tensor(d.graph, np.asarray(value, dtype=np.float64), (d,), vjp)
+
+
+def old_resolve(kernel, d_ss, d_tt, d_st):
+    """Bandwidths from the three distance blocks of a pooled sample, (K,)
+    per cell: the median of the roots of the within-domain blocks' strict
+    upper triangles and of every cross-domain entry, by np.median."""
+    stack = d_st.shape[:-2]
+    if kernel.mode == "fixed":
+        return np.broadcast_to(kernel.bandwidths, stack + (len(kernel.bandwidths),))
+    pairs = np.concatenate([d_ss[(...,) + np.triu_indices(d_ss.shape[-1], k=1)],
+                            d_tt[(...,) + np.triu_indices(d_tt.shape[-1], k=1)],
+                            d_st.reshape(stack + (-1,))], axis=-1)
+    med = np.asarray(np.median(np.sqrt(pairs), axis=-1))
+    med[med < 1e-12] = 1.0
+    return med[..., None] * np.array(kernel.median_multipliers)
+
+
+def old_mmd_squared(fs, ft, kernel):
+    """mmd_squared as nine nodes: a distance block and a kernel bank for
+    each of source-source, target-target and source-target, then add,
+    scale and subtract."""
+    d_ss = old_pairwise_sqdist(fs, fs)
+    d_tt = old_pairwise_sqdist(ft, ft)
+    d_st = old_pairwise_sqdist(fs, ft)
+    sigmas = old_resolve(kernel, d_ss.values, d_tt.values, d_st.values)
+    within = ad.add(old_kernel_bank_mean(d_ss, sigmas),
+                    old_kernel_bank_mean(d_tt, sigmas))
+    across = ad.scalar_multiply(old_kernel_bank_mean(d_st, sigmas), 2.0)
+    return ad.subtract(within, across)
 
 
 def median_of_roots(sq):

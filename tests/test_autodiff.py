@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 import kduda.autodiff as ad
 from kduda.autodiff import Graph
 from kduda.errors import ParameterError, ShapeError
-from fdcheck import (exp, finite_diff_grad, log, mean, old_linear,
-                     old_pairwise_sqdist, old_softmax_temperature,
+from kduda.losses import KernelConfig, _pair_index, _pair_sqdist, mmd_squared
+from fdcheck import (exp, finite_diff_grad, log, mean, old_kernel_bank_mean,
+                     old_linear, old_pairwise_sqdist, old_softmax_temperature,
                      relative_error, weighted_sum)
+
+FIXED = KernelConfig(mode="fixed", bandwidths=(0.5, 2.0))
 
 
 def dense(g, x, w, b=None, relu=False):
@@ -221,7 +224,7 @@ class TestSoftmaxTemperature:
 
 def squared_norm(x):
     """|x|^2 of a one-row tensor, as its pairwise distance to the origin."""
-    return ad.pairwise_sqdist(x, x.graph.tensor(np.zeros_like(x.values)))
+    return old_pairwise_sqdist(x, x.graph.tensor(np.zeros_like(x.values)))
 
 
 class TestBackward:
@@ -268,8 +271,8 @@ class TestBackward:
             x, w, b, y = (g.tensor(rng.normal(size=stack + shape))
                           for shape in ((6, 4), (4, 3), (3,), (5, 3)))
             h = ad.softmax_temperature(ad.linear(x, w, b, relu=True), 2.0)
-            d = ad.pairwise_sqdist(h, ad.subtract(y, ad.add(y, y)))
-            return (x, w, b, y), ad.kernel_bank_mean(d, (0.5, 2.0))
+            return (x, w, b, y), mmd_squared(h, ad.subtract(y, ad.add(y, y)),
+                                             FIXED)
         weighted, loss = leaves_and_loss()
         loss.backward(weight)
         scaled, loss = leaves_and_loss()
@@ -304,6 +307,9 @@ class TestBackward:
 
 
 class TestKernelBankMean:
+    """The kernel-bank reference node of tests/fdcheck.py, which the MMD
+    node is checked against."""
+
     @settings(max_examples=60, deadline=None)
     @given(rows_a=st.integers(1, 6), rows_b=st.integers(1, 6),
            width=st.integers(1, 4),
@@ -316,11 +322,11 @@ class TestKernelBankMean:
         d0 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
         def loss_at(d):
-            return ad.kernel_bank_mean(Graph().tensor(d), sigmas).item()
+            return old_kernel_bank_mean(Graph().tensor(d), sigmas).item()
 
         g = Graph()
         d = g.tensor(d0)
-        out = ad.kernel_bank_mean(d, sigmas)
+        out = old_kernel_bank_mean(d, sigmas)
         expected = np.mean([np.exp(-d0 / (2.0 * s * s)) for s in sigmas])
         np.testing.assert_allclose(out.item(), expected, rtol=1e-12)
         out.backward()
@@ -330,12 +336,12 @@ class TestKernelBankMean:
     def test_rejects_bad_bandwidths(self, sigmas):
         g = Graph()
         with pytest.raises(ParameterError):
-            ad.kernel_bank_mean(g.tensor(np.ones((2, 2))), sigmas)
+            old_kernel_bank_mean(g.tensor(np.ones((2, 2))), sigmas)
 
     def test_rejects_an_empty_block(self):
         g = Graph()
         with pytest.raises(ShapeError):
-            ad.kernel_bank_mean(g.tensor(np.ones((0, 3))), (1.0,))
+            old_kernel_bank_mean(g.tensor(np.ones((0, 3))), (1.0,))
 
 
 def _add_bias(g, a, b):
@@ -367,7 +373,7 @@ PRIMITIVE_CASES = [
     ("broadcast_add_bias", lambda g, c, a, b: _add_bias(g, a, b),
      lambda m, n, k: [(m, n), (n,)]),
     ("pairwise_sqdist",
-     lambda g, c, a, b: ad.pairwise_sqdist(g.tensor(a), g.tensor(b)),
+     lambda g, c, a, b: old_pairwise_sqdist(g.tensor(a), g.tensor(b)),
      lambda m, n, k: [(m, n), (k, n)]),
     ("exp", lambda g, c, a: exp(g.tensor(a)), lambda m, n, k: [(m, n)]),
     # negative entries sit on the flat side of the floor
@@ -440,17 +446,19 @@ class TestLog:
 
 
 class TestPairwiseSqdist:
+    """The distance reference node of tests/fdcheck.py."""
+
     def test_hand_values(self):
         g = Graph()
-        out = ad.pairwise_sqdist(g.tensor([[0.0, 0.0], [1.0, 1.0]]),
-                                 g.tensor([[1.0, 0.0]]))
+        out = old_pairwise_sqdist(g.tensor([[0.0, 0.0], [1.0, 1.0]]),
+                                  g.tensor([[1.0, 0.0]]))
         np.testing.assert_allclose(out.values, [[1.0], [1.0]])
 
     def test_self_distances_zero_diagonal(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(6, 3))
         g = Graph()
-        d = ad.pairwise_sqdist(g.tensor(x), g.tensor(x)).values
+        d = old_pairwise_sqdist(g.tensor(x), g.tensor(x)).values
         np.testing.assert_allclose(np.diag(d), 0.0, atol=1e-12)
         assert (d >= 0).all()
 
@@ -463,7 +471,7 @@ class TestGraphDeterminism:
         g = Graph()
         x, w = g.tensor(x0), g.tensor(w0)
         h = ad.linear(x, w, g.tensor(np.zeros(2)), relu=True)
-        loss = mean(ad.pairwise_sqdist(h, h))
+        loss = mmd_squared(h, ad.scalar_multiply(h, 0.5), KernelConfig())
         loss.backward()
         return loss.values.copy(), w.grad.copy()
 
@@ -499,7 +507,8 @@ def same_bits(a, b):
 
 class TestInPlaceOps:
     """The ops that compute into their own buffers equal the allocating
-    references in tests/fdcheck.py bit for bit, values and adjoints."""
+    references in tests/fdcheck.py bit for bit: values and adjoints, and the
+    MMD node's pair distances."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 31, 64, 67, 131])
     def test_relu_is_np_where_on_special_values(self, n):
@@ -555,22 +564,17 @@ class TestInPlaceOps:
     @pytest.mark.parametrize("shared", [False, True])
     def test_pairwise_sqdist_matches_the_reference(self, rows_a, rows_b, width,
                                                    shared):
+        # the MMD node forms its pooled sample's pair distances inside its
+        # Gram block; shared pools a sample with a copy of itself
         rng = np.random.default_rng(rows_a * rows_b + width)
         av = rng.normal(size=(rows_a, width))
-        bv = av if shared else rng.normal(size=(rows_b, width)) + 0.3
+        bv = av.copy() if shared else rng.normal(size=(rows_b, width)) + 0.3
         av[0] = np.round(av[0])  # exact zeros among the distances
-        gv = rng.normal(size=(av.shape[0], bv.shape[0]))
-        outs = []
-        for op in (ad.pairwise_sqdist, old_pairwise_sqdist):
-            g = Graph()
-            a = g.tensor(av)
-            out = op(a, a if shared else g.tensor(bv))
-            outs.append((out.values, *out._vjp(gv)))
-            if shared:  # a is b: both adjoints reach the one input
-                weighted_sum(op(a, a), gv).backward()
-                outs[-1] += (a.grad,)
-        for new, old in zip(*outs):
-            assert same_bits(new, old)
+        z = np.concatenate([av, bv])
+        index = _pair_index(av.shape[0], bv.shape[0])
+        g = Graph()
+        reference = old_pairwise_sqdist(g.tensor(z), g.tensor(z)).values
+        assert same_bits(_pair_sqdist(z, index), reference.ravel()[index])
 
 
 def _every_op(g, rng):
@@ -579,12 +583,10 @@ def _every_op(g, rng):
     y = g.tensor(rng.normal(size=(6, 4)))
     w = g.tensor(rng.normal(size=(4, 3)))
     b = g.tensor(rng.normal(size=3))
-    d = g.tensor(rng.random((6, 6)))
     return [ad.add(x, y), ad.add(x, x), ad.subtract(x, y),
             ad.scalar_multiply(x, 3.0), ad.linear(x, w, b),
             ad.linear(x, w, b, relu=True), ad.softmax_temperature(x, 0.5),
-            ad.pairwise_sqdist(x, y), ad.pairwise_sqdist(x, x),
-            ad.kernel_bank_mean(d, (0.5, 1.0, 2.0))]
+            mmd_squared(x, y, FIXED), mmd_squared(x, x, KernelConfig())]
 
 
 class TestAliasing:
@@ -602,7 +604,7 @@ class TestAliasing:
                 assert not np.shares_memory(out.values, inp.values)
                 assert not np.shares_memory(contrib, inp.values)
 
-    @pytest.mark.parametrize("pair", ["softmax+linear", "sqdist+sqdist"])
+    @pytest.mark.parametrize("pair", ["softmax+linear", "mmd+mmd"])
     def test_a_shared_adjoint_reaches_both_inputs_unchanged(self, pair):
         # add hands one adjoint array to both of its inputs, so each input's
         # vjp must leave it as it was for the other: the sum's gradient is
@@ -610,14 +612,14 @@ class TestAliasing:
         rng = np.random.default_rng(4)
         xv, wv = rng.normal(size=(5, 4)), rng.normal(size=(4, 4))
         yv, bv = rng.normal(size=(5, 4)), rng.normal(size=4)
-        weights = rng.normal(size=(5, 4 if pair == "softmax+linear" else 5))
+        weights = rng.normal(size=(5, 4) if pair == "softmax+linear" else ())
 
         def branches(g, x):
             if pair == "softmax+linear":
                 return (ad.softmax_temperature(x, 2.0),
                         ad.linear(x, g.tensor(wv), g.tensor(bv), relu=True))
-            return (ad.pairwise_sqdist(x, g.tensor(yv)),
-                    ad.pairwise_sqdist(g.tensor(yv[::-1]), x))
+            return (mmd_squared(x, g.tensor(yv), FIXED),
+                    mmd_squared(g.tensor(yv[::-1]), x, FIXED))
 
         g = Graph()
         x = g.tensor(xv)

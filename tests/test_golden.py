@@ -28,41 +28,41 @@ WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
 # the stack must equal seed 0 alone, so one digest covers both
 EPOCH_CSVS = {
     ("scenario_grid", "joint", 0):
-        "a0f2363925bf6622a359a568635936e97dc91d789a55812be9765953f016aa0b",
+        "79d9839f19be38a43a289bcd1868c5153b386e2dda3c458e23d7a6c59ec367f3",
     ("scenario_grid", "joint", 1):
-        "02e1a9f2f43af57463480a7c19e490fd494631f3e0d3f5574370f3a32a136af0",
+        "f691bbb1a9de0638ac5fc500247b54cf4e8bd547ccfd4316f0a6f6ba8402b6cd",
     ("scenario_grid", "uda_then_kd", 0):
-        "220276c118c11ad73ea956c96b6ba4bb747f718d2bcb734aacf4e77695bb935f",
+        "dc4e52282feb7bb09cd6e45902b6909fa1edbf9024bdabc162512545c7275183",
     ("scenario_grid", "uda_then_kd", 1):
-        "b174416b74c5283d85d1f80ccac2041c6a8fe9fe53f189e2f4039effc16ddc6b",
+        "7bc4358d62d453c59d6432010476d99451a2e2f2d94470e1084787900eb6fabc",
     ("scenario_grid", "kd_then_uda", 0):
-        "60734c45beff4b0371fc6992b6b306df8e035633f4805fb9d18a8983344c12d2",
+        "bf500ea0640a1da9bb87ad939dc88285923f7192277a3cbb235415c47ddd2901",
     ("scenario_grid", "kd_then_uda", 1):
         "a39c9fac897dfd2621bd1959c92639785b81595f9226c3a7bfcf91ee6ae9637a",
     ("scenario_grid", "uda_only", 0):
-        "a892a57cf1baf509701b2cdbd4119f543e2a236b7c924f1c1aa0eb1e9388d15a",
+        "e3b65a16a83cfb2e1baf27fd57c25241f5217f8f2814726d77decda190a8ba1f",
     ("scenario_grid", "uda_only", 1):
-        "c1450a48b4fdb7b057291ed8853eb45dfe9d77b0a33e975f9d1233e4811a9a24",
+        "be548233f54ffebb5c70df5f092b62ac13fedfa0bdb3bd5a76f953b00ce77eed",
     ("scenario_grid", "source_only", 0):
         "17f76800f7287bfc35052709d1e072674edfa29d09446451fb4fbab4e020d62f",
     ("scenario_grid", "source_only", 1):
         "be1ec36745ede6fb189434ae2de48a199a84e3d6f9e650b2700769ccb1faac04",
     ("wide_batch", "joint", 0):
-        "4ef18a3f7721341df5111aa49f6fe991ed2423372af2e995c5972bf30ecb7a56",
+        "e47216e7cdc26cfc5c8d9aa966a2326b70b33d262b851e57c595c07c537e9c1b",
     ("wide_batch", "joint", 1):
-        "fb23003a19e059cf2ade73507fc26f84f9c9b5d6b6f2f256f6a7c1914e612bfa",
+        "513660a85db33ce1fa2df4adb441b6eb1666aeebb22961daa2dc43e1b839e03b",
     ("wide_batch", "uda_then_kd", 0):
-        "82eae3bb3a29a68066da92b5d6a4c8ee23f0af90bdd5f08694849bff3504b3b0",
+        "0065c24edcbe20036dca7afd4ca10f730df32450d8a89f1f290920df6e1e6204",
     ("wide_batch", "uda_then_kd", 1):
-        "ede9f2a949cc0961496989711500d815bb6b761480290219b3ef7836ebc188d5",
+        "d91f38aedccdc9d09bb2785adc5b6f3fa50edab91db7d920e9c88ee2b843decd",
     ("wide_batch", "kd_then_uda", 0):
         "4172fa90631434e86543e5291faf32b1ab8a9e806d1f60c68013c5fb8c6f278e",
     ("wide_batch", "kd_then_uda", 1):
-        "659a650cf5548959108f3fb3e99a13199066b01ba41a7c68049248e2c50c953e",
+        "88faa42ce8fe6e93c5f1f925f5ec45555a985674ea746051f75afd5f1ab68545",
     ("wide_batch", "uda_only", 0):
-        "cfee68f9bbeb3390068ad480cc00da9e40caaaa64fff5683f37f510f514e3f16",
+        "1db2d51c38a5c085256fa76e665b897af7d64bc922525f7b19e1c5088ab66d55",
     ("wide_batch", "uda_only", 1):
-        "19a62b2657428e15cad873508b3da1c8c49d4d51a2462975855bbffa18d125cc",
+        "e78fe39ffb000695c3f755960a625266378677e82247b2916eaac6df803409ad",
     ("wide_batch", "source_only", 0):
         "eb7c0a4124f785f55f2dea5dcbb93fe731159cc37803d5aed813796f6ef5b755",
     ("wide_batch", "source_only", 1):

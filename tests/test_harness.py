@@ -791,6 +791,24 @@ class TestCli:
             "numerical abort: joint seed 0: L_tkd is not finite at epoch 0\n")
         assert np.geterr() == before
 
+    @pytest.mark.parametrize("kernel", [
+        "train.kernel_multipliers = 1e-300",
+        "train.kernel_mode = fixed\ntrain.kernel_bandwidths = 1e-300"])
+    def test_a_vanishing_bandwidth_prints_its_abort_alone(self, tmp_path, capsys,
+                                                          kernel):
+        # the bandwidth's square underflows to zero, so the kernel divides
+        # by it; no errstate of the test's own, as above. The MMD value
+        # keeps its exact diagonal term, but its slopes are -inf * 0, so the
+        # teacher's first step makes the student's soft targets nan.
+        path = tmp_path / "tiny.cfg"
+        path.write_text(f"{kernel}\ndata.n_per_domain = 40\ntrain.epochs = 2\n"
+                        f"experiment.output_dir = {tmp_path / 'runs'}\n")
+        before = np.geterr()
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical abort: joint seed 0: L_tkd is not finite at epoch 0\n")
+        assert np.geterr() == before
+
 
 # -- parallel cells ------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kduda.autodiff as ad
@@ -23,11 +24,12 @@ from kduda.losses import (
     target_kd_loss,
     teacher_da_loss,
 )
-from kduda.losses import _median_of_roots
+from kduda.losses import _median_of_roots, _pair_index, _pair_sqdist
 from kduda.models import ModelSpec, build
 
 from fdcheck import (exp, finite_diff_grad, log, mean, median_of_roots,
-                     old_cross_entropy, old_distill_kl, old_softmax_np,
+                     old_cross_entropy, old_distill_kl, old_mmd_squared,
+                     old_pairwise_sqdist, old_resolve, old_softmax_np,
                      relative_error, weighted_sum)
 
 
@@ -61,10 +63,10 @@ def pooled_median_bandwidths(fs, ft, multipliers=(0.25, 0.5, 1.0, 2.0, 4.0)):
 
 def unfused_mmd(fs, ft, sigmas):
     """The estimator as a 5 x (scale, exp, add) + scale + mean composition
-    per block: the reference that ad.kernel_bank_mean replaces."""
+    per block."""
 
     def kernel_mean(a, b):
-        d = ad.pairwise_sqdist(a, b)
+        d = old_pairwise_sqdist(a, b)
         acc = None
         for s in sigmas:
             k = exp(ad.scalar_multiply(d, -1.0 / (2.0 * s * s)))
@@ -76,28 +78,29 @@ def unfused_mmd(fs, ft, sigmas):
     return ad.subtract(within, across)
 
 
-def sqdist_blocks(fs, ft):
-    """Squared-distance blocks (source-source, target-target, source-target)."""
-    def d(a, b):
-        return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return d(fs, fs), d(ft, ft), d(fs, ft)
+def pooled_pairs(fs, ft):
+    """The squared distances of the pooled sample [fs; ft]'s distinct pairs,
+    by differences, in the order mmd_squared takes them."""
+    z = np.concatenate([fs, ft], axis=-2)
+    d = ((z[..., :, None, :] - z[..., None, :, :]) ** 2).sum(axis=-1)
+    return d.reshape(d.shape[:-2] + (-1,))[..., _pair_index(fs.shape[-2],
+                                                            ft.shape[-2])]
+
+
+def node_pairs(fs, ft):
+    """mmd_squared's own pair distances of [fs; ft], and the blocks of the
+    reference's pooled distance matrix, which holds the same bits."""
+    z = np.concatenate([fs, ft], axis=-2)
+    g = ad.Graph()
+    d = old_pairwise_sqdist(g.tensor(z), g.tensor(z)).values
+    ns = fs.shape[-2]
+    return (_pair_sqdist(z, _pair_index(ns, ft.shape[-2])),
+            (d[..., :ns, :ns], d[..., ns:, ns:], d[..., :ns, ns:]))
 
 
 def soft(teacher, x, tau):
     """The teacher's soft targets on x alone."""
     return soft_targets(teacher, tau, x)[0]
-
-
-def old_resolve(kernel, d_ss, d_tt, d_st):
-    """Reference median-mode resolve: index the strict upper triangles with
-    np.triu_indices, root every pair, take np.median."""
-    pairs = np.concatenate([d_ss[np.triu_indices(d_ss.shape[0], k=1)],
-                            d_tt[np.triu_indices(d_tt.shape[0], k=1)],
-                            d_st.ravel()])
-    med = float(np.median(np.sqrt(pairs))) if pairs.size else 0.0
-    if med < 1e-12:
-        med = 1.0
-    return tuple(med * m for m in kernel.median_multipliers)
 
 
 def unfused_cross_entropy(probs, labels):
@@ -154,32 +157,33 @@ class TestKernelConfig:
         kc = KernelConfig()
         fs = np.array([[0.0, 0.0]])
         ft = np.array([[3.0, 4.0]])
-        assert tuple(kc.resolve(*sqdist_blocks(fs, ft))) == (1.25, 2.5, 5.0, 10.0, 20.0)
+        assert tuple(kc.resolve(pooled_pairs(fs, ft))) == (1.25, 2.5, 5.0, 10.0, 20.0)
 
     def test_fixed_mode_passthrough(self):
         kc = KernelConfig(mode="fixed", bandwidths=(0.5, 2.0))
-        assert tuple(kc.resolve(*sqdist_blocks(np.zeros((2, 3)), np.ones((2, 3))))) == (0.5, 2.0)
+        pairs = pooled_pairs(np.zeros((2, 3)), np.ones((2, 3)))
+        assert tuple(kc.resolve(pairs)) == (0.5, 2.0)
 
     def test_degenerate_batch_falls_back_to_unit_bandwidth(self):
         kc = KernelConfig()
         fs = np.zeros((2, 2))
         ft = np.zeros((3, 2))
-        assert tuple(kc.resolve(*sqdist_blocks(fs, ft))) == (0.25, 0.5, 1.0, 2.0, 4.0)
+        assert tuple(kc.resolve(pooled_pairs(fs, ft))) == (0.25, 0.5, 1.0, 2.0, 4.0)
 
     @pytest.mark.parametrize("rows_s,rows_t,width,seed",
                              [(1, 1, 1, 0), (4, 7, 3, 1), (32, 32, 16, 2),
                               (9, 2, 5, 3), (32, 16, 16, 4), (2, 2, 3, 5)])
     def test_blocks_give_the_pooled_median(self, rows_s, rows_t, width, seed):
+        # mmd_squared's pairs give what the three blocks of the same pooled
+        # matrix gave
         rng = np.random.default_rng(seed)
         fs = rng.normal(size=(rows_s, width))
         ft = rng.normal(size=(rows_t, width)) + 0.7
-        g = ad.Graph()
-        a, b = g.tensor(fs), g.tensor(ft)
-        blocks = (ad.pairwise_sqdist(a, a).values, ad.pairwise_sqdist(b, b).values,
-                  ad.pairwise_sqdist(a, b).values)
-        np.testing.assert_allclose(KernelConfig().resolve(*blocks),
+        pairs, blocks = node_pairs(fs, ft)
+        np.testing.assert_allclose(KernelConfig().resolve(pairs),
                                    pooled_median_bandwidths(fs, ft), rtol=1e-12)
-        assert tuple(KernelConfig().resolve(*blocks)) == old_resolve(KernelConfig(), *blocks)
+        assert tuple(KernelConfig().resolve(pairs)) == tuple(
+            old_resolve(KernelConfig(), *blocks))
 
     @settings(max_examples=150, deadline=None)
     @given(rows_s=st.integers(1, 9), rows_t=st.integers(1, 9),
@@ -196,22 +200,18 @@ class TestKernelConfig:
             fs, ft = np.round(fs), np.round(ft)
         elif data == "identical":
             fs, ft = np.ones_like(fs), np.ones_like(ft)
-        g = ad.Graph()
-        a, b = g.tensor(fs), g.tensor(ft)
-        blocks = [ad.pairwise_sqdist(a, a).values, ad.pairwise_sqdist(b, b).values,
-                  ad.pairwise_sqdist(a, b).values]
+        pairs, blocks = node_pairs(fs, ft)
         kc = KernelConfig()
-        expected = old_resolve(kc, *blocks)
-        # resolve must not reorder the blocks it reads
-        before = [blk.copy() for blk in blocks]
-        assert tuple(kc.resolve(*blocks)) == expected
-        for blk, kept in zip(blocks, before):
-            assert np.array_equal(blk, kept)
+        expected = tuple(old_resolve(kc, *blocks))
+        # resolve must not reorder the pairs it reads
+        before = pairs.copy()
+        assert tuple(kc.resolve(pairs)) == expected
+        assert np.array_equal(pairs, before)
 
     def test_a_nan_distance_gives_nan_bandwidths_like_np_median(self):
-        d_ss, d_tt, d_st = sqdist_blocks(np.zeros((3, 2)), np.ones((3, 2)))
-        d_st[1, 2] = np.nan
-        assert all(math.isnan(b) for b in KernelConfig().resolve(d_ss, d_tt, d_st))
+        pairs = pooled_pairs(np.zeros((3, 2)), np.ones((3, 2)))
+        pairs[7] = np.nan
+        assert all(math.isnan(b) for b in KernelConfig().resolve(pairs))
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -383,6 +383,74 @@ class TestMmd:
         assert abs(new - old) <= 1e-12
         np.testing.assert_allclose(new_gs, old_gs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(new_gt, old_gt, rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ns=st.integers(1, 39), nt=st.integers(1, 39), width=st.integers(1, 8),
+           stack=st.sampled_from([(), (3,)]), median=st.booleans(),
+           weight=st.sampled_from([1.0, 0.3, -2.5]), ties=st.booleans(),
+           chunk=st.sampled_from([7, 8192]), seed=st.integers(0, 2**32 - 1))
+    def test_one_node_matches_the_nine_node_composition(self, ns, nt, width,
+                                                         stack, median, weight,
+                                                         ties, chunk, seed):
+        rng = np.random.default_rng(seed)
+        fs0 = rng.normal(size=stack + (ns, width))
+        ft0 = rng.normal(size=stack + (nt, width)) + 0.5
+        if ties:  # repeated points and tied distances
+            fs0, ft0 = np.round(fs0), np.round(ft0)
+        # where over half the pairs repeat one nonzero point, the median is
+        # the root of rounding noise, old and new alike, and they differ
+        z = np.concatenate([fs0, ft0], axis=-2)
+        repeat = ((z[..., :, None, :] == z[..., None, :, :]).all(axis=-1)
+                  & (z != 0).any(axis=-1)[..., :, None])
+        index = _pair_index(ns, nt)
+        noisy = repeat.reshape(stack + (-1,))[..., index].sum(axis=-1)
+        assume(median is False or np.all(2 * noisy < index.size))
+        kernel = KernelConfig() if median else KernelConfig(
+            mode="fixed", bandwidths=(0.6, 1.7, 4.0))
+        runs = []
+        for build_mmd in (mmd_squared, old_mmd_squared):
+            g = ad.Graph(stack)
+            fs, ft = g.tensor(fs0), g.tensor(ft0)
+            # the kernel bank in passes of 7 pairs, or in one pass
+            with mock.patch("kduda.losses._PAIR_CHUNK", chunk):
+                value = build_mmd(fs, ft, kernel)
+            value.backward(weight)
+            runs.append((value.values, fs.grad, ft.grad))
+        (new, new_gs, new_gt), (old, old_gs, old_gt) = runs
+        np.testing.assert_allclose(new, old, rtol=0, atol=1e-13)
+        scale = max(np.abs(old_gs).max(), np.abs(old_gt).max())
+        np.testing.assert_allclose(new_gs, old_gs, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(new_gt, old_gt, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("rows_s,rows_t", [(1, 1), (1, 4), (5, 1), (6, 6)])
+    @pytest.mark.parametrize("weight", [1.0, -2.5])
+    def test_every_block_shape_matches_finite_differences(self, rows_s, rows_t,
+                                                          weight):
+        rng = np.random.default_rng(rows_s * 10 + rows_t)
+        fs0 = rng.normal(size=(rows_s, 3))
+        ft0 = rng.normal(size=(rows_t, 3)) + 0.4
+        kc = KernelConfig(mode="fixed", bandwidths=(0.5, 1.1, 2.3))
+        g = ad.Graph()
+        fs, ft = g.tensor(fs0), g.tensor(ft0)
+        mmd_squared(fs, ft, kc).backward(weight)
+
+        def f(flat):
+            a = flat[:fs0.size].reshape(fs0.shape)
+            b = flat[fs0.size:].reshape(ft0.shape)
+            return weight * mmd_value(a, b, kc)
+
+        numeric = finite_diff_grad(f, np.concatenate([fs0.ravel(), ft0.ravel()]))
+        analytic = np.concatenate([fs.grad.ravel(), ft.grad.ravel()])
+        assert relative_error(numeric, analytic) < 1e-6
+
+    @pytest.mark.parametrize("median", [True, False])
+    def test_a_nan_feature_gives_a_nan_value(self, median):
+        # no exception: the trainer's finiteness check turns it into an abort
+        fs = np.ones((4, 3))
+        fs[2, 1] = np.nan
+        kc = KernelConfig() if median else KernelConfig(mode="fixed",
+                                                        bandwidths=(1.0,))
+        assert math.isnan(mmd_value(fs, np.zeros((5, 3)), kc))
 
     def test_shape_and_emptiness_errors(self):
         g = ad.Graph()

@@ -1,5 +1,6 @@
 """Stacks of cells: every op, loss, model and data path over a leading axis
-of S cells gives each cell exactly what it gives on its own.
+of S cells gives each cell exactly what it gives on its own, and so do the
+reference nodes of tests/fdcheck.py that the MMD node is checked against.
 
 Three kinds of check: finite differences through every op at S = 1 and
 S = 3; stacked results, values and adjoints, equal to the per-cell results
@@ -13,15 +14,18 @@ import numpy as np
 import pytest
 
 import kduda.autodiff as ad
+import kduda.losses
 from kduda import trainer
 from kduda.autodiff import Graph
 from kduda.data import batches, gen_blob_shift, stack_pairs
 from kduda.errors import ParameterError, ShapeError
-from kduda.losses import (KernelConfig, LossWeights, cross_entropy, distill_kl,
-                          mmd_squared, soft_targets, softmax_np, source_kd_loss,
-                          target_kd_loss, teacher_da_loss)
+from kduda.losses import (KernelConfig, LossWeights, _pair_index, _pair_sqdist,
+                          cross_entropy, distill_kl, mmd_squared, soft_targets,
+                          softmax_np, source_kd_loss, target_kd_loss,
+                          teacher_da_loss)
 from kduda.models import ModelSpec, build, stack
-from fdcheck import finite_diff_grad, relative_error, weighted_sum
+from fdcheck import (finite_diff_grad, old_kernel_bank_mean, old_pairwise_sqdist,
+                     relative_error, weighted_sum)
 
 FIXED = KernelConfig(mode="fixed", bandwidths=(0.7, 1.3))
 
@@ -58,10 +62,10 @@ def _cases(S, rng):
                                       _signed(rng, (S, 3, 4)), _signed(rng, (S, 4))]),
         "softmax_temperature": (*same(lambda a: ad.softmax_temperature(a, 2.5)),
                                 [_signed(rng, (S, 4, 3))]),
-        "pairwise_sqdist": (*same(ad.pairwise_sqdist),
+        "pairwise_sqdist": (*same(old_pairwise_sqdist),
                             [_signed(rng, (S, 4, 3)), _signed(rng, (S, 5, 3))]),
-        "kernel_bank_mean": (lambda d: ad.kernel_bank_mean(d, sig),
-                             lambda s: lambda d: ad.kernel_bank_mean(d, sig[s]),
+        "kernel_bank_mean": (lambda d: old_kernel_bank_mean(d, sig),
+                             lambda s: lambda d: old_kernel_bank_mean(d, sig[s]),
                              [_positive(rng, (S, 4, 5))]),
         "cross_entropy": (lambda p: cross_entropy(p, labels),
                           lambda s: lambda p: cross_entropy(p, labels[s]),
@@ -178,19 +182,39 @@ class TestStackedEqualsSliced:
                 assert _same_bits(a.grad[s], a_s.grad)
                 assert _same_bits(b.grad[s], b_s.grad)
 
+    @pytest.mark.parametrize("chunk", [5, 64])
+    def test_mmd_over_several_passes_of_its_kernel_bank(self, monkeypatch, chunk):
+        # 12 pooled rows give 66 pairs: 14 passes of 5 with a short last one,
+        # or 2 passes of 64
+        monkeypatch.setattr(kduda.losses, "_PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(8)
+        fs, ft = rng.normal(size=(3, 7, 4)), rng.normal(size=(3, 5, 4)) + 0.3
+        g = Graph((3,))
+        a, b = g.tensor(fs), g.tensor(ft)
+        loss = mmd_squared(a, b, KernelConfig())
+        loss.backward()
+        for s in range(3):
+            gs = Graph()
+            a_s, b_s = gs.tensor(fs[s]), gs.tensor(ft[s])
+            cell = mmd_squared(a_s, b_s, KernelConfig())
+            cell.backward()
+            assert _same_bits(loss.values[s], cell.values)
+            assert _same_bits(a.grad[s], a_s.grad)
+            assert _same_bits(b.grad[s], b_s.grad)
+
     def test_backward_seeds_each_cell_of_a_stacked_loss_with_one(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 4, 2))
         g = Graph((3,))
         leaf = g.tensor(x)
-        loss = ad.kernel_bank_mean(ad.pairwise_sqdist(leaf, leaf), (1.0, 2.0))
+        loss = mmd_squared(leaf, ad.scalar_multiply(leaf, -1.0), FIXED)
         assert loss.values.shape == (3,)
         loss.backward()
         for s in range(3):
             gs = Graph()
             cell_leaf = gs.tensor(x[s])
-            ad.kernel_bank_mean(ad.pairwise_sqdist(cell_leaf, cell_leaf),
-                                (1.0, 2.0)).backward()
+            mmd_squared(cell_leaf, ad.scalar_multiply(cell_leaf, -1.0),
+                        FIXED).backward()
             assert _same_bits(leaf.grad[s], cell_leaf.grad)
 
     def test_backward_wants_one_value_per_cell(self):
@@ -208,10 +232,8 @@ class TestStackedEqualsSliced:
             ad.linear(g.tensor(np.ones((2, 4, 3))), g.tensor(np.ones((3, 3, 5))),
                       g.tensor(np.ones((2, 5))))
         with pytest.raises(ShapeError):
-            ad.pairwise_sqdist(g.tensor(np.ones((2, 4, 3))),
-                               g.tensor(np.ones((3, 4, 3))))
-        with pytest.raises(ShapeError):
-            ad.kernel_bank_mean(g.tensor(np.ones((2, 4, 3))), np.ones((3, 2)))
+            mmd_squared(g.tensor(np.ones((2, 4, 3))), g.tensor(np.ones((3, 4, 3))),
+                        FIXED)
         with pytest.raises(ShapeError):
             cross_entropy(g.tensor(_probs(np.random.default_rng(0), (2, 4, 3))),
                           np.zeros((3, 4), dtype=int))
@@ -249,10 +271,10 @@ class TestDataStacks:
 
 
 class TestResolveStacks:
-    def _blocks(self, fs, ft):
-        g = Graph()
-        a, b = g.tensor(fs), g.tensor(ft)
-        return [ad.pairwise_sqdist(x, y).values for x, y in ((a, a), (b, b), (a, b))]
+    def _pairs(self, fs, ft):
+        """mmd_squared's pair distances of each cell's pooled sample."""
+        return _pair_sqdist(np.concatenate([fs, ft], axis=-2),
+                            _pair_index(fs.shape[-2], ft.shape[-2]))
 
     @pytest.mark.parametrize("rows_s,rows_t", [(1, 1), (4, 7), (32, 32), (32, 16)])
     def test_each_cell_gets_its_own_median(self, rows_s, rows_t):
@@ -261,23 +283,23 @@ class TestResolveStacks:
         ft = rng.normal(size=(3, rows_t, 3)) + 0.5
         fs[1] = 0.0  # a degenerate cell beside two ordinary ones
         ft[1] = 0.0
-        stacked = KernelConfig().resolve(*self._blocks(fs, ft))
+        stacked = KernelConfig().resolve(self._pairs(fs, ft))
         assert stacked.shape == (3, 5)
         for s in range(3):
             assert _same_bits(stacked[s], KernelConfig().resolve(
-                *self._blocks(fs[s], ft[s])))
+                self._pairs(fs[s], ft[s])))
         assert tuple(stacked[1]) == KernelConfig().median_multipliers
 
     def test_a_nan_stays_in_its_cell(self):
         rng = np.random.default_rng(0)
-        blocks = self._blocks(rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3, 2)))
-        blocks[2][1, 0, 2] = np.nan
-        sig = KernelConfig().resolve(*blocks)
+        pairs = self._pairs(rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3, 2)))
+        pairs[1, 8] = np.nan
+        sig = KernelConfig().resolve(pairs)
         assert np.isfinite(sig[0]).all() and np.isnan(sig[1]).all()
 
     def test_fixed_bandwidths_cover_every_cell(self):
-        blocks = self._blocks(np.zeros((2, 3, 2)), np.ones((2, 3, 2)))
-        assert FIXED.resolve(*blocks).tolist() == [[0.7, 1.3]] * 2
+        pairs = self._pairs(np.zeros((2, 3, 2)), np.ones((2, 3, 2)))
+        assert FIXED.resolve(pairs).tolist() == [[0.7, 1.3]] * 2
 
 
 # the teacher and its batch rows at each workload shape: joint_headline and

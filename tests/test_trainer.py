@@ -394,13 +394,12 @@ class TestInPlaceOpsInTraining:
         for owner, name, old in [
                 (ad, "linear", fdcheck.old_linear),
                 (ad, "softmax_temperature", fdcheck.old_softmax_temperature),
-                (ad, "pairwise_sqdist", fdcheck.old_pairwise_sqdist),
                 (kduda.losses, "softmax_np", fdcheck.old_softmax_np),
                 (kduda.losses, "_median_of_roots", fdcheck.median_of_roots),
                 (Model, "predict_logits", fdcheck.old_predict_logits)]:
             monkeypatch.setattr(owner, name, counted(old))
         assert run() == new
-        assert len(called) == 6
+        assert len(called) == 5
 
 
 class TestUdaOnly:
@@ -608,7 +607,7 @@ class TestPhaseClocks:
 
 class TestMoveNodeCounts:
     @pytest.mark.parametrize("move,role,nodes", [
-        ("_adapt", "teacher", 30), ("_adapt", "student", 26),
+        ("_adapt", "teacher", 22), ("_adapt", "student", 18),
         ("_supervised", "teacher", 15), ("_supervised", "student", 12),
         ("_distill_both", "student", 23), ("_distill_source", "student", 16),
         ("_distill_target", "student", 12)])
