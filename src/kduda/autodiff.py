@@ -108,14 +108,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.graph, a.values + b.values, (a, b), vjp)
 
 
-def subtract(a: Tensor, b: Tensor) -> Tensor:
-    _same_graph(a, b)
-    _same_shape(a, b, "subtract")
-    def vjp(g):
-        return (g, -g)
-    return Tensor(a.graph, a.values - b.values, (a, b), vjp)
-
-
 def scalar_multiply(a: Tensor, c: float) -> Tensor:
     c = float(c)
     def vjp(g):

@@ -77,16 +77,22 @@ def _parse_widths(text: str, what: str) -> list[int]:
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.seeds[0] if args.seed is None else args.seed
-    # the cell and the output paths are checked before anything is created
-    # or trained, so a bad one fails fast and leaves nothing behind
+    # the cell is checked before anything is created, and the log path is
+    # opened before anything trains, so a bad one fails fast; if training
+    # then fails, a log file that this opening created is removed
     check_cell(cfg, args.scenario, seed)
     out = args.out
     if out is None:
         os.makedirs(cfg.output_dir, exist_ok=True)
         out = output_path(cfg, f"{args.scenario}_seed{seed}.csv")
-    elif os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
-        raise KdudaError(f"--out: {out} is not a file in an existing directory")
-    (log, result), = run_single(cfg, args.scenario, (seed,))
+    created = not os.path.exists(out)
+    open(out, "a").close()
+    try:
+        (log, result), = run_single(cfg, args.scenario, (seed,))
+    except BaseException:
+        if created:  # through a symlink, the file is its target
+            os.remove(os.path.realpath(out))
+        raise
     log.to_csv(out)
     print(f"log: {out}")
     print(f"scenario={result.scenario} seed={result.seed} "

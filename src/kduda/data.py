@@ -27,8 +27,6 @@ class DomainPair:
     ys: np.ndarray
     xt: np.ndarray
     yt_eval: np.ndarray
-    shift_descriptor: str
-    seed: int
 
     def __post_init__(self):
         if (self.xs.ndim < 2 or self.xt.ndim != self.xs.ndim
@@ -78,8 +76,7 @@ def gen_two_moons_shift(n_per_domain: int, rotation_deg: float,
     rot = np.array([[np.cos(theta), -np.sin(theta)],
                     [np.sin(theta), np.cos(theta)]])
     xt = xt_raw @ rot.T
-    return DomainPair(xs, ys, xt, yt,
-                      shift_descriptor=f"two_moons rotation={rotation_deg}", seed=seed)
+    return DomainPair(xs, ys, xt, yt)
 
 
 def simplex_vertices(num_classes: int, dim: int) -> np.ndarray:
@@ -130,9 +127,7 @@ def gen_blob_shift(n_per_domain: int, num_classes: int, dim: int,
 
     xs, ys = sample(means, 1.0)
     xt, yt = sample(means + offset, scale)
-    return DomainPair(
-        xs, ys, xt, yt,
-        shift_descriptor=f"blobs shift={mean_shift} scale={scale}", seed=seed)
+    return DomainPair(xs, ys, xt, yt)
 
 
 def standardize(pair: DomainPair) -> DomainPair:
@@ -141,21 +136,16 @@ def standardize(pair: DomainPair) -> DomainPair:
     mu = pair.xs.mean(axis=0)
     sd = pair.xs.std(axis=0)
     sd = np.where(sd < 1e-12, 1.0, sd)
-    return replace(pair,
-                   xs=(pair.xs - mu) / sd,
-                   xt=(pair.xt - mu) / sd,
-                   shift_descriptor=pair.shift_descriptor + " standardized")
+    return replace(pair, xs=(pair.xs - mu) / sd, xt=(pair.xt - mu) / sd)
 
 
 def stack_pairs(pairs: list[DomainPair]) -> DomainPair:
     """The pairs of S cells as one pair whose arrays carry a leading axis of
-    length S; its seed is the tuple of theirs."""
+    length S."""
     if len({(p.xs.shape, p.xt.shape, p.yt_eval.shape) for p in pairs}) != 1:
         raise ShapeError("stacked domain pairs need one shape")
     return DomainPair(*(np.stack([getattr(p, name) for p in pairs])
-                        for name in ("xs", "ys", "xt", "yt_eval")),
-                      shift_descriptor=pairs[0].shift_descriptor,
-                      seed=tuple(p.seed for p in pairs))
+                        for name in ("xs", "ys", "xt", "yt_eval")))
 
 
 def batches(pair: DomainPair, batch_size: int, epoch: int, seed):

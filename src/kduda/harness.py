@@ -158,10 +158,6 @@ class ScenarioResult:
     student_src_acc: float
     teacher_tgt_acc: float
     teacher_src_acc: float
-    student_params: int
-    student_macs: int
-    teacher_params: int
-    teacher_macs: int
 
 
 # -- config file parsing --------------------------------------------------------
@@ -322,8 +318,6 @@ def run_single(cfg: ExperimentConfig, scenario: str, seeds: tuple[int, ...]
         if len(seeds) > 1:  # _run_share reruns the stack one cell at a time
             raise
         raise NumericalAbort(f"{scenario} seed {seeds[0]}: {exc}") from None
-    s_params, s_macs = count_complexity(cfg.student_spec(0))
-    t_params, t_macs = count_complexity(cfg.teacher_spec(0))
     cells = []
     for seed, cell_log in zip(seeds, log.cells()):
         final = cell_log.final()
@@ -332,9 +326,7 @@ def run_single(cfg: ExperimentConfig, scenario: str, seeds: tuple[int, ...]
             student_tgt_acc=float(final.student_tgt_acc),
             student_src_acc=float(final.student_src_acc),
             teacher_tgt_acc=float(final.teacher_tgt_acc),
-            teacher_src_acc=float(final.teacher_src_acc),
-            student_params=s_params, student_macs=s_macs,
-            teacher_params=t_params, teacher_macs=t_macs)))
+            teacher_src_acc=float(final.teacher_src_acc))))
     return cells
 
 
@@ -478,6 +470,8 @@ SUMMARY_COLUMNS = ("scenario", "n_seeds", "student_tgt_acc_mean",
 
 def summary_rows(cfg: ExperimentConfig,
                  results: list[ScenarioResult]) -> list[list[str]]:
+    s_params, s_macs = count_complexity(cfg.student_spec(0))
+    t_params, t_macs = count_complexity(cfg.teacher_spec(0))
     rows = []
     for scenario in cfg.scenarios:
         group = [r for r in results if r.scenario == scenario]
@@ -485,15 +479,13 @@ def summary_rows(cfg: ExperimentConfig,
         src = np.array([r.student_src_acc for r in group])
         t_tgt = np.array([r.teacher_tgt_acc for r in group])
         t_src = np.array([r.teacher_src_acc for r in group])
-        first = group[0]
         rows.append([
             scenario, str(len(group)),
             repr(float(tgt.mean())), repr(float(tgt.std())),
             repr(float(src.mean())), repr(float(t_tgt.mean())),
             repr(float(t_src.mean())),
-            str(first.student_params), str(first.student_macs),
-            str(first.teacher_params), str(first.teacher_macs),
-            repr(first.student_macs / first.teacher_macs),
+            str(s_params), str(s_macs), str(t_params), str(t_macs),
+            repr(s_macs / t_macs),
         ])
     return rows
 

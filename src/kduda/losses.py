@@ -273,6 +273,9 @@ def mmd_squared(fs: Tensor, ft: Tensor, kernel: KernelConfig) -> Tensor:
     for w, b in zip(weights, blocks):
         value = value + w * bank[..., b].sum(axis=-1)
         slope[..., b] *= w
+    # a coefficient that is not finite (a bandwidth whose square underflows)
+    # makes nan slopes, so the value is nan too, for the finiteness check
+    value = np.where(np.isfinite(coef).all(axis=-1), value, np.nan)
     def vjp(g):
         m = np.zeros(stack + (n * n,))
         m[..., index] = slope * (2.0 * np.asarray(g))[..., None]
@@ -320,17 +323,15 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
     return _log_loss(probs, onehot, -0.0, 1.0)
 
 
-def distill_kl(student_soft: Tensor, teacher_soft, tau: float,
+def distill_kl(student_soft: Tensor, teacher_soft: np.ndarray, tau: float,
                scale_by_tau_sq: bool = True) -> Tensor:
     """Mean KL divergence from softened teacher rows to softened student
-    rows: the log-loss node on the teacher's rows, offset by their mean
-    entropy. The teacher side is a constant, even when a graph tensor is
-    passed. Scaled by tau^2 by default so gradient magnitudes stay
+    rows: the log-loss node on the teacher's constant rows, offset by their
+    mean entropy. Scaled by tau^2 by default so gradient magnitudes stay
     comparable across temperatures."""
     if tau <= 0:
         raise ParameterError(f"tau must be positive, got {tau}")
-    t = np.asarray(teacher_soft.values if isinstance(teacher_soft, Tensor)
-                   else teacher_soft, dtype=np.float64)
+    t = np.asarray(teacher_soft, dtype=np.float64)
     if student_soft.values.shape != t.shape:
         raise ShapeError(f"distill_kl: student {student_soft.values.shape} and "
                          f"teacher {t.shape} shapes differ")

@@ -83,11 +83,6 @@ class Model:
                                   str(self.spec.input_dim)])
             raise ShapeError(f"expected input of shape ({expected}), got {shape}")
 
-    def copy(self) -> "Model":
-        return Model(self.spec,
-                     [w.copy() for w in self.weights],
-                     [b.copy() for b in self.biases])
-
     # -- graph binding -----------------------------------------------------
 
     def bind(self, graph: Graph) -> list[Tensor]:

@@ -161,7 +161,6 @@ class EpochRecord:
 @dataclass
 class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
-    phase_boundaries: list[tuple[str, int]] = field(default_factory=list)
 
     def final(self) -> EpochRecord:
         if not self.records:
@@ -178,7 +177,7 @@ class TrainLog:
         names = [f.name for f in fields(EpochRecord)[1:-1]]
         out = []
         for cell in np.ndindex(stack):
-            log = TrainLog(phase_boundaries=list(self.phase_boundaries))
+            log = TrainLog()
             for rec in self.records:
                 log.records.append(EpochRecord(
                     rec.epoch,
@@ -351,11 +350,11 @@ SCENARIOS: dict[str, tuple[Phase, ...]] = {
 
 
 # Rough cost of one batch of each move, for ranking stacks against each
-# other: (tape ops, multiply-accumulates per batch row and cell), from the
-# (layers, MACs) of the moved model and of the teacher. A graph step's
-# products cost three forwards: the forward and two adjoints. The
-# MMD, one tape node, counts as 30 ops: its Gram product, pair kernels and
-# bandwidth median are heavier than a layer.
+# other: (op weight, multiply-accumulates per batch row and cell), from the
+# (layers, MACs) of the moved model and of the teacher. Op weights are
+# fitted, not tape node counts: the MMD node alone weighs 30. A graph step's
+# products cost three forwards: the forward and two adjoints. Dealt by MACs
+# alone, the stacks of a 3x3 width sweep finish about a quarter later.
 _STEP_COST = {
     _adapt: lambda m, t: (2 * m[0] + 30, 6 * m[1]),
     _supervised: lambda m, t: (m[0] + 2, 3 * m[1]),
@@ -363,7 +362,7 @@ _STEP_COST = {
     _distill_source: lambda m, t: (m[0] + 6, 3 * m[1] + t[1]),
     _distill_target: lambda m, t: (m[0] + 2, 3 * m[1] + t[1]),
 }
-# seconds per tape op and per multiply-accumulate, fitted to 20-epoch
+# seconds per op weight unit and per multiply-accumulate, fitted to 20-epoch
 # stacks of every scenario at 2 and 5 seeds on the headline models (2 vCPU,
 # one BLAS thread), which it then estimates within about 20%
 _OP_S, _MAC_S = 27e-6, 1.2e-10
@@ -446,7 +445,6 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
     accs = {role: (np.full(stack, np.nan),) * 2 for role in models}
     stale = {role for role, model in models.items() if model is not None}
     for phase, start, count in _phase_epochs(scenario, cfg.epochs):
-        log.phase_boundaries.append((phase.name, start))
         trained = [(role, rate, move, OptimizerState.for_params(
                         models[role].parameters(), getattr(cfg, rate), cfg.momentum))
                    for role, rate, move in phase.trains]

@@ -213,16 +213,16 @@ def old_resolve(kernel, d_ss, d_tt, d_st):
 
 def old_mmd_squared(fs, ft, kernel):
     """mmd_squared as nine nodes: a distance block and a kernel bank for
-    each of source-source, target-target and source-target, then add,
-    scale and subtract."""
+    each of source-source, target-target and source-target, then the
+    within-domain sum plus -2 times the cross-domain bank."""
     d_ss = old_pairwise_sqdist(fs, fs)
     d_tt = old_pairwise_sqdist(ft, ft)
     d_st = old_pairwise_sqdist(fs, ft)
     sigmas = old_resolve(kernel, d_ss.values, d_tt.values, d_st.values)
     within = ad.add(old_kernel_bank_mean(d_ss, sigmas),
                     old_kernel_bank_mean(d_tt, sigmas))
-    across = ad.scalar_multiply(old_kernel_bank_mean(d_st, sigmas), 2.0)
-    return ad.subtract(within, across)
+    across = old_kernel_bank_mean(d_st, sigmas)
+    return ad.add(within, ad.scalar_multiply(across, -2.0))
 
 
 def median_of_roots(sq):

@@ -223,7 +223,7 @@ def test_criterion_3_blend_schedule():
 def test_criterion_4_distillation_fixed_point():
     """A student that copies its teacher has nothing left to learn."""
     teacher = build(ModelSpec(3, (5,), 3, seed=2))
-    student = teacher.copy()
+    student = build(teacher.spec)
     rng = np.random.default_rng(3)
     xs = rng.normal(size=(6, 3))
     xt = rng.normal(size=(7, 3))

@@ -354,15 +354,6 @@ class TestRunSingle:
         assert not math.isnan(result.teacher_src_acc)
         assert len(log.records) == cfg.train.epochs
 
-    def test_result_carries_complexity_counts(self, tmp_path):
-        cfg = tiny_cfg(tmp_path)
-        (_, result), = run_single(cfg, "joint", (1,))
-        assert (result.student_params, result.student_macs) == \
-            count_complexity(cfg.student_spec(1))
-        assert (result.teacher_params, result.teacher_macs) == \
-            count_complexity(cfg.teacher_spec(1))
-        assert result.seed == 1
-
     def test_unknown_scenario(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown scenario"):
             run_single(tiny_cfg(tmp_path), "warmup", (0,))
@@ -699,6 +690,31 @@ class TestCli:
                      str(tmp_path)]) == 1
         assert str(tmp_path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("link", [False, True])
+    def test_out_naming_no_file_is_a_usage_error(self, tmp_path, cli_config,
+                                                 capsys, no_training, link):
+        # an empty path, or a symlink into a missing directory
+        out = ""
+        if link:
+            out = str(tmp_path / "dangling.csv")
+            os.symlink(tmp_path / "absent" / "one.csv", out)
+        assert main(["train", "--config", cli_config, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "absent").exists()
+
+    def test_a_failed_run_leaves_no_log_behind(self, tmp_path, cli_config,
+                                               capsys, monkeypatch):
+        def abort(*args):
+            raise NumericalAbort("L_mmd is not finite at epoch 0")
+
+        monkeypatch.setattr(cli, "run_single", abort)
+        out = tmp_path / "one.csv"
+        assert main(["train", "--config", cli_config, "--out", str(out)]) == 2
+        assert not out.exists()
+        out.write_text("kept\n")
+        assert main(["train", "--config", cli_config, "--out", str(out)]) == 2
+        assert out.read_text() == "kept\n"
+
     @pytest.mark.parametrize("command", ["train", "scenarios"])
     def test_output_dir_naming_a_file_is_a_usage_error(self, tmp_path, capsys,
                                                        command, no_training):
@@ -797,16 +813,16 @@ class TestCli:
     def test_a_vanishing_bandwidth_prints_its_abort_alone(self, tmp_path, capsys,
                                                           kernel):
         # the bandwidth's square underflows to zero, so the kernel divides
-        # by it; no errstate of the test's own, as above. The MMD value
-        # keeps its exact diagonal term, but its slopes are -inf * 0, so the
-        # teacher's first step makes the student's soft targets nan.
+        # by it; no errstate of the test's own, as above. The MMD slopes are
+        # -inf * 0, so its value is nan too, and the abort names it before
+        # the teacher steps on nan gradients.
         path = tmp_path / "tiny.cfg"
         path.write_text(f"{kernel}\ndata.n_per_domain = 40\ntrain.epochs = 2\n"
                         f"experiment.output_dir = {tmp_path / 'runs'}\n")
         before = np.geterr()
         assert main(["train", "--config", str(path)]) == 2
         assert capsys.readouterr().err == (
-            "numerical abort: joint seed 0: L_tkd is not finite at epoch 0\n")
+            "numerical abort: joint seed 0: L_mmd is not finite at epoch 0\n")
         assert np.geterr() == before
 
 

@@ -74,8 +74,7 @@ def unfused_mmd(fs, ft, sigmas):
         return mean(ad.scalar_multiply(acc, 1.0 / len(sigmas)))
 
     within = ad.add(kernel_mean(fs, fs), kernel_mean(ft, ft))
-    across = ad.scalar_multiply(kernel_mean(fs, ft), 2.0)
-    return ad.subtract(within, across)
+    return ad.add(within, ad.scalar_multiply(kernel_mean(fs, ft), -2.0))
 
 
 def pooled_pairs(fs, ft):
@@ -443,14 +442,20 @@ class TestMmd:
         analytic = np.concatenate([fs.grad.ravel(), ft.grad.ravel()])
         assert relative_error(numeric, analytic) < 1e-6
 
-    @pytest.mark.parametrize("median", [True, False])
+    @pytest.mark.parametrize("median", [True, False, "vanishing"])
     def test_a_nan_feature_gives_a_nan_value(self, median):
-        # no exception: the trainer's finiteness check turns it into an abort
+        # no exception: the trainer's finiteness check turns it into an
+        # abort. A vanishing bandwidth's square underflows, so its kernel
+        # slopes are nan on finite features, and the value must be nan too
         fs = np.ones((4, 3))
-        fs[2, 1] = np.nan
-        kc = KernelConfig() if median else KernelConfig(mode="fixed",
-                                                        bandwidths=(1.0,))
-        assert math.isnan(mmd_value(fs, np.zeros((5, 3)), kc))
+        if median == "vanishing":
+            kc = KernelConfig(mode="fixed", bandwidths=(1.0, 1e-300))
+        else:
+            fs[2, 1] = np.nan
+            kc = KernelConfig() if median else KernelConfig(mode="fixed",
+                                                            bandwidths=(1.0,))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert math.isnan(mmd_value(fs, np.zeros((5, 3)), kc))
 
     def test_shape_and_emptiness_errors(self):
         g = ad.Graph()
@@ -638,26 +643,19 @@ class TestDistillKl:
         rng = np.random.default_rng(seed)
         tau = [1.0, 4.0, 20.0][seed % 3]
         logits0 = rng.normal(scale=[40.0, 5.0, 2.0][seed % 3], size=(9, 4))
-        g_teacher = ad.Graph()
-        teacher = ad.softmax_temperature(
-            g_teacher.tensor(rng.normal(scale=30.0, size=(9, 4))), tau)
+        teacher = softmax_np(rng.normal(scale=30.0, size=(9, 4)), tau)
 
         def run(kl):
             g = ad.Graph()
             logits = g.tensor(logits0)
             soft = ad.softmax_temperature(logits, tau)
-            loss = kl(soft, teacher.values, tau, scaled)
+            loss = kl(soft, teacher, tau, scaled)
             ad.scalar_multiply(loss, 0.61).backward()
             return loss.values, soft.grad, logits.grad
 
         new_run, old_run = run(distill_kl), run(unfused_distill_kl)
         for new, old in zip(new_run, old_run):
             assert np.array_equal(new, old)
-        # a graph tensor as the teacher reads the same constant values
-        g = ad.Graph()
-        soft = ad.softmax_temperature(g.tensor(logits0), tau)
-        assert np.array_equal(distill_kl(soft, teacher, tau, scaled).values,
-                              new_run[0])
 
     def test_validation(self):
         g = ad.Graph()
@@ -778,7 +776,7 @@ class TestTeacherDaLoss:
 class TestTargetKdLoss:
     def test_matching_parameters_give_zero(self):
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
-        student = teacher.copy()
+        student = build(teacher.spec)
         _, _, xt = _small_pair()
         g = ad.Graph()
         val = target_kd_loss(student, soft(teacher, xt, 20.0), g.tensor(xt), LossWeights(tau=20.0))
@@ -838,7 +836,7 @@ class TestTargetKdLoss:
 class TestSourceKdLoss:
     def test_matching_parameters_leave_supervised_anchor(self):
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
-        student = teacher.copy()
+        student = build(teacher.spec)
         xs, ys, _ = _small_pair()
 
         g = ad.Graph()

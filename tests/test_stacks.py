@@ -54,8 +54,6 @@ def _cases(S, rng):
 
     return {
         "add": (*same(ad.add), [_signed(rng, (S, 4, 3)), _signed(rng, (S, 4, 3))]),
-        "subtract": (*same(ad.subtract),
-                     [_signed(rng, (S, 4, 3)), _signed(rng, (S, 4, 3))]),
         "scalar_multiply": (*same(lambda a: ad.scalar_multiply(a, -1.7)),
                             [_signed(rng, (S, 4, 3))]),
         "linear": (*same(ad.linear), [_signed(rng, (S, 5, 3)),
@@ -421,7 +419,6 @@ class TestTrainingStacks:
             alone = train(*args(teacher, student, pair, replace(cfg, seed=seed)))
             assert [rec.row()[:-1] for rec in cell.records] == \
                 [rec.row()[:-1] for rec in alone.records]
-            assert cell.phase_boundaries == alone.phase_boundaries
 
     def test_cells_share_each_epoch_seconds_equally(self):
         log = trainer.TrainLog(records=[trainer.EpochRecord(
