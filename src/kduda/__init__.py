@@ -8,8 +8,7 @@ from .data import (DomainPair, batches, gen_blob_shift, gen_two_moons_shift,
 from .errors import (ConfigError, KdudaError, NumericalAbort, ParameterError,
                      ShapeError)
 from .harness import ExperimentConfig, ScenarioResult, load_config, run_experiment
-from .losses import (BetaSchedule, KernelConfig, LossWeights, beta_at,
-                     cross_entropy, distill_kl, gamma_at, mmd_squared,
+from .losses import (KernelConfig, cross_entropy, distill_kl, mmd_squared,
                      soft_targets, source_kd_loss, target_kd_loss,
                      teacher_da_loss)
 from .models import Model, ModelSpec, build, count_complexity, stack

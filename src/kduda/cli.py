@@ -134,7 +134,11 @@ def _cmd_sweep(args) -> int:
 
 def main(argv=None) -> int:
     _keep_freed_heap()
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after help, 2 on a usage error: the abort code here
+        return 1 if exc.code else 0
     handlers = {"train": _cmd_train, "scenarios": _cmd_scenarios,
                 "complexity": _cmd_complexity, "sweep": _cmd_sweep}
     try:

@@ -39,6 +39,10 @@ class DomainPair:
         if self.ys.shape != self.xs.shape[:-1]:
             raise ShapeError(
                 f"source labels {self.ys.shape} do not match inputs {self.xs.shape}")
+        # empty eval labels stand for a target domain that is never evaluated
+        if self.yt_eval.size and self.yt_eval.shape != self.xt.shape[:-1]:
+            raise ShapeError(f"target eval labels {self.yt_eval.shape} do not "
+                             f"match inputs {self.xt.shape}")
 
 
 def _split_counts(n: int, parts: int) -> list[int]:
@@ -132,9 +136,9 @@ def gen_blob_shift(n_per_domain: int, num_classes: int, dim: int,
 
 def standardize(pair: DomainPair) -> DomainPair:
     """Zero-mean, unit-variance transform fit on source only, applied to both
-    domains. Constant source coordinates keep their scale."""
-    mu = pair.xs.mean(axis=0)
-    sd = pair.xs.std(axis=0)
+    domains of each cell. Constant source coordinates keep their scale."""
+    mu = pair.xs.mean(axis=-2, keepdims=True)
+    sd = pair.xs.std(axis=-2, keepdims=True)
     sd = np.where(sd < 1e-12, 1.0, sd)
     return replace(pair, xs=(pair.xs - mu) / sd, xt=(pair.xt - mu) / sd)
 

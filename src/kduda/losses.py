@@ -1,4 +1,4 @@
-"""Alignment, classification and distillation losses and their schedules.
+"""Alignment, classification and distillation losses.
 
 The training objective couples two models. The big model aligns its feature
 distributions across domains (kernel two-sample discrepancy) while staying
@@ -10,8 +10,9 @@ each model descending its own share:
 
     (1 - blend) * adapt_term    and    blend * (target_distill + source_distill)
 
-Soft teacher targets are always constants here: no gradient flows into the
-big model through a distillation term.
+Weights and temperatures arrive as plain numbers, checked and scheduled by
+trainer.TrainConfig. Soft teacher targets are always constants here: no
+gradient flows into the big model through a distillation term.
 
 Like the autodiff ops, every loss works over trailing axes: on a stack of S
 cells (inputs with a leading axis of length S, a stacked model) it returns
@@ -21,7 +22,6 @@ one value per cell, each equal bit for bit to the cell's loss on its own.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,81 +126,6 @@ def _median_of_roots(sq: np.ndarray) -> np.ndarray:
     med = np.asarray((np.sqrt(lo) + np.sqrt(hi)) / 2.0)
     med[np.isnan(sq[..., mid:].max(axis=-1))] = np.nan
     return med
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Scalar weights of the objective: supervised weight on the big model
-    (gamma), supervised anchor on the small model (alpha), distillation
-    temperature (tau), and the conventional tau^2 rescaling switch."""
-
-    gamma: float = 1.0
-    alpha: float = 0.8
-    tau: float = 20.0
-    scale_kd_by_tau_sq: bool = True
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ParameterError(f"gamma must be >= 0, got {self.gamma}", "gamma")
-        if self.alpha < 0:
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha}", "alpha")
-        if self.tau <= 0:
-            raise ParameterError(f"tau must be positive, got {self.tau}", "tau")
-
-
-@dataclass(frozen=True)
-class BetaSchedule:
-    """Exponential growth of the blend weight from start to end over a run.
-
-    growth = ln(end / start) / epochs, so beta(0) = start and
-    beta(epochs) = end; the value at the halfway epoch is sqrt(start * end).
-    """
-
-    start: float = 0.1
-    end: float = 0.9
-    epochs: int = 400
-
-    def __post_init__(self):
-        if not (0.0 < self.start <= 1.0):
-            raise ParameterError(f"start must be in (0, 1], got {self.start}",
-                                 "start")
-        if not (0.0 < self.end <= 1.0):
-            raise ParameterError(f"end must be in (0, 1], got {self.end}", "end")
-        if self.epochs < 1:
-            raise ParameterError(f"epochs must be >= 1, got {self.epochs}",
-                                 "epochs")
-
-    @property
-    def growth(self) -> float:
-        return math.log(self.end / self.start) / self.epochs
-
-
-def beta_at(schedule: BetaSchedule, t) -> float:
-    """Blend weight at epoch t (fractional t allowed)."""
-    if t < 0:
-        raise ParameterError(f"epoch index must be >= 0, got {t}")
-    beta = schedule.start * math.exp(schedule.growth * float(t))
-    return min(max(beta, 0.0), 1.0)
-
-
-def gamma_at(t, epochs: int, gamma_max: float, mode: str = "constant") -> float:
-    """Supervised weight on the big model at epoch t.
-
-    "constant" keeps gamma_max throughout. "ramp" rises smoothly from 0
-    toward gamma_max: 2*gamma_max / (1 + exp(-10 t / epochs)) - gamma_max.
-    """
-    if t < 0:
-        raise ParameterError(f"epoch index must be >= 0, got {t}")
-    if epochs < 1:
-        raise ParameterError(f"epochs must be >= 1, got {epochs}")
-    if gamma_max < 0:
-        raise ParameterError(f"gamma_max must be >= 0, got {gamma_max}",
-                             "gamma_max")
-    if mode == "constant":
-        return gamma_max
-    if mode == "ramp":
-        return 2.0 * gamma_max / (1.0 + math.exp(-10.0 * float(t) / epochs)) - gamma_max
-    raise ParameterError(f"unknown gamma mode {mode!r}", "mode")
 
 
 # -- primitive losses ----------------------------------------------------------
@@ -362,7 +287,7 @@ def soft_targets(teacher: Model, tau: float, *blocks: np.ndarray
 
 
 def teacher_da_loss(teacher: Model, xs: Tensor, ys: np.ndarray, xt: Tensor,
-                    kernel: KernelConfig, weights: LossWeights):
+                    kernel: KernelConfig, gamma: float):
     """Adaptation term for the big model: feature discrepancy across domains
     plus gamma times supervised cross-entropy on source. Returns the loss
     tensor and the two subterms' values."""
@@ -371,28 +296,29 @@ def teacher_da_loss(teacher: Model, xs: Tensor, ys: np.ndarray, xt: Tensor,
     mmd = mmd_squared(fs, ft, kernel)
     probs = ad.softmax_temperature(teacher.head(fs), 1.0)
     ce = cross_entropy(probs, ys)
-    total = ad.add(mmd, ad.scalar_multiply(ce, weights.gamma))
+    total = ad.add(mmd, ad.scalar_multiply(ce, gamma))
     return total, {"mmd": mmd.values, "ce": ce.values}
 
 
-def target_kd_loss(student: Model, targets: np.ndarray, xt: Tensor,
-                   weights: LossWeights) -> Tensor:
+def target_kd_loss(student: Model, targets: np.ndarray, xt: Tensor, tau: float,
+                   scale_by_tau_sq: bool = True) -> Tensor:
     """Distillation on unlabeled target data: softened student rows pulled
     toward the teacher's soft targets on xt (see soft_targets)."""
-    soft_s = ad.softmax_temperature(student.logits(xt), weights.tau)
-    return distill_kl(soft_s, targets, weights.tau, weights.scale_kd_by_tau_sq)
+    soft_s = ad.softmax_temperature(student.logits(xt), tau)
+    return distill_kl(soft_s, targets, tau, scale_by_tau_sq)
 
 
 def source_kd_loss(student: Model, targets: np.ndarray, xs: Tensor,
-                   ys: np.ndarray, weights: LossWeights):
+                   ys: np.ndarray, tau: float, alpha: float,
+                   scale_by_tau_sq: bool = True):
     """Distillation on labeled source data toward the teacher's soft targets
     on xs, plus alpha times the student's own supervised cross-entropy.
     Returns the loss tensor and the subterms' values."""
     logits = student.logits(xs)
-    soft_s = ad.softmax_temperature(logits, weights.tau)
-    kl = distill_kl(soft_s, targets, weights.tau, weights.scale_kd_by_tau_sq)
+    soft_s = ad.softmax_temperature(logits, tau)
+    kl = distill_kl(soft_s, targets, tau, scale_by_tau_sq)
     probs = ad.softmax_temperature(logits, 1.0)
     ce = cross_entropy(probs, ys)
-    total = ad.add(kl, ad.scalar_multiply(ce, weights.alpha))
+    total = ad.add(kl, ad.scalar_multiply(ce, alpha))
     return total, {"kl": kl.values, "ce": ce.values}
 

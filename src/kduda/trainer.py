@@ -27,6 +27,7 @@ the leading axis are one cell, trained by the same code.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
@@ -38,8 +39,7 @@ from . import autodiff as ad
 from .autodiff import Graph
 from .data import DomainPair, batches
 from .errors import NumericalAbort, ParameterError, ShapeError
-from .losses import (BetaSchedule, KernelConfig, LossWeights, beta_at,
-                     cross_entropy, gamma_at, soft_targets, source_kd_loss,
+from .losses import (KernelConfig, cross_entropy, soft_targets, source_kd_loss,
                      target_kd_loss, teacher_da_loss)
 from .models import Model, ModelSpec, count_complexity
 
@@ -49,16 +49,11 @@ CSV_COLUMNS = ("epoch", "beta", "gamma", "L_mmd", "L_tda", "L_tkd", "L_skd",
 _LOSS_COLUMNS = CSV_COLUMNS[3:8]
 
 
-# the TrainConfig field behind each BetaSchedule field or gamma_at argument
-# whose name differs
-_LOSS_FIELDS = {"start": "beta_start", "end": "beta_end", "gamma_max": "gamma",
-                "mode": "gamma_mode"}
-
-
 @dataclass
 class TrainConfig:
-    """Defaults follow the reference setup; harness configs usually override
-    epochs down to desk scale."""
+    """Every training hyperparameter, checked here once, with the per-epoch
+    beta, gamma and lr_da; defaults follow the reference setup, and harness
+    configs usually override epochs down to desk scale."""
 
     epochs: int = 400
     batch_size: int = 32
@@ -80,55 +75,61 @@ class TrainConfig:
     kernel: KernelConfig = field(default_factory=KernelConfig)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ParameterError(f"epochs must be >= 1, got {self.epochs}",
-                                 "epochs")
-        if self.batch_size < 1:
-            raise ParameterError(
-                f"batch_size must be >= 1, got {self.batch_size}", "batch_size")
-        for name in ("lr_da", "lr_kd"):
-            if getattr(self, name) <= 0:
+        # every range training needs, so a bad one fails at construction
+        for bad, name, rule in (
+                (self.epochs < 1, "epochs", ">= 1"),
+                (self.batch_size < 1, "batch_size", ">= 1"),
+                (self.lr_da <= 0, "lr_da", "positive"),
+                (self.lr_kd <= 0, "lr_kd", "positive"),
+                (not 0.0 <= self.momentum < 1.0, "momentum", "in [0, 1)"),
+                (self.lr_da_decay not in ("exponential", "constant"),
+                 "lr_da_decay", "exponential or constant"),
+                (not 0.0 < self.lr_da_final_fraction <= 1.0,
+                 "lr_da_final_fraction", "in (0, 1]"),
+                (self.eval_every < 1, "eval_every", ">= 1"),
+                (self.beta_override is not None
+                 and not 0.0 <= self.beta_override <= 1.0,
+                 "beta_override", "in [0, 1]"),
+                (not 0.0 < self.beta_start <= 1.0, "beta_start", "in (0, 1]"),
+                (not 0.0 < self.beta_end <= 1.0, "beta_end", "in (0, 1]"),
+                (self.gamma < 0, "gamma", ">= 0"),
+                (self.gamma_mode not in ("constant", "ramp"), "gamma_mode",
+                 "constant or ramp"),
+                (self.alpha < 0, "alpha", ">= 0"),
+                (self.tau <= 0, "tau", "positive")):
+            if bad:
                 raise ParameterError(
-                    f"{name} must be positive, got {getattr(self, name)}", name)
-        if not (0.0 <= self.momentum < 1.0):
-            raise ParameterError(
-                f"momentum must be in [0, 1), got {self.momentum}", "momentum")
-        if self.lr_da_decay not in ("exponential", "constant"):
-            raise ParameterError(f"unknown lr decay mode {self.lr_da_decay!r}",
-                                 "lr_da_decay")
-        if not (0.0 < self.lr_da_final_fraction <= 1.0):
-            raise ParameterError(
-                f"lr_da_final_fraction must be in (0, 1], got "
-                f"{self.lr_da_final_fraction}", "lr_da_final_fraction")
-        if self.eval_every < 1:
-            raise ParameterError(
-                f"eval_every must be >= 1, got {self.eval_every}", "eval_every")
-        if self.beta_override is not None and not (0.0 <= self.beta_override <= 1.0):
-            raise ParameterError(
-                f"beta_override must be in [0, 1], got {self.beta_override}",
-                "beta_override")
-        # the schedule and loss weights check the rest; their fields are
-        # renamed to the ones of this config
-        try:
-            self.schedule()
-            self.weights_at(0)
-        except ParameterError as exc:
-            raise ParameterError(str(exc), _LOSS_FIELDS.get(exc.field, exc.field)
-                                 ) from None
+                    f"{name} must be {rule}, got {getattr(self, name)!r}", name)
 
-    def schedule(self) -> BetaSchedule:
-        return BetaSchedule(self.beta_start, self.beta_end, self.epochs)
-
-    def weights_at(self, epoch: int) -> LossWeights:
-        return LossWeights(
-            gamma=gamma_at(epoch, self.epochs, self.gamma, self.gamma_mode),
-            alpha=self.alpha, tau=self.tau,
-            scale_kd_by_tau_sq=self.scale_kd_by_tau_sq)
-
-    def beta_at_epoch(self, t) -> float:
+    def beta_at(self, t) -> float:
+        """Blend weight at epoch t (fractional t allowed): beta_override if
+        set, else growing exponentially from beta_start at epoch 0 to
+        beta_end at epoch `epochs`, sqrt(beta_start * beta_end) halfway."""
         if self.beta_override is not None:
             return self.beta_override
-        return beta_at(self.schedule(), t)
+        if t < 0:
+            raise ParameterError(f"epoch index must be >= 0, got {t}")
+        growth = math.log(self.beta_end / self.beta_start) / self.epochs
+        beta = self.beta_start * math.exp(growth * float(t))
+        return min(max(beta, 0.0), 1.0)
+
+    def gamma_at(self, t) -> float:
+        """Supervised weight on the big model at epoch t. "constant" keeps
+        gamma throughout; "ramp" rises smoothly from 0 toward it:
+        2 gamma / (1 + exp(-10 t / epochs)) - gamma."""
+        if t < 0:
+            raise ParameterError(f"epoch index must be >= 0, got {t}")
+        if self.gamma_mode == "constant":
+            return self.gamma
+        return (2.0 * self.gamma / (1.0 + math.exp(-10.0 * float(t) / self.epochs))
+                - self.gamma)
+
+    def lr_da_at(self, k: int, count: int) -> float:
+        """lr_da at epoch k of a phase of count epochs: kept, or decayed
+        exponentially to lr_da_final_fraction of it at epoch count."""
+        if self.lr_da_decay == "constant":
+            return self.lr_da
+        return self.lr_da * self.lr_da_final_fraction ** (k / max(count, 1))
 
 
 @dataclass
@@ -227,13 +228,6 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray],
         p -= state.lr * v
 
 
-def lr_at(initial: float, epoch: int, epochs: int, final_fraction: float,
-          mode: str = "exponential") -> float:
-    if mode == "constant":
-        return initial
-    return initial * final_fraction ** (epoch / max(epochs, 1))
-
-
 # -- evaluation -------------------------------------------------------------------
 
 
@@ -250,7 +244,7 @@ def evaluate(model: Model, x: np.ndarray, y_true: np.ndarray):
 
 # -- moves -------------------------------------------------------------------------
 #
-# move(model, opt, weight, teacher, batch, cfg, weights, epoch) takes model
+# move(model, opt, weight, teacher, batch, cfg, gamma, epoch) takes model
 # one optimizer step down weight times its objective on one batch
 # (xs, ys, xt) and returns its loss terms by CSV column, each a float or one
 # value per stacked cell. Each graph lives in a move, which returns only
@@ -275,17 +269,17 @@ def _descend(model: Model, opt: OptimizerState, objective, weight: float,
     return terms
 
 
-def _adapt(model, opt, weight, teacher, batch, cfg, weights, epoch):
+def _adapt(model, opt, weight, teacher, batch, cfg, gamma, epoch):
     """MMD between the domains' features + gamma source cross-entropy."""
     xs, ys, xt = batch
     graph = Graph(ys.shape[:-1])
     tda, parts = teacher_da_loss(model, graph.tensor(xs), ys, graph.tensor(xt),
-                                 cfg.kernel, weights)
+                                 cfg.kernel, gamma)
     return _descend(model, opt, tda, weight, epoch,
                     {"L_mmd": parts["mmd"], "L_tda": tda.values})
 
 
-def _supervised(model, opt, weight, teacher, batch, cfg, weights, epoch):
+def _supervised(model, opt, weight, teacher, batch, cfg, gamma, epoch):
     """Source cross-entropy, logged as L_tda."""
     graph = Graph(batch[1].shape[:-1])
     ce = cross_entropy(
@@ -294,20 +288,22 @@ def _supervised(model, opt, weight, teacher, batch, cfg, weights, epoch):
     return _descend(model, opt, ce, weight, epoch, {"L_tda": ce.values})
 
 
-def _distill(model, opt, weight, teacher, batch, cfg, weights, epoch, domains):
+def _distill(model, opt, weight, teacher, batch, cfg, gamma, epoch, domains):
     """Target KD, source KD or their sum, against the teacher's soft targets
     from one forward over the rows of the given domains, source first."""
     xs, ys, xt = batch
     graph = Graph(ys.shape[:-1])
     rows = [{"source": xs, "target": xt}[d] for d in domains]
-    soft = dict(zip(domains, soft_targets(teacher, weights.tau, *rows)))
+    soft = dict(zip(domains, soft_targets(teacher, cfg.tau, *rows)))
     x = dict(zip(domains, map(graph.tensor, rows)))
     losses = {}
     if "target" in soft:
-        losses["L_tkd"] = target_kd_loss(model, soft["target"], x["target"], weights)
+        losses["L_tkd"] = target_kd_loss(model, soft["target"], x["target"],
+                                         cfg.tau, cfg.scale_kd_by_tau_sq)
     if "source" in soft:
         losses["L_skd"], _ = source_kd_loss(model, soft["source"], x["source"], ys,
-                                            weights)
+                                            cfg.tau, cfg.alpha,
+                                            cfg.scale_kd_by_tau_sq)
     return _descend(model, opt, reduce(ad.add, losses.values()), weight, epoch,
                     {column: loss.values for column, loss in losses.items()})
 
@@ -451,12 +447,11 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
         for k in range(count):
             epoch = start + k
             tic = time.perf_counter()
-            beta = cfg.beta_at_epoch(epoch) if phase.beta is None else phase.beta
-            weights = cfg.weights_at(epoch)
+            beta = cfg.beta_at(epoch) if phase.beta is None else phase.beta
+            gamma = cfg.gamma_at(epoch)
             for _, rate, _, opt in trained:
                 if rate == "lr_da":
-                    opt.lr = lr_at(cfg.lr_da, k, count, cfg.lr_da_final_fraction,
-                                   cfg.lr_da_decay)
+                    opt.lr = cfg.lr_da_at(k, count)
             batch_list = batches(pair, cfg.batch_size, epoch, cfg.seed)
             moves = [(models[role], opt, move, 1.0 - beta if rate == "lr_da" else beta)
                      for role, rate, move, opt in trained]
@@ -465,7 +460,7 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
                 terms = {}
                 for model, opt, move, weight in moves:
                     for column, value in move(model, opt, weight, teacher, batch,
-                                              cfg, weights, epoch).items():
+                                              cfg, gamma, epoch).items():
                         terms.setdefault(column, value)
                 terms["L_total"] = ((1.0 - beta) * terms.get("L_tda", 0.0) + beta
                                     * (terms.get("L_tkd", 0.0) + terms.get("L_skd", 0.0)))
@@ -481,7 +476,7 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
                                        ((pair.xs, pair.ys), (pair.xt, pair.yt_eval)))
                 stale.clear()
             log.records.append(EpochRecord(
-                epoch, beta, weights.gamma, *(sums / len(batch_list)),
+                epoch, beta, gamma, *(sums / len(batch_list)),
                 *accs["teacher"], *accs["student"], time.perf_counter() - tic))
     return log
 

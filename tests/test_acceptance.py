@@ -24,10 +24,7 @@ from kduda.harness import (
     sweep_sizes,
 )
 from kduda.losses import (
-    BetaSchedule,
     KernelConfig,
-    LossWeights,
-    beta_at,
     cross_entropy,
     distill_kl,
     mmd_squared,
@@ -91,7 +88,7 @@ def test_criterion_1_gradient_correctness():
     xs = rng.normal(size=(5, 3))
     xt = rng.normal(size=(6, 3)) + 0.4
     ys = np.array([0, 1, 2, 0, 1])
-    w = LossWeights(gamma=0.7, alpha=0.8, tau=4.0)
+    gamma, alpha, tau = 0.7, 0.8, 4.0
     errors = {}
 
     # discrepancy term, checked directly on its two sample matrices
@@ -127,21 +124,21 @@ def test_criterion_1_gradient_correctness():
     teacher = build(ModelSpec(3, (4,), 3, seed=11))
     student = build(ModelSpec(3, (4,), 3, seed=12))
 
-    soft_s, soft_t = soft_targets(teacher, w.tau, xs, xt)
+    soft_s, soft_t = soft_targets(teacher, tau, xs, xt)
     errors["target_kd"] = _model_grad_error(
         student,
-        lambda: target_kd_loss(student, soft_t, ad.Graph().tensor(xt), w).item(),
-        lambda g: target_kd_loss(student, soft_t, g.tensor(xt), w))
+        lambda: target_kd_loss(student, soft_t, ad.Graph().tensor(xt), tau).item(),
+        lambda g: target_kd_loss(student, soft_t, g.tensor(xt), tau))
 
     errors["source_kd"] = _model_grad_error(
         student,
         lambda: source_kd_loss(student, soft_s, ad.Graph().tensor(xs), ys,
-                               w)[0].item(),
-        lambda g: source_kd_loss(student, soft_s, g.tensor(xs), ys, w)[0])
+                               tau, alpha)[0].item(),
+        lambda g: source_kd_loss(student, soft_s, g.tensor(xs), ys, tau, alpha)[0])
 
     def da_on(graph):
         return teacher_da_loss(teacher, graph.tensor(xs), ys, graph.tensor(xt),
-                               FIXED_KERNEL, w)[0]
+                               FIXED_KERNEL, gamma)[0]
 
     errors["teacher_da"] = _model_grad_error(
         teacher, lambda: da_on(ad.Graph()).item(), da_on)
@@ -151,8 +148,9 @@ def test_criterion_1_gradient_correctness():
     beta = 0.3
 
     def distilled(graph):
-        return ad.add(target_kd_loss(student, soft_t, graph.tensor(xt), w),
-                      source_kd_loss(student, soft_s, graph.tensor(xs), ys, w)[0])
+        return ad.add(target_kd_loss(student, soft_t, graph.tensor(xt), tau),
+                      source_kd_loss(student, soft_s, graph.tensor(xs), ys, tau,
+                                     alpha)[0])
 
     errors["total"] = _model_grad_error(
         student, lambda: beta * distilled(ad.Graph()).item(), distilled, beta)
@@ -207,13 +205,13 @@ def test_criterion_2_mmd_oracle():
 
 def test_criterion_3_blend_schedule():
     """Exponential blend weight hits its endpoints and geometric midpoint."""
-    sched = BetaSchedule(start=0.1, end=0.9, epochs=400)
-    e0 = abs(beta_at(sched, 0) - 0.1)
-    e1 = abs(beta_at(sched, 400) - 0.9)
-    mid = abs(beta_at(sched, 200) - math.sqrt(0.1 * 0.9))
+    cfg = TrainConfig(beta_start=0.1, beta_end=0.9, epochs=400)
+    e0 = abs(cfg.beta_at(0) - 0.1)
+    e1 = abs(cfg.beta_at(400) - 0.9)
+    mid = abs(cfg.beta_at(200) - math.sqrt(0.1 * 0.9))
 
-    other = BetaSchedule(start=0.04, end=0.64, epochs=120)
-    mid2 = abs(beta_at(other, 60) - math.sqrt(0.04 * 0.64))
+    other = TrainConfig(beta_start=0.04, beta_end=0.64, epochs=120)
+    mid2 = abs(other.beta_at(60) - math.sqrt(0.04 * 0.64))
 
     ok = e0 <= 1e-12 and e1 <= 1e-12 and mid <= 1e-12 and mid2 <= 1e-12
     _report(3, "blend schedule exactness", ok,
@@ -228,13 +226,13 @@ def test_criterion_4_distillation_fixed_point():
     xs = rng.normal(size=(6, 3))
     xt = rng.normal(size=(7, 3))
     ys = rng.integers(0, 3, size=6)
-    w = LossWeights(tau=20.0, alpha=0.0)
+    tau, alpha = 20.0, 0.0
 
-    soft_s, soft_t = soft_targets(teacher, w.tau, xs, xt)
+    soft_s, soft_t = soft_targets(teacher, tau, xs, xt)
     g = ad.Graph()
-    tkd = abs(target_kd_loss(student, soft_t, g.tensor(xt), w).item())
+    tkd = abs(target_kd_loss(student, soft_t, g.tensor(xt), tau).item())
     g2 = ad.Graph()
-    skd = abs(source_kd_loss(student, soft_s, g2.tensor(xs), ys, w)[0].item())
+    skd = abs(source_kd_loss(student, soft_s, g2.tensor(xs), ys, tau, alpha)[0].item())
 
     kl_min = math.inf
     for _ in range(1000):

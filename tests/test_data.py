@@ -8,6 +8,7 @@ from kduda.data import (
     gen_blob_shift,
     gen_two_moons_shift,
     simplex_vertices,
+    stack_pairs,
     standardize,
 )
 from kduda.errors import ParameterError, ShapeError
@@ -194,6 +195,11 @@ class TestDomainPair:
         with pytest.raises(ShapeError):
             DomainPair(np.zeros((4, 2)), np.zeros(3, dtype=np.intp),
                        np.zeros((5, 2)), np.zeros(5, dtype=np.intp))
+        # eval labels for all but one target row fail here, not after an
+        # epoch of training in the evaluation
+        with pytest.raises(ShapeError, match="target eval labels"):
+            DomainPair(np.zeros((40, 2)), np.zeros(40, dtype=np.intp),
+                       np.zeros((40, 2)), np.zeros(39, dtype=np.intp))
 
 
 class TestStandardize:
@@ -224,6 +230,14 @@ class TestStandardize:
         std = standardize(pair)
         np.testing.assert_allclose(std.xs[:, 1], 0.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(std.xt[:, 1], 1.0, rtol=0, atol=1e-12)
+
+    def test_each_stacked_cell_is_standardized_on_its_own(self):
+        pairs = [gen_blob_shift(100, 3, 2, 2.0, 1.5, seed=s) for s in (8, 9)]
+        std = standardize(stack_pairs(pairs))
+        for cell, pair in enumerate(pairs):
+            one = standardize(pair)
+            assert std.xs[cell].tobytes() == one.xs.tobytes()
+            assert std.xt[cell].tobytes() == one.xt.tobytes()
 
 
 def _indexed_pair(ns, nt):

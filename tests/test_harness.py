@@ -594,6 +594,17 @@ class TestCli:
         code = main(["train", "--config", str(tmp_path / "absent.cfg")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        # argparse's own usage errors exit 1 too, not its 2, which is the
+        # numerical-abort code: no --config, and no command at all
+        assert main(["train"]) == 1
+        assert "required: --config" in capsys.readouterr().err
+        assert main([]) == 1
+        assert "required: command" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["train", "--help"]) == 0
+        assert "--config" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command,content", [
         ("train", b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256))),
@@ -629,6 +640,8 @@ class TestCli:
                                                  capsys, no_training):
         assert main(["train", "--config", cli_config, "--seed", "-1"]) == 1
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert main(["train", "--config", cli_config, "--seed", "abc"]) == 1
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("line,key", [("train.tau = -1", "train.tau"),
@@ -1239,8 +1252,8 @@ class TestHeapSettings:
         assert main(["train", "--config", cli_config,
                      "--scenario", "warmup"]) == 1
         assert calls == [1, 1]
-        with pytest.raises(SystemExit):  # set before the arguments are parsed
-            main(["no-such-command"])
+        # set before the arguments are parsed
+        assert main(["no-such-command"]) == 1
         assert calls == [1, 1, 1]
 
     @pytest.mark.parametrize("libc", ["without_mallopt", "unloadable"])

@@ -10,13 +10,9 @@ import kduda.autodiff as ad
 from kduda.errors import ParameterError, ShapeError
 from kduda.losses import (
     PROB_FLOOR,
-    BetaSchedule,
     KernelConfig,
-    LossWeights,
-    beta_at,
     cross_entropy,
     distill_kl,
-    gamma_at,
     mmd_squared,
     softmax_np,
     soft_targets,
@@ -26,6 +22,7 @@ from kduda.losses import (
 )
 from kduda.losses import _median_of_roots, _pair_index, _pair_sqdist
 from kduda.models import ModelSpec, build
+from kduda.trainer import TrainConfig
 
 from fdcheck import (exp, finite_diff_grad, log, mean, median_of_roots,
                      old_cross_entropy, old_distill_kl, old_mmd_squared,
@@ -727,16 +724,15 @@ class TestTeacherDaLoss:
         xs, ys, xt = _small_pair()
         g = ad.Graph()
         loss, parts = teacher_da_loss(teacher, g.tensor(xs), ys, g.tensor(xt),
-                                      KERNEL, LossWeights(gamma=0.0))
+                                      KERNEL, 0.0)
         np.testing.assert_allclose(loss.item(), parts["mmd"], rtol=0, atol=1e-15)
 
     def test_identical_domains_reduce_to_supervised_term(self):
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
         xs, ys, _ = _small_pair()
         g = ad.Graph()
-        w = LossWeights(gamma=0.7)
         loss, parts = teacher_da_loss(teacher, g.tensor(xs), ys, g.tensor(xs.copy()),
-                                      KERNEL, w)
+                                      KERNEL, 0.7)
         assert parts["mmd"] == 0.0
         np.testing.assert_allclose(loss.item(), 0.7 * parts["ce"], rtol=0, atol=1e-12)
 
@@ -744,19 +740,19 @@ class TestTeacherDaLoss:
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
         xs, ys, xt = _small_pair()
         g = ad.Graph()
-        w = LossWeights(gamma=1.3)
         loss, parts = teacher_da_loss(teacher, g.tensor(xs), ys, g.tensor(xt),
-                                      KERNEL, w)
+                                      KERNEL, 1.3)
         np.testing.assert_allclose(loss.item(), parts["mmd"] + 1.3 * parts["ce"],
                                    rtol=0, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
         xs, ys, xt = _small_pair()
-        w = LossWeights(gamma=0.7)
+        gamma = 0.7
 
         g = ad.Graph()
-        loss, _ = teacher_da_loss(teacher, g.tensor(xs), ys, g.tensor(xt), KERNEL, w)
+        loss, _ = teacher_da_loss(teacher, g.tensor(xs), ys, g.tensor(xt), KERNEL,
+                                  gamma)
         loss.backward()
         analytic = np.concatenate([a.ravel() for a in teacher.bound_gradients()])
         base = _flat_params(teacher)
@@ -765,7 +761,7 @@ class TestTeacherDaLoss:
             _set_params(teacher, flat)
             gg = ad.Graph()
             val, _ = teacher_da_loss(teacher, gg.tensor(xs), ys, gg.tensor(xt),
-                                     KERNEL, w)
+                                     KERNEL, gamma)
             return val.item()
 
         numeric = finite_diff_grad(f, base)
@@ -779,24 +775,24 @@ class TestTargetKdLoss:
         student = build(teacher.spec)
         _, _, xt = _small_pair()
         g = ad.Graph()
-        val = target_kd_loss(student, soft(teacher, xt, 20.0), g.tensor(xt), LossWeights(tau=20.0))
+        val = target_kd_loss(student, soft(teacher, xt, 20.0), g.tensor(xt), 20.0)
         assert abs(val.item()) <= 1e-12
 
     def test_single_step_reduces_loss(self):
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
         student = build(ModelSpec(3, (4,), 3, seed=12))
         _, _, xt = _small_pair()
-        w = LossWeights(tau=4.0)
+        tau = 4.0
 
         g = ad.Graph()
-        loss = target_kd_loss(student, soft(teacher, xt, w.tau), g.tensor(xt), w)
+        loss = target_kd_loss(student, soft(teacher, xt, tau), g.tensor(xt), tau)
         before = loss.item()
         loss.backward()
         for p, gr in zip(student.parameters(), student.bound_gradients()):
             p -= 1e-3 * gr
 
         g2 = ad.Graph()
-        after = target_kd_loss(student, soft(teacher, xt, w.tau), g2.tensor(xt), w).item()
+        after = target_kd_loss(student, soft(teacher, xt, tau), g2.tensor(xt), tau).item()
         assert 0.0 < after < before
 
     def test_no_gradient_reaches_the_teacher(self):
@@ -806,7 +802,7 @@ class TestTargetKdLoss:
 
         g = ad.Graph()
         teacher.bind(g)
-        loss = target_kd_loss(student, soft(teacher, xt, 4.0), g.tensor(xt), LossWeights(tau=4.0))
+        loss = target_kd_loss(student, soft(teacher, xt, 4.0), g.tensor(xt), 4.0)
         loss.backward()
         for gr in teacher.bound_gradients():
             np.testing.assert_array_equal(gr, np.zeros_like(gr))
@@ -816,17 +812,17 @@ class TestTargetKdLoss:
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
         student = build(ModelSpec(3, (3,), 3, seed=12))
         _, _, xt = _small_pair()
-        w = LossWeights(tau=4.0)
+        tau = 4.0
 
         g = ad.Graph()
-        target_kd_loss(student, soft(teacher, xt, w.tau), g.tensor(xt), w).backward()
+        target_kd_loss(student, soft(teacher, xt, tau), g.tensor(xt), tau).backward()
         analytic = np.concatenate([a.ravel() for a in student.bound_gradients()])
         base = _flat_params(student)
 
         def f(flat):
             _set_params(student, flat)
             gg = ad.Graph()
-            return target_kd_loss(student, soft(teacher, xt, w.tau), gg.tensor(xt), w).item()
+            return target_kd_loss(student, soft(teacher, xt, tau), gg.tensor(xt), tau).item()
 
         numeric = finite_diff_grad(f, base)
         _set_params(student, base)
@@ -840,14 +836,13 @@ class TestSourceKdLoss:
         xs, ys, _ = _small_pair()
 
         g = ad.Graph()
-        w0 = LossWeights(tau=20.0, alpha=0.0)
-        val, parts = source_kd_loss(student, soft(teacher, xs, w0.tau), g.tensor(xs), ys, w0)
+        val, parts = source_kd_loss(student, soft(teacher, xs, 20.0), g.tensor(xs), ys,
+                                    20.0, 0.0)
         assert abs(val.item()) <= 1e-12
 
         g2 = ad.Graph()
-        w1 = LossWeights(tau=20.0, alpha=1.0)
         xs_t = g2.tensor(xs)
-        val, parts = source_kd_loss(student, soft(teacher, xs, w1.tau), xs_t, ys, w1)
+        val, parts = source_kd_loss(student, soft(teacher, xs, 20.0), xs_t, ys, 20.0, 1.0)
         ce = cross_entropy(ad.softmax_temperature(student.logits(xs_t), 1.0), ys)
         np.testing.assert_allclose(val.item(), ce.item(), rtol=0, atol=1e-12)
 
@@ -856,8 +851,8 @@ class TestSourceKdLoss:
         student = build(ModelSpec(3, (3,), 3, seed=12))
         xs, ys, _ = _small_pair()
         g = ad.Graph()
-        w = LossWeights(tau=4.0, alpha=0.8)
-        val, parts = source_kd_loss(student, soft(teacher, xs, w.tau), g.tensor(xs), ys, w)
+        val, parts = source_kd_loss(student, soft(teacher, xs, 4.0), g.tensor(xs), ys,
+                                    4.0, 0.8)
         np.testing.assert_allclose(val.item(), parts["kl"] + 0.8 * parts["ce"],
                                    rtol=0, atol=1e-12)
 
@@ -865,10 +860,11 @@ class TestSourceKdLoss:
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
         student = build(ModelSpec(3, (3,), 3, seed=12))
         xs, ys, _ = _small_pair()
-        w = LossWeights(tau=4.0, alpha=0.8)
+        tau, alpha = 4.0, 0.8
 
         g = ad.Graph()
-        loss, _ = source_kd_loss(student, soft(teacher, xs, w.tau), g.tensor(xs), ys, w)
+        loss, _ = source_kd_loss(student, soft(teacher, xs, tau), g.tensor(xs), ys,
+                                 tau, alpha)
         loss.backward()
         analytic = np.concatenate([a.ravel() for a in student.bound_gradients()])
         base = _flat_params(student)
@@ -876,7 +872,8 @@ class TestSourceKdLoss:
         def f(flat):
             _set_params(student, flat)
             gg = ad.Graph()
-            val, _ = source_kd_loss(student, soft(teacher, xs, w.tau), gg.tensor(xs), ys, w)
+            val, _ = source_kd_loss(student, soft(teacher, xs, tau), gg.tensor(xs), ys,
+                                    tau, alpha)
             return val.item()
 
         numeric = finite_diff_grad(f, base)
@@ -884,13 +881,17 @@ class TestSourceKdLoss:
         assert relative_error(numeric, analytic) < 1e-5
 
 
+# the blend and loss weights these losses take come from TrainConfig, which
+# checks them and computes them per epoch
+
+
 class TestBetaSchedule:
     def test_endpoints_and_midpoint(self):
-        sched = BetaSchedule(start=0.1, end=0.9, epochs=400)
-        assert beta_at(sched, 0) == 0.1
-        np.testing.assert_allclose(beta_at(sched, 400), 0.9, rtol=0, atol=1e-12)
+        cfg = TrainConfig(beta_start=0.1, beta_end=0.9, epochs=400)
+        assert cfg.beta_at(0) == 0.1
+        np.testing.assert_allclose(cfg.beta_at(400), 0.9, rtol=0, atol=1e-12)
         # geometric midpoint: sqrt(0.1 * 0.9) = 0.3
-        np.testing.assert_allclose(beta_at(sched, 200), 0.3, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cfg.beta_at(200), 0.3, rtol=0, atol=1e-12)
 
     def test_endpoint_identity_over_random_schedules(self):
         rng = np.random.default_rng(9)
@@ -898,69 +899,72 @@ class TestBetaSchedule:
             start = float(rng.uniform(0.01, 1.0))
             end = float(rng.uniform(0.01, 1.0))
             epochs = int(rng.integers(1, 500))
-            sched = BetaSchedule(start=start, end=end, epochs=epochs)
-            np.testing.assert_allclose(beta_at(sched, epochs), end, rtol=1e-12)
+            cfg = TrainConfig(beta_start=start, beta_end=end, epochs=epochs)
+            np.testing.assert_allclose(cfg.beta_at(epochs), end, rtol=1e-12)
 
     def test_monotone_growth(self):
-        sched = BetaSchedule(start=0.05, end=0.95, epochs=50)
-        vals = [beta_at(sched, t) for t in range(51)]
+        cfg = TrainConfig(beta_start=0.05, beta_end=0.95, epochs=50)
+        vals = [cfg.beta_at(t) for t in range(51)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_clamped_beyond_the_horizon(self):
-        sched = BetaSchedule(start=0.5, end=1.0, epochs=10)
-        assert beta_at(sched, 40) == 1.0
+        cfg = TrainConfig(beta_start=0.5, beta_end=1.0, epochs=10)
+        assert cfg.beta_at(40) == 1.0
 
     def test_fractional_epochs_interpolate(self):
-        sched = BetaSchedule(start=0.1, end=0.9, epochs=400)
-        lo, mid, hi = beta_at(sched, 10), beta_at(sched, 10.5), beta_at(sched, 11)
+        cfg = TrainConfig(beta_start=0.1, beta_end=0.9, epochs=400)
+        lo, mid, hi = cfg.beta_at(10), cfg.beta_at(10.5), cfg.beta_at(11)
         assert lo < mid < hi
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            BetaSchedule(start=0.0)
+            TrainConfig(beta_start=0.0)
         with pytest.raises(ParameterError):
-            BetaSchedule(end=1.2)
+            TrainConfig(beta_end=1.2)
         with pytest.raises(ParameterError):
-            BetaSchedule(epochs=0)
+            TrainConfig(epochs=0)
         with pytest.raises(ParameterError):
-            beta_at(BetaSchedule(), -1)
+            TrainConfig().beta_at(-1)
 
 
 class TestGammaSchedule:
     def test_constant_mode(self):
         for t in (0, 37, 400):
-            assert gamma_at(t, 400, 1.5, "constant") == 1.5
+            assert TrainConfig(epochs=400, gamma=1.5).gamma_at(t) == 1.5
 
     def test_ramp_starts_at_zero(self):
-        assert gamma_at(0, 400, 1.0, "ramp") == 0.0
+        assert TrainConfig(epochs=400, gamma=1.0, gamma_mode="ramp").gamma_at(0) == 0.0
 
     def test_ramp_hand_values(self):
         # 2g / (1 + exp(-10 t / E)) - g equals g * tanh(5 t / E)
-        np.testing.assert_allclose(gamma_at(400, 400, 1.0, "ramp"),
-                                   math.tanh(5.0), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(gamma_at(200, 400, 2.0, "ramp"),
-                                   2.0 * math.tanh(2.5), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            TrainConfig(epochs=400, gamma=1.0, gamma_mode="ramp").gamma_at(400),
+            math.tanh(5.0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            TrainConfig(epochs=400, gamma=2.0, gamma_mode="ramp").gamma_at(200),
+            2.0 * math.tanh(2.5), rtol=0, atol=1e-12)
 
     def test_ramp_monotone(self):
-        vals = [gamma_at(t, 100, 1.0, "ramp") for t in range(101)]
+        cfg = TrainConfig(epochs=100, gamma=1.0, gamma_mode="ramp")
+        vals = [cfg.gamma_at(t) for t in range(101)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            gamma_at(-1, 100, 1.0)
+            TrainConfig(epochs=100, gamma=1.0).gamma_at(-1)
         with pytest.raises(ParameterError):
-            gamma_at(0, 0, 1.0)
+            TrainConfig(epochs=0, gamma=1.0)
         with pytest.raises(ParameterError):
-            gamma_at(0, 100, -1.0)
+            TrainConfig(epochs=100, gamma=-1.0)
         with pytest.raises(ParameterError):
-            gamma_at(0, 100, 1.0, "linear")
+            TrainConfig(epochs=100, gamma=1.0, gamma_mode="linear")
 
 
 class TestLossWeights:
     def test_validation(self):
         with pytest.raises(ParameterError):
-            LossWeights(gamma=-0.1)
+            TrainConfig(gamma=-0.1)
         with pytest.raises(ParameterError):
-            LossWeights(alpha=-0.1)
+            TrainConfig(alpha=-0.1)
         with pytest.raises(ParameterError):
-            LossWeights(tau=0.0)
+            TrainConfig(tau=0.0)

@@ -19,7 +19,7 @@ from kduda import trainer
 from kduda.autodiff import Graph
 from kduda.data import batches, gen_blob_shift, stack_pairs
 from kduda.errors import ParameterError, ShapeError
-from kduda.losses import (KernelConfig, LossWeights, _pair_index, _pair_sqdist,
+from kduda.losses import (KernelConfig, _pair_index, _pair_sqdist,
                           cross_entropy, distill_kl, mmd_squared, soft_targets,
                           softmax_np, source_kd_loss, target_kd_loss,
                           teacher_da_loss)
@@ -371,17 +371,18 @@ class TestModelStacks:
         students = [build(ModelSpec(2, (4,), 3, seed=10 + k)) for k in range(3)]
         xs, xt = rng.normal(size=(3, 6, 2)), rng.normal(size=(3, 6, 2)) + 0.5
         ys = rng.integers(0, 3, size=(3, 6))
-        w = LossWeights(tau=4.0)
+        gamma, tau, alpha = 1.0, 4.0, 0.8
 
         def step(teacher, student, xs, ys, xt, stack_shape):
             g = Graph(stack_shape)
             da, _ = teacher_da_loss(teacher, g.tensor(xs), ys, g.tensor(xt),
-                                    KernelConfig(), w)
+                                    KernelConfig(), gamma)
             da.backward()
             g = Graph(stack_shape)
-            soft_s, soft_t = soft_targets(teacher, w.tau, xs, xt)
-            kd = ad.add(target_kd_loss(student, soft_t, g.tensor(xt), w),
-                        source_kd_loss(student, soft_s, g.tensor(xs), ys, w)[0])
+            soft_s, soft_t = soft_targets(teacher, tau, xs, xt)
+            kd = ad.add(target_kd_loss(student, soft_t, g.tensor(xt), tau),
+                        source_kd_loss(student, soft_s, g.tensor(xs), ys, tau,
+                                       alpha)[0])
             kd.backward()
             return teacher.bound_gradients() + student.bound_gradients()
 

@@ -12,7 +12,6 @@ import kduda.losses
 import kduda.trainer
 from kduda.data import gen_blob_shift
 from kduda.errors import NumericalAbort, ParameterError, ShapeError
-from kduda.losses import gamma_at
 from kduda.models import Model, ModelSpec, build, stack
 from kduda.trainer import (
     CSV_COLUMNS,
@@ -20,7 +19,6 @@ from kduda.trainer import (
     TrainConfig,
     TrainLog,
     evaluate,
-    lr_at,
     sgd_step,
     train_joint,
     train_kd_then_uda,
@@ -150,12 +148,15 @@ class TestSgdStep:
 
 class TestLrSchedule:
     def test_exponential_endpoints(self):
-        assert lr_at(0.001, 0, 100, 0.01) == 0.001
-        np.testing.assert_allclose(lr_at(0.001, 100, 100, 0.01), 1e-5, rtol=1e-12)
-        np.testing.assert_allclose(lr_at(0.001, 50, 100, 0.01), 1e-4, rtol=1e-12)
+        cfg = TrainConfig(lr_da=0.001, lr_da_final_fraction=0.01)
+        assert cfg.lr_da_at(0, 100) == 0.001
+        np.testing.assert_allclose(cfg.lr_da_at(100, 100), 1e-5, rtol=1e-12)
+        np.testing.assert_allclose(cfg.lr_da_at(50, 100), 1e-4, rtol=1e-12)
 
     def test_constant_mode(self):
-        assert lr_at(0.003, 77, 100, 0.01, mode="constant") == 0.003
+        cfg = TrainConfig(lr_da=0.003, lr_da_final_fraction=0.01,
+                          lr_da_decay="constant")
+        assert cfg.lr_da_at(77, 100) == 0.003
 
 
 def hand_model():
@@ -215,8 +216,8 @@ class TestTrainConfig:
 
     def test_beta_override_wins(self):
         cfg = TrainConfig(beta_override=0.42)
-        assert cfg.beta_at_epoch(0) == 0.42
-        assert cfg.beta_at_epoch(399) == 0.42
+        assert cfg.beta_at(0) == 0.42
+        assert cfg.beta_at(399) == 0.42
 
 
 class TestJointTraining:
@@ -233,7 +234,7 @@ class TestJointTraining:
         cfg = quick_cfg(epochs=6)
         log = train_joint(teacher, student, small_pair(), cfg)
         for t, rec in enumerate(log.records):
-            assert rec.beta == cfg.beta_at_epoch(t)
+            assert rec.beta == cfg.beta_at(t)
 
     def test_total_recomposes_from_parts(self):
         teacher, student = small_models()
@@ -582,7 +583,7 @@ class TestPhaseClocks:
                     [k == 0] + [False] * (per_epoch - 1)
                 rec = log.records[epoch]
                 assert rec.beta == (1.0 if rate == "lr_kd" else 0.0)
-                assert rec.gamma == gamma_at(epoch, cfg.epochs, cfg.gamma, "ramp")
+                assert rec.gamma == cfg.gamma_at(epoch)
                 epoch += 1
         assert len({rec.gamma for rec in log.records}) == cfg.epochs
 
@@ -638,7 +639,7 @@ class TestMoveNodeCounts:
         model = models[role]
         opt = OptimizerState.for_params(model.parameters(), cfg.lr_da, cfg.momentum)
         getattr(kduda.trainer, move)(model, opt, 1.0, models["teacher"], batch,
-                                     cfg, cfg.weights_at(0), 0)
+                                     cfg, cfg.gamma_at(0), 0)
         assert seen == [nodes]
 
 
