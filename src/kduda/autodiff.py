@@ -167,7 +167,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
 def softmax_np(logits, tau: float) -> Array:
     """Row-wise softmax of logits / tau in the shifted stable form, off the
-    tape: softmax_temperature's values, and constant soft targets."""
+    tape: the teacher's constant soft targets."""
     tau = float(tau)
     if tau <= 0.0:
         raise ParameterError(f"temperature must be positive, got {tau}")
@@ -176,17 +176,6 @@ def softmax_np(logits, tau: float) -> Array:
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     return p
-
-
-def softmax_temperature(logits: Tensor, tau: float) -> Tensor:
-    """Row-wise softmax of logits / tau as a tape node (see softmax_np)."""
-    if logits.values.ndim < 2:
-        raise ShapeError(f"softmax needs rows, got shape {logits.values.shape}")
-    p = softmax_np(logits.values, tau)
-    def vjp(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - inner) / tau,)
-    return Tensor(logits.graph, p, (logits,), vjp)
 
 
 # -- reverse pass -------------------------------------------------------------

@@ -39,8 +39,7 @@ class DomainPair:
         if self.ys.shape != self.xs.shape[:-1]:
             raise ShapeError(
                 f"source labels {self.ys.shape} do not match inputs {self.xs.shape}")
-        # empty eval labels stand for a target domain that is never evaluated
-        if self.yt_eval.size and self.yt_eval.shape != self.xt.shape[:-1]:
+        if self.yt_eval.shape != self.xt.shape[:-1]:
             raise ShapeError(f"target eval labels {self.yt_eval.shape} do not "
                              f"match inputs {self.xt.shape}")
 

@@ -31,8 +31,6 @@ from .autodiff import Tensor, softmax_np
 from .errors import ParameterError, ShapeError
 from .models import Model
 
-PROB_FLOOR = 1e-12
-
 MEDIAN_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 # pairs per pass of mmd_squared's kernel bank: its (K, pairs) block of
@@ -212,56 +210,63 @@ def mmd_squared(fs: Tensor, ft: Tensor, kernel: KernelConfig) -> Tensor:
     return Tensor(fs.graph, np.asarray(value), (fs, ft), vjp)
 
 
-def _log_loss(probs: Tensor, t: np.ndarray, offset, scale: float) -> Tensor:
-    """(offset - mean over rows of sum(t * log(probs))) * scale per cell, as
-    one tape node with t constant. Log inputs are clamped at PROB_FLOOR, so
-    certain-but-wrong predictions stay finite, with zero gradient where the
-    clamp is active."""
-    p = probs.values
-    neg_inv_n = -(1.0 / p.shape[-2])
-    clamped = np.maximum(p, PROB_FLOOR)
-    active = p > PROB_FLOOR
-    value = (_cell_sum(np.log(clamped) * t) * neg_inv_n + offset) * scale
+def _log_loss(logits: Tensor, t: np.ndarray, tau: float, offset,
+              scale: float) -> Tensor:
+    """(offset - mean over rows of sum(t * log softmax(logits / tau))) * scale
+    per cell, as one tape node with t constant. The shifted log-sum-exp is
+    finite for any finite logits, so no row loses its gradient, which is
+    scale / (n tau) * (softmax * sum(t) - t) per unit adjoint."""
+    z = logits.values / tau
+    z -= z.max(axis=-1, keepdims=True)
+    p = np.exp(z)
+    total = p.sum(axis=-1, keepdims=True)
+    z -= np.log(total)
+    p /= total
+    neg_inv_n = -(1.0 / z.shape[-2])
+    value = (_cell_sum(z * t) * neg_inv_n + offset) * scale
     def vjp(g):
-        coef = np.asarray(g * scale * neg_inv_n)[..., None, None]
-        return (np.where(active, coef * t / clamped, 0.0),)
-    return Tensor(probs.graph, np.asarray(value), (probs,), vjp)
+        gz = np.asarray(g * scale * neg_inv_n)[..., None, None] * t
+        gz -= p * gz.sum(axis=-1, keepdims=True)
+        gz /= tau
+        return (gz,)
+    return Tensor(logits.graph, np.asarray(value), (logits,), vjp)
 
 
-def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-probability of the true class: the log-loss node on
-    one-hot rows of distributions. Its offset -0.0 is the exact identity of
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-softmax of the true class: the log-loss node on
+    one-hot rows at temperature 1. Its offset -0.0 is the exact identity of
     IEEE addition, so even a zero loss keeps its sign."""
-    p = probs.values
-    if p.ndim < 2:
-        raise ShapeError(f"cross_entropy needs rows of probs, got {p.shape}")
+    z = logits.values
+    if z.ndim < 2:
+        raise ShapeError(f"cross_entropy needs rows of logits, got {z.shape}")
     labels = np.asarray(labels)
-    c = p.shape[-1]
-    if labels.shape != p.shape[:-1]:
+    c = z.shape[-1]
+    if labels.shape != z.shape[:-1]:
         raise ShapeError(f"cross_entropy: labels shape {labels.shape} does not "
-                         f"match batch {p.shape[:-1]}")
+                         f"match batch {z.shape[:-1]}")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ParameterError(
             f"cross_entropy: labels must be in [0, {c}), got range "
             f"[{labels.min()}, {labels.max()}]")
     onehot = (labels[..., None] == np.arange(c)).astype(np.float64)
-    return _log_loss(probs, onehot, -0.0, 1.0)
+    return _log_loss(logits, onehot, 1.0, -0.0, 1.0)
 
 
-def distill_kl(student_soft: Tensor, teacher_soft: np.ndarray, tau: float,
+def distill_kl(student_logits: Tensor, teacher_soft: np.ndarray, tau: float,
                scale_by_tau_sq: bool = True) -> Tensor:
-    """Mean KL divergence from softened teacher rows to softened student
-    rows: the log-loss node on the teacher's constant rows, offset by their
-    mean entropy. Scaled by tau^2 by default so gradient magnitudes stay
-    comparable across temperatures."""
+    """Mean KL divergence from softened teacher rows to the student's logits
+    softened at tau: the log-loss node on the teacher's constant rows, offset
+    by the mean of their sum(t log t), with 0 log 0 = 0. Scaled by
+    tau^2 by default so gradients stay comparable across temperatures."""
     if tau <= 0:
         raise ParameterError(f"tau must be positive, got {tau}")
     t = np.asarray(teacher_soft, dtype=np.float64)
-    if student_soft.values.shape != t.shape:
-        raise ShapeError(f"distill_kl: student {student_soft.values.shape} and "
+    if student_logits.values.shape != t.shape:
+        raise ShapeError(f"distill_kl: student {student_logits.values.shape} and "
                          f"teacher {t.shape} shapes differ")
-    entropy = _cell_sum(t * np.log(np.maximum(t, PROB_FLOOR))) * (1.0 / t.shape[-2])
-    return _log_loss(student_soft, t, entropy,
+    log_t = np.log(t, out=np.zeros_like(t), where=t > 0)
+    entropy = _cell_sum(t * log_t) * (1.0 / t.shape[-2])
+    return _log_loss(student_logits, t, tau, entropy,
                      float(tau * tau) if scale_by_tau_sq else 1.0)
 
 
@@ -294,8 +299,7 @@ def teacher_da_loss(teacher: Model, xs: Tensor, ys: np.ndarray, xt: Tensor,
     fs = teacher.features(xs)
     ft = teacher.features(xt)
     mmd = mmd_squared(fs, ft, kernel)
-    probs = ad.softmax_temperature(teacher.head(fs), 1.0)
-    ce = cross_entropy(probs, ys)
+    ce = cross_entropy(teacher.head(fs), ys)
     total = ad.add(mmd, ad.scalar_multiply(ce, gamma))
     return total, {"mmd": mmd.values, "ce": ce.values}
 
@@ -304,8 +308,7 @@ def target_kd_loss(student: Model, targets: np.ndarray, xt: Tensor, tau: float,
                    scale_by_tau_sq: bool = True) -> Tensor:
     """Distillation on unlabeled target data: softened student rows pulled
     toward the teacher's soft targets on xt (see soft_targets)."""
-    soft_s = ad.softmax_temperature(student.logits(xt), tau)
-    return distill_kl(soft_s, targets, tau, scale_by_tau_sq)
+    return distill_kl(student.logits(xt), targets, tau, scale_by_tau_sq)
 
 
 def source_kd_loss(student: Model, targets: np.ndarray, xs: Tensor,
@@ -315,10 +318,8 @@ def source_kd_loss(student: Model, targets: np.ndarray, xs: Tensor,
     on xs, plus alpha times the student's own supervised cross-entropy.
     Returns the loss tensor and the subterms' values."""
     logits = student.logits(xs)
-    soft_s = ad.softmax_temperature(logits, tau)
-    kl = distill_kl(soft_s, targets, tau, scale_by_tau_sq)
-    probs = ad.softmax_temperature(logits, 1.0)
-    ce = cross_entropy(probs, ys)
+    kl = distill_kl(logits, targets, tau, scale_by_tau_sq)
+    ce = cross_entropy(logits, ys)
     total = ad.add(kl, ad.scalar_multiply(ce, alpha))
     return total, {"kl": kl.values, "ce": ce.values}
 

@@ -92,6 +92,9 @@ class TrainConfig:
                  "beta_override", "in [0, 1]"),
                 (not 0.0 < self.beta_start <= 1.0, "beta_start", "in (0, 1]"),
                 (not 0.0 < self.beta_end <= 1.0, "beta_end", "in (0, 1]"),
+                (self.beta_start > 0
+                 and not math.isfinite(self.beta_end / self.beta_start),
+                 "beta_start", "large enough that beta_end / beta_start is finite"),
                 (self.gamma < 0, "gamma", ">= 0"),
                 (self.gamma_mode not in ("constant", "ramp"), "gamma_mode",
                  "constant or ramp"),
@@ -282,9 +285,7 @@ def _adapt(model, opt, weight, teacher, batch, cfg, gamma, epoch):
 def _supervised(model, opt, weight, teacher, batch, cfg, gamma, epoch):
     """Source cross-entropy, logged as L_tda."""
     graph = Graph(batch[1].shape[:-1])
-    ce = cross_entropy(
-        ad.softmax_temperature(model.logits(graph.tensor(batch[0])), 1.0),
-        batch[1])
+    ce = cross_entropy(model.logits(graph.tensor(batch[0])), batch[1])
     return _descend(model, opt, ce, weight, epoch, {"L_tda": ce.values})
 
 

@@ -1,14 +1,18 @@
 """Central finite-difference gradient oracle shared by the test modules, the
 plain tape nodes that test-only reference compositions are built from,
-allocating references for the ops that compute in place, the loss nodes
-as they read before they shared one, and the MMD as it read before it was
-one node."""
+allocating references for the ops that compute in place, the loss heads
+as two nodes each (a softmax, then a clamped log-loss) as they read before
+each became one log-softmax node, and the MMD as it read before it was one
+node."""
 
 import numpy as np
 
 import kduda.autodiff as ad
 from kduda.errors import ParameterError, ShapeError
-from kduda.losses import PROB_FLOOR, _cell_sum
+from kduda.losses import _cell_sum
+
+# the two-node loss heads clamped their log inputs here
+PROB_FLOOR = 1e-12
 
 
 def finite_diff_grad(f, x, step=1e-5):
@@ -60,6 +64,18 @@ def log(x, floor):
                      lambda g: (np.where(active, g / clamped, 0.0),))
 
 
+def log_softmax(x, tau):
+    """Row-wise log softmax(x / tau) by the shifted log-sum-exp; the
+    adjoint is (g - softmax * rowsum(g)) / tau."""
+    z = x.values / tau
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    p = e / total
+    return ad.Tensor(x.graph, z - np.log(total), (x,),
+                     lambda g: ((g - p * g.sum(axis=-1, keepdims=True)) / tau,))
+
+
 def mean(x):
     xv = x.values
     return ad.Tensor(x.graph, np.asarray(xv.mean()), (x,),
@@ -96,19 +112,21 @@ def old_linear(x, w, b, relu=False):
 
 
 def old_softmax_temperature(logits, tau):
+    """The softmax tape node that fed both loss heads their probabilities."""
     tau = float(tau)
     z = logits.values / tau
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
     def vjp(g):
-        inner = (g * p).sum(axis=1, keepdims=True)
+        inner = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - inner) / tau,)
     return ad.Tensor(logits.graph, p, (logits,), vjp)
 
 
 def old_cross_entropy(probs, labels):
-    """cross_entropy as its own node, before it shared one with distill_kl."""
+    """cross_entropy on probabilities, as its own node with the log clamped
+    at PROB_FLOOR, before it shared one with distill_kl."""
     p = probs.values
     n, c = p.shape[-2:]
     onehot = (labels[..., None] == np.arange(c)).astype(np.float64)
@@ -123,7 +141,8 @@ def old_cross_entropy(probs, labels):
 
 
 def old_distill_kl(student_soft, t, tau, scale_by_tau_sq=True):
-    """distill_kl as its own node, before it shared one with cross_entropy."""
+    """distill_kl on probabilities, as its own node with the log clamped at
+    PROB_FLOOR, before it shared one with cross_entropy."""
     s = student_soft.values
     inv_n = 1.0 / t.shape[-2]
     clamped = np.maximum(s, PROB_FLOOR)

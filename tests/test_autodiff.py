@@ -8,12 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kduda.autodiff as ad
-from kduda.autodiff import Graph
+from kduda.autodiff import Graph, softmax_np
 from kduda.errors import ParameterError, ShapeError
-from kduda.losses import KernelConfig, _pair_index, _pair_sqdist, mmd_squared
-from fdcheck import (exp, finite_diff_grad, log, mean, old_kernel_bank_mean,
-                     old_linear, old_pairwise_sqdist, old_softmax_temperature,
-                     relative_error, weighted_sum)
+from kduda.losses import (KernelConfig, _pair_index, _pair_sqdist, cross_entropy,
+                          distill_kl, mmd_squared)
+from fdcheck import (exp, finite_diff_grad, log, log_softmax, mean,
+                     old_kernel_bank_mean, old_linear, old_pairwise_sqdist,
+                     old_softmax_np, relative_error, weighted_sum)
 
 FIXED = KernelConfig(mode="fixed", bandwidths=(0.5, 2.0))
 
@@ -173,53 +174,33 @@ class TestLinear:
 
 
 class TestSoftmaxTemperature:
+    """softmax_np, the temperature softmax of the teacher's soft targets."""
+
     def test_symmetric_logits(self):
-        g = Graph()
         for tau in (0.5, 1.0, 20.0):
-            out = ad.softmax_temperature(g.tensor([[0.0, 0.0]]), tau)
-            np.testing.assert_allclose(out.values, [[0.5, 0.5]])
+            np.testing.assert_allclose(softmax_np([[0.0, 0.0]], tau), [[0.5, 0.5]])
 
     def test_hand_case(self):
         # logits [2, 0] at tau=2 soften to softmax([1, 0])
-        g = Graph()
-        out = ad.softmax_temperature(g.tensor([[2.0, 0.0]]), 2.0)
         e = np.e
-        np.testing.assert_allclose(out.values, [[e / (e + 1), 1 / (e + 1)]],
-                                   atol=1e-12)
+        np.testing.assert_allclose(softmax_np([[2.0, 0.0]], 2.0),
+                                   [[e / (e + 1), 1 / (e + 1)]], atol=1e-12)
 
     def test_huge_temperature_is_uniform(self):
-        g = Graph()
-        out = ad.softmax_temperature(g.tensor([[3.0, -1.0, 0.5]]), 1e6)
-        np.testing.assert_allclose(out.values, 1.0 / 3.0, atol=1e-5)
+        np.testing.assert_allclose(softmax_np([[3.0, -1.0, 0.5]], 1e6), 1.0 / 3.0,
+                                   atol=1e-5)
 
     def test_rows_sum_to_one_and_positive(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             logits = rng.normal(scale=rng.uniform(0.1, 50.0), size=(5, 7))
-            tau = rng.uniform(0.5, 30.0)
-            g = Graph()
-            p = ad.softmax_temperature(g.tensor(logits), tau).values
+            p = softmax_np(logits, rng.uniform(0.5, 30.0))
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
             assert (p > 0).all()
 
     def test_invalid_temperature(self):
-        g = Graph()
         with pytest.raises(ParameterError):
-            ad.softmax_temperature(g.tensor([[1.0, 2.0]]), 0.0)
-
-    def test_gradient(self):
-        rng = np.random.default_rng(3)
-        x0 = rng.normal(size=(3, 4))
-        w = rng.normal(size=(3, 4))
-
-        def loss_at(x):
-            g = Graph()
-            return weighted_sum(ad.softmax_temperature(g.tensor(x), 3.0), w).item()
-
-        g = Graph()
-        x = g.tensor(x0)
-        weighted_sum(ad.softmax_temperature(x, 3.0), w).backward()
-        assert relative_error(finite_diff_grad(loss_at, x0.copy()), x.grad) < 1e-5
+            softmax_np([[1.0, 2.0]], 0.0)
 
 
 def squared_norm(x):
@@ -270,7 +251,7 @@ class TestBackward:
             rng = np.random.default_rng(5)
             x, w, b, y = (g.tensor(rng.normal(size=stack + shape))
                           for shape in ((6, 4), (4, 3), (3,), (5, 3)))
-            h = ad.softmax_temperature(ad.linear(x, w, b, relu=True), 2.0)
+            h = log_softmax(ad.linear(x, w, b, relu=True), 2.0)
             return (x, w, b, y), mmd_squared(
                 h, ad.add(y, ad.scalar_multiply(ad.add(y, y), -1.0)), FIXED)
         weighted, loss = leaves_and_loss()
@@ -353,15 +334,12 @@ def _add_bias(g, a, b):
 
 # Each case: name, builder(graph, c, *inputs) with a drawn constant c in
 # [0.5, 5], and the input shapes for drawn sizes (m, n, k). A builder creates
-# its input leaves first, in input order. The last four cases are the
+# its input leaves first, in input order. The last five cases are the
 # reference nodes of tests/fdcheck.py.
 PRIMITIVE_CASES = [
     ("add", lambda g, c, a, b: ad.add(g.tensor(a), g.tensor(b)),
      lambda m, n, k: [(m, n), (m, n)]),
     ("scalar_multiply", lambda g, c, a: ad.scalar_multiply(g.tensor(a), -c),
-     lambda m, n, k: [(m, n)]),
-    ("softmax_temperature",
-     lambda g, c, a: ad.softmax_temperature(g.tensor(a), c),
      lambda m, n, k: [(m, n)]),
     ("linear",
      lambda g, c, a, b, d: ad.linear(g.tensor(a), g.tensor(b), g.tensor(d)),
@@ -376,6 +354,8 @@ PRIMITIVE_CASES = [
     ("exp", lambda g, c, a: exp(g.tensor(a)), lambda m, n, k: [(m, n)]),
     # negative entries sit on the flat side of the floor
     ("log", lambda g, c, a: log(g.tensor(a), 1e-12), lambda m, n, k: [(m, n)]),
+    ("log_softmax", lambda g, c, a: log_softmax(g.tensor(a), c),
+     lambda m, n, k: [(m, n)]),
     ("mean", lambda g, c, a: mean(g.tensor(a)), lambda m, n, k: [(m, n)]),
     ("weighted_sum",
      lambda g, c, a: weighted_sum(g.tensor(a),
@@ -539,6 +519,7 @@ class TestInPlaceOps:
 
     @pytest.mark.parametrize("tau", [0.05, 1.0, 20.0])
     def test_softmax_matches_the_reference_on_extreme_logits(self, tau):
+        # softmax_np computes the teacher's soft targets in its own buffer
         rng = np.random.default_rng(int(tau * 100))
         logits = np.array([[1e4, -1e4, 0.0, 3.0],
                            [-745.0, -746.0, -1e300, -700.0],
@@ -548,14 +529,8 @@ class TestInPlaceOps:
                            [np.inf, 1.0, 2.0, 3.0],
                            [np.nan, 1.0, 2.0, 3.0]])
         logits = np.vstack([logits, rng.normal(scale=50.0, size=(9, 4))])
-        gv = rng.normal(size=logits.shape)
-        outs = []
         with np.errstate(invalid="ignore", over="ignore"):
-            for op in (ad.softmax_temperature, old_softmax_temperature):
-                out = op(Graph().tensor(logits), tau)
-                outs.append((out.values, *out._vjp(gv)))
-        for new, old in zip(*outs):
-            assert same_bits(new, old)
+            assert same_bits(softmax_np(logits, tau), old_softmax_np(logits, tau))
 
     @pytest.mark.parametrize("rows_a,rows_b,width", [(1, 1, 1), (7, 5, 3),
                                                      (32, 32, 16), (17, 9, 2)])
@@ -581,9 +556,12 @@ def _every_op(g, rng):
     y = g.tensor(rng.normal(size=(6, 4)))
     w = g.tensor(rng.normal(size=(4, 3)))
     b = g.tensor(rng.normal(size=3))
+    teacher = softmax_np(rng.normal(size=(6, 4)), 0.5)
     return [ad.add(x, y), ad.add(x, x),
             ad.scalar_multiply(x, 3.0), ad.linear(x, w, b),
-            ad.linear(x, w, b, relu=True), ad.softmax_temperature(x, 0.5),
+            ad.linear(x, w, b, relu=True),
+            cross_entropy(x, rng.integers(0, 4, size=6)),
+            distill_kl(x, teacher, 0.5),
             mmd_squared(x, y, FIXED), mmd_squared(x, x, KernelConfig())]
 
 
@@ -602,20 +580,20 @@ class TestAliasing:
                 assert not np.shares_memory(out.values, inp.values)
                 assert not np.shares_memory(contrib, inp.values)
 
-    @pytest.mark.parametrize("pair", ["softmax+linear", "mmd+mmd"])
+    @pytest.mark.parametrize("pair", ["kl+ce", "mmd+mmd"])
     def test_a_shared_adjoint_reaches_both_inputs_unchanged(self, pair):
         # add hands one adjoint array to both of its inputs, so each input's
         # vjp must leave it as it was for the other: the sum's gradient is
         # the sum of the two gradients taken apart
         rng = np.random.default_rng(4)
-        xv, wv = rng.normal(size=(5, 4)), rng.normal(size=(4, 4))
-        yv, bv = rng.normal(size=(5, 4)), rng.normal(size=4)
-        weights = rng.normal(size=(5, 4) if pair == "softmax+linear" else ())
+        xv, yv = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        labels, weights = rng.integers(0, 4, size=5), rng.normal(size=())
 
         def branches(g, x):
-            if pair == "softmax+linear":
-                return (ad.softmax_temperature(x, 2.0),
-                        ad.linear(x, g.tensor(wv), g.tensor(bv), relu=True))
+            if pair == "kl+ce":
+                # source_kd_loss's two heads on one logits tensor
+                return (distill_kl(x, softmax_np(yv, 2.0), 2.0),
+                        cross_entropy(x, labels))
             return (mmd_squared(x, g.tensor(yv), FIXED),
                     mmd_squared(g.tensor(yv[::-1]), x, FIXED))
 

@@ -183,10 +183,12 @@ class TestBlobShift:
 
 
 class TestDomainPair:
-    def test_empty_eval_labels_are_allowed(self):
-        pair = DomainPair(np.zeros((4, 2)), np.zeros(4, dtype=np.intp),
-                          np.zeros((5, 2)), np.array([], dtype=np.intp))
-        assert pair.yt_eval.size == 0
+    def test_empty_eval_labels_are_rejected(self):
+        # every trainer evaluates the target domain, so a pair without its
+        # labels would fail there after a whole epoch of training
+        with pytest.raises(ShapeError, match="target eval labels"):
+            DomainPair(np.zeros((4, 2)), np.zeros(4, dtype=np.intp),
+                       np.zeros((5, 2)), np.array([], dtype=np.intp))
 
     def test_validation(self):
         with pytest.raises(ShapeError):

@@ -28,41 +28,41 @@ WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
 # the stack must equal seed 0 alone, so one digest covers both
 EPOCH_CSVS = {
     ("scenario_grid", "joint", 0):
-        "79d9839f19be38a43a289bcd1868c5153b386e2dda3c458e23d7a6c59ec367f3",
+        "a228b85d28f6fb201e511dea00ce03f92db76c83ee52dea1ead54268c4dd279c",
     ("scenario_grid", "joint", 1):
-        "f691bbb1a9de0638ac5fc500247b54cf4e8bd547ccfd4316f0a6f6ba8402b6cd",
+        "36e48df7c721f4ec36b4dbf174d266406a0d2b8b8e0b09f562e8c9bfd7bc66bc",
     ("scenario_grid", "uda_then_kd", 0):
-        "dc4e52282feb7bb09cd6e45902b6909fa1edbf9024bdabc162512545c7275183",
+        "0c658d21891f1d8b2f917c3d5feef20c485f9fa4a1057f571585752765e5e673",
     ("scenario_grid", "uda_then_kd", 1):
-        "7bc4358d62d453c59d6432010476d99451a2e2f2d94470e1084787900eb6fabc",
+        "69173fa968f0643d514c81e846746732395a3566a606bab5e1c0635665fddeee",
     ("scenario_grid", "kd_then_uda", 0):
-        "bf500ea0640a1da9bb87ad939dc88285923f7192277a3cbb235415c47ddd2901",
+        "b8e869b4272588e1ce3768ce82e518317326476060bf9f99c2ddbc13f01dc540",
     ("scenario_grid", "kd_then_uda", 1):
-        "a39c9fac897dfd2621bd1959c92639785b81595f9226c3a7bfcf91ee6ae9637a",
+        "a962de67246657e27157e33d481c9025b63b3db4ccc07fda53e7aa36c40699fe",
     ("scenario_grid", "uda_only", 0):
-        "e3b65a16a83cfb2e1baf27fd57c25241f5217f8f2814726d77decda190a8ba1f",
+        "ed87e51ac63514fb63b337e3e452307c3981aff7b83be41c4d4ac98f212e09a8",
     ("scenario_grid", "uda_only", 1):
-        "be548233f54ffebb5c70df5f092b62ac13fedfa0bdb3bd5a76f953b00ce77eed",
+        "09f9d0fa296adacfa49374fb113392fd5404e12465f3672066f580c52bb871dc",
     ("scenario_grid", "source_only", 0):
         "17f76800f7287bfc35052709d1e072674edfa29d09446451fb4fbab4e020d62f",
     ("scenario_grid", "source_only", 1):
         "be1ec36745ede6fb189434ae2de48a199a84e3d6f9e650b2700769ccb1faac04",
     ("wide_batch", "joint", 0):
-        "e47216e7cdc26cfc5c8d9aa966a2326b70b33d262b851e57c595c07c537e9c1b",
+        "c7c71359ddd6af4c310e32274a927c47dece92e8ddb502847db9e7cacb8943ec",
     ("wide_batch", "joint", 1):
-        "513660a85db33ce1fa2df4adb441b6eb1666aeebb22961daa2dc43e1b839e03b",
+        "ed6baf30dd7fd928c8fd5e980c7ea1d2c6eb412e27e0156fc7617a93f841368c",
     ("wide_batch", "uda_then_kd", 0):
-        "0065c24edcbe20036dca7afd4ca10f730df32450d8a89f1f290920df6e1e6204",
+        "511a6b5c1037aaad29119ded08d9872da8eabd0da864b4723be10268495db9c0",
     ("wide_batch", "uda_then_kd", 1):
-        "d91f38aedccdc9d09bb2785adc5b6f3fa50edab91db7d920e9c88ee2b843decd",
+        "3a67ffc05dd42f444cd439bd481f124b12fe4379bd8ff34c098c2f0600486f73",
     ("wide_batch", "kd_then_uda", 0):
-        "4172fa90631434e86543e5291faf32b1ab8a9e806d1f60c68013c5fb8c6f278e",
+        "7c5ec672aa752acafdae9b0b6d5c5202c06286ac0935a685c3f77dc5f8f4b14e",
     ("wide_batch", "kd_then_uda", 1):
-        "88faa42ce8fe6e93c5f1f925f5ec45555a985674ea746051f75afd5f1ab68545",
+        "e7846806a5a489bc71ec77cec6ccd4607edd17cfd09e6d4ae0da9dff6cb23f73",
     ("wide_batch", "uda_only", 0):
-        "1db2d51c38a5c085256fa76e665b897af7d64bc922525f7b19e1c5088ab66d55",
+        "872e904d9c4b3a7ab78ac12b21c04780a6792c1dc004e501ecbe3a3f6e40dd83",
     ("wide_batch", "uda_only", 1):
-        "e78fe39ffb000695c3f755960a625266378677e82247b2916eaac6df803409ad",
+        "8a01aedec9606b100d2b7dccff5d2ca42ae5b83531f2778693f29391cf4a1650",
     ("wide_batch", "source_only", 0):
         "eb7c0a4124f785f55f2dea5dcbb93fe731159cc37803d5aed813796f6ef5b755",
     ("wide_batch", "source_only", 1):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import kduda.autodiff as ad
 from kduda.errors import ParameterError, ShapeError
 from kduda.losses import (
-    PROB_FLOOR,
     KernelConfig,
     cross_entropy,
     distill_kl,
@@ -24,10 +23,11 @@ from kduda.losses import _median_of_roots, _pair_index, _pair_sqdist
 from kduda.models import ModelSpec, build
 from kduda.trainer import TrainConfig
 
-from fdcheck import (exp, finite_diff_grad, log, mean, median_of_roots,
-                     old_cross_entropy, old_distill_kl, old_mmd_squared,
-                     old_pairwise_sqdist, old_resolve, old_softmax_np,
-                     relative_error, weighted_sum)
+from fdcheck import (PROB_FLOOR, exp, finite_diff_grad, log_softmax, mean,
+                     median_of_roots, old_cross_entropy, old_distill_kl,
+                     old_mmd_squared, old_pairwise_sqdist, old_resolve,
+                     old_softmax_np, old_softmax_temperature, relative_error,
+                     weighted_sum)
 
 
 def mmd_value(fs, ft, kernel):
@@ -99,40 +99,59 @@ def soft(teacher, x, tau):
     return soft_targets(teacher, tau, x)[0]
 
 
-def unfused_cross_entropy(probs, labels):
-    """Cross-entropy as floored log, one-hot weighted sum and scale nodes:
-    the composition the one-node cross_entropy replaces."""
-    n, c = probs.values.shape
+def unfused_cross_entropy(logits, labels):
+    """Cross-entropy as log-softmax, one-hot weighted sum and scale nodes:
+    the composition the one-node cross_entropy fuses."""
+    n, c = logits.values.shape
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    picked = weighted_sum(log(probs, PROB_FLOOR), onehot)
+    picked = weighted_sum(log_softmax(logits, 1.0), onehot)
     return ad.scalar_multiply(picked, -1.0 / n)
 
 
-def unfused_distill_kl(student_soft, t, tau, scale_by_tau_sq=True):
-    """Distillation KL as floored log, weighted sum, scale, add and tau^2
-    nodes: the composition the one-node distill_kl replaces."""
+def unfused_distill_kl(student_logits, t, tau, scale_by_tau_sq=True):
+    """Distillation KL as log-softmax, weighted sum, scale, add and tau^2
+    nodes: the composition the one-node distill_kl fuses."""
     inv_n = 1.0 / t.shape[0]
-    graph = student_soft.graph
+    graph = student_logits.graph
     cross = ad.scalar_multiply(
-        weighted_sum(log(student_soft, PROB_FLOOR), t), -inv_n)
-    entropy = float((t * np.log(np.maximum(t, PROB_FLOOR))).sum() * inv_n)
+        weighted_sum(log_softmax(student_logits, tau), t), -inv_n)
+    log_t = np.log(t, out=np.zeros_like(t), where=t > 0)
+    entropy = float((t * log_t).sum() * inv_n)
     kl = ad.add(cross, graph.tensor(entropy))
     if scale_by_tau_sq:
         kl = ad.scalar_multiply(kl, tau * tau)
     return kl
 
 
-def _probs_with_clamped_entries(rng, rows, classes, clamp):
-    """Row inputs for the floored log. With clamp, some entries sit far
-    below PROB_FLOOR, so central differences stay on the flat side of the
-    clamp; otherwise every entry is well above it."""
-    p = rng.uniform(0.05, 1.0, size=(rows, classes))
-    if clamp:
-        low = rng.random((rows, classes)) < 0.4
-        low.flat[rng.integers(low.size)] = True
-        p[low] = -rng.uniform(0.1, 1.0, size=int(low.sum()))
-    return p
+def two_node_cross_entropy(logits, labels):
+    """cross_entropy as it read before it took logits: the softmax node,
+    then the log-loss node clamped at PROB_FLOOR."""
+    return old_cross_entropy(old_softmax_temperature(logits, 1.0), labels)
+
+
+def two_node_distill_kl(student_logits, t, tau, scale_by_tau_sq=True):
+    """distill_kl as it read before it took logits (see
+    two_node_cross_entropy)."""
+    return old_distill_kl(old_softmax_temperature(student_logits, tau), t, tau,
+                          scale_by_tau_sq)
+
+
+def run_head(loss_fn, logits0, *args, weight):
+    """A loss head's values and logit gradient under backward(weight)."""
+    g = ad.Graph(logits0.shape[:-2])
+    logits = g.tensor(logits0)
+    loss = loss_fn(logits, *args)
+    loss.backward(weight)
+    return loss.values, logits.grad
+
+
+def assert_close_heads(new, old):
+    """run_head results within 1e-12 relative: values entry by entry, each
+    cell's gradient as a vector."""
+    np.testing.assert_allclose(new[0], old[0], rtol=1e-12, atol=0)
+    for cell in np.ndindex(new[1].shape[:-2]):
+        assert relative_error(old[1][cell], new[1][cell]) < 1e-12
 
 
 def _flat_params(model):
@@ -467,68 +486,79 @@ class TestMmd:
 
 class TestCrossEntropy:
     def test_certain_correct_prediction_costs_nothing(self):
+        # log-probabilities whose exp underflows to the one-hot rows
         g = ad.Graph()
-        probs = g.tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert cross_entropy(probs, np.array([0, 1])).item() == 0.0
+        logits = g.tensor(np.array([[0.0, -800.0], [-800.0, 0.0]]))
+        assert cross_entropy(logits, np.array([0, 1])).item() == 0.0
 
     def test_uniform_prediction_costs_log_classes(self):
         g = ad.Graph()
-        probs = g.tensor(np.full((3, 4), 0.25))
-        val = cross_entropy(probs, np.array([0, 2, 3])).item()
+        logits = g.tensor(np.log(np.full((3, 4), 0.25)))
+        val = cross_entropy(logits, np.array([0, 2, 3])).item()
         np.testing.assert_allclose(val, math.log(4.0), rtol=0, atol=1e-12)
 
     def test_hand_value(self):
         g = ad.Graph()
-        probs = g.tensor(np.array([[0.25, 0.75]]))
-        val = cross_entropy(probs, np.array([0])).item()
+        logits = g.tensor(np.log(np.array([[0.25, 0.75]])))
+        val = cross_entropy(logits, np.array([0])).item()
         np.testing.assert_allclose(val, -math.log(0.25), rtol=0, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        logits = rng.normal(size=(6, 3))
-        p0 = softmax_np(logits, 1.0)
+        logits0 = rng.normal(size=(6, 3))
         labels = np.array([0, 1, 2, 0, 1, 2])
 
         g = ad.Graph()
-        probs = g.tensor(p0)
-        cross_entropy(probs, labels).backward()
+        logits = g.tensor(logits0)
+        cross_entropy(logits, labels).backward()
 
         def f(flat):
             gg = ad.Graph()
-            return cross_entropy(gg.tensor(flat.reshape(p0.shape)), labels).item()
+            return cross_entropy(gg.tensor(flat.reshape(logits0.shape)),
+                                 labels).item()
 
-        numeric = finite_diff_grad(f, p0.ravel())
-        assert relative_error(numeric, probs.grad.ravel()) < 1e-6
+        numeric = finite_diff_grad(f, logits0.ravel())
+        assert relative_error(numeric, logits.grad.ravel()) < 1e-6
 
+    # a wider spread makes rows so certain that their gradient falls to the
+    # size of the central differences' rounding error
     @settings(max_examples=60, deadline=None)
-    @given(rows=st.integers(1, 5), classes=st.integers(2, 4), clamp=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_one_node_matches_finite_differences(self, rows, classes, clamp, seed):
+    @given(rows=st.integers(1, 5), classes=st.integers(2, 4),
+           spread=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_one_node_matches_finite_differences(self, rows, classes, spread,
+                                                 seed):
         rng = np.random.default_rng(seed)
-        p0 = _probs_with_clamped_entries(rng, rows, classes, clamp)
+        z0 = rng.normal(scale=spread, size=(rows, classes))
         labels = rng.integers(classes, size=rows)
-        if clamp:
-            # at least one true-class entry is clamped, so its zero
-            # gradient is checked too
-            p0[0, labels[0]] = -0.5
 
         g = ad.Graph()
-        probs = g.tensor(p0)
-        loss = cross_entropy(probs, labels)
+        logits = g.tensor(z0)
+        loss = cross_entropy(logits, labels)
         assert len(g) == 2
         loss.backward()
 
         def f(flat):
-            return cross_entropy(ad.Graph().tensor(flat.reshape(p0.shape)), labels).item()
+            return cross_entropy(ad.Graph().tensor(flat.reshape(z0.shape)),
+                                 labels).item()
 
-        assert relative_error(finite_diff_grad(f, p0.ravel()), probs.grad.ravel()) < 1e-6
-        if clamp:
-            assert probs.grad[0, labels[0]] == 0.0
+        assert relative_error(finite_diff_grad(f, z0.ravel()),
+                              logits.grad.ravel()) < 1e-6
+
+    def test_a_certain_but_wrong_row_gets_softmax_minus_onehot(self):
+        # the two-node form clamped this row's true-class probability at
+        # PROB_FLOOR: a loss of -ln(1e-12) and a zero logit gradient
+        g = ad.Graph()
+        logits = g.tensor(np.array([[60.0, 0.0, 0.0]]))
+        loss = cross_entropy(logits, np.array([2]))
+        loss.backward()
+        assert loss.item() == 60.0
+        expected = softmax_np(logits.values, 1.0) - np.array([[0.0, 0.0, 1.0]])
+        np.testing.assert_allclose(logits.grad, expected, rtol=1e-15, atol=0)
+        assert logits.grad[0, 0] == 1.0 and logits.grad[0, 2] == -1.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bitwise_equal_to_the_unfused_composition(self, seed):
-        # logits spread wide enough that some softmax entries fall under
-        # PROB_FLOOR, so the clamp is active on some rows
+        # logits spread wide enough that some softmax entries underflow
         rng = np.random.default_rng(seed)
         logits0 = rng.normal(scale=[1.0, 10.0, 40.0][seed % 3], size=(9, 4))
         labels = rng.integers(4, size=9)
@@ -536,43 +566,42 @@ class TestCrossEntropy:
         def run(ce):
             g = ad.Graph()
             logits = g.tensor(logits0)
-            probs = ad.softmax_temperature(logits, 1.0)
-            loss = ce(probs, labels)
+            loss = ce(logits, labels)
             ad.scalar_multiply(loss, 0.37).backward()
-            return loss.values, probs.grad, logits.grad
+            return loss.values, logits.grad
 
         for new, old in zip(run(cross_entropy), run(unfused_cross_entropy)):
             assert np.array_equal(new, old)
 
     def test_label_validation(self):
         g = ad.Graph()
-        probs = g.tensor(np.full((2, 2), 0.5))
+        logits = g.tensor(np.zeros((2, 2)))
         with pytest.raises(ParameterError):
-            cross_entropy(probs, np.array([0, 2]))
+            cross_entropy(logits, np.array([0, 2]))
         with pytest.raises(ParameterError):
-            cross_entropy(probs, np.array([-1, 0]))
+            cross_entropy(logits, np.array([-1, 0]))
         with pytest.raises(ShapeError):
-            cross_entropy(probs, np.array([0, 1, 0]))
+            cross_entropy(logits, np.array([0, 1, 0]))
 
 
 class TestDistillKl:
     def test_equal_distributions_give_zero(self):
         rng = np.random.default_rng(6)
-        soft = softmax_np(rng.normal(size=(5, 4)), 2.0)
+        logits = rng.normal(size=(5, 4))
         g = ad.Graph()
-        val = distill_kl(g.tensor(soft), soft.copy(), tau=2.0).item()
+        val = distill_kl(g.tensor(logits), softmax_np(logits, 2.0), tau=2.0).item()
         assert abs(val) <= 1e-12
 
     def test_hand_value_log_two(self):
         g = ad.Graph()
-        student = g.tensor(np.array([[0.5, 0.5]]))
+        student = g.tensor(np.log(np.array([[0.5, 0.5]])))
         teacher = np.array([[1.0, 0.0]])
         val = distill_kl(student, teacher, tau=1.0).item()
         np.testing.assert_allclose(val, math.log(2.0), rtol=0, atol=1e-12)
 
     def test_temperature_squared_rescaling(self):
         g = ad.Graph()
-        student = g.tensor(np.array([[0.3, 0.7], [0.6, 0.4]]))
+        student = g.tensor(5.0 * np.log(np.array([[0.3, 0.7], [0.6, 0.4]])))
         teacher = np.array([[0.5, 0.5], [0.2, 0.8]])
         plain = distill_kl(student, teacher, tau=5.0, scale_by_tau_sq=False).item()
         scaled = distill_kl(student, teacher, tau=5.0, scale_by_tau_sq=True).item()
@@ -582,13 +611,13 @@ class TestDistillKl:
         rng = np.random.default_rng(7)
         for _ in range(1000):
             t = softmax_np(rng.uniform(-5.0, 5.0, size=(3, 4)), 1.0)
-            s = softmax_np(rng.uniform(-5.0, 5.0, size=(3, 4)), 1.0)
+            s = rng.uniform(-5.0, 5.0, size=(3, 4))
             g = ad.Graph()
             assert distill_kl(g.tensor(s), t, tau=1.0).item() >= -1e-12
 
     def test_positive_when_distributions_differ(self):
         g = ad.Graph()
-        student = g.tensor(np.array([[0.9, 0.1]]))
+        student = g.tensor(np.log(np.array([[0.9, 0.1]])))
         teacher = np.array([[0.1, 0.9]])
         assert distill_kl(student, teacher, tau=1.0).item() > 0.5
 
@@ -599,40 +628,39 @@ class TestDistillKl:
 
         g = ad.Graph()
         logits = g.tensor(logits0)
-        soft = ad.softmax_temperature(logits, 4.0)
-        distill_kl(soft, teacher, tau=4.0).backward()
+        distill_kl(logits, teacher, tau=4.0).backward()
 
         def f(flat):
             gg = ad.Graph()
-            s = ad.softmax_temperature(gg.tensor(flat.reshape(logits0.shape)), 4.0)
-            return distill_kl(s, teacher, tau=4.0).item()
+            return distill_kl(gg.tensor(flat.reshape(logits0.shape)), teacher,
+                              tau=4.0).item()
 
         numeric = finite_diff_grad(f, logits0.ravel())
         assert relative_error(numeric, logits.grad.ravel()) < 1e-6
 
     @settings(max_examples=60, deadline=None)
-    @given(rows=st.integers(1, 5), classes=st.integers(2, 4), clamp=st.booleans(),
-           tau=st.floats(0.5, 6.0), scaled=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_one_node_matches_finite_differences(self, rows, classes, clamp, tau,
+    @given(rows=st.integers(1, 5), classes=st.integers(2, 4),
+           spread=st.floats(0.1, 10.0), tau=st.floats(0.5, 6.0),
+           scaled=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_one_node_matches_finite_differences(self, rows, classes, spread, tau,
                                                  scaled, seed):
         rng = np.random.default_rng(seed)
-        s0 = _probs_with_clamped_entries(rng, rows, classes, clamp)
+        z0 = rng.normal(scale=spread, size=(rows, classes))
         teacher = softmax_np(rng.normal(size=(rows, classes)), tau)
 
         g = ad.Graph()
-        student = g.tensor(s0)
+        student = g.tensor(z0)
         loss = distill_kl(student, teacher, tau, scaled)
         assert len(g) == 2
         loss.backward()
 
         def f(flat):
             gg = ad.Graph()
-            return distill_kl(gg.tensor(flat.reshape(s0.shape)), teacher, tau,
+            return distill_kl(gg.tensor(flat.reshape(z0.shape)), teacher, tau,
                               scaled).item()
 
-        assert relative_error(finite_diff_grad(f, s0.ravel()), student.grad.ravel()) < 1e-6
-        assert (student.grad[s0 < 0] == 0.0).all()
+        assert relative_error(finite_diff_grad(f, z0.ravel()),
+                              student.grad.ravel()) < 1e-6
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("scaled", [True, False])
@@ -645,18 +673,30 @@ class TestDistillKl:
         def run(kl):
             g = ad.Graph()
             logits = g.tensor(logits0)
-            soft = ad.softmax_temperature(logits, tau)
-            loss = kl(soft, teacher, tau, scaled)
+            loss = kl(logits, teacher, tau, scaled)
             ad.scalar_multiply(loss, 0.61).backward()
-            return loss.values, soft.grad, logits.grad
+            return loss.values, logits.grad
 
         new_run, old_run = run(distill_kl), run(unfused_distill_kl)
         for new, old in zip(new_run, old_run):
             assert np.array_equal(new, old)
 
+    def test_teacher_rows_with_exact_zeros(self):
+        # at tau 1, logits of +-800 give soft targets of exactly 0.0 and 1.0,
+        # whose entropy term takes 0 log 0 = 0
+        rng = np.random.default_rng(9)
+        teacher = softmax_np(rng.choice([-800.0, 800.0], size=(6, 4)), 1.0)
+        assert (teacher == 0.0).any()
+        logits0 = rng.normal(size=(6, 4))
+        for scaled in (True, False):
+            new, old = (run_head(kl, logits0, teacher, 1.0, scaled, weight=0.7)
+                        for kl in (distill_kl, two_node_distill_kl))
+            assert np.isfinite(new[0]) and np.isfinite(new[1]).all()
+            assert_close_heads(new, old)
+
     def test_validation(self):
         g = ad.Graph()
-        student = g.tensor(np.full((2, 2), 0.5))
+        student = g.tensor(np.zeros((2, 2)))
         with pytest.raises(ShapeError):
             distill_kl(student, np.full((3, 2), 0.5), tau=1.0)
         with pytest.raises(ParameterError):
@@ -664,35 +704,28 @@ class TestDistillKl:
 
 
 class TestSharedLogLossNode:
-    """cross_entropy and distill_kl share one node, and each gives the bits
-    of its own node as it read before: values and gradients, on one cell
-    and on a stack, through log inputs below PROB_FLOOR."""
-
-    @staticmethod
-    def _run(loss_fn, probs0, *args, weight):
-        g = ad.Graph(probs0.shape[:-2])
-        probs = g.tensor(probs0)
-        loss = loss_fn(probs, *args)
-        assert len(g) == 2
-        loss.backward(weight)
-        return loss.values.tobytes(), probs.grad.tobytes()
+    """cross_entropy and distill_kl share one log-softmax node over logits,
+    and each matches its two-node form as it read before (a softmax, then a
+    clamped log-loss) within 1e-12 relative: values and gradients, on one
+    cell and on a stack, on rows where the old clamp is inactive."""
 
     @pytest.mark.parametrize("stack", [(), (3,)])
     @pytest.mark.parametrize("weight", [1.0, 0.3, -2.5])
     def test_cross_entropy(self, stack, weight):
         rng = np.random.default_rng(len(stack))
         for _ in range(10):
-            probs0 = softmax_np(rng.normal(scale=20.0, size=stack + (7, 4)), 1.0)
+            logits0 = rng.normal(scale=3.0, size=stack + (7, 4))
             labels = rng.integers(0, 4, size=stack + (7,))
-            assert (probs0 < PROB_FLOOR).any()
-            assert (self._run(cross_entropy, probs0, labels, weight=weight)
-                    == self._run(old_cross_entropy, probs0, labels, weight=weight))
+            assert (softmax_np(logits0, 1.0) > PROB_FLOOR).all()
+            assert_close_heads(
+                run_head(cross_entropy, logits0, labels, weight=weight),
+                run_head(two_node_cross_entropy, logits0, labels, weight=weight))
 
     def test_a_zero_cross_entropy_keeps_its_sign(self):
-        new = self._run(cross_entropy, np.eye(3), np.arange(3), weight=0.3)
-        assert new == self._run(old_cross_entropy, np.eye(3), np.arange(3),
-                                weight=0.3)
-        assert new[0] == np.array(-0.0).tobytes()
+        logits0 = 800.0 * (np.eye(3) - 1.0)
+        new = run_head(cross_entropy, logits0, np.arange(3), weight=0.3)
+        old = run_head(two_node_cross_entropy, logits0, np.arange(3), weight=0.3)
+        assert new[0].tobytes() == old[0].tobytes() == np.array(-0.0).tobytes()
 
     @pytest.mark.parametrize("stack", [(), (3,)])
     @pytest.mark.parametrize("scaled", [True, False])
@@ -700,11 +733,12 @@ class TestSharedLogLossNode:
     def test_distill_kl(self, stack, scaled, weight):
         rng = np.random.default_rng(len(stack))
         for tau in (1.0, 4.0, 20.0):
-            s0, t = (softmax_np(rng.normal(scale=30.0, size=stack + (6, 4)), temp)
-                     for temp in (1.0, tau))
-            assert (s0 < PROB_FLOOR).any()
-            assert (self._run(distill_kl, s0, t, tau, scaled, weight=weight)
-                    == self._run(old_distill_kl, s0, t, tau, scaled, weight=weight))
+            s0 = rng.normal(scale=3.0 * tau, size=stack + (6, 4))
+            t = softmax_np(rng.normal(scale=30.0, size=stack + (6, 4)), tau)
+            assert (softmax_np(s0, tau) > PROB_FLOOR).all()
+            assert_close_heads(
+                run_head(distill_kl, s0, t, tau, scaled, weight=weight),
+                run_head(two_node_distill_kl, s0, t, tau, scaled, weight=weight))
 
 
 def _small_pair():
@@ -843,7 +877,7 @@ class TestSourceKdLoss:
         g2 = ad.Graph()
         xs_t = g2.tensor(xs)
         val, parts = source_kd_loss(student, soft(teacher, xs, 20.0), xs_t, ys, 20.0, 1.0)
-        ce = cross_entropy(ad.softmax_temperature(student.logits(xs_t), 1.0), ys)
+        ce = cross_entropy(student.logits(xs_t), ys)
         np.testing.assert_allclose(val.item(), ce.item(), rtol=0, atol=1e-12)
 
     def test_recomposition(self):

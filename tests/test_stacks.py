@@ -58,19 +58,17 @@ def _cases(S, rng):
                             [_signed(rng, (S, 4, 3))]),
         "linear": (*same(ad.linear), [_signed(rng, (S, 5, 3)),
                                       _signed(rng, (S, 3, 4)), _signed(rng, (S, 4))]),
-        "softmax_temperature": (*same(lambda a: ad.softmax_temperature(a, 2.5)),
-                                [_signed(rng, (S, 4, 3))]),
         "pairwise_sqdist": (*same(old_pairwise_sqdist),
                             [_signed(rng, (S, 4, 3)), _signed(rng, (S, 5, 3))]),
         "kernel_bank_mean": (lambda d: old_kernel_bank_mean(d, sig),
                              lambda s: lambda d: old_kernel_bank_mean(d, sig[s]),
                              [_positive(rng, (S, 4, 5))]),
-        "cross_entropy": (lambda p: cross_entropy(p, labels),
-                          lambda s: lambda p: cross_entropy(p, labels[s]),
-                          [_probs(rng, (S, 4, 3))]),
-        "distill_kl": (lambda p: distill_kl(p, teacher, 3.0),
-                       lambda s: lambda p: distill_kl(p, teacher[s], 3.0),
-                       [_probs(rng, (S, 4, 3))]),
+        "cross_entropy": (lambda z: cross_entropy(z, labels),
+                          lambda s: lambda z: cross_entropy(z, labels[s]),
+                          [_signed(rng, (S, 4, 3))]),
+        "distill_kl": (lambda z: distill_kl(z, teacher, 3.0),
+                       lambda s: lambda z: distill_kl(z, teacher[s], 3.0),
+                       [_signed(rng, (S, 4, 3))]),
         "mmd_squared": (*same(lambda a, b: mmd_squared(a, b, FIXED)),
                         [_signed(rng, (S, 4, 3)), _signed(rng, (S, 5, 3))]),
     }

@@ -400,13 +400,12 @@ class TestInPlaceOpsInTraining:
 
         for owner, name, old in [
                 (ad, "linear", fdcheck.old_linear),
-                (ad, "softmax_temperature", fdcheck.old_softmax_temperature),
                 (kduda.losses, "softmax_np", fdcheck.old_softmax_np),
                 (kduda.losses, "_median_of_roots", fdcheck.median_of_roots),
                 (Model, "predict_logits", fdcheck.old_predict_logits)]:
             monkeypatch.setattr(owner, name, counted(old))
         assert run() == new
-        assert len(called) == 5
+        assert len(called) == 4
 
 
 class TestUdaOnly:
@@ -616,10 +615,10 @@ class TestPhaseClocks:
 
 class TestMoveNodeCounts:
     @pytest.mark.parametrize("move,role,nodes", [
-        ("_adapt", "teacher", 22), ("_adapt", "student", 18),
-        ("_supervised", "teacher", 15), ("_supervised", "student", 12),
-        ("_distill_both", "student", 23), ("_distill_source", "student", 16),
-        ("_distill_target", "student", 12)])
+        ("_adapt", "teacher", 21), ("_adapt", "student", 17),
+        ("_supervised", "teacher", 14), ("_supervised", "student", 11),
+        ("_distill_both", "student", 20), ("_distill_source", "student", 14),
+        ("_distill_target", "student", 11)])
     def test_each_move_builds_its_known_tape(self, monkeypatch, move, role, nodes):
         # the headline models on one 32-row batch; _STEP_COST's op weights
         # are fitted costs, not these counts
