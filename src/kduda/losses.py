@@ -148,35 +148,29 @@ def _pair_sqdist(z: np.ndarray, index: np.ndarray) -> np.ndarray:
     return d
 
 
-def mmd_squared(fs: Tensor, ft: Tensor, kernel: KernelConfig) -> Tensor:
-    """Biased squared kernel discrepancy between two feature samples.
+def mmd_squared(z: Tensor, ns: int, kernel: KernelConfig) -> Tensor:
+    """Biased squared kernel discrepancy between the first ns rows of the
+    pooled feature sample z (source) and the rest (target).
 
     mean_ii' k(fs_i, fs_i') + mean_jj' k(ft_j, ft_j') - 2 mean_ij k(fs_i, ft_j)
     with k(x, y) = average over bandwidths of exp(-|x - y|^2 / (2 sigma^2)).
     Bandwidths are resolved from the current values and treated as constants.
 
-    One tape node over the pooled sample z = [fs; ft] of N rows: one Gram
-    product gives the squared distances of its N(N-1)/2 distinct pairs, and
-    the kernel bank runs over those alone. Each pair is weighted by its
-    block, 2/ns^2, 2/nt^2 or -2/(ns nt); the diagonal adds exactly
-    1/ns + 1/nt. With M the symmetric matrix of weighted kernel slopes,
-    the adjoint is 2 (rowsum(M) z - M z), split back into fs and ft.
+    One tape node over the N pooled rows: one Gram product gives the squared
+    distances of their N(N-1)/2 distinct pairs, and the kernel bank runs
+    over those alone. Each pair is weighted by its block, 2/ns^2, 2/nt^2 or
+    -2/(ns nt); the diagonal adds exactly 1/ns + 1/nt. With M the symmetric
+    matrix of weighted kernel slopes, the adjoint is 2 (rowsum(M) z - M z).
     """
-    fv, tv = fs.values, ft.values
-    if fv.ndim < 2 or tv.ndim != fv.ndim or fv.shape[:-2] != tv.shape[:-2]:
-        raise ShapeError(f"mmd_squared needs row samples with the same leading "
-                         f"axes, got {fv.shape} and {tv.shape}")
-    if fv.shape[-1] != tv.shape[-1]:
-        raise ShapeError(
-            f"mmd_squared: feature widths {fv.shape} and {tv.shape} differ")
-    ns, nt = fv.shape[-2], tv.shape[-2]
-    if ns == 0 or nt == 0:
-        raise ParameterError("mmd_squared: empty sample")
-    ad._same_graph(fs, ft)
-    n, stack = ns + nt, fv.shape[:-2]
-    z = np.concatenate((fv, tv), axis=-2)
+    zv = z.values
+    if zv.ndim < 2:
+        raise ShapeError(f"mmd_squared needs rows of features, got {zv.shape}")
+    n, stack = zv.shape[-2], zv.shape[:-2]
+    if not 0 < ns < n:
+        raise ParameterError(f"mmd_squared: {ns} of {n} rows leaves an empty sample")
+    nt = n - ns
     index = _pair_index(ns, nt)
-    d = _pair_sqdist(z, index)
+    d = _pair_sqdist(zv, index)
     sig = kernel.resolve(d)
     coef = -0.5 / (sig * sig)
     # per pair: the bank's kernel sum, and its slope in d from a stacked
@@ -204,41 +198,49 @@ def mmd_squared(fs: Tensor, ft: Tensor, kernel: KernelConfig) -> Tensor:
         m[..., index] = slope * (2.0 * np.asarray(g))[..., None]
         m = m.reshape(stack + (n, n))
         m = m + ad._t(m)
-        gz = m.sum(axis=-1)[..., :, None] * z
-        gz -= m @ z
-        return gz[..., :ns, :], gz[..., ns:, :]
-    return Tensor(fs.graph, np.asarray(value), (fs, ft), vjp)
+        gz = m.sum(axis=-1)[..., :, None] * zv
+        gz -= m @ zv
+        return (gz,)
+    return Tensor(z.graph, np.asarray(value), (z,), vjp)
 
 
 def _log_loss(logits: Tensor, t: np.ndarray, tau: float, offset,
-              scale: float) -> Tensor:
+              scale: float, rows: slice = slice(None)) -> Tensor:
     """(offset - mean over rows of sum(t * log softmax(logits / tau))) * scale
-    per cell, as one tape node with t constant. The shifted log-sum-exp is
-    finite for any finite logits, so no row loses its gradient, which is
-    scale / (n tau) * (softmax * sum(t) - t) per unit adjoint."""
-    z = logits.values / tau
+    per cell, as one tape node over the logits' rows in `rows`, t constant
+    with one row per such row. The shifted log-sum-exp is finite for any
+    finite logits, so no row in range loses its gradient, scale / (n tau) *
+    (softmax * sum(t) - t) per unit adjoint; outside the range it is 0."""
+    z = logits.values[..., rows, :] / tau
     z -= z.max(axis=-1, keepdims=True)
     p = np.exp(z)
-    total = p.sum(axis=-1, keepdims=True)
-    z -= np.log(total)
-    p /= total
+    # the first maximal entry's exponential is exactly 1: log1p of the
+    # others' sum keeps a near-certain row's tiny loss exact
+    first = z.argmax(axis=-1)[..., None] == np.arange(z.shape[-1])
+    rest = (p - first).sum(axis=-1, keepdims=True)
+    z -= np.log1p(rest)
+    p /= 1.0 + rest
     neg_inv_n = -(1.0 / z.shape[-2])
     value = (_cell_sum(z * t) * neg_inv_n + offset) * scale
     def vjp(g):
-        gz = np.asarray(g * scale * neg_inv_n)[..., None, None] * t
+        out = np.zeros(logits.values.shape)
+        gz = out[..., rows, :]
+        np.multiply(np.asarray(g * scale * neg_inv_n)[..., None, None], t, out=gz)
         gz -= p * gz.sum(axis=-1, keepdims=True)
         gz /= tau
-        return (gz,)
+        return (out,)
     return Tensor(logits.graph, np.asarray(value), (logits,), vjp)
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-softmax of the true class: the log-loss node on
-    one-hot rows at temperature 1. Its offset -0.0 is the exact identity of
-    IEEE addition, so even a zero loss keeps its sign."""
+def cross_entropy(logits: Tensor, labels: np.ndarray,
+                  rows: slice = slice(None)) -> Tensor:
+    """Mean negative log-softmax of the true class over the logits' rows in
+    `rows`, one label each: the log-loss node on one-hot rows at tau 1. Its
+    offset -0.0, the identity of IEEE addition, keeps a zero loss's sign."""
     z = logits.values
     if z.ndim < 2:
         raise ShapeError(f"cross_entropy needs rows of logits, got {z.shape}")
+    z = z[..., rows, :]
     labels = np.asarray(labels)
     c = z.shape[-1]
     if labels.shape != z.shape[:-1]:
@@ -249,7 +251,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
             f"cross_entropy: labels must be in [0, {c}), got range "
             f"[{labels.min()}, {labels.max()}]")
     onehot = (labels[..., None] == np.arange(c)).astype(np.float64)
-    return _log_loss(logits, onehot, 1.0, -0.0, 1.0)
+    return _log_loss(logits, onehot, 1.0, -0.0, 1.0, rows)
 
 
 def distill_kl(student_logits: Tensor, teacher_soft: np.ndarray, tau: float,
@@ -291,15 +293,15 @@ def soft_targets(teacher: Model, tau: float, *blocks: np.ndarray
 # -- model-level terms ---------------------------------------------------------
 
 
-def teacher_da_loss(teacher: Model, xs: Tensor, ys: np.ndarray, xt: Tensor,
+def teacher_da_loss(teacher: Model, x: Tensor, ys: np.ndarray,
                     kernel: KernelConfig, gamma: float):
-    """Adaptation term for the big model: feature discrepancy across domains
-    plus gamma times supervised cross-entropy on source. Returns the loss
-    tensor and the two subterms' values."""
-    fs = teacher.features(xs)
-    ft = teacher.features(xt)
-    mmd = mmd_squared(fs, ft, kernel)
-    ce = cross_entropy(teacher.head(fs), ys)
+    """The big model's adaptation term from one forward over x, the source
+    rows (one per label in ys) then the target rows: the features' MMD plus
+    gamma times source cross-entropy. Returns it and the subterms' values."""
+    ns = np.shape(ys)[-1]
+    z = teacher.features(x)
+    mmd = mmd_squared(z, ns, kernel)
+    ce = cross_entropy(teacher.head(z), ys, slice(ns))
     total = ad.add(mmd, ad.scalar_multiply(ce, gamma))
     return total, {"mmd": mmd.values, "ce": ce.values}
 

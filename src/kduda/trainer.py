@@ -155,10 +155,7 @@ class EpochRecord:
     seconds: float
 
     def row(self) -> list[str]:
-        vals = [self.epoch, self.beta, self.gamma, self.l_mmd, self.l_tda,
-                self.l_tkd, self.l_skd, self.l_total, self.teacher_src_acc,
-                self.teacher_tgt_acc, self.student_src_acc,
-                self.student_tgt_acc, self.seconds]
+        vals = [getattr(self, f.name) for f in fields(self)]
         return [str(vals[0])] + [repr(float(v)) for v in vals[1:]]
 
 
@@ -273,11 +270,11 @@ def _descend(model: Model, opt: OptimizerState, objective, weight: float,
 
 
 def _adapt(model, opt, weight, teacher, batch, cfg, gamma, epoch):
-    """MMD between the domains' features + gamma source cross-entropy."""
+    """MMD + gamma source cross-entropy from one forward over [xs; xt]."""
     xs, ys, xt = batch
     graph = Graph(ys.shape[:-1])
-    tda, parts = teacher_da_loss(model, graph.tensor(xs), ys, graph.tensor(xt),
-                                 cfg.kernel, gamma)
+    x = graph.tensor(np.concatenate((xs, xt), axis=-2))
+    tda, parts = teacher_da_loss(model, x, ys, cfg.kernel, gamma)
     return _descend(model, opt, tda, weight, epoch,
                     {"L_mmd": parts["mmd"], "L_tda": tda.values})
 
@@ -353,7 +350,7 @@ SCENARIOS: dict[str, tuple[Phase, ...]] = {
 # products cost three forwards: the forward and two adjoints. Dealt by MACs
 # alone, the stacks of a 3x3 width sweep finish about a quarter later.
 _STEP_COST = {
-    _adapt: lambda m, t: (2 * m[0] + 30, 6 * m[1]),
+    _adapt: lambda m, t: (m[0] + 30, 6 * m[1]),
     _supervised: lambda m, t: (m[0] + 2, 3 * m[1]),
     _distill_both: lambda m, t: (2 * m[0] + 9, 6 * m[1] + 2 * t[1]),
     _distill_source: lambda m, t: (m[0] + 6, 3 * m[1] + t[1]),

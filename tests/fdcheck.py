@@ -2,14 +2,15 @@
 plain tape nodes that test-only reference compositions are built from,
 allocating references for the ops that compute in place, the loss heads
 as two nodes each (a softmax, then a clamped log-loss) as they read before
-each became one log-softmax node, and the MMD as it read before it was one
-node."""
+each became one log-softmax node, the MMD as it read before it was one
+node, and the adaptation loss as it read before it took both domains' rows
+in one forward."""
 
 import numpy as np
 
 import kduda.autodiff as ad
 from kduda.errors import ParameterError, ShapeError
-from kduda.losses import _cell_sum
+from kduda.losses import _cell_sum, cross_entropy
 
 # the two-node loss heads clamped their log inputs here
 PROB_FLOOR = 1e-12
@@ -65,14 +66,16 @@ def log(x, floor):
 
 
 def log_softmax(x, tau):
-    """Row-wise log softmax(x / tau) by the shifted log-sum-exp; the
-    adjoint is (g - softmax * rowsum(g)) / tau."""
+    """Row-wise log softmax(x / tau) by the shifted log-sum-exp, taken as
+    log1p of the exponentials other than the first maximal entry's, which
+    is exactly 1; the adjoint is (g - softmax * rowsum(g)) / tau."""
     z = x.values / tau
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    total = e.sum(axis=-1, keepdims=True)
-    p = e / total
-    return ad.Tensor(x.graph, z - np.log(total), (x,),
+    first = z.argmax(axis=-1)[..., None] == np.arange(z.shape[-1])
+    rest = (e - first).sum(axis=-1, keepdims=True)
+    p = e / (1.0 + rest)
+    return ad.Tensor(x.graph, z - np.log1p(rest), (x,),
                      lambda g: ((g - p * g.sum(axis=-1, keepdims=True)) / tau,))
 
 
@@ -242,6 +245,18 @@ def old_mmd_squared(fs, ft, kernel):
                     old_kernel_bank_mean(d_tt, sigmas))
     across = old_kernel_bank_mean(d_st, sigmas)
     return ad.add(within, ad.scalar_multiply(across, -2.0))
+
+
+def old_teacher_da_loss(teacher, xs, ys, xt, kernel, gamma):
+    """teacher_da_loss as it read before it took the pooled rows: a forward
+    per domain, the nine-node MMD between their features, and cross-entropy
+    on the head of the source features."""
+    fs = teacher.features(xs)
+    ft = teacher.features(xt)
+    mmd = old_mmd_squared(fs, ft, kernel)
+    ce = cross_entropy(teacher.head(fs), ys)
+    return ad.add(mmd, ad.scalar_multiply(ce, gamma)), {"mmd": mmd.values,
+                                                        "ce": ce.values}
 
 
 def median_of_roots(sq):

@@ -91,21 +91,18 @@ def test_criterion_1_gradient_correctness():
     gamma, alpha, tau = 0.7, 0.8, 4.0
     errors = {}
 
-    # discrepancy term, checked directly on its two sample matrices
+    # discrepancy term, checked directly on its pooled sample matrix
     g = ad.Graph()
-    a, b = g.tensor(xs[:4]), g.tensor(xt[:5])
-    mmd_squared(a, b, FIXED_KERNEL).backward()
+    z = g.tensor(np.concatenate((xs[:4], xt[:5]), -2))
+    mmd_squared(z, 4, FIXED_KERNEL).backward()
 
     def mmd_val(flat):
         gg = ad.Graph()
-        fa = gg.tensor(flat[:12].reshape(4, 3))
-        fb = gg.tensor(flat[12:].reshape(5, 3))
-        return mmd_squared(fa, fb, FIXED_KERNEL).item()
+        return mmd_squared(gg.tensor(flat.reshape(9, 3)), 4, FIXED_KERNEL).item()
 
     numeric = finite_diff_grad(mmd_val, np.concatenate([xs[:4].ravel(),
                                                         xt[:5].ravel()]))
-    errors["mmd"] = relative_error(
-        numeric, np.concatenate([a.grad.ravel(), b.grad.ravel()]))
+    errors["mmd"] = relative_error(numeric, z.grad.ravel())
 
     # supervised term through the softmax, on raw logits
     logits0 = rng.normal(size=(5, 3))
@@ -136,8 +133,8 @@ def test_criterion_1_gradient_correctness():
         lambda g: source_kd_loss(student, soft_s, g.tensor(xs), ys, tau, alpha)[0])
 
     def da_on(graph):
-        return teacher_da_loss(teacher, graph.tensor(xs), ys, graph.tensor(xt),
-                               FIXED_KERNEL, gamma)[0]
+        return teacher_da_loss(teacher, graph.tensor(np.concatenate((xs, xt), -2)),
+                               ys, FIXED_KERNEL, gamma)[0]
 
     errors["teacher_da"] = _model_grad_error(
         teacher, lambda: da_on(ad.Graph()).item(), da_on)
@@ -165,7 +162,8 @@ def test_criterion_2_mmd_oracle():
     """Known values of the kernel discrepancy estimator."""
     def val(fs, ft, kc):
         g = ad.Graph()
-        return mmd_squared(g.tensor(fs), g.tensor(ft), kc).item()
+        return mmd_squared(g.tensor(np.concatenate((fs, ft), -2)), len(fs),
+                           kc).item()
 
     rng = np.random.default_rng(1)
     x = rng.normal(size=(6, 3))

@@ -17,7 +17,8 @@ from kduda.losses import KernelConfig, mmd_squared
 
 def raw_mmd(a, b):
     g = ad.Graph()
-    return mmd_squared(g.tensor(a), g.tensor(b), KernelConfig()).item()
+    return mmd_squared(g.tensor(np.concatenate((a, b), -2)), len(a),
+                       KernelConfig()).item()
 
 
 class TestTwoMoons:

@@ -28,41 +28,41 @@ WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
 # the stack must equal seed 0 alone, so one digest covers both
 EPOCH_CSVS = {
     ("scenario_grid", "joint", 0):
-        "a228b85d28f6fb201e511dea00ce03f92db76c83ee52dea1ead54268c4dd279c",
+        "d4424083e047c6ab0197bee55a3ba561cc3ab7735ab41193ae8899d9f5bc81db",
     ("scenario_grid", "joint", 1):
-        "36e48df7c721f4ec36b4dbf174d266406a0d2b8b8e0b09f562e8c9bfd7bc66bc",
+        "fa7c61ea0465d9c991405bc07a75fdb975354022ed0219bdb35590d5d293251e",
     ("scenario_grid", "uda_then_kd", 0):
-        "0c658d21891f1d8b2f917c3d5feef20c485f9fa4a1057f571585752765e5e673",
+        "9510efdca89aa6e124778fd818797a1ac8ee691f0a6337a8c8d5986c98ac4195",
     ("scenario_grid", "uda_then_kd", 1):
-        "69173fa968f0643d514c81e846746732395a3566a606bab5e1c0635665fddeee",
+        "cab18870aa6c815fcfbc08fdea2a4258a49426cb0878309d59e236ad601a3b28",
     ("scenario_grid", "kd_then_uda", 0):
-        "b8e869b4272588e1ce3768ce82e518317326476060bf9f99c2ddbc13f01dc540",
+        "5173ada98537b758e653d8817712af8694c178ce9ecf91550f5bd06d5af79c58",
     ("scenario_grid", "kd_then_uda", 1):
-        "a962de67246657e27157e33d481c9025b63b3db4ccc07fda53e7aa36c40699fe",
+        "d182fd4deec1e765ebffac6cb7e748c032a1fd9e3a0a9b203e81689e39ad3958",
     ("scenario_grid", "uda_only", 0):
-        "ed87e51ac63514fb63b337e3e452307c3981aff7b83be41c4d4ac98f212e09a8",
+        "f7d9a3771c65ac76d1b00f8fbf07be12894adc565d3a8117869138f27faae8f7",
     ("scenario_grid", "uda_only", 1):
-        "09f9d0fa296adacfa49374fb113392fd5404e12465f3672066f580c52bb871dc",
+        "d30edf914cc7b14bf815cb48becb3564d9872d7203a920790aa5a28a8b791dcf",
     ("scenario_grid", "source_only", 0):
         "17f76800f7287bfc35052709d1e072674edfa29d09446451fb4fbab4e020d62f",
     ("scenario_grid", "source_only", 1):
         "be1ec36745ede6fb189434ae2de48a199a84e3d6f9e650b2700769ccb1faac04",
     ("wide_batch", "joint", 0):
-        "c7c71359ddd6af4c310e32274a927c47dece92e8ddb502847db9e7cacb8943ec",
+        "cb9fde88f2ee773b0a92794c53afba99684e0b48e97b444fd59c160594c4cd71",
     ("wide_batch", "joint", 1):
-        "ed6baf30dd7fd928c8fd5e980c7ea1d2c6eb412e27e0156fc7617a93f841368c",
+        "f17ebdfd8cc45de30ca8fdca2eba034fa21958381d062f31bb0a92f6d8ae50cf",
     ("wide_batch", "uda_then_kd", 0):
-        "511a6b5c1037aaad29119ded08d9872da8eabd0da864b4723be10268495db9c0",
+        "a614c4e9eb63c63ff2a3f81162d9de02831bd292da01ec47c1b21edea5b6a663",
     ("wide_batch", "uda_then_kd", 1):
-        "3a67ffc05dd42f444cd439bd481f124b12fe4379bd8ff34c098c2f0600486f73",
+        "ac9a33a99ffa0fec68385075a726f0257fbf8c894ce6c7b7a5d954a14291cb5b",
     ("wide_batch", "kd_then_uda", 0):
-        "7c5ec672aa752acafdae9b0b6d5c5202c06286ac0935a685c3f77dc5f8f4b14e",
+        "d7d8f3bcaf7521cc47dad5b42c4d215c4076b3b5b5452a049befb4aed5c09e76",
     ("wide_batch", "kd_then_uda", 1):
-        "e7846806a5a489bc71ec77cec6ccd4607edd17cfd09e6d4ae0da9dff6cb23f73",
+        "7d9c2a83698e63e6486cc1034d29fbccbb4c81953d662e7a2a20317b0794fea3",
     ("wide_batch", "uda_only", 0):
-        "872e904d9c4b3a7ab78ac12b21c04780a6792c1dc004e501ecbe3a3f6e40dd83",
+        "99bf5c613457fd5e97505cfcd288a32e3dbd0567593bc7efedf33996b28637b1",
     ("wide_batch", "uda_only", 1):
-        "8a01aedec9606b100d2b7dccff5d2ca42ae5b83531f2778693f29391cf4a1650",
+        "9b4ec33a3fb37c4c2972a4c3b2c7a394a3c64a040a6f081eea33f480278a3b7e",
     ("wide_batch", "source_only", 0):
         "eb7c0a4124f785f55f2dea5dcbb93fe731159cc37803d5aed813796f6ef5b755",
     ("wide_batch", "source_only", 1):

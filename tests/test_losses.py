@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -21,18 +22,20 @@ from kduda.losses import (
 )
 from kduda.losses import _median_of_roots, _pair_index, _pair_sqdist
 from kduda.models import ModelSpec, build
+from kduda.models import stack as stack_models
 from kduda.trainer import TrainConfig
 
 from fdcheck import (PROB_FLOOR, exp, finite_diff_grad, log_softmax, mean,
                      median_of_roots, old_cross_entropy, old_distill_kl,
                      old_mmd_squared, old_pairwise_sqdist, old_resolve,
-                     old_softmax_np, old_softmax_temperature, relative_error,
-                     weighted_sum)
+                     old_softmax_np, old_softmax_temperature,
+                     old_teacher_da_loss, relative_error, weighted_sum)
 
 
 def mmd_value(fs, ft, kernel):
     g = ad.Graph()
-    return mmd_squared(g.tensor(fs), g.tensor(ft), kernel).item()
+    return mmd_squared(g.tensor(np.concatenate((fs, ft), -2)), len(fs),
+                       kernel).item()
 
 
 def brute_force_mmd(fs, ft, sigmas):
@@ -361,20 +364,17 @@ class TestMmd:
         kc = KernelConfig(mode="fixed", bandwidths=(0.8, 1.6))
 
         g = ad.Graph()
-        fs = g.tensor(fs0)
-        ft = g.tensor(ft0)
-        mmd_squared(fs, ft, kc).backward()
+        z = g.tensor(np.concatenate((fs0, ft0), -2))
+        mmd_squared(z, len(fs0), kc).backward()
 
         def f(flat):
             gg = ad.Graph()
-            a = gg.tensor(flat[:fs0.size].reshape(fs0.shape))
-            b = gg.tensor(flat[fs0.size:].reshape(ft0.shape))
-            return mmd_squared(a, b, kc).item()
+            return mmd_squared(gg.tensor(flat.reshape(z.values.shape)), len(fs0),
+                               kc).item()
 
         flat0 = np.concatenate([fs0.ravel(), ft0.ravel()])
         numeric = finite_diff_grad(f, flat0)
-        analytic = np.concatenate([fs.grad.ravel(), ft.grad.ravel()])
-        assert relative_error(numeric, analytic) < 1e-6
+        assert relative_error(numeric, z.grad.ravel()) < 1e-6
 
     @pytest.mark.parametrize("rows_s,rows_t,width,seed",
                              [(1, 1, 1, 0), (5, 3, 2, 1), (32, 32, 64, 2),
@@ -386,15 +386,16 @@ class TestMmd:
         ft0 = rng.normal(size=(rows_t, width)) + 0.5
         sigmas = pooled_median_bandwidths(fs0, ft0)
         kernel = KernelConfig(mode="fixed", bandwidths=sigmas)
-        runs = []
-        for build_mmd in (lambda a, b: mmd_squared(a, b, kernel),
-                          lambda a, b: unfused_mmd(a, b, sigmas)):
-            g = ad.Graph()
-            fs, ft = g.tensor(fs0), g.tensor(ft0)
-            value = build_mmd(fs, ft)
-            value.backward()
-            runs.append((value.item(), fs.grad, ft.grad))
-        (new, new_gs, new_gt), (old, old_gs, old_gt) = runs
+        g = ad.Graph()
+        z = g.tensor(np.concatenate((fs0, ft0), -2))
+        value = mmd_squared(z, rows_s, kernel)
+        value.backward()
+        new, new_gs, new_gt = value.item(), z.grad[:rows_s], z.grad[rows_s:]
+        g = ad.Graph()
+        fs, ft = g.tensor(fs0), g.tensor(ft0)
+        value = unfused_mmd(fs, ft, sigmas)
+        value.backward()
+        old, old_gs, old_gt = value.item(), fs.grad, ft.grad
         assert abs(new - old) <= 1e-12
         np.testing.assert_allclose(new_gs, old_gs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(new_gt, old_gt, rtol=0, atol=1e-12)
@@ -422,16 +423,19 @@ class TestMmd:
         assume(median is False or np.all(2 * noisy < index.size))
         kernel = KernelConfig() if median else KernelConfig(
             mode="fixed", bandwidths=(0.6, 1.7, 4.0))
-        runs = []
-        for build_mmd in (mmd_squared, old_mmd_squared):
-            g = ad.Graph(stack)
-            fs, ft = g.tensor(fs0), g.tensor(ft0)
-            # the kernel bank in passes of 7 pairs, or in one pass
-            with mock.patch("kduda.losses._PAIR_CHUNK", chunk):
-                value = build_mmd(fs, ft, kernel)
-            value.backward(weight)
-            runs.append((value.values, fs.grad, ft.grad))
-        (new, new_gs, new_gt), (old, old_gs, old_gt) = runs
+        g = ad.Graph(stack)
+        leaf = g.tensor(z)
+        # the kernel bank in passes of 7 pairs, or in one pass
+        with mock.patch("kduda.losses._PAIR_CHUNK", chunk):
+            value = mmd_squared(leaf, ns, kernel)
+        value.backward(weight)
+        new, new_gs, new_gt = (value.values, leaf.grad[..., :ns, :],
+                               leaf.grad[..., ns:, :])
+        g = ad.Graph(stack)
+        fs, ft = g.tensor(fs0), g.tensor(ft0)
+        value = old_mmd_squared(fs, ft, kernel)
+        value.backward(weight)
+        old, old_gs, old_gt = value.values, fs.grad, ft.grad
         np.testing.assert_allclose(new, old, rtol=0, atol=1e-13)
         scale = max(np.abs(old_gs).max(), np.abs(old_gt).max())
         np.testing.assert_allclose(new_gs, old_gs, rtol=0, atol=1e-12 * scale)
@@ -446,8 +450,8 @@ class TestMmd:
         ft0 = rng.normal(size=(rows_t, 3)) + 0.4
         kc = KernelConfig(mode="fixed", bandwidths=(0.5, 1.1, 2.3))
         g = ad.Graph()
-        fs, ft = g.tensor(fs0), g.tensor(ft0)
-        mmd_squared(fs, ft, kc).backward(weight)
+        z = g.tensor(np.concatenate((fs0, ft0), -2))
+        mmd_squared(z, rows_s, kc).backward(weight)
 
         def f(flat):
             a = flat[:fs0.size].reshape(fs0.shape)
@@ -455,8 +459,7 @@ class TestMmd:
             return weight * mmd_value(a, b, kc)
 
         numeric = finite_diff_grad(f, np.concatenate([fs0.ravel(), ft0.ravel()]))
-        analytic = np.concatenate([fs.grad.ravel(), ft.grad.ravel()])
-        assert relative_error(numeric, analytic) < 1e-6
+        assert relative_error(numeric, z.grad.ravel()) < 1e-6
 
     @pytest.mark.parametrize("median", [True, False, "vanishing"])
     def test_a_nan_feature_gives_a_nan_value(self, median):
@@ -477,11 +480,10 @@ class TestMmd:
         g = ad.Graph()
         kc = KernelConfig()
         with pytest.raises(ShapeError):
-            mmd_squared(g.tensor(np.zeros((4, 3))), g.tensor(np.zeros((4, 2))), kc)
-        with pytest.raises(ShapeError):
-            mmd_squared(g.tensor(np.zeros(4)), g.tensor(np.zeros(4)), kc)
-        with pytest.raises(ParameterError):
-            mmd_squared(g.tensor(np.zeros((0, 3))), g.tensor(np.zeros((4, 3))), kc)
+            mmd_squared(g.tensor(np.zeros(8)), 4, kc)
+        for ns in (0, 4, -1):
+            with pytest.raises(ParameterError):
+                mmd_squared(g.tensor(np.zeros((4, 3))), ns, kc)
 
 
 class TestCrossEntropy:
@@ -582,6 +584,45 @@ class TestCrossEntropy:
             cross_entropy(logits, np.array([-1, 0]))
         with pytest.raises(ShapeError):
             cross_entropy(logits, np.array([0, 1, 0]))
+        # labels cover the rows in range, no more and no fewer
+        with pytest.raises(ShapeError):
+            cross_entropy(logits, np.array([0, 1]), slice(1))
+        with pytest.raises(ParameterError):
+            cross_entropy(logits, np.array([2]), slice(1, 2))
+        assert cross_entropy(logits, np.array([1]), slice(1, 2)).item() == math.log(2)
+
+    @pytest.mark.parametrize("margin", [20.0, 30.0, 35.0])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_a_near_certain_row_keeps_its_tiny_loss_exact(self, margin, tied):
+        # the log of the row's exponentials summed with the maximal 1 lost
+        # the tiny rest: 1.0e-3 relative at margin 30, 5.6% at 35
+        g = ad.Graph()
+        top = margin if tied else 0.0
+        loss = cross_entropy(g.tensor([[margin, top, 0.0]]), np.array([0]))
+        rest = (1.0 if tied else math.exp(-margin)) + math.exp(-margin)
+        expected = math.log1p(rest)
+        assert abs(loss.item() - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    @pytest.mark.parametrize("rows", [slice(4), slice(2, 7), slice(9)],
+                             ids=["head", "middle", "all"])
+    def test_a_row_range_is_the_loss_of_a_leaf_holding_those_rows(self, stack,
+                                                                  rows):
+        # the adjoint is exactly 0 outside the range; inside it, value and
+        # gradient are the bits of the rows taken on their own
+        rng = np.random.default_rng(len(stack))
+        logits0 = rng.normal(scale=3.0, size=stack + (9, 4))
+        labels = rng.integers(0, 4, size=stack + (9,))[..., rows]
+        value, grad = run_head(cross_entropy, logits0, labels, rows, weight=-0.3)
+        alone = run_head(cross_entropy, logits0[..., rows, :].copy(), labels,
+                         weight=-0.3)
+        outside = np.ones(9, dtype=bool)
+        outside[rows] = False
+        assert np.array_equal(grad[..., outside, :],
+                              np.zeros(stack + (outside.sum(), 4)))
+        assert not np.signbit(grad[..., outside, :]).any()
+        assert value.tobytes() == alone[0].tobytes()
+        assert grad[..., rows, :].tobytes() == alone[1].tobytes()
 
 
 class TestDistillKl:
@@ -752,20 +793,24 @@ def _small_pair():
 KERNEL = KernelConfig(mode="fixed", bandwidths=(0.7, 1.3))
 
 
+def pooled(g, xs, xt):
+    """One tensor of the source rows, then the target rows."""
+    return g.tensor(np.concatenate((xs, xt), -2))
+
+
 class TestTeacherDaLoss:
     def test_zero_gamma_leaves_discrepancy_alone(self):
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
         xs, ys, xt = _small_pair()
         g = ad.Graph()
-        loss, parts = teacher_da_loss(teacher, g.tensor(xs), ys, g.tensor(xt),
-                                      KERNEL, 0.0)
+        loss, parts = teacher_da_loss(teacher, pooled(g, xs, xt), ys, KERNEL, 0.0)
         np.testing.assert_allclose(loss.item(), parts["mmd"], rtol=0, atol=1e-15)
 
     def test_identical_domains_reduce_to_supervised_term(self):
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
         xs, ys, _ = _small_pair()
         g = ad.Graph()
-        loss, parts = teacher_da_loss(teacher, g.tensor(xs), ys, g.tensor(xs.copy()),
+        loss, parts = teacher_da_loss(teacher, pooled(g, xs, xs.copy()), ys,
                                       KERNEL, 0.7)
         assert parts["mmd"] == 0.0
         np.testing.assert_allclose(loss.item(), 0.7 * parts["ce"], rtol=0, atol=1e-12)
@@ -774,10 +819,17 @@ class TestTeacherDaLoss:
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
         xs, ys, xt = _small_pair()
         g = ad.Graph()
-        loss, parts = teacher_da_loss(teacher, g.tensor(xs), ys, g.tensor(xt),
-                                      KERNEL, 1.3)
+        loss, parts = teacher_da_loss(teacher, pooled(g, xs, xt), ys, KERNEL, 1.3)
         np.testing.assert_allclose(loss.item(), parts["mmd"] + 1.3 * parts["ce"],
                                    rtol=0, atol=1e-12)
+
+    def test_one_features_call_over_both_domains(self):
+        teacher = build(ModelSpec(3, (4,), 3, seed=11))
+        xs, ys, xt = _small_pair()
+        g = ad.Graph()
+        with mock.patch.object(teacher, "features", wraps=teacher.features) as spy:
+            teacher_da_loss(teacher, pooled(g, xs, xt), ys, KERNEL, 1.0)
+        assert spy.call_count == 1
 
     def test_gradient_matches_finite_differences(self):
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
@@ -785,22 +837,51 @@ class TestTeacherDaLoss:
         gamma = 0.7
 
         g = ad.Graph()
-        loss, _ = teacher_da_loss(teacher, g.tensor(xs), ys, g.tensor(xt), KERNEL,
-                                  gamma)
+        loss, _ = teacher_da_loss(teacher, pooled(g, xs, xt), ys, KERNEL, gamma)
         loss.backward()
         analytic = np.concatenate([a.ravel() for a in teacher.bound_gradients()])
         base = _flat_params(teacher)
 
         def f(flat):
             _set_params(teacher, flat)
-            gg = ad.Graph()
-            val, _ = teacher_da_loss(teacher, gg.tensor(xs), ys, gg.tensor(xt),
+            val, _ = teacher_da_loss(teacher, pooled(ad.Graph(), xs, xt), ys,
                                      KERNEL, gamma)
             return val.item()
 
         numeric = finite_diff_grad(f, base)
         _set_params(teacher, base)
         assert relative_error(numeric, analytic) < 1e-5
+
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    @pytest.mark.parametrize("kernel", [KERNEL, KernelConfig()],
+                             ids=["fixed", "median"])
+    @pytest.mark.parametrize("weight", [1.0, -2.5])
+    def test_matches_the_two_forward_form(self, stack, kernel, weight):
+        # one forward over [xs; xt] against a forward per domain and the
+        # nine-node MMD, within 1e-12 relative: each value, and each cell's
+        # parameter gradients as one vector
+        spec = ModelSpec(4, (16, 8), 3, seed=21)
+        teacher = (build(spec) if not stack else
+                   stack_models([build(replace(spec, seed=21 + k))
+                                 for k in range(stack[0])]))
+        rng = np.random.default_rng(len(stack))
+        xs = rng.normal(size=stack + (12, 4))
+        xt = rng.normal(size=stack + (12, 4)) + 0.5
+        ys = rng.integers(0, 3, size=stack + (12,))
+
+        def run(da_loss, inputs):
+            g = ad.Graph(stack)
+            loss, parts = da_loss(teacher, *inputs(g), kernel, 0.7)
+            loss.backward(weight)
+            grads = [gr.reshape(stack + (-1,)) for gr in teacher.bound_gradients()]
+            return (loss.values, parts["mmd"], parts["ce"]), np.concatenate(grads, -1)
+
+        new = run(teacher_da_loss, lambda g: (pooled(g, xs, xt), ys))
+        old = run(old_teacher_da_loss, lambda g: (g.tensor(xs), ys, g.tensor(xt)))
+        for new_value, old_value in zip(new[0], old[0]):
+            np.testing.assert_allclose(new_value, old_value, rtol=1e-12, atol=0)
+        for cell in np.ndindex(stack):
+            assert relative_error(old[1][cell], new[1][cell]) < 1e-12
 
 
 class TestTargetKdLoss:

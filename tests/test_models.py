@@ -160,13 +160,13 @@ class TestForward:
         def loss_at(w1):
             model.weights[0][...] = w1
             g = Graph()
-            return mmd_squared(model.features(g.tensor(xs)),
-                               model.features(g.tensor(xt)), kernel).item()
+            return mmd_squared(model.features(g.tensor(np.concatenate((xs, xt)))),
+                               len(xs), kernel).item()
 
         w0 = model.weights[0].copy()
         g = Graph()
-        loss = mmd_squared(model.features(g.tensor(xs)),
-                           model.features(g.tensor(xt)), kernel)
+        loss = mmd_squared(model.features(g.tensor(np.concatenate((xs, xt)))),
+                           len(xs), kernel)
         loss.backward()
         analytic = model.bound_gradients()[0]
         numeric = finite_diff_grad(loss_at, w0.copy())

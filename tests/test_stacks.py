@@ -69,8 +69,12 @@ def _cases(S, rng):
         "distill_kl": (lambda z: distill_kl(z, teacher, 3.0),
                        lambda s: lambda z: distill_kl(z, teacher[s], 3.0),
                        [_signed(rng, (S, 4, 3))]),
-        "mmd_squared": (*same(lambda a, b: mmd_squared(a, b, FIXED)),
-                        [_signed(rng, (S, 4, 3)), _signed(rng, (S, 5, 3))]),
+        "mmd_squared": (*same(lambda z: mmd_squared(z, 4, FIXED)),
+                        [_signed(rng, (S, 9, 3))]),
+        "cross_entropy_rows": (
+            lambda z: cross_entropy(z, labels[:, :3], slice(1, 4)),
+            lambda s: lambda z: cross_entropy(z, labels[s, :3], slice(1, 4)),
+            [_signed(rng, (S, 5, 3))]),
     }
 
 
@@ -164,19 +168,18 @@ class TestStackedEqualsSliced:
     def test_mmd_gradients(self):
         rng = np.random.default_rng(4)
         fs, ft = rng.normal(size=(3, 6, 4)), rng.normal(size=(3, 5, 4)) + 0.3
+        z = np.concatenate((fs, ft), -2)
         for kernel in (FIXED, KernelConfig()):
             g = Graph((3,))
-            a, b = g.tensor(fs), g.tensor(ft)
-            loss = mmd_squared(a, b, kernel)
+            a = g.tensor(z)
+            loss = mmd_squared(a, 6, kernel)
             loss.backward()
             for s in range(3):
-                gs = Graph()
-                a_s, b_s = gs.tensor(fs[s]), gs.tensor(ft[s])
-                cell = mmd_squared(a_s, b_s, kernel)
+                a_s = Graph().tensor(z[s])
+                cell = mmd_squared(a_s, 6, kernel)
                 cell.backward()
                 assert _same_bits(loss.values[s], cell.values)
                 assert _same_bits(a.grad[s], a_s.grad)
-                assert _same_bits(b.grad[s], b_s.grad)
 
     @pytest.mark.parametrize("chunk", [5, 64])
     def test_mmd_over_several_passes_of_its_kernel_bank(self, monkeypatch, chunk):
@@ -185,31 +188,29 @@ class TestStackedEqualsSliced:
         monkeypatch.setattr(kduda.losses, "_PAIR_CHUNK", chunk)
         rng = np.random.default_rng(8)
         fs, ft = rng.normal(size=(3, 7, 4)), rng.normal(size=(3, 5, 4)) + 0.3
+        z = np.concatenate((fs, ft), -2)
         g = Graph((3,))
-        a, b = g.tensor(fs), g.tensor(ft)
-        loss = mmd_squared(a, b, KernelConfig())
+        a = g.tensor(z)
+        loss = mmd_squared(a, 7, KernelConfig())
         loss.backward()
         for s in range(3):
-            gs = Graph()
-            a_s, b_s = gs.tensor(fs[s]), gs.tensor(ft[s])
-            cell = mmd_squared(a_s, b_s, KernelConfig())
+            a_s = Graph().tensor(z[s])
+            cell = mmd_squared(a_s, 7, KernelConfig())
             cell.backward()
             assert _same_bits(loss.values[s], cell.values)
             assert _same_bits(a.grad[s], a_s.grad)
-            assert _same_bits(b.grad[s], b_s.grad)
 
     def test_backward_seeds_each_cell_of_a_stacked_loss_with_one(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(3, 4, 2))
+        x = rng.normal(size=(3, 8, 2))
         g = Graph((3,))
         leaf = g.tensor(x)
-        loss = mmd_squared(leaf, ad.scalar_multiply(leaf, -1.0), FIXED)
+        loss = mmd_squared(ad.add(leaf, ad.scalar_multiply(leaf, -3.0)), 4, FIXED)
         assert loss.values.shape == (3,)
         loss.backward()
         for s in range(3):
-            gs = Graph()
-            cell_leaf = gs.tensor(x[s])
-            mmd_squared(cell_leaf, ad.scalar_multiply(cell_leaf, -1.0),
+            cell_leaf = Graph().tensor(x[s])
+            mmd_squared(ad.add(cell_leaf, ad.scalar_multiply(cell_leaf, -3.0)), 4,
                         FIXED).backward()
             assert _same_bits(leaf.grad[s], cell_leaf.grad)
 
@@ -227,9 +228,6 @@ class TestStackedEqualsSliced:
         with pytest.raises(ShapeError):
             ad.linear(g.tensor(np.ones((2, 4, 3))), g.tensor(np.ones((3, 3, 5))),
                       g.tensor(np.ones((2, 5))))
-        with pytest.raises(ShapeError):
-            mmd_squared(g.tensor(np.ones((2, 4, 3))), g.tensor(np.ones((3, 4, 3))),
-                        FIXED)
         with pytest.raises(ShapeError):
             cross_entropy(g.tensor(_probs(np.random.default_rng(0), (2, 4, 3))),
                           np.zeros((3, 4), dtype=int))
@@ -373,8 +371,8 @@ class TestModelStacks:
 
         def step(teacher, student, xs, ys, xt, stack_shape):
             g = Graph(stack_shape)
-            da, _ = teacher_da_loss(teacher, g.tensor(xs), ys, g.tensor(xt),
-                                    KernelConfig(), gamma)
+            da, _ = teacher_da_loss(teacher, g.tensor(np.concatenate((xs, xt), -2)),
+                                    ys, KernelConfig(), gamma)
             da.backward()
             g = Graph(stack_shape)
             soft_s, soft_t = soft_targets(teacher, tau, xs, xt)

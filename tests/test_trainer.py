@@ -615,7 +615,7 @@ class TestPhaseClocks:
 
 class TestMoveNodeCounts:
     @pytest.mark.parametrize("move,role,nodes", [
-        ("_adapt", "teacher", 21), ("_adapt", "student", 17),
+        ("_adapt", "teacher", 17), ("_adapt", "student", 14),
         ("_supervised", "teacher", 14), ("_supervised", "student", 11),
         ("_distill_both", "student", 20), ("_distill_source", "student", 14),
         ("_distill_target", "student", 11)])
