@@ -108,13 +108,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.graph, a.values + b.values, (a, b), vjp)
 
 
-def scalar_multiply(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    def vjp(g):
-        return (g * c,)
-    return Tensor(a.graph, a.values * c, (a,), vjp)
-
-
 # -- dense layers -------------------------------------------------------------
 
 def _t(a: Array) -> Array:
@@ -185,7 +178,7 @@ def backward(loss: Tensor, weight: float = 1.0):
 
     The loss holds one value per cell of its graph's stack, each seeded with
     weight, so every cell's adjoint is exactly its own, and the same bits
-    as backpropagating scalar_multiply(loss, weight) from 1. Node ids are
+    as backpropagating from 1 a node holding weight * loss. Node ids are
     visited from the loss down to 0; only tensors reached through inputs
     carry an adjoint, so the graph's tape itself is never read. Adjoints
     live in a per-call table so that calling backward twice adds a second

@@ -15,9 +15,9 @@ import sys
 import numpy as np
 
 from .errors import KdudaError, NumericalAbort
-from .harness import (SUMMARY_COLUMNS, check_cell, load_config, output_path,
-                      report_complexity, run_experiment, run_single,
-                      summary_rows, sweep_sizes)
+from .harness import (SUMMARY_COLUMNS, SWEEP_COLUMNS, check_cell, load_config,
+                      output_path, report_complexity, run_experiment,
+                      run_single, summary_rows, sweep_sizes)
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 
@@ -126,7 +126,7 @@ def _cmd_sweep(args) -> int:
     teachers = _parse_widths(args.teachers, "teachers")
     students = _parse_widths(args.students, "students")
     rows = sweep_sizes(cfg, teachers, students)
-    print("teacher_width,student_width,student_tgt_acc_mean,student_tgt_acc_std")
+    print(",".join(SWEEP_COLUMNS))
     for row in rows:
         print(",".join(row))
     return 0

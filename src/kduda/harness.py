@@ -296,6 +296,8 @@ def run_single(cfg: ExperimentConfig, scenario: str, seeds: tuple[int, ...]
                ) -> list[tuple[TrainLog, ScenarioResult]]:
     """Train the (scenario, seed) cells of cfg at the given seeds as one
     stack, and package each cell's log and result, in seed order."""
+    if not seeds:
+        raise ConfigError("run_single: at least one seed is required")
     for seed in seeds:
         check_cell(cfg, scenario, seed)
     # One seed trains without the stack axis: the same code, minus numpy's

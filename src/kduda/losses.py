@@ -233,10 +233,11 @@ def _log_loss(logits: Tensor, t: np.ndarray, tau: float, offset,
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray,
-                  rows: slice = slice(None)) -> Tensor:
+                  rows: slice = slice(None), scale: float = 1.0) -> Tensor:
     """Mean negative log-softmax of the true class over the logits' rows in
-    `rows`, one label each: the log-loss node on one-hot rows at tau 1. Its
-    offset -0.0, the identity of IEEE addition, keeps a zero loss's sign."""
+    `rows`, one label each, times scale: the log-loss node on one-hot rows
+    at tau 1. Its offset -0.0, the identity of IEEE addition, keeps a zero
+    loss's sign."""
     z = logits.values
     if z.ndim < 2:
         raise ShapeError(f"cross_entropy needs rows of logits, got {z.shape}")
@@ -251,7 +252,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
             f"cross_entropy: labels must be in [0, {c}), got range "
             f"[{labels.min()}, {labels.max()}]")
     onehot = (labels[..., None] == np.arange(c)).astype(np.float64)
-    return _log_loss(logits, onehot, 1.0, -0.0, 1.0, rows)
+    return _log_loss(logits, onehot, 1.0, -0.0, float(scale), rows)
 
 
 def distill_kl(student_logits: Tensor, teacher_soft: np.ndarray, tau: float,
@@ -297,13 +298,12 @@ def teacher_da_loss(teacher: Model, x: Tensor, ys: np.ndarray,
                     kernel: KernelConfig, gamma: float):
     """The big model's adaptation term from one forward over x, the source
     rows (one per label in ys) then the target rows: the features' MMD plus
-    gamma times source cross-entropy. Returns it and the subterms' values."""
+    gamma times source cross-entropy. Returns it and the MMD's values."""
     ns = np.shape(ys)[-1]
     z = teacher.features(x)
     mmd = mmd_squared(z, ns, kernel)
-    ce = cross_entropy(teacher.head(z), ys, slice(ns))
-    total = ad.add(mmd, ad.scalar_multiply(ce, gamma))
-    return total, {"mmd": mmd.values, "ce": ce.values}
+    ce = cross_entropy(teacher.head(z), ys, slice(ns), gamma)
+    return ad.add(mmd, ce), mmd.values
 
 
 def target_kd_loss(student: Model, targets: np.ndarray, xt: Tensor, tau: float,
@@ -315,13 +315,10 @@ def target_kd_loss(student: Model, targets: np.ndarray, xt: Tensor, tau: float,
 
 def source_kd_loss(student: Model, targets: np.ndarray, xs: Tensor,
                    ys: np.ndarray, tau: float, alpha: float,
-                   scale_by_tau_sq: bool = True):
+                   scale_by_tau_sq: bool = True) -> Tensor:
     """Distillation on labeled source data toward the teacher's soft targets
-    on xs, plus alpha times the student's own supervised cross-entropy.
-    Returns the loss tensor and the subterms' values."""
+    on xs, plus alpha times the student's own supervised cross-entropy."""
     logits = student.logits(xs)
-    kl = distill_kl(logits, targets, tau, scale_by_tau_sq)
-    ce = cross_entropy(logits, ys)
-    total = ad.add(kl, ad.scalar_multiply(ce, alpha))
-    return total, {"kl": kl.values, "ce": ce.values}
+    return ad.add(distill_kl(logits, targets, tau, scale_by_tau_sq),
+                  cross_entropy(logits, ys, scale=alpha))
 

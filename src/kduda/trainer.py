@@ -1,13 +1,13 @@
 """Training procedures: the joint progressive one and its four references,
 each a table of phases (`SCENARIOS`) run by one epoch driver.
 
-A phase steps its models in turn on every paired batch, each by one of three
-moves: adaptation (MMD + gamma source CE), supervised source CE, or
-distillation from the teacher's fresh soft targets on the source domain,
-the target domain or both. A move at lr_da descends (1 - beta) times its
-objective, one at lr_kd beta times it. So the joint phase adapts the big
-model, then distills both domains into the small one from the just-updated
-big model. References: adapt-only on the small model,
+A phase steps its models in turn on every paired batch, each down the
+objective of one of three moves: adaptation (MMD + gamma source CE),
+supervised source CE, or distillation from the teacher's fresh soft targets
+on the source domain, the target domain or both. A model at lr_da descends
+(1 - beta) times its objective, one at lr_kd beta times it. So the joint
+phase adapts the big model, then distills both domains into the small one
+from the just-updated big model. References: adapt-only on the small model,
 supervised-then-distill-then-adapt, adapt-then-distill (distillation
 without labels), and supervised source training of both.
 
@@ -244,12 +244,13 @@ def evaluate(model: Model, x: np.ndarray, y_true: np.ndarray):
 
 # -- moves -------------------------------------------------------------------------
 #
-# move(model, opt, weight, teacher, batch, cfg, gamma, epoch) takes model
-# one optimizer step down weight times its objective on one batch
-# (xs, ys, xt) and returns its loss terms by CSV column, each a float or one
-# value per stacked cell. Each graph lives in a move, which returns only
-# arrays, so it is freed on return and at most one is alive. A graph's stack
-# is the labels' shape without the row axis.
+# move(model, teacher, batch, cfg, gamma) builds model's objective on one
+# batch (xs, ys, xt) and returns it with its loss terms by CSV column, each
+# a float or one value per stacked cell. The epoch driver passes both
+# straight to _descend, which alone applies the blend weight; nothing else
+# keeps the objective, so its graph is freed when _descend returns and at
+# most one is alive. A graph's stack is the labels' shape without the row
+# axis.
 
 
 def _check_finite(terms: dict, epoch: int):
@@ -259,8 +260,8 @@ def _check_finite(terms: dict, epoch: int):
             raise NumericalAbort(f"{term} is not finite at epoch {epoch}")
 
 
-def _descend(model: Model, opt: OptimizerState, objective, weight: float,
-             epoch: int, terms: dict) -> dict:
+def _descend(model: Model, opt: OptimizerState, weight: float, epoch: int,
+             objective, terms: dict) -> dict:
     """Check terms, then backpropagate weight times objective and take one
     optimizer step on model; returns terms."""
     _check_finite(terms, epoch)
@@ -269,24 +270,23 @@ def _descend(model: Model, opt: OptimizerState, objective, weight: float,
     return terms
 
 
-def _adapt(model, opt, weight, teacher, batch, cfg, gamma, epoch):
+def _adapt(model, teacher, batch, cfg, gamma):
     """MMD + gamma source cross-entropy from one forward over [xs; xt]."""
     xs, ys, xt = batch
     graph = Graph(ys.shape[:-1])
     x = graph.tensor(np.concatenate((xs, xt), axis=-2))
-    tda, parts = teacher_da_loss(model, x, ys, cfg.kernel, gamma)
-    return _descend(model, opt, tda, weight, epoch,
-                    {"L_mmd": parts["mmd"], "L_tda": tda.values})
+    tda, mmd = teacher_da_loss(model, x, ys, cfg.kernel, gamma)
+    return tda, {"L_mmd": mmd, "L_tda": tda.values}
 
 
-def _supervised(model, opt, weight, teacher, batch, cfg, gamma, epoch):
+def _supervised(model, teacher, batch, cfg, gamma):
     """Source cross-entropy, logged as L_tda."""
     graph = Graph(batch[1].shape[:-1])
     ce = cross_entropy(model.logits(graph.tensor(batch[0])), batch[1])
-    return _descend(model, opt, ce, weight, epoch, {"L_tda": ce.values})
+    return ce, {"L_tda": ce.values}
 
 
-def _distill(model, opt, weight, teacher, batch, cfg, gamma, epoch, domains):
+def _distill(model, teacher, batch, cfg, gamma, domains):
     """Target KD, source KD or their sum, against the teacher's soft targets
     from one forward over the rows of the given domains, source first."""
     xs, ys, xt = batch
@@ -299,11 +299,10 @@ def _distill(model, opt, weight, teacher, batch, cfg, gamma, epoch, domains):
         losses["L_tkd"] = target_kd_loss(model, soft["target"], x["target"],
                                          cfg.tau, cfg.scale_kd_by_tau_sq)
     if "source" in soft:
-        losses["L_skd"], _ = source_kd_loss(model, soft["source"], x["source"], ys,
-                                            cfg.tau, cfg.alpha,
-                                            cfg.scale_kd_by_tau_sq)
-    return _descend(model, opt, reduce(ad.add, losses.values()), weight, epoch,
-                    {column: loss.values for column, loss in losses.items()})
+        losses["L_skd"] = source_kd_loss(model, soft["source"], x["source"], ys,
+                                         cfg.tau, cfg.alpha, cfg.scale_kd_by_tau_sq)
+    return (reduce(ad.add, losses.values()),
+            {column: loss.values for column, loss in losses.items()})
 
 
 # -- scenarios ---------------------------------------------------------------------
@@ -315,12 +314,12 @@ class Phase:
     takes the rest), logging `beta`, or the schedule's when None. `trains`
     lists (model, rate, move) in step order: "teacher" or "student", with a
     fresh optimizer at "lr_da" (decaying over the phase) or "lr_kd"
-    (constant), whose move descends 1 - beta or beta times its objective."""
+    (constant), descending 1 - beta or beta times its move's objective."""
 
     name: str
     share: int
     beta: float | None
-    trains: tuple[tuple[str, str, Callable[..., dict]], ...]
+    trains: tuple[tuple[str, str, Callable[..., tuple]], ...]
 
 
 _distill_both = partial(_distill, domains=("source", "target"))
@@ -457,8 +456,8 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
             for batch in batch_list:
                 terms = {}
                 for model, opt, move, weight in moves:
-                    for column, value in move(model, opt, weight, teacher, batch,
-                                              cfg, gamma, epoch).items():
+                    for column, value in _descend(model, opt, weight, epoch, *move(
+                            model, teacher, batch, cfg, gamma)).items():
                         terms.setdefault(column, value)
                 terms["L_total"] = ((1.0 - beta) * terms.get("L_tda", 0.0) + beta
                                     * (terms.get("L_tkd", 0.0) + terms.get("L_skd", 0.0)))

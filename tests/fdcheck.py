@@ -1,10 +1,11 @@
 """Central finite-difference gradient oracle shared by the test modules, the
-plain tape nodes that test-only reference compositions are built from,
-allocating references for the ops that compute in place, the loss heads
-as two nodes each (a softmax, then a clamped log-loss) as they read before
-each became one log-softmax node, the MMD as it read before it was one
-node, and the adaptation loss as it read before it took both domains' rows
-in one forward."""
+plain tape nodes that test-only reference compositions are built from (a
+constant multiple among them, as autodiff had it before each loss head took
+its weight as its scale), allocating references for the ops that compute
+in place, the loss heads as two nodes each (a softmax, then a clamped
+log-loss) as they read before each became one log-softmax node, the MMD as
+it read before it was one node, and the adaptation loss as it read before
+it took both domains' rows in one forward."""
 
 import numpy as np
 
@@ -77,6 +78,12 @@ def log_softmax(x, tau):
     p = e / (1.0 + rest)
     return ad.Tensor(x.graph, z - np.log1p(rest), (x,),
                      lambda g: ((g - p * g.sum(axis=-1, keepdims=True)) / tau,))
+
+
+def scalar_multiply(a, c):
+    """c times a, with adjoint c g."""
+    c = float(c)
+    return ad.Tensor(a.graph, a.values * c, (a,), lambda g: (g * c,))
 
 
 def mean(x):
@@ -244,19 +251,18 @@ def old_mmd_squared(fs, ft, kernel):
     within = ad.add(old_kernel_bank_mean(d_ss, sigmas),
                     old_kernel_bank_mean(d_tt, sigmas))
     across = old_kernel_bank_mean(d_st, sigmas)
-    return ad.add(within, ad.scalar_multiply(across, -2.0))
+    return ad.add(within, scalar_multiply(across, -2.0))
 
 
 def old_teacher_da_loss(teacher, xs, ys, xt, kernel, gamma):
     """teacher_da_loss as it read before it took the pooled rows: a forward
     per domain, the nine-node MMD between their features, and cross-entropy
-    on the head of the source features."""
+    on the head of the source features, times gamma."""
     fs = teacher.features(xs)
     ft = teacher.features(xt)
     mmd = old_mmd_squared(fs, ft, kernel)
     ce = cross_entropy(teacher.head(fs), ys)
-    return ad.add(mmd, ad.scalar_multiply(ce, gamma)), {"mmd": mmd.values,
-                                                        "ce": ce.values}
+    return ad.add(mmd, scalar_multiply(ce, gamma)), mmd.values
 
 
 def median_of_roots(sq):

@@ -129,8 +129,8 @@ def test_criterion_1_gradient_correctness():
     errors["source_kd"] = _model_grad_error(
         student,
         lambda: source_kd_loss(student, soft_s, ad.Graph().tensor(xs), ys,
-                               tau, alpha)[0].item(),
-        lambda g: source_kd_loss(student, soft_s, g.tensor(xs), ys, tau, alpha)[0])
+                               tau, alpha).item(),
+        lambda g: source_kd_loss(student, soft_s, g.tensor(xs), ys, tau, alpha))
 
     def da_on(graph):
         return teacher_da_loss(teacher, graph.tensor(np.concatenate((xs, xt), -2)),
@@ -146,7 +146,7 @@ def test_criterion_1_gradient_correctness():
     def distilled(graph):
         return ad.add(target_kd_loss(student, soft_t, graph.tensor(xt), tau),
                       source_kd_loss(student, soft_s, graph.tensor(xs), ys, tau,
-                                     alpha)[0])
+                                     alpha))
 
     errors["total"] = _model_grad_error(
         student, lambda: beta * distilled(ad.Graph()).item(), distilled, beta)
@@ -229,7 +229,7 @@ def test_criterion_4_distillation_fixed_point():
     g = ad.Graph()
     tkd = abs(target_kd_loss(student, soft_t, g.tensor(xt), tau).item())
     g2 = ad.Graph()
-    skd = abs(source_kd_loss(student, soft_s, g2.tensor(xs), ys, tau, alpha)[0].item())
+    skd = abs(source_kd_loss(student, soft_s, g2.tensor(xs), ys, tau, alpha).item())
 
     kl_min = math.inf
     for _ in range(1000):
@@ -288,7 +288,7 @@ def test_criterion_5_gradient_isolation(monkeypatch):
 
     def spy_skd(*a, **k):
         out = real_skd(*a, **k)
-        captured["skd"].append(out[0].item())
+        captured["skd"].append(out.item())
         return out
 
     monkeypatch.setattr(kduda.trainer, "sgd_step", guarded_sgd)

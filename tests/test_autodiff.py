@@ -14,7 +14,8 @@ from kduda.losses import (KernelConfig, _pair_index, _pair_sqdist, cross_entropy
                           distill_kl, mmd_squared)
 from fdcheck import (exp, finite_diff_grad, log, log_softmax, mean,
                      old_kernel_bank_mean, old_linear, old_pairwise_sqdist,
-                     old_softmax_np, relative_error, weighted_sum)
+                     old_softmax_np, relative_error, scalar_multiply,
+                     weighted_sum)
 
 FIXED = KernelConfig(mode="fixed", bandwidths=(0.5, 2.0))
 
@@ -253,11 +254,11 @@ class TestBackward:
                           for shape in ((11, 4), (4, 3), (3,), (11, 3)))
             h = log_softmax(ad.linear(x, w, b, relu=True), 2.0)
             return (x, w, b, y), mmd_squared(
-                ad.add(h, ad.scalar_multiply(ad.add(y, y), -1.0)), 6, FIXED)
+                ad.add(h, scalar_multiply(ad.add(y, y), -1.0)), 6, FIXED)
         weighted, loss = leaves_and_loss()
         loss.backward(weight)
         scaled, loss = leaves_and_loss()
-        ad.scalar_multiply(loss, weight).backward()
+        scalar_multiply(loss, weight).backward()
         for a, b in zip(weighted, scaled):
             assert same_bits(a.grad, b.grad)
 
@@ -334,13 +335,11 @@ def _add_bias(g, a, b):
 
 # Each case: name, builder(graph, c, *inputs) with a drawn constant c in
 # [0.5, 5], and the input shapes for drawn sizes (m, n, k). A builder creates
-# its input leaves first, in input order. The last five cases are the
+# its input leaves first, in input order. The last six cases are the
 # reference nodes of tests/fdcheck.py.
 PRIMITIVE_CASES = [
     ("add", lambda g, c, a, b: ad.add(g.tensor(a), g.tensor(b)),
      lambda m, n, k: [(m, n), (m, n)]),
-    ("scalar_multiply", lambda g, c, a: ad.scalar_multiply(g.tensor(a), -c),
-     lambda m, n, k: [(m, n)]),
     ("linear",
      lambda g, c, a, b, d: ad.linear(g.tensor(a), g.tensor(b), g.tensor(d)),
      lambda m, n, k: [(m, n), (n, k), (k,)]),
@@ -351,6 +350,8 @@ PRIMITIVE_CASES = [
     ("pairwise_sqdist",
      lambda g, c, a, b: old_pairwise_sqdist(g.tensor(a), g.tensor(b)),
      lambda m, n, k: [(m, n), (k, n)]),
+    ("scalar_multiply", lambda g, c, a: scalar_multiply(g.tensor(a), -c),
+     lambda m, n, k: [(m, n)]),
     ("exp", lambda g, c, a: exp(g.tensor(a)), lambda m, n, k: [(m, n)]),
     # negative entries sit on the flat side of the floor
     ("log", lambda g, c, a: log(g.tensor(a), 1e-12), lambda m, n, k: [(m, n)]),
@@ -558,10 +559,10 @@ def _every_op(g, rng):
     b = g.tensor(rng.normal(size=3))
     teacher = softmax_np(rng.normal(size=(6, 4)), 0.5)
     return [ad.add(x, y), ad.add(x, x),
-            ad.scalar_multiply(x, 3.0), ad.linear(x, w, b),
+            scalar_multiply(x, 3.0), ad.linear(x, w, b),
             ad.linear(x, w, b, relu=True),
             cross_entropy(x, rng.integers(0, 4, size=6)),
-            cross_entropy(x, rng.integers(0, 4, size=3), slice(1, 4)),
+            cross_entropy(x, rng.integers(0, 4, size=3), slice(1, 4), -1.5),
             distill_kl(x, teacher, 0.5),
             mmd_squared(x, 2, FIXED), mmd_squared(y, 3, KernelConfig())]
 

@@ -360,6 +360,10 @@ class TestRunSingle:
         with pytest.raises(ConfigError, match="unknown scenario"):
             run_single(tiny_cfg(tmp_path), "warmup", (0,))
 
+    def test_no_seeds(self, tmp_path):
+        with pytest.raises(ConfigError, match="at least one seed"):
+            run_single(tiny_cfg(tmp_path), "joint", ())
+
     @pytest.mark.parametrize("scenario", harness.VALID_SCENARIOS)
     def test_procedure_is_looked_up_when_the_cell_runs(self, tmp_path,
                                                        monkeypatch, scenario):

@@ -29,7 +29,8 @@ from fdcheck import (PROB_FLOOR, exp, finite_diff_grad, log_softmax, mean,
                      median_of_roots, old_cross_entropy, old_distill_kl,
                      old_mmd_squared, old_pairwise_sqdist, old_resolve,
                      old_softmax_np, old_softmax_temperature,
-                     old_teacher_da_loss, relative_error, weighted_sum)
+                     old_teacher_da_loss, relative_error, scalar_multiply,
+                     weighted_sum)
 
 
 def mmd_value(fs, ft, kernel):
@@ -69,12 +70,12 @@ def unfused_mmd(fs, ft, sigmas):
         d = old_pairwise_sqdist(a, b)
         acc = None
         for s in sigmas:
-            k = exp(ad.scalar_multiply(d, -1.0 / (2.0 * s * s)))
+            k = exp(scalar_multiply(d, -1.0 / (2.0 * s * s)))
             acc = k if acc is None else ad.add(acc, k)
-        return mean(ad.scalar_multiply(acc, 1.0 / len(sigmas)))
+        return mean(scalar_multiply(acc, 1.0 / len(sigmas)))
 
     within = ad.add(kernel_mean(fs, fs), kernel_mean(ft, ft))
-    return ad.add(within, ad.scalar_multiply(kernel_mean(fs, ft), -2.0))
+    return ad.add(within, scalar_multiply(kernel_mean(fs, ft), -2.0))
 
 
 def pooled_pairs(fs, ft):
@@ -109,7 +110,7 @@ def unfused_cross_entropy(logits, labels):
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
     picked = weighted_sum(log_softmax(logits, 1.0), onehot)
-    return ad.scalar_multiply(picked, -1.0 / n)
+    return scalar_multiply(picked, -1.0 / n)
 
 
 def unfused_distill_kl(student_logits, t, tau, scale_by_tau_sq=True):
@@ -117,13 +118,13 @@ def unfused_distill_kl(student_logits, t, tau, scale_by_tau_sq=True):
     nodes: the composition the one-node distill_kl fuses."""
     inv_n = 1.0 / t.shape[0]
     graph = student_logits.graph
-    cross = ad.scalar_multiply(
+    cross = scalar_multiply(
         weighted_sum(log_softmax(student_logits, tau), t), -inv_n)
     log_t = np.log(t, out=np.zeros_like(t), where=t > 0)
     entropy = float((t * log_t).sum() * inv_n)
     kl = ad.add(cross, graph.tensor(entropy))
     if scale_by_tau_sq:
-        kl = ad.scalar_multiply(kl, tau * tau)
+        kl = scalar_multiply(kl, tau * tau)
     return kl
 
 
@@ -569,7 +570,7 @@ class TestCrossEntropy:
             g = ad.Graph()
             logits = g.tensor(logits0)
             loss = ce(logits, labels)
-            ad.scalar_multiply(loss, 0.37).backward()
+            scalar_multiply(loss, 0.37).backward()
             return loss.values, logits.grad
 
         for new, old in zip(run(cross_entropy), run(unfused_cross_entropy)):
@@ -715,7 +716,7 @@ class TestDistillKl:
             g = ad.Graph()
             logits = g.tensor(logits0)
             loss = kl(logits, teacher, tau, scaled)
-            ad.scalar_multiply(loss, 0.61).backward()
+            scalar_multiply(loss, 0.61).backward()
             return loss.values, logits.grad
 
         new_run, old_run = run(distill_kl), run(unfused_distill_kl)
@@ -803,24 +804,26 @@ class TestTeacherDaLoss:
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
         xs, ys, xt = _small_pair()
         g = ad.Graph()
-        loss, parts = teacher_da_loss(teacher, pooled(g, xs, xt), ys, KERNEL, 0.0)
-        np.testing.assert_allclose(loss.item(), parts["mmd"], rtol=0, atol=1e-15)
+        loss, mmd = teacher_da_loss(teacher, pooled(g, xs, xt), ys, KERNEL, 0.0)
+        np.testing.assert_allclose(loss.item(), mmd, rtol=0, atol=1e-15)
 
     def test_identical_domains_reduce_to_supervised_term(self):
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
         xs, ys, _ = _small_pair()
         g = ad.Graph()
-        loss, parts = teacher_da_loss(teacher, pooled(g, xs, xs.copy()), ys,
-                                      KERNEL, 0.7)
-        assert parts["mmd"] == 0.0
-        np.testing.assert_allclose(loss.item(), 0.7 * parts["ce"], rtol=0, atol=1e-12)
+        loss, mmd = teacher_da_loss(teacher, pooled(g, xs, xs.copy()), ys,
+                                    KERNEL, 0.7)
+        assert mmd == 0.0
+        ce = cross_entropy(teacher.logits(g.tensor(xs)), ys)
+        np.testing.assert_allclose(loss.item(), 0.7 * ce.item(), rtol=0, atol=1e-12)
 
     def test_recomposition(self):
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
         xs, ys, xt = _small_pair()
         g = ad.Graph()
-        loss, parts = teacher_da_loss(teacher, pooled(g, xs, xt), ys, KERNEL, 1.3)
-        np.testing.assert_allclose(loss.item(), parts["mmd"] + 1.3 * parts["ce"],
+        loss, mmd = teacher_da_loss(teacher, pooled(g, xs, xt), ys, KERNEL, 1.3)
+        ce = cross_entropy(teacher.logits(g.tensor(xs)), ys)
+        np.testing.assert_allclose(loss.item(), mmd + 1.3 * ce.item(),
                                    rtol=0, atol=1e-12)
 
     def test_one_features_call_over_both_domains(self):
@@ -871,10 +874,10 @@ class TestTeacherDaLoss:
 
         def run(da_loss, inputs):
             g = ad.Graph(stack)
-            loss, parts = da_loss(teacher, *inputs(g), kernel, 0.7)
+            loss, mmd = da_loss(teacher, *inputs(g), kernel, 0.7)
             loss.backward(weight)
             grads = [gr.reshape(stack + (-1,)) for gr in teacher.bound_gradients()]
-            return (loss.values, parts["mmd"], parts["ce"]), np.concatenate(grads, -1)
+            return (loss.values, mmd), np.concatenate(grads, -1)
 
         new = run(teacher_da_loss, lambda g: (pooled(g, xs, xt), ys))
         old = run(old_teacher_da_loss, lambda g: (g.tensor(xs), ys, g.tensor(xt)))
@@ -951,13 +954,13 @@ class TestSourceKdLoss:
         xs, ys, _ = _small_pair()
 
         g = ad.Graph()
-        val, parts = source_kd_loss(student, soft(teacher, xs, 20.0), g.tensor(xs), ys,
-                                    20.0, 0.0)
+        val = source_kd_loss(student, soft(teacher, xs, 20.0), g.tensor(xs), ys,
+                             20.0, 0.0)
         assert abs(val.item()) <= 1e-12
 
         g2 = ad.Graph()
         xs_t = g2.tensor(xs)
-        val, parts = source_kd_loss(student, soft(teacher, xs, 20.0), xs_t, ys, 20.0, 1.0)
+        val = source_kd_loss(student, soft(teacher, xs, 20.0), xs_t, ys, 20.0, 1.0)
         ce = cross_entropy(student.logits(xs_t), ys)
         np.testing.assert_allclose(val.item(), ce.item(), rtol=0, atol=1e-12)
 
@@ -966,10 +969,13 @@ class TestSourceKdLoss:
         student = build(ModelSpec(3, (3,), 3, seed=12))
         xs, ys, _ = _small_pair()
         g = ad.Graph()
-        val, parts = source_kd_loss(student, soft(teacher, xs, 4.0), g.tensor(xs), ys,
-                                    4.0, 0.8)
-        np.testing.assert_allclose(val.item(), parts["kl"] + 0.8 * parts["ce"],
-                                   rtol=0, atol=1e-12)
+        targets, xs_t = soft(teacher, xs, 4.0), g.tensor(xs)
+        val = source_kd_loss(student, targets, xs_t, ys, 4.0, 0.8)
+        logits = student.logits(xs_t)
+        kl = distill_kl(logits, targets, 4.0)
+        np.testing.assert_allclose(
+            val.item(), kl.item() + 0.8 * cross_entropy(logits, ys).item(),
+            rtol=0, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         teacher = build(ModelSpec(3, (4,), 3, seed=11))
@@ -978,8 +984,8 @@ class TestSourceKdLoss:
         tau, alpha = 4.0, 0.8
 
         g = ad.Graph()
-        loss, _ = source_kd_loss(student, soft(teacher, xs, tau), g.tensor(xs), ys,
-                                 tau, alpha)
+        loss = source_kd_loss(student, soft(teacher, xs, tau), g.tensor(xs), ys,
+                              tau, alpha)
         loss.backward()
         analytic = np.concatenate([a.ravel() for a in student.bound_gradients()])
         base = _flat_params(student)
@@ -987,13 +993,64 @@ class TestSourceKdLoss:
         def f(flat):
             _set_params(student, flat)
             gg = ad.Graph()
-            val, _ = source_kd_loss(student, soft(teacher, xs, tau), gg.tensor(xs), ys,
-                                    tau, alpha)
+            val = source_kd_loss(student, soft(teacher, xs, tau), gg.tensor(xs), ys,
+                                 tau, alpha)
             return val.item()
 
         numeric = finite_diff_grad(f, base)
         _set_params(student, base)
         assert relative_error(numeric, analytic) < 1e-5
+
+
+def weight_node_teacher_da_loss(teacher, x, ys, kernel, gamma):
+    """teacher_da_loss as it read with gamma as a node of its own after the
+    cross-entropy head, not as the head's scale."""
+    ns = np.shape(ys)[-1]
+    z = teacher.features(x)
+    ce = cross_entropy(teacher.head(z), ys, slice(ns))
+    return ad.add(mmd_squared(z, ns, kernel), scalar_multiply(ce, gamma))
+
+
+def weight_node_source_kd_loss(student, targets, xs, ys, tau, alpha):
+    """source_kd_loss as it read with alpha as a node of its own (see
+    weight_node_teacher_da_loss)."""
+    logits = student.logits(xs)
+    return ad.add(distill_kl(logits, targets, tau),
+                  scalar_multiply(cross_entropy(logits, ys), alpha))
+
+
+@pytest.mark.parametrize("stack", [(), (3,)])
+@pytest.mark.parametrize("weight", [0.0, 0.7, 1.0, -2.5])
+@pytest.mark.parametrize("term", ["teacher_da_loss", "source_kd_loss"])
+def test_a_head_scaled_by_its_weight_gives_the_bits_of_a_weight_node(term, weight,
+                                                                     stack):
+    spec = ModelSpec(4, (16, 8), 3, seed=21)
+    model = (build(spec) if not stack else
+             stack_models([build(replace(spec, seed=21 + k)) for k in range(stack[0])]))
+    rng = np.random.default_rng(len(stack))
+    xs = rng.normal(size=stack + (12, 4))
+    xt = rng.normal(size=stack + (12, 4)) + 0.5
+    ys = rng.integers(0, 3, size=stack + (12,))
+    targets = softmax_np(rng.normal(size=stack + (12, 3)), 4.0)
+    builds = {
+        "teacher_da_loss": (
+            lambda g: teacher_da_loss(model, pooled(g, xs, xt), ys, KernelConfig(),
+                                      weight)[0],
+            lambda g: weight_node_teacher_da_loss(model, pooled(g, xs, xt), ys,
+                                                  KernelConfig(), weight)),
+        "source_kd_loss": (
+            lambda g: source_kd_loss(model, targets, g.tensor(xs), ys, 4.0, weight),
+            lambda g: weight_node_source_kd_loss(model, targets, g.tensor(xs), ys,
+                                                 4.0, weight))}
+
+    def run(loss_of):
+        g = ad.Graph(stack)
+        loss = loss_of(g)
+        loss.backward(0.3)
+        return [loss.values] + model.bound_gradients()
+
+    new, old = map(run, builds[term])
+    assert [a.tobytes() for a in new] == [b.tobytes() for b in old]
 
 
 # the blend and loss weights these losses take come from TrainConfig, which

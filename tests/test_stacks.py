@@ -25,7 +25,7 @@ from kduda.losses import (KernelConfig, _pair_index, _pair_sqdist,
                           teacher_da_loss)
 from kduda.models import ModelSpec, build, stack
 from fdcheck import (finite_diff_grad, old_kernel_bank_mean, old_pairwise_sqdist,
-                     relative_error, weighted_sum)
+                     relative_error, scalar_multiply, weighted_sum)
 
 FIXED = KernelConfig(mode="fixed", bandwidths=(0.7, 1.3))
 
@@ -54,7 +54,7 @@ def _cases(S, rng):
 
     return {
         "add": (*same(ad.add), [_signed(rng, (S, 4, 3)), _signed(rng, (S, 4, 3))]),
-        "scalar_multiply": (*same(lambda a: ad.scalar_multiply(a, -1.7)),
+        "scalar_multiply": (*same(lambda a: scalar_multiply(a, -1.7)),
                             [_signed(rng, (S, 4, 3))]),
         "linear": (*same(ad.linear), [_signed(rng, (S, 5, 3)),
                                       _signed(rng, (S, 3, 4)), _signed(rng, (S, 4))]),
@@ -72,8 +72,8 @@ def _cases(S, rng):
         "mmd_squared": (*same(lambda z: mmd_squared(z, 4, FIXED)),
                         [_signed(rng, (S, 9, 3))]),
         "cross_entropy_rows": (
-            lambda z: cross_entropy(z, labels[:, :3], slice(1, 4)),
-            lambda s: lambda z: cross_entropy(z, labels[s, :3], slice(1, 4)),
+            lambda z: cross_entropy(z, labels[:, :3], slice(1, 4), 0.7),
+            lambda s: lambda z: cross_entropy(z, labels[s, :3], slice(1, 4), 0.7),
             [_signed(rng, (S, 5, 3))]),
     }
 
@@ -205,12 +205,12 @@ class TestStackedEqualsSliced:
         x = rng.normal(size=(3, 8, 2))
         g = Graph((3,))
         leaf = g.tensor(x)
-        loss = mmd_squared(ad.add(leaf, ad.scalar_multiply(leaf, -3.0)), 4, FIXED)
+        loss = mmd_squared(ad.add(leaf, scalar_multiply(leaf, -3.0)), 4, FIXED)
         assert loss.values.shape == (3,)
         loss.backward()
         for s in range(3):
             cell_leaf = Graph().tensor(x[s])
-            mmd_squared(ad.add(cell_leaf, ad.scalar_multiply(cell_leaf, -3.0)), 4,
+            mmd_squared(ad.add(cell_leaf, scalar_multiply(cell_leaf, -3.0)), 4,
                         FIXED).backward()
             assert _same_bits(leaf.grad[s], cell_leaf.grad)
 
@@ -378,7 +378,7 @@ class TestModelStacks:
             soft_s, soft_t = soft_targets(teacher, tau, xs, xt)
             kd = ad.add(target_kd_loss(student, soft_t, g.tensor(xt), tau),
                         source_kd_loss(student, soft_s, g.tensor(xs), ys, tau,
-                                       alpha)[0])
+                                       alpha))
             kd.backward()
             return teacher.bound_gradients() + student.bound_gradients()
 
