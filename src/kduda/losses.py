@@ -242,6 +242,9 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     if z.ndim < 2:
         raise ShapeError(f"cross_entropy needs rows of logits, got {z.shape}")
     z = z[..., rows, :]
+    if z.shape[-2] == 0:
+        raise ShapeError(f"cross_entropy needs at least one row of logits, got "
+                         f"{z.shape}")
     labels = np.asarray(labels)
     c = z.shape[-1]
     if labels.shape != z.shape[:-1]:
@@ -267,6 +270,8 @@ def distill_kl(student_logits: Tensor, teacher_soft: np.ndarray, tau: float,
     if student_logits.values.shape != t.shape:
         raise ShapeError(f"distill_kl: student {student_logits.values.shape} and "
                          f"teacher {t.shape} shapes differ")
+    if t.ndim < 2 or t.shape[-2] == 0:
+        raise ShapeError(f"distill_kl needs at least one row, got {t.shape}")
     log_t = np.log(t, out=np.zeros_like(t), where=t > 0)
     entropy = _cell_sum(t * log_t) * (1.0 / t.shape[-2])
     return _log_loss(student_logits, t, tau, entropy,

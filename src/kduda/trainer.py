@@ -231,14 +231,31 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray],
 # -- evaluation -------------------------------------------------------------------
 
 
+# rows per predict_logits call in evaluate: a block's activation on a
+# 256-wide layer stays at 1 MiB, so an evaluation holds one block's
+# activations however many rows the domain has
+_EVAL_BLOCK = 512
+
+
 def evaluate(model: Model, x: np.ndarray, y_true: np.ndarray):
     """Accuracy of argmax predictions, one per stacked cell; argmax takes
-    the lowest index on ties."""
+    the lowest index on ties.
+
+    The forward runs over blocks of _EVAL_BLOCK rows and joins their
+    predictions, so its memory does not grow with the rows of x. Rows pass
+    through the layers independently, so the blocks predict what one
+    forward over all rows would, wherever the BLAS gives each row of a
+    product the same bits whatever rows sit beside it.
+    """
     y_true = np.asarray(y_true)
     if x.shape[:-1] != y_true.shape:
         raise ShapeError(
             f"evaluate: inputs {x.shape} do not match labels {y_true.shape}")
-    preds = np.argmax(model.predict_logits(x), axis=-1)
+    if x.ndim < 2 or x.shape[-2] == 0:
+        raise ShapeError(f"evaluate needs at least one row of inputs, got {x.shape}")
+    preds = np.concatenate(
+        [np.argmax(model.predict_logits(x[..., lo:lo + _EVAL_BLOCK, :]), axis=-1)
+         for lo in range(0, x.shape[-2], _EVAL_BLOCK)], axis=-1)
     return np.mean(preds == y_true, axis=-1)
 
 

@@ -4,8 +4,9 @@ constant multiple among them, as autodiff had it before each loss head took
 its weight as its scale), allocating references for the ops that compute
 in place, the loss heads as two nodes each (a softmax, then a clamped
 log-loss) as they read before each became one log-softmax node, the MMD as
-it read before it was one node, and the adaptation loss as it read before
-it took both domains' rows in one forward."""
+it read before it was one node, the adaptation loss as it read before it
+took both domains' rows in one forward, and evaluation as it read before it
+ran in row blocks."""
 
 import numpy as np
 
@@ -197,6 +198,14 @@ def old_predict_logits(model, x):
     for i in range(len(model.weights) - 1):
         h = np.maximum(h @ model.weights[i] + model.biases[i], 0.0)
     return h @ model.weights[-1] + model.biases[-1]
+
+
+def old_evaluate(model, x, y_true):
+    """trainer.evaluate as one predict_logits call over all rows, before it
+    ran in row blocks."""
+    y_true = np.asarray(y_true)
+    preds = np.argmax(model.predict_logits(x), axis=-1)
+    return np.mean(preds == y_true, axis=-1)
 
 
 # -- the MMD as three distance blocks and three kernel banks --------------------

@@ -592,6 +592,16 @@ class TestCrossEntropy:
             cross_entropy(logits, np.array([2]), slice(1, 2))
         assert cross_entropy(logits, np.array([1]), slice(1, 2)).item() == math.log(2)
 
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_zero_rows_are_a_shape_error(self, stack):
+        # the mean over no rows used to divide by zero
+        logits = ad.Graph(stack).tensor(np.zeros(stack + (2, 3)))
+        with pytest.raises(ShapeError, match=r"0, 3\)"):
+            cross_entropy(logits, np.zeros(stack + (0,), dtype=int), slice(0))
+        with pytest.raises(ShapeError, match=r"0, 3\)"):
+            cross_entropy(ad.Graph(stack).tensor(np.zeros(stack + (0, 3))),
+                          np.zeros(stack + (0,), dtype=int))
+
     @pytest.mark.parametrize("margin", [20.0, 30.0, 35.0])
     @pytest.mark.parametrize("tied", [False, True])
     def test_a_near_certain_row_keeps_its_tiny_loss_exact(self, margin, tied):
@@ -743,6 +753,13 @@ class TestDistillKl:
             distill_kl(student, np.full((3, 2), 0.5), tau=1.0)
         with pytest.raises(ParameterError):
             distill_kl(student, np.full((2, 2), 0.5), tau=0.0)
+
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_zero_rows_are_a_shape_error(self, stack):
+        # the teacher's entropy mean over no rows used to divide by zero
+        student = ad.Graph(stack).tensor(np.zeros(stack + (0, 3)))
+        with pytest.raises(ShapeError, match=r"0, 3\)"):
+            distill_kl(student, np.zeros(stack + (0, 3)), tau=2.0)
 
 
 class TestSharedLogLossNode:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -193,6 +194,59 @@ class TestEvaluate:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             evaluate(hand_model(), np.zeros((3, 2)), np.array([0, 1]))
+
+    @pytest.mark.parametrize("stack_shape", [(), (3,)])
+    def test_zero_rows_are_a_shape_error(self, stack_shape):
+        # the mean over no rows used to be nan, with a RuntimeWarning
+        model = hand_model()
+        if stack_shape:
+            model = stack([hand_model() for _ in range(3)])
+        with pytest.raises(ShapeError, match=r"0, 2\)"):
+            evaluate(model, np.zeros(stack_shape + (0, 2)),
+                     np.zeros(stack_shape + (0,), dtype=int))
+
+    @pytest.mark.parametrize("dims", [(2, (128, 128, 64), 3), (8, (256, 256, 128), 4)],
+                             ids=["headline", "wide_batch"])
+    @pytest.mark.parametrize("cells", [None, 3], ids=["unstacked", "stack3"])
+    def test_row_blocks_match_one_forward(self, dims, cells):
+        # the accuracies of the one-call form, bit for bit, on row counts
+        # around the block size; labels equal to its predictions make any
+        # changed prediction lower the blocked accuracy below 1
+        block = kduda.trainer._EVAL_BLOCK
+        input_dim, hidden, classes = dims
+        if cells is None:
+            model, stack_shape = build(ModelSpec(input_dim, hidden, classes, seed=0)), ()
+        else:
+            model = stack([build(ModelSpec(input_dim, hidden, classes, seed=s))
+                           for s in range(cells)])
+            stack_shape = (cells,)
+        rng = np.random.default_rng(input_dim)
+        for rows in (1, block - 1, block, block + 1, 2 * block + 3):
+            x = rng.normal(size=stack_shape + (rows, input_dim))
+            y = rng.integers(0, classes, size=stack_shape + (rows,))
+            own = np.argmax(model.predict_logits(x), axis=-1)
+            for labels in (y, own):
+                new = np.asarray(evaluate(model, x, labels))
+                old = np.asarray(fdcheck.old_evaluate(model, x, labels))
+                assert new.tobytes() == old.tobytes(), rows
+            assert (np.asarray(evaluate(model, x, own)) == 1.0).all()
+
+    def test_memory_stays_within_a_few_blocks(self):
+        # one forward holds a layer's input and output activations, at most
+        # two blocks of the widest layer; the whole-domain form held two
+        # 4096 x 256 arrays (16 MiB)
+        model = build(ModelSpec(8, (256, 256, 128), 4, seed=0))
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(4096, 8))
+        y = rng.integers(0, 4, size=4096)
+        block_bytes = kduda.trainer._EVAL_BLOCK * 256 * 8
+        tracemalloc.start()
+        try:
+            evaluate(model, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * block_bytes, peak
 
 
 class TestTrainConfig:
