@@ -7,15 +7,16 @@ field but the output directory), so distinct runs never collide in one
 directory; output_path names every one.
 
 Scenario grids and sweeps train the seeds of each (config, scenario) as one
-stack (see kduda.trainer), and run their stacks in forked worker processes
-when the machine has CPUs to spare beyond BLAS's own threads; the calling
-process writes every output file, in cell order, once the grid has run.
+stack (see kduda.trainer). With CPUs to spare beyond BLAS's threads, forked
+workers run some stacks and pickle their cells back over a pipe; the caller
+writes every output file, in cell order, once the grid has run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -338,9 +339,9 @@ def run_single(cfg: ExperimentConfig, scenario: str, seeds: tuple[int, ...]
 # together by one run_single call. Stacks are fully seeded and independent,
 # so they may run in any process. Before any of them runs, _assign_stacks
 # deals them out from the configs alone, longest estimate first; the caller
-# runs share 0 itself and the others go to n - 1 forked workers, none when n
-# is 1. The caller trains too, and its share does not depend on timing, so a
-# profile of the caller always covers the same stacks.
+# runs share 0 and a forked worker each other share, pickling its cells back
+# over a pipe. The caller's share does not depend on timing, so a profile of
+# the caller always covers the same stacks.
 
 
 def _usable_cpus() -> int:
@@ -413,31 +414,40 @@ def _run_share(stacks) -> tuple[list, Exception | None]:
 
 def _run_shares(shares: list[list]) -> list[tuple[list, Exception | None]]:
     """The _run_share outcome of each share: the caller runs share 0, and
-    one forked worker each of the others."""
-    if len(shares) == 1:  # no worker, so no pool machinery to import
-        return [_run_share(shares[0])]
-    # fork, not spawn: workers inherit the loaded numpy and kduda instead of
-    # importing them again, and as waited-for children their CPU time shows
-    # in the caller's RUSAGE_CHILDREN (forkserver workers' would not). The
-    # executor forks every worker at the first submit, before it starts
-    # threads of its own.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(len(shares) - 1, mp_context=context) as pool:
-        futures = [pool.submit(_run_share, share) for share in shares[1:]]
+    a forked worker each other share, whose outcome it pickles to a pipe."""
+    # fork: workers inherit the loaded numpy and kduda, their CPU time shows in
+    # the caller's RUSAGE_CHILDREN, and each holds only its pipe's write end.
+    pipes, pids = [], []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as out:
+                pid = os.fork()
+                if pid == 0:  # a worker: it never returns to the caller
+                    try:
+                        for pipe in pipes:
+                            pipe.close()
+                        out.write(pickle.dumps(_run_share(share)))
+                        out.close()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
         outcomes = [_run_share(shares[0])]
-        for share, future in zip(shares[1:], futures):
+        for share, pipe in zip(shares[1:], pipes):
             try:
-                outcomes.append(future.result())
-            except BrokenProcessPool:
+                outcomes.append(pickle.load(pipe))
+            except Exception:  # an empty or cut-off pipe: no outcome came
                 cells = ", ".join(f"{scenario} seed {seed}"
                                   for _, scenario, seeds in share
                                   for seed in seeds)
                 outcomes.append(([], KdudaError(
                     f"a worker process died running cells {cells}")))
+    finally:  # pipes close first: a worker blocked writing one then exits
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
     return outcomes
 
 

@@ -3,6 +3,7 @@ import ctypes
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import types
@@ -906,6 +907,14 @@ class TestWorkerCount:
         assert harness._usable_cpus() == len(os.sched_getaffinity(0))
 
 
+class UnpicklableError(KdudaError):
+    """A library error that cannot be pickled: it holds a lambda."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 class TestParallelCells:
     @pytest.mark.parametrize("source", ["criterion_9", "scenario_grid"])
@@ -1064,6 +1073,91 @@ class TestParallelCells:
         tag = load_config(cli_config).config_hash()
         assert sorted(os.listdir(tmp_path / "runs")) == [
             f"{tag}_joint_seed{k}.csv" for k in (0, 1)]
+
+    @pytest.mark.parametrize("escape", [
+        SystemExit(5),  # not an Exception, so _run_share lets it through
+        UnpicklableError("no pickle holds a lambda"),
+    ], ids=["system_exit", "unpicklable"])
+    def test_a_worker_that_cannot_report_is_a_kduda_error(
+            self, tmp_path, monkeypatch, workers, cli_config, capsys, escape):
+        workers(2)
+        caller = os.getpid()
+        real = harness.run_single
+
+        def escaping(cfg, scenario, seeds):
+            if os.getpid() != caller:
+                raise escape
+            return real(cfg, scenario, seeds)
+
+        monkeypatch.setattr(harness, "run_single", escaping)
+        cfg = tiny_cfg(tmp_path / "lib")
+        with pytest.raises(KdudaError) as info:
+            run_experiment(cfg)
+        assert type(info.value) is KdudaError
+        assert str(info.value) == ("a worker process died running cells "
+                                   "uda_only seed 0, uda_only seed 1, "
+                                   "uda_only seed 2")
+        tag = cfg.config_hash()
+        assert sorted(os.listdir(tmp_path / "lib")) == [
+            f"{tag}_joint_seed{k}.csv" for k in range(3)]
+
+        assert main(["scenarios", "--config", cli_config]) == 1
+        assert capsys.readouterr().err == (
+            "error: a worker process died running cells uda_only seed 0, "
+            "uda_only seed 1\n")
+        tag = load_config(cli_config).config_hash()
+        assert sorted(os.listdir(tmp_path / "runs")) == [
+            f"{tag}_joint_seed{k}.csv" for k in (0, 1)]
+
+    def test_a_caller_that_raises_still_reaps_every_worker(
+            self, tmp_path, monkeypatch, workers):
+        # each worker's outcome is larger than a pipe holds, so its write
+        # blocks until the caller reads or closes the pipe; the caller's own
+        # share escapes with an error _run_share does not catch
+        class Interrupt(BaseException):
+            pass
+
+        workers(3)
+        caller = os.getpid()
+
+        def run_single(cfg, scenario, seeds):
+            if os.getpid() == caller:
+                raise Interrupt
+            return [(bytes(1 << 20), None)]
+
+        monkeypatch.setattr(harness, "run_single", run_single)
+        cfg = tiny_cfg(tmp_path / "runs",
+                       scenarios=("joint", "uda_only", "source_only"))
+        assert harness._worker_count(len(cfg.scenarios)) == 3
+
+        def hung(signum, frame):
+            raise AssertionError("the caller hung waiting for its workers")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(Interrupt):
+                run_experiment(cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.listdir(tmp_path / "runs") == []
+
+    def test_two_processes_load_no_pool_machinery(self, monkeypatch,
+                                                  cli_config):
+        # workers are plain forks that pickle their cells back over a pipe
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        code = ("import sys\n"
+                "from kduda import harness\n"
+                "harness._usable_cpus = lambda: 2\n"
+                "assert harness._worker_count(2) == 2\n"
+                "cfg = harness.load_config(sys.argv[1])\n"
+                "assert len(harness.run_experiment(cfg)) == 4\n"
+                "print(sorted({'concurrent.futures', 'multiprocessing'}"
+                " & set(sys.modules)))\n")
+        assert run_fresh(code, cli_config).split() == ["[]"]
 
     def test_one_process_loads_no_pool_machinery(self, monkeypatch,
                                                  cli_config):
