@@ -4,8 +4,9 @@ A Graph is an append-only tape. Every Tensor created through an op gets the
 next node id of its graph at construction, so id order is already a
 topological order of the computation. backward() visits the loss and its
 ancestors in exact reverse construction order, accumulating vector-Jacobian
-products into a per-call adjoint table, then adds the results onto each
-tensor's .grad. Repeated backward() calls therefore accumulate gradients
+products into a per-call adjoint table and popping each at its node's turn:
+a leaf (a parameter or input) adds it onto its .grad, any other node hands
+it to its vjp. Repeated backward() calls therefore accumulate leaf gradients
 until the caller discards the graph.
 
 Tensors point at their graph and at their inputs; the graph holds only weak
@@ -146,12 +147,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
             f"linear: width of {wv.shape} does not match bias {bv.shape}")
     z = xv @ wv
     z += bv[..., None, :]
-    mask = None
     if relu:
-        mask = z > 0
         _relu_in_place(z)
     def vjp(g):
-        gm = g if mask is None else g * mask
+        # z > 0 exactly where the pre-activation was > 0: ReLU maps nan to 0
+        gm = g * (z > 0) if relu else g
         return (gm @ _t(wv), _t(xv) @ gm, gm.sum(axis=-2))
     return Tensor(x.graph, z, (x, w, b), vjp)
 
@@ -174,38 +174,30 @@ def softmax_np(logits, tau: float) -> Array:
 # -- reverse pass -------------------------------------------------------------
 
 def backward(loss: Tensor, weight: float = 1.0):
-    """Populate .grad for every tensor weight * loss depends on.
+    """Add onto .grad of every leaf weight * loss depends on.
 
     The loss holds one value per cell of its graph's stack, each seeded with
     weight, so every cell's adjoint is exactly its own, and the same bits
     as backpropagating from 1 a node holding weight * loss. Node ids are
     visited from the loss down to 0; only tensors reached through inputs
     carry an adjoint, so the graph's tape itself is never read. Adjoints
-    live in a per-call table so that calling backward twice adds a second
-    full gradient onto .grad.
+    live in a per-call table, each dropped once its node is visited, so
+    calling backward twice adds a second full gradient onto .grad, and
+    tensors other than leaves keep none.
     """
     stack = loss.graph.stack
     if not (loss.values.shape == stack if stack else loss.values.size == 1):
         raise ShapeError(f"backward needs a loss of shape {stack} (one value per "
                          f"stacked cell), got shape {loss.values.shape}")
-    adjoint: dict[int, Array] = {loss.node_id: np.full_like(loss.values, weight)}
-    reached: dict[int, Tensor] = {loss.node_id: loss}
+    adjoint: dict[int, tuple[Tensor, Array]] = {
+        loss.node_id: (loss, np.full_like(loss.values, weight))}
     for pos in range(loss.node_id, -1, -1):
-        g = adjoint.get(pos)
-        if g is None:
+        if pos not in adjoint:
             continue
-        t = reached[pos]
+        t, g = adjoint.pop(pos)
         if t._vjp is None:
+            t.grad = g if t.grad is None else t.grad + g
             continue
         for inp, contrib in zip(t._inputs, t._vjp(g)):
-            if contrib is None:
-                continue
             prev = adjoint.get(inp.node_id)
-            if prev is None:
-                adjoint[inp.node_id] = contrib
-                reached[inp.node_id] = inp
-            else:
-                adjoint[inp.node_id] = prev + contrib
-    for node_id, g in adjoint.items():
-        t = reached[node_id]
-        t.grad = g if t.grad is None else t.grad + g
+            adjoint[inp.node_id] = (inp, contrib if prev is None else prev[1] + contrib)

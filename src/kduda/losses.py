@@ -92,18 +92,22 @@ class KernelConfig:
 
 
 @functools.lru_cache(maxsize=8)
-def _pair_index(ns: int, nt: int) -> np.ndarray:
-    """Read-only flat indices of the distinct pairs of an (ns + nt)-row
-    pooled sample in its square block: source-source pairs, then
-    target-target, then every source-target pair, each row by row. A run
-    meets at most two sizes (full and short last batch)."""
-    n = ns + nt
-    across = np.zeros((n, n), dtype=bool)
-    across[:ns, ns:] = True
-    within = np.triu(~across, k=1)
-    index = np.concatenate([np.flatnonzero(within), np.flatnonzero(across)])
-    index.flags.writeable = False
-    return index
+def _pair_blocks(ns: int, nt: int, stack: tuple) -> tuple[int, tuple]:
+    """Rows per chunk of _PAIR_CHUNK entries of an (ns + nt)-row pooled
+    sample's square block, and where its within-domain pairs sit: (rows,
+    columns, mask, pairs) per chunk of the source-source block, then of the
+    target-target block, mask picking the chunk's part of the block's strict
+    upper triangle in every cell of the stack, pairs their slice of the pair
+    axis. A run meets at most two sizes (full and short last batch)."""
+    n, step, parts, end = ns + nt, max(1, _PAIR_CHUNK // (ns + nt)), [], 0
+    for block in (range(ns), range(ns, n)):
+        for lo in range(0, len(block), step):
+            rows = block[lo:lo + step]
+            mask = np.less.outer(rows, block)
+            start, end = end, end + np.count_nonzero(mask)
+            parts.append((slice(rows.start, rows.stop), slice(block.start, block.stop),
+                          np.broadcast_to(mask, stack + mask.shape), slice(start, end)))
+    return step, tuple(parts)
 
 
 def _median_of_roots(sq: np.ndarray) -> np.ndarray:
@@ -135,15 +139,25 @@ def _cell_sum(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1)
 
 
-def _pair_sqdist(z: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Squared distances |z_i|^2 + |z_j|^2 - 2 z_i.z_j of the row pairs
-    that index picks from each cell's square block, clipped at zero to
-    absorb cancellation. The block is freed once its pairs are taken."""
+def _pair_sqdist(z: np.ndarray, ns: int) -> np.ndarray:
+    """Squared distances |z_i|^2 + |z_j|^2 - 2 z_i.z_j of the distinct row
+    pairs of each cell's pooled sample z, clipped at zero against rounding:
+    the within-domain pairs as _pair_blocks places them, then the ns source
+    rows' pairs with the rest, row by row. Made from the Gram block in place."""
     sq = (z * z).sum(axis=-1)
     block = z @ ad._t(z)
     block *= 2.0
-    np.subtract(sq[..., :, None] + sq[..., None, :], block, out=block)
-    d = block.reshape(block.shape[:-2] + (-1,)).take(index, axis=-1)
+    n, stack = z.shape[-2], z.shape[:-2]
+    step, parts = _pair_blocks(ns, n - ns, stack)
+    for lo in range(0, n, step):
+        part = block[..., lo:lo + step, :]
+        np.subtract(sq[..., lo:lo + step, None] + sq[..., None, :], part, out=part)
+    within = parts[-1][3].stop
+    d = np.empty(stack + (within + ns * (n - ns),))
+    for rows, cols, mask, pairs in parts:
+        d[..., pairs] = block[..., rows, cols][mask].reshape(stack + (-1,))
+    # the source-target pairs, through a view: d's last axis is contiguous
+    d[..., within:].reshape(stack + (ns, n - ns))[...] = block[..., :ns, ns:]
     np.maximum(d, 0.0, out=d)
     return d
 
@@ -161,6 +175,8 @@ def mmd_squared(z: Tensor, ns: int, kernel: KernelConfig) -> Tensor:
     over those alone. Each pair is weighted by its block, 2/ns^2, 2/nt^2 or
     -2/(ns nt); the diagonal adds exactly 1/ns + 1/nt. With M the symmetric
     matrix of weighted kernel slopes, the adjoint is 2 (rowsum(M) z - M z).
+    Beside the pairs and chunks of rows, the node holds one N x N array at a
+    time: the Gram block, then M, whose upper triangle it mirrors in place.
     """
     zv = z.values
     if zv.ndim < 2:
@@ -169,8 +185,7 @@ def mmd_squared(z: Tensor, ns: int, kernel: KernelConfig) -> Tensor:
     if not 0 < ns < n:
         raise ParameterError(f"mmd_squared: {ns} of {n} rows leaves an empty sample")
     nt = n - ns
-    index = _pair_index(ns, nt)
-    d = _pair_sqdist(zv, index)
+    d = _pair_sqdist(zv, ns)
     sig = kernel.resolve(d)
     coef = -0.5 / (sig * sig)
     # per pair: the bank's kernel sum, and its slope in d from a stacked
@@ -178,9 +193,10 @@ def mmd_squared(z: Tensor, ns: int, kernel: KernelConfig) -> Tensor:
     bank, slope = np.empty_like(d), np.empty_like(d)
     for lo in range(0, d.shape[-1], _PAIR_CHUNK):
         part = slice(lo, lo + _PAIR_CHUNK)
-        k = np.exp(coef[..., :, None] * d[..., None, part])
-        bank[..., part] = k.sum(axis=-2)
-        slope[..., part] = (coef[..., None, :] @ k)[..., 0, :]
+        k = coef[..., :, None] * d[..., None, part]
+        np.exp(k, out=k)
+        k.sum(axis=-2, out=bank[..., part])
+        np.matmul(coef[..., None, :], k, out=slope[..., None, part])
     c = 2.0 / coef.shape[-1]
     weights = (c / (ns * ns), c / (nt * nt), -c / (ns * nt))
     ss = ns * (ns - 1) // 2
@@ -194,10 +210,17 @@ def mmd_squared(z: Tensor, ns: int, kernel: KernelConfig) -> Tensor:
     # makes nan slopes, so the value is nan too, for the finiteness check
     value = np.where(np.isfinite(coef).all(axis=-1), value, np.nan)
     def vjp(g):
-        m = np.zeros(stack + (n * n,))
-        m[..., index] = slope * (2.0 * np.asarray(g))[..., None]
-        m = m.reshape(stack + (n, n))
-        m = m + ad._t(m)
+        g2 = (2.0 * np.asarray(g))[..., None]
+        m = np.zeros(stack + (n, n))
+        step, parts = _pair_blocks(ns, nt, stack)
+        for rows, cols, mask, pairs in parts:
+            m[..., rows, cols][mask] = (slope[..., pairs] * g2).ravel()
+        np.multiply(slope[..., tt:].reshape(stack + (ns, nt)), g2[..., None],
+                    out=m[..., :ns, ns:])
+        # m + m^T in place by chunks of rows, each adding a copy of its own
+        # columns: below the diagonal m is 0 until its row's turn
+        for lo in range(0, n, step):
+            m[..., lo:lo + step, :] += ad._t(m[..., :, lo:lo + step]).copy()
         gz = m.sum(axis=-1)[..., :, None] * zv
         gz -= m @ zv
         return (gz,)

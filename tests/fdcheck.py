@@ -4,13 +4,18 @@ constant multiple among them, as autodiff had it before each loss head took
 its weight as its scale), allocating references for the ops that compute
 in place, the loss heads as two nodes each (a softmax, then a clamped
 log-loss) as they read before each became one log-softmax node, the MMD as
-it read before it was one node, the adaptation loss as it read before it
-took both domains' rows in one forward, and evaluation as it read before it
-ran in row blocks."""
+it read before it was one node and the one node as it read with a flat pair
+index and a dense adjoint, the adaptation loss as it read before it took
+both domains' rows in one forward, evaluation as it read before it ran in
+row blocks, backward as it read when it kept every adjoint, and a
+tracemalloc probe of the memory a call holds."""
+
+import tracemalloc
 
 import numpy as np
 
 import kduda.autodiff as ad
+import kduda.losses
 from kduda.errors import ParameterError, ShapeError
 from kduda.losses import _cell_sum, cross_entropy
 
@@ -109,16 +114,18 @@ def weighted_sum(x, w):
 
 
 def old_linear(x, w, b, relu=False):
+    """ad.linear with a fresh array per step and its ReLU mask stored with
+    the node, over the trailing axes of a stack."""
     xv, wv, bv = x.values, w.values, b.values
     z = xv @ wv
-    z += bv
+    z += bv[..., None, :]
     mask = None
     if relu:
         mask = z > 0
         z = np.where(mask, z, 0.0)
     def vjp(g):
         gm = g if mask is None else g * mask
-        return (gm @ wv.T, xv.T @ gm, gm.sum(axis=0))
+        return (gm @ ad._t(wv), ad._t(xv) @ gm, gm.sum(axis=-2))
     return ad.Tensor(x.graph, z, (x, w, b), vjp)
 
 
@@ -277,3 +284,98 @@ def old_teacher_da_loss(teacher, xs, ys, xt, kernel, gamma):
 def median_of_roots(sq):
     """What losses._median_of_roots must equal bit for bit."""
     return float(np.median(np.sqrt(sq)))
+
+
+# -- the one-node MMD with a flat pair index, and backward keeping every adjoint
+
+
+def old_pair_index(ns, nt):
+    """Flat indices of the distinct pairs of an (ns + nt)-row pooled sample
+    in its square block, 8 bytes a pair: source-source pairs, then
+    target-target, then every source-target pair, each row by row."""
+    n = ns + nt
+    across = np.zeros((n, n), dtype=bool)
+    across[:ns, ns:] = True
+    within = np.triu(~across, k=1)
+    return np.concatenate([np.flatnonzero(within), np.flatnonzero(across)])
+
+
+def old_pair_sqdist(z, index):
+    """Squared distances of the row pairs that index picks from each cell's
+    square block, from one outer sum over the whole block."""
+    sq = (z * z).sum(axis=-1)
+    block = z @ ad._t(z)
+    block *= 2.0
+    np.subtract(sq[..., :, None] + sq[..., None, :], block, out=block)
+    d = block.reshape(block.shape[:-2] + (-1,)).take(index, axis=-1)
+    np.maximum(d, 0.0, out=d)
+    return d
+
+
+def old_pooled_mmd_squared(z, ns, kernel):
+    """mmd_squared as one node whose pair distances come through a flat
+    index and whose adjoint builds m + m^T from a second n x n array."""
+    zv = z.values
+    n, stack = zv.shape[-2], zv.shape[:-2]
+    nt = n - ns
+    index = old_pair_index(ns, nt)
+    d = old_pair_sqdist(zv, index)
+    sig = kernel.resolve(d)
+    coef = -0.5 / (sig * sig)
+    chunk = kduda.losses._PAIR_CHUNK
+    bank, slope = np.empty_like(d), np.empty_like(d)
+    for lo in range(0, d.shape[-1], chunk):
+        part = slice(lo, lo + chunk)
+        k = np.exp(coef[..., :, None] * d[..., None, part])
+        bank[..., part] = k.sum(axis=-2)
+        slope[..., part] = (coef[..., None, :] @ k)[..., 0, :]
+    c = 2.0 / coef.shape[-1]
+    weights = (c / (ns * ns), c / (nt * nt), -c / (ns * nt))
+    ss = ns * (ns - 1) // 2
+    tt = ss + nt * (nt - 1) // 2
+    value = 1.0 / ns + 1.0 / nt
+    for w, b in zip(weights, (slice(0, ss), slice(ss, tt), slice(tt, None))):
+        value = value + w * bank[..., b].sum(axis=-1)
+        slope[..., b] *= w
+    value = np.where(np.isfinite(coef).all(axis=-1), value, np.nan)
+    def vjp(g):
+        m = np.zeros(stack + (n * n,))
+        m[..., index] = slope * (2.0 * np.asarray(g))[..., None]
+        m = m.reshape(stack + (n, n))
+        m = m + ad._t(m)
+        gz = m.sum(axis=-1)[..., :, None] * zv
+        gz -= m @ zv
+        return (gz,)
+    return ad.Tensor(z.graph, np.asarray(value), (z,), vjp)
+
+
+def old_backward(loss, weight=1.0):
+    """backward as it read when it kept every adjoint until it returned and
+    gave one to every tensor the loss depends on, leaf or not."""
+    adjoint = {loss.node_id: np.full_like(loss.values, weight)}
+    reached = {loss.node_id: loss}
+    for pos in range(loss.node_id, -1, -1):
+        g = adjoint.get(pos)
+        if g is None or reached[pos]._vjp is None:
+            continue
+        t = reached[pos]
+        for inp, contrib in zip(t._inputs, t._vjp(g)):
+            prev = adjoint.get(inp.node_id)
+            adjoint[inp.node_id] = contrib if prev is None else prev + contrib
+            reached[inp.node_id] = inp
+    for node_id, g in adjoint.items():
+        t = reached[node_id]
+        t.grad = g if t.grad is None else t.grad + g
+
+
+def traced_peak(f):
+    """Run f() under tracemalloc, its result dropped at once: the most bytes
+    it held at one time, and the bytes it still holds afterwards (caches,
+    gradients), both counted from the call on."""
+    tracemalloc.start()
+    try:
+        f()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, kept

@@ -1,6 +1,7 @@
 import gc
 import weakref
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,14 +9,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kduda.autodiff as ad
+import kduda.trainer
 from kduda.autodiff import Graph, softmax_np
 from kduda.errors import ParameterError, ShapeError
-from kduda.losses import (KernelConfig, _pair_index, _pair_sqdist, cross_entropy,
-                          distill_kl, mmd_squared)
+from kduda.losses import (KernelConfig, _pair_sqdist, cross_entropy, distill_kl,
+                          mmd_squared)
+from kduda.models import ModelSpec, build, stack as stack_models
+from kduda.trainer import TrainConfig
 from fdcheck import (exp, finite_diff_grad, log, log_softmax, mean,
-                     old_kernel_bank_mean, old_linear, old_pairwise_sqdist,
+                     old_backward, old_kernel_bank_mean, old_linear,
+                     old_pair_index, old_pairwise_sqdist, old_pooled_mmd_squared,
                      old_softmax_np, relative_error, scalar_multiply,
-                     weighted_sum)
+                     traced_peak, weighted_sum)
 
 FIXED = KernelConfig(mode="fixed", bandwidths=(0.5, 2.0))
 
@@ -209,6 +214,27 @@ def squared_norm(x):
     return old_pairwise_sqdist(x, x.graph.tensor(np.zeros_like(x.values)))
 
 
+def headline_objective(move, stack):
+    """A training move's objective on the headline models (teacher
+    2-128-128-64-3, student 2-32-16-3) and one 32-row batch, one cell per
+    entry of stack, with the graph's leaf tensors in node order."""
+    def models(hidden, seed):
+        cells = [build(ModelSpec(2, hidden, 3, seed=seed + s))
+                 for s in range(stack[0] if stack else 1)]
+        return stack_models(cells) if stack else cells[0]
+    teacher = models((128, 128, 64), 1)
+    student = models((32, 16), 2)
+    rng = np.random.default_rng(0)
+    batch = (rng.normal(size=stack + (32, 2)), rng.integers(0, 3, stack + (32,)),
+             rng.normal(size=stack + (32, 2)) + 1.0)
+    cfg = TrainConfig()
+    model = teacher if move == "_adapt" else student
+    objective, _ = getattr(kduda.trainer, move)(model, teacher, batch, cfg,
+                                                cfg.gamma_at(0))
+    tensors = [node() for node in objective.graph.nodes]
+    return objective, [t for t in tensors if t is not None and t._vjp is None]
+
+
 class TestBackward:
     def test_square_at_three(self):
         g = Graph()
@@ -270,6 +296,58 @@ class TestBackward:
         y.backward(0.25)
         assert same_bits(x.grad, np.ones_like(x.values))
         assert same_bits(y.grad, np.full_like(y.values, 0.25))
+
+    @pytest.mark.parametrize("move", ["_adapt", "_distill_both"])
+    @pytest.mark.parametrize("stack", [(), (2,)])
+    def test_leaves_get_the_gradients_every_tensor_got_before(self, move, stack):
+        # against the graph as linear and the MMD node read when backward
+        # gave every tensor an adjoint: the ReLU mask stored with its node,
+        # a flat pair index, a dense m + m^T
+        with mock.patch("kduda.autodiff.linear", old_linear), \
+                mock.patch("kduda.losses.mmd_squared", old_pooled_mmd_squared):
+            objective, old = headline_objective(move, stack)
+        old_backward(objective, 0.7)
+        objective, new = headline_objective(move, stack)
+        objective.backward(0.7)
+        assert len(new) == len(old) > 0
+        for a, b in zip(new, old):
+            assert same_bits(a.grad, b.grad)
+
+    @pytest.mark.parametrize("move", ["_adapt", "_distill_both"])
+    def test_only_leaves_keep_a_gradient(self, move):
+        objective, leaves = headline_objective(move, (2,))
+        objective.backward()
+        assert all(t.grad is not None for t in leaves)
+        inner = [node() for node in objective.graph.nodes]
+        assert all(t.grad is None for t in inner if t is not None and t._vjp)
+
+    @pytest.mark.parametrize("move", ["_adapt", "_distill_both"])
+    def test_a_second_backward_adds_a_second_full_gradient(self, move):
+        objective, leaves = headline_objective(move, ())
+        objective.backward()
+        first = [t.grad.copy() for t in leaves]
+        objective.backward()
+        for t, g in zip(leaves, first):
+            assert same_bits(t.grad, g + g)
+
+    def test_a_spent_adjoint_is_freed(self):
+        # six 512 x 256 layers: beside the leaves' gradients, backward holds
+        # the adjoint in hand, its masked copy and the one handed down; the
+        # form that kept every adjoint until it returned held all six
+        rng = np.random.default_rng(0)
+        g = Graph()
+        h = g.tensor(rng.normal(size=(512, 256)))
+        leaves = [h]
+        for _ in range(6):
+            leaves += [g.tensor(rng.normal(size=(256, 256)) / 16),
+                       g.tensor(rng.normal(size=256))]
+            h = ad.linear(h, leaves[-2], leaves[-1], relu=True)
+        loss = weighted_sum(h, rng.normal(size=(512, 256)))
+        peak, kept = traced_peak(loss.backward)
+        grads = sum(t.grad.nbytes for t in leaves)
+        layer = 512 * 256 * 8
+        assert peak - grads <= 3 * layer, (peak - grads) / layer
+        assert kept - grads < layer // 8, (kept - grads) / layer
 
     def test_tape_counts_nodes_and_frees_without_the_cyclic_gc(self):
         was_enabled = gc.isenabled()
@@ -518,6 +596,31 @@ class TestInPlaceOps:
         for new, old in zip(*outs):
             assert same_bits(new, old)
 
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_relu_adjoint_reads_its_mask_from_the_output(self, stack):
+        # pre-activations exactly 0, -0.0, negative, nan, +inf and positive:
+        # a zero row, a row whose products underflow to -0.0 and a normal
+        # row, plus a bias of 0, -0.0, -1, nan, inf, 0.5 and 2
+        rng = np.random.default_rng(len(stack))
+        xv = np.zeros(stack + (3, 3))
+        xv[..., 1, :] = -1e-200
+        xv[..., 2, :] = rng.normal(size=stack + (3,))
+        wv = np.full(stack + (3, 7), 1e-200)
+        bv = np.broadcast_to([0.0, -0.0, -1.0, np.nan, np.inf, 0.5, 2.0],
+                             stack + (7,)).copy()
+        pre = xv @ wv
+        pre += bv[..., None, :]
+        assert ((pre == 0) & np.signbit(pre)).any()
+        assert ((pre == 0) & ~np.signbit(pre)).any()
+        gv = rng.normal(size=stack + (3, 7))
+        outs = []
+        for op in (ad.linear, old_linear):
+            g = Graph(stack)
+            out = op(g.tensor(xv), g.tensor(wv), g.tensor(bv), relu=True)
+            outs.append((out.values, *out._vjp(gv)))
+        for new, old in zip(*outs):
+            assert same_bits(new, old)
+
     @pytest.mark.parametrize("tau", [0.05, 1.0, 20.0])
     def test_softmax_matches_the_reference_on_extreme_logits(self, tau):
         # softmax_np computes the teacher's soft targets in its own buffer
@@ -545,10 +648,10 @@ class TestInPlaceOps:
         bv = av.copy() if shared else rng.normal(size=(rows_b, width)) + 0.3
         av[0] = np.round(av[0])  # exact zeros among the distances
         z = np.concatenate([av, bv])
-        index = _pair_index(av.shape[0], bv.shape[0])
+        index = old_pair_index(av.shape[0], bv.shape[0])
         g = Graph()
         reference = old_pairwise_sqdist(g.tensor(z), g.tensor(z)).values
-        assert same_bits(_pair_sqdist(z, index), reference.ravel()[index])
+        assert same_bits(_pair_sqdist(z, av.shape[0]), reference.ravel()[index])
 
 
 def _every_op(g, rng):

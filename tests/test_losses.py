@@ -20,17 +20,18 @@ from kduda.losses import (
     target_kd_loss,
     teacher_da_loss,
 )
-from kduda.losses import _median_of_roots, _pair_index, _pair_sqdist
+from kduda.losses import _median_of_roots, _pair_blocks, _pair_sqdist
 from kduda.models import ModelSpec, build
 from kduda.models import stack as stack_models
 from kduda.trainer import TrainConfig
 
-from fdcheck import (PROB_FLOOR, exp, finite_diff_grad, log_softmax, mean,
-                     median_of_roots, old_cross_entropy, old_distill_kl,
-                     old_mmd_squared, old_pairwise_sqdist, old_resolve,
-                     old_softmax_np, old_softmax_temperature,
+from fdcheck import (PROB_FLOOR, assert_grad_matches, exp, finite_diff_grad,
+                     log_softmax, mean, median_of_roots, old_cross_entropy,
+                     old_distill_kl, old_mmd_squared, old_pair_index,
+                     old_pair_sqdist, old_pairwise_sqdist, old_pooled_mmd_squared,
+                     old_resolve, old_softmax_np, old_softmax_temperature,
                      old_teacher_da_loss, relative_error, scalar_multiply,
-                     weighted_sum)
+                     traced_peak, weighted_sum)
 
 
 def mmd_value(fs, ft, kernel):
@@ -83,8 +84,8 @@ def pooled_pairs(fs, ft):
     by differences, in the order mmd_squared takes them."""
     z = np.concatenate([fs, ft], axis=-2)
     d = ((z[..., :, None, :] - z[..., None, :, :]) ** 2).sum(axis=-1)
-    return d.reshape(d.shape[:-2] + (-1,))[..., _pair_index(fs.shape[-2],
-                                                            ft.shape[-2])]
+    return d.reshape(d.shape[:-2] + (-1,))[..., old_pair_index(fs.shape[-2],
+                                                               ft.shape[-2])]
 
 
 def node_pairs(fs, ft):
@@ -94,7 +95,7 @@ def node_pairs(fs, ft):
     g = ad.Graph()
     d = old_pairwise_sqdist(g.tensor(z), g.tensor(z)).values
     ns = fs.shape[-2]
-    return (_pair_sqdist(z, _pair_index(ns, ft.shape[-2])),
+    return (_pair_sqdist(z, ns),
             (d[..., :ns, :ns], d[..., ns:, ns:], d[..., :ns, ns:]))
 
 
@@ -419,7 +420,7 @@ class TestMmd:
         z = np.concatenate([fs0, ft0], axis=-2)
         repeat = ((z[..., :, None, :] == z[..., None, :, :]).all(axis=-1)
                   & (z != 0).any(axis=-1)[..., :, None])
-        index = _pair_index(ns, nt)
+        index = old_pair_index(ns, nt)
         noisy = repeat.reshape(stack + (-1,))[..., index].sum(axis=-1)
         assume(median is False or np.all(2 * noisy < index.size))
         kernel = KernelConfig() if median else KernelConfig(
@@ -485,6 +486,92 @@ class TestMmd:
         for ns in (0, 4, -1):
             with pytest.raises(ParameterError):
                 mmd_squared(g.tensor(np.zeros((4, 3))), ns, kc)
+
+
+def pooled_sample(ns, nt, stack, data):
+    """ns source and nt target rows per cell, and a kernel for them.
+    "duplicates" repeats rows (zero distances); "far" sets rows so far apart
+    that every kernel underflows to 0, so the weighted slopes are zeros of
+    both signs (-0.0 across the domains); "nan" puts a nan in the last
+    row."""
+    rng = np.random.default_rng(ns * 1000 + nt)
+    z = rng.normal(size=stack + (ns + nt, 4))
+    if data == "duplicates":
+        z[..., 1::3, :] = z[..., :1, :]
+        return np.round(z), KernelConfig()
+    if data == "far":
+        z[..., 0] = 100.0 * np.arange(ns + nt)
+        return z, KernelConfig(mode="fixed", bandwidths=(0.5, 2.0))
+    z[..., -1, 1] = np.nan
+    return z, KernelConfig()
+
+
+class TestPairBlocks:
+    """The MMD node against its form with a flat pair index, 8 bytes a pair,
+    and an adjoint that built m + m^T from a second n x n array."""
+
+    @pytest.mark.parametrize("ns,nt", [(1, 1), (1, 2), (32, 32), (33, 31),
+                                       (65, 65), (256, 256)])
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    @pytest.mark.parametrize("data", ["duplicates", "far", "nan"])
+    def test_bit_for_bit_the_flat_index_node(self, ns, nt, stack, data):
+        # 65 + 65 and 256 + 256 rows take several chunks of rows per block
+        z, kernel = pooled_sample(ns, nt, stack, data)
+        d = _pair_sqdist(z, ns)
+        assert d.tobytes() == old_pair_sqdist(z, old_pair_index(ns, nt)).tobytes()
+        if data == "far":
+            assert d.min() / (2 * 2.0 ** 2) > 746  # exp of below -745 is 0
+        outs = []
+        with np.errstate(invalid="ignore"):
+            for node in (mmd_squared, old_pooled_mmd_squared):
+                out = node(ad.Graph(stack).tensor(z), ns, kernel)
+                # either sign of adjoint makes -0.0 products of zero slopes
+                outs.append([out.values] + [out._vjp(np.full(stack, w))[0]
+                                            for w in (1.0, -0.7)])
+        for new, old in zip(*outs):
+            assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("chunk", [7, 8192])
+    @pytest.mark.parametrize("stack", [(), (2,)])
+    def test_matches_finite_differences_in_any_chunking(self, chunk, stack):
+        # 7 entries a chunk: each chunk is one row of a block
+        rng = np.random.default_rng(chunk + len(stack))
+        z0 = rng.normal(size=stack + (9, 3))
+        z0[..., 4:, :] += 0.5
+        kernel = KernelConfig(mode="fixed", bandwidths=(0.5, 1.1, 2.3))
+        weights = rng.normal(size=stack)
+        _pair_blocks.cache_clear()
+        try:
+            with mock.patch("kduda.losses._PAIR_CHUNK", chunk):
+                def f(v):
+                    return mmd_squared(ad.Graph(stack).tensor(v), 4, kernel)
+                assert_grad_matches(lambda v: (weights * f(v).values).sum(), z0,
+                                    f(z0)._vjp(weights)[0], tol=1e-6)
+        finally:
+            _pair_blocks.cache_clear()
+
+    def test_forward_and_adjoint_hold_one_square_and_a_half(self):
+        # the block, then the pairs' distances and the kernel bank, then the
+        # adjoint's n x n array beside the slopes; the flat-index node held
+        # 2.5 n^2 floats at once
+        n = 1024
+        z = np.random.default_rng(0).normal(size=(n, 8))
+
+        def step():
+            node = mmd_squared(ad.Graph().tensor(z), n // 2, KernelConfig())
+            node._vjp(np.asarray(1.0))
+        step()  # the pair positions are cached
+        peak, _ = traced_peak(step)
+        assert peak < 1.6 * n * n * 8, peak / (n * n * 8)
+
+    def test_pair_positions_take_a_byte_per_within_domain_entry(self):
+        # 2 MiB of triangle masks at 1024 + 1024 rows; the flat index took
+        # 16 MiB
+        z = np.random.default_rng(0).normal(size=(2048, 2))
+        kernel = KernelConfig(mode="fixed", bandwidths=(1.0,))
+        _pair_blocks.cache_clear()
+        _, kept = traced_peak(lambda: mmd_squared(ad.Graph().tensor(z), 1024, kernel))
+        assert kept < 2.5 * 2 ** 20, kept / 2 ** 20
 
 
 class TestCrossEntropy:

@@ -19,10 +19,9 @@ from kduda import trainer
 from kduda.autodiff import Graph
 from kduda.data import batches, gen_blob_shift, stack_pairs
 from kduda.errors import ParameterError, ShapeError
-from kduda.losses import (KernelConfig, _pair_index, _pair_sqdist,
-                          cross_entropy, distill_kl, mmd_squared, soft_targets,
-                          softmax_np, source_kd_loss, target_kd_loss,
-                          teacher_da_loss)
+from kduda.losses import (KernelConfig, _pair_sqdist, cross_entropy,
+                          distill_kl, mmd_squared, soft_targets, softmax_np,
+                          source_kd_loss, target_kd_loss, teacher_da_loss)
 from kduda.models import ModelSpec, build, stack
 from fdcheck import (finite_diff_grad, old_kernel_bank_mean, old_pairwise_sqdist,
                      relative_error, scalar_multiply, weighted_sum)
@@ -267,8 +266,7 @@ class TestDataStacks:
 class TestResolveStacks:
     def _pairs(self, fs, ft):
         """mmd_squared's pair distances of each cell's pooled sample."""
-        return _pair_sqdist(np.concatenate([fs, ft], axis=-2),
-                            _pair_index(fs.shape[-2], ft.shape[-2]))
+        return _pair_sqdist(np.concatenate([fs, ft], axis=-2), fs.shape[-2])
 
     @pytest.mark.parametrize("rows_s,rows_t", [(1, 1), (4, 7), (32, 32), (32, 16)])
     def test_each_cell_gets_its_own_median(self, rows_s, rows_t):

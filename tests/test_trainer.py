@@ -1,7 +1,6 @@
 import dataclasses
 import gc
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -240,12 +239,7 @@ class TestEvaluate:
         x = rng.normal(size=(4096, 8))
         y = rng.integers(0, 4, size=4096)
         block_bytes = kduda.trainer._EVAL_BLOCK * 256 * 8
-        tracemalloc.start()
-        try:
-            evaluate(model, x, y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = fdcheck.traced_peak(lambda: evaluate(model, x, y))
         assert peak < 3 * block_bytes, peak
 
 
