@@ -3,8 +3,7 @@ adaptation: a big model aligns feature distributions across a domain shift
 while a compact student is progressively distilled from it."""
 
 from .autodiff import Graph, Tensor, backward
-from .data import (DomainPair, batches, gen_blob_shift, gen_two_moons_shift,
-                   stack_pairs)
+from .data import DomainPair, batches, gen_blob_shift, stack_pairs
 from .errors import (ConfigError, KdudaError, NumericalAbort, ParameterError,
                      ShapeError)
 from .harness import ExperimentConfig, ScenarioResult, load_config, run_experiment

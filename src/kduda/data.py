@@ -1,6 +1,6 @@
 """Synthetic two-domain datasets with a controllable shift.
 
-Both generators return a DomainPair: labeled source data plus target inputs
+The generator returns a DomainPair: labeled source data plus target inputs
 whose labels are kept in a separate eval-only field. Training code consumes
 xs, ys, xt; only evaluation reads yt_eval. stack_pairs joins the pairs of S
 cells into one whose arrays carry a leading axis of length S.
@@ -47,39 +47,6 @@ class DomainPair:
 def _split_counts(n: int, parts: int) -> list[int]:
     base, rem = divmod(n, parts)
     return [base + (1 if i < rem else 0) for i in range(parts)]
-
-
-def _moons(n: int, noise_std: float, rng: np.random.Generator):
-    n_outer, n_inner = _split_counts(n, 2)
-    t_outer = np.linspace(0.0, np.pi, n_outer)
-    t_inner = np.linspace(0.0, np.pi, n_inner)
-    x = np.concatenate([
-        np.stack([np.cos(t_outer), np.sin(t_outer)], axis=1),
-        np.stack([1.0 - np.cos(t_inner), 0.5 - np.sin(t_inner)], axis=1),
-    ])
-    y = np.concatenate([np.zeros(n_outer, dtype=np.intp),
-                        np.ones(n_inner, dtype=np.intp)])
-    x = x + rng.normal(0.0, noise_std, size=x.shape)
-    perm = rng.permutation(n)
-    return x[perm], y[perm]
-
-
-def gen_two_moons_shift(n_per_domain: int, rotation_deg: float,
-                        noise_std: float, seed: int) -> DomainPair:
-    """Interleaved half-circles; the target domain is an independent draw
-    rotated about the origin by rotation_deg."""
-    if n_per_domain < 4:
-        raise ParameterError(f"n_per_domain must be >= 4, got {n_per_domain}")
-    if noise_std < 0:
-        raise ParameterError(f"noise_std must be >= 0, got {noise_std}")
-    rng = np.random.default_rng(seed)
-    xs, ys = _moons(n_per_domain, noise_std, rng)
-    xt_raw, yt = _moons(n_per_domain, noise_std, rng)
-    theta = np.deg2rad(rotation_deg)
-    rot = np.array([[np.cos(theta), -np.sin(theta)],
-                    [np.sin(theta), np.cos(theta)]])
-    xt = xt_raw @ rot.T
-    return DomainPair(xs, ys, xt, yt)
 
 
 def simplex_vertices(num_classes: int, dim: int) -> np.ndarray:

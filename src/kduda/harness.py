@@ -22,12 +22,11 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import trainer
-from .data import (DomainPair, gen_blob_shift, gen_two_moons_shift,
-                   stack_pairs, standardize)
+from .data import DomainPair, gen_blob_shift, stack_pairs, standardize
 from .errors import ConfigError, KdudaError, NumericalAbort, ParameterError
 from .losses import KernelConfig
 from .models import ModelSpec, build, count_complexity, stack
-from .trainer import SCENARIOS, TrainConfig, TrainLog
+from .trainer import SCENARIOS, TrainConfig, TrainLog, write_csv
 
 VALID_SCENARIOS = tuple(SCENARIOS)
 
@@ -51,41 +50,28 @@ class DatasetConfig:
     dim: int = 2
     mean_shift: float = 3.0
     scale: float = 1.0
-    rotation_deg: float = 45.0
-    noise_std: float = 0.1
     standardize: bool = True
 
     def __post_init__(self):
-        if self.generator not in ("blobs", "two_moons"):
+        if self.generator != "blobs":
             raise ConfigError(f"data.generator: unknown generator "
-                              f"{self.generator!r}; valid: blobs, two_moons")
-        if self.generator == "two_moons" and (self.classes != 2 or self.dim != 2):
-            raise ConfigError("data.generator = two_moons is fixed at "
-                              "data.classes = 2 and data.dim = 2")
+                              f"{self.generator!r}; valid: blobs")
         # every range make_pair needs, so a bad one fails at load, not later
-        blobs = self.generator == "blobs"
         for bad, name, rule in (
                 (self.classes < 2, "classes", ">= 2"),
                 (self.n_per_domain < self.classes, "n_per_domain",
                  f">= data.classes ({self.classes})"),
                 (self.dim < 2, "dim", ">= 2"),
-                (blobs and self.classes > self.dim + 1, "classes",
+                (self.classes > self.dim + 1, "classes",
                  f"<= data.dim + 1 ({self.dim + 1})"),
-                (blobs and self.scale <= 0, "scale", "positive"),
-                (not blobs and self.n_per_domain < 4, "n_per_domain",
-                 ">= 4 for two_moons"),
-                (not blobs and self.noise_std < 0, "noise_std", ">= 0")):
+                (self.scale <= 0, "scale", "positive")):
             if bad:
                 raise ConfigError(f"data.{name} must be {rule}, "
                                   f"got {getattr(self, name)}")
 
     def make_pair(self, seed: int) -> DomainPair:
-        if self.generator == "blobs":
-            pair = gen_blob_shift(self.n_per_domain, self.classes, self.dim,
-                                  self.mean_shift, self.scale, seed)
-        else:
-            pair = gen_two_moons_shift(self.n_per_domain, self.rotation_deg,
-                                       self.noise_std, seed)
+        pair = gen_blob_shift(self.n_per_domain, self.classes, self.dim,
+                              self.mean_shift, self.scale, seed)
         return standardize(pair) if self.standardize else pair
 
 
@@ -223,8 +209,7 @@ def _keyed(cls, keys: dict[str, str]) -> dict[str, tuple]:
 # expected value; its default is the dataclass's
 _FIELDS = {cls: _keyed(cls, keys) for cls, keys in (
     (DatasetConfig, {f.name: f"data.{f.name}" for f in fields(DatasetConfig)}),
-    (KernelConfig, {"mode": "train.kernel_mode",
-                    "bandwidths": "train.kernel_bandwidths",
+    (KernelConfig, {"bandwidths": "train.kernel_bandwidths",
                     "median_multipliers": "train.kernel_multipliers"}),
     (TrainConfig, {f.name: f"train.{f.name}" for f in fields(TrainConfig)
                    if f.name not in ("seed", "kernel")}),
@@ -256,9 +241,8 @@ def _section(raw: dict[str, str], default, **given):
 def parse_config(text: str) -> ExperimentConfig:
     raw = _parse_kv(text)
     default = ExperimentConfig()  # whose train defaults to 100 epochs
-    moons = {"classes": 2} if raw.get("data.generator") == "two_moons" else {}
     # sections build in this order, so their errors come in it too
-    cfg = _section(raw, default, dataset=_section(raw, default.dataset, **moons),
+    cfg = _section(raw, default, dataset=_section(raw, default.dataset),
                    train=_section(raw, default.train,
                                   kernel=_section(raw, default.train.kernel)))
     unknown = raw.keys() - {key for table in _FIELDS.values()
@@ -508,11 +492,6 @@ def output_path(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.output_dir, f"{cfg.config_hash()}_{name}")
 
 
-def _write_rows(path: str, header: tuple[str, ...], rows: list[list[str]]):
-    with open(path, "w") as fh:
-        fh.writelines(",".join(row) + "\n" for row in [header, *rows])
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[ScenarioResult]:
     """Train every (scenario, seed) pair; write per-pair logs and a summary."""
     cfg.require_one_student()
@@ -522,8 +501,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ScenarioResult]:
     for log, result in _run_cells(stacks):
         log.to_csv(output_path(cfg, f"{result.scenario}_seed{result.seed}.csv"))
         results.append(result)
-    _write_rows(output_path(cfg, "summary.csv"), SUMMARY_COLUMNS,
-                summary_rows(cfg, results))
+    write_csv(output_path(cfg, "summary.csv"), SUMMARY_COLUMNS,
+              summary_rows(cfg, results))
     return results
 
 
@@ -581,5 +560,5 @@ def sweep_sizes(cfg: ExperimentConfig, teacher_widths, student_widths
     accs = np.array([result.student_tgt_acc for _, result in _run_cells(stacks)])
     rows = [[str(tw), str(sw), repr(float(a.mean())), repr(float(a.std()))]
             for (tw, sw), a in zip(widths, accs.reshape(len(widths), -1))]
-    _write_rows(output_path(cfg, "sweep.csv"), SWEEP_COLUMNS, rows)
+    write_csv(output_path(cfg, "sweep.csv"), SWEEP_COLUMNS, rows)
     return rows

@@ -46,32 +46,25 @@ _PAIR_CHUNK = 8192
 class KernelConfig:
     """Gaussian kernel bank for the discrepancy estimator.
 
-    mode "median": bandwidth = per-batch median of the pairwise distances of
-    the pooled sample, scaled by each multiplier. mode "fixed": use
-    `bandwidths` as given.
+    Given `bandwidths` are the bank as they stand. Without any, the bank is
+    the per-batch median of the pairwise distances of the pooled sample,
+    scaled by each of `median_multipliers`.
     """
 
-    mode: str = "median"
     bandwidths: tuple[float, ...] = ()
     median_multipliers: tuple[float, ...] = MEDIAN_MULTIPLIERS
 
     def __post_init__(self):
-        if self.mode not in ("median", "fixed"):
-            raise ParameterError(f"unknown kernel mode {self.mode!r}", "mode")
         object.__setattr__(self, "bandwidths", tuple(float(b) for b in self.bandwidths))
         object.__setattr__(self, "median_multipliers",
                            tuple(float(m) for m in self.median_multipliers))
-        if self.mode == "fixed":
-            if not self.bandwidths:
-                raise ParameterError("fixed kernel mode needs at least one "
-                                     "bandwidth", "bandwidths")
-            if any(b <= 0 for b in self.bandwidths):
-                raise ParameterError(
-                    f"bandwidths must be positive, got {self.bandwidths}",
-                    "bandwidths")
-        else:
+        if any(b <= 0 for b in self.bandwidths):
+            raise ParameterError(
+                f"bandwidths must be positive, got {self.bandwidths}",
+                "bandwidths")
+        if not self.bandwidths:
             if not self.median_multipliers:
-                raise ParameterError("median kernel mode needs at least one "
+                raise ParameterError("a median kernel bank needs at least one "
                                      "multiplier", "median_multipliers")
             if any(m <= 0 for m in self.median_multipliers):
                 raise ParameterError(
@@ -84,7 +77,7 @@ class KernelConfig:
         (S, K) for S stacked cells' (S, P). The pairs keep their order.
         """
         stack = pairs.shape[:-1]
-        if self.mode == "fixed":
+        if self.bandwidths:
             return np.broadcast_to(self.bandwidths, stack + (len(self.bandwidths),))
         med = np.asarray(_median_of_roots(pairs.copy()))
         med[med < 1e-12] = 1.0  # degenerate batch (all points identical)

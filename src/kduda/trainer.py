@@ -53,7 +53,9 @@ _LOSS_COLUMNS = CSV_COLUMNS[3:8]
 class TrainConfig:
     """Every training hyperparameter, checked here once, with the per-epoch
     beta, gamma and lr_da; defaults follow the reference setup, and harness
-    configs usually override epochs down to desk scale."""
+    configs usually override epochs down to desk scale. lr_da decays over
+    each adaptation or supervised phase to lr_da_final_fraction of it, so a
+    fraction of 1 keeps it constant."""
 
     epochs: int = 400
     batch_size: int = 32
@@ -66,7 +68,6 @@ class TrainConfig:
     lr_da: float = 0.001
     lr_kd: float = 0.001
     momentum: float = 0.9
-    lr_da_decay: str = "exponential"
     lr_da_final_fraction: float = 0.01
     eval_every: int = 1
     seed: int | tuple[int, ...] = 0  # orders the batches; one per stacked cell
@@ -82,8 +83,6 @@ class TrainConfig:
                 (self.lr_da <= 0, "lr_da", "positive"),
                 (self.lr_kd <= 0, "lr_kd", "positive"),
                 (not 0.0 <= self.momentum < 1.0, "momentum", "in [0, 1)"),
-                (self.lr_da_decay not in ("exponential", "constant"),
-                 "lr_da_decay", "exponential or constant"),
                 (not 0.0 < self.lr_da_final_fraction <= 1.0,
                  "lr_da_final_fraction", "in (0, 1]"),
                 (self.eval_every < 1, "eval_every", ">= 1"),
@@ -128,10 +127,9 @@ class TrainConfig:
                 - self.gamma)
 
     def lr_da_at(self, k: int, count: int) -> float:
-        """lr_da at epoch k of a phase of count epochs: kept, or decayed
-        exponentially to lr_da_final_fraction of it at epoch count."""
-        if self.lr_da_decay == "constant":
-            return self.lr_da
+        """lr_da at epoch k of a phase of count epochs, decayed exponentially
+        to lr_da_final_fraction of it at epoch count; a fraction of 1 keeps
+        lr_da exactly."""
         return self.lr_da * self.lr_da_final_fraction ** (k / max(count, 1))
 
 
@@ -189,10 +187,13 @@ class TrainLog:
         return out
 
     def to_csv(self, path: str):
-        with open(path, "w") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for rec in self.records:
-                fh.write(",".join(rec.row()) + "\n")
+        write_csv(path, CSV_COLUMNS, [rec.row() for rec in self.records])
+
+
+def write_csv(path: str, header: tuple[str, ...], rows: list[list[str]]):
+    """A header line, then one comma-joined line per row."""
+    with open(path, "w") as fh:
+        fh.writelines(",".join(row) + "\n" for row in [header, *rows])
 
 
 # -- optimizer ------------------------------------------------------------------

@@ -246,7 +246,7 @@ def old_resolve(kernel, d_ss, d_tt, d_st):
     per cell: the median of the roots of the within-domain blocks' strict
     upper triangles and of every cross-domain entry, by np.median."""
     stack = d_st.shape[:-2]
-    if kernel.mode == "fixed":
+    if kernel.bandwidths:
         return np.broadcast_to(kernel.bandwidths, stack + (len(kernel.bandwidths),))
     pairs = np.concatenate([d_ss[(...,) + np.triu_indices(d_ss.shape[-1], k=1)],
                             d_tt[(...,) + np.triu_indices(d_tt.shape[-1], k=1)],
@@ -254,6 +254,19 @@ def old_resolve(kernel, d_ss, d_tt, d_st):
     med = np.asarray(np.median(np.sqrt(pairs), axis=-1))
     med[med < 1e-12] = 1.0
     return med[..., None] * np.array(kernel.median_multipliers)
+
+
+class OldFixedKernel:
+    """The kernel's former "fixed" mode, which a mode field chose apart from
+    its bandwidths: resolve broadcast the given bandwidths to one row per
+    cell, whatever the pairs."""
+
+    def __init__(self, bandwidths):
+        self.bandwidths = tuple(float(b) for b in bandwidths)
+
+    def resolve(self, pairs):
+        return np.broadcast_to(self.bandwidths,
+                               pairs.shape[:-1] + (len(self.bandwidths),))
 
 
 def old_mmd_squared(fs, ft, kernel):

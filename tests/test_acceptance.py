@@ -78,7 +78,7 @@ def _model_grad_error(model, value_fn, loss_fn, weight=1.0):
     return relative_error(numeric, analytic)
 
 
-FIXED_KERNEL = KernelConfig(mode="fixed", bandwidths=(0.7, 1.3))
+FIXED_KERNEL = KernelConfig(bandwidths=(0.7, 1.3))
 
 
 def test_criterion_1_gradient_correctness():
@@ -173,7 +173,7 @@ def test_criterion_2_mmd_oracle():
     same = abs(val(x, x.copy(), kc))
     sym = abs(val(x, y, kc) - val(y, x, kc))
 
-    one = KernelConfig(mode="fixed", bandwidths=(1.0,))
+    one = KernelConfig(bandwidths=(1.0,))
     closed = abs(val(np.array([[0.0, 0.0]]),
                      np.array([[math.sqrt(2.0), 0.0]]), one)
                  - (2.0 - 2.0 * math.exp(-1.0)))

@@ -22,7 +22,7 @@ from fdcheck import (exp, finite_diff_grad, log, log_softmax, mean,
                      old_softmax_np, relative_error, scalar_multiply,
                      traced_peak, weighted_sum)
 
-FIXED = KernelConfig(mode="fixed", bandwidths=(0.5, 2.0))
+FIXED = KernelConfig(bandwidths=(0.5, 2.0))
 
 
 def dense(g, x, w, b=None, relu=False):

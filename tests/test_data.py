@@ -1,88 +1,15 @@
 import numpy as np
 import pytest
 
-import kduda.autodiff as ad
 from kduda.data import (
     DomainPair,
     batches,
     gen_blob_shift,
-    gen_two_moons_shift,
     simplex_vertices,
     stack_pairs,
     standardize,
 )
 from kduda.errors import ParameterError, ShapeError
-from kduda.losses import KernelConfig, mmd_squared
-
-
-def raw_mmd(a, b):
-    g = ad.Graph()
-    return mmd_squared(g.tensor(np.concatenate((a, b), -2)), len(a),
-                       KernelConfig()).item()
-
-
-class TestTwoMoons:
-    def test_shapes_and_balance(self):
-        pair = gen_two_moons_shift(100, 30.0, 0.1, seed=0)
-        assert pair.xs.shape == (100, 2)
-        assert pair.xt.shape == (100, 2)
-        assert pair.ys.shape == (100,)
-        assert pair.yt_eval.shape == (100,)
-        np.testing.assert_array_equal(np.bincount(pair.ys), [50, 50])
-        np.testing.assert_array_equal(np.bincount(pair.yt_eval), [50, 50])
-
-    def test_odd_count_splits_off_by_one(self):
-        pair = gen_two_moons_shift(101, 0.0, 0.1, seed=1)
-        np.testing.assert_array_equal(np.bincount(pair.ys), [51, 50])
-
-    def test_noiseless_points_sit_on_their_arcs(self):
-        pair = gen_two_moons_shift(60, 0.0, 0.0, seed=2)
-        outer = pair.xs[pair.ys == 0]
-        inner = pair.xs[pair.ys == 1]
-        np.testing.assert_allclose(np.linalg.norm(outer, axis=1), 1.0,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            np.linalg.norm(inner - np.array([1.0, 0.5]), axis=1), 1.0,
-            rtol=0, atol=1e-12)
-
-    def test_full_turn_matches_no_rotation(self):
-        p0 = gen_two_moons_shift(80, 0.0, 0.1, seed=3)
-        p360 = gen_two_moons_shift(80, 360.0, 0.1, seed=3)
-        np.testing.assert_allclose(p360.xt, p0.xt, rtol=0, atol=1e-9)
-        np.testing.assert_array_equal(p360.yt_eval, p0.yt_eval)
-
-    def test_rotation_preserves_origin_distance(self):
-        p0 = gen_two_moons_shift(80, 0.0, 0.05, seed=4)
-        p45 = gen_two_moons_shift(80, 45.0, 0.05, seed=4)
-        np.testing.assert_allclose(np.linalg.norm(p45.xt, axis=1),
-                                   np.linalg.norm(p0.xt, axis=1),
-                                   rtol=0, atol=1e-12)
-
-    def test_rotation_widens_the_domain_gap(self):
-        gaps = {0.0: [], 45.0: []}
-        for rot in gaps:
-            for seed in range(10):
-                pair = gen_two_moons_shift(200, rot, 0.1, seed=seed)
-                gaps[rot].append(raw_mmd(pair.xs, pair.xt))
-        assert np.mean(gaps[45.0]) > 5.0 * np.mean(gaps[0.0])
-
-    def test_domains_are_independent_draws(self):
-        pair = gen_two_moons_shift(100, 0.0, 0.1, seed=5)
-        assert not np.allclose(pair.xs, pair.xt)
-
-    def test_determinism(self):
-        a = gen_two_moons_shift(50, 20.0, 0.1, seed=6)
-        b = gen_two_moons_shift(50, 20.0, 0.1, seed=6)
-        assert a.xs.tobytes() == b.xs.tobytes()
-        assert a.xt.tobytes() == b.xt.tobytes()
-        c = gen_two_moons_shift(50, 20.0, 0.1, seed=7)
-        assert a.xs.tobytes() != c.xs.tobytes()
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            gen_two_moons_shift(3, 0.0, 0.1, seed=0)
-        with pytest.raises(ParameterError):
-            gen_two_moons_shift(10, 0.0, -0.1, seed=0)
 
 
 class TestSimplexVertices:

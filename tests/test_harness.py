@@ -40,12 +40,11 @@ from kduda.trainer import TrainConfig
 # every key parse_config reads, and keys it does not know
 CONFIG_KEYS = (
     "data.generator", "data.n_per_domain", "data.classes", "data.dim",
-    "data.mean_shift", "data.scale", "data.rotation_deg", "data.noise_std",
-    "data.standardize", "train.epochs", "train.batch_size", "train.beta_start",
-    "train.beta_end", "train.tau", "train.alpha", "train.gamma",
-    "train.gamma_mode", "train.lr_da", "train.lr_kd", "train.momentum",
-    "train.lr_da_decay", "train.lr_da_final_fraction", "train.eval_every",
-    "train.scale_kd_by_tau_sq", "train.beta_override", "train.kernel_mode",
+    "data.mean_shift", "data.scale", "data.standardize", "train.epochs",
+    "train.batch_size", "train.beta_start", "train.beta_end", "train.tau",
+    "train.alpha", "train.gamma", "train.gamma_mode", "train.lr_da",
+    "train.lr_kd", "train.momentum", "train.lr_da_final_fraction",
+    "train.eval_every", "train.scale_kd_by_tau_sq", "train.beta_override",
     "train.kernel_bandwidths", "train.kernel_multipliers",
     "model.teacher_hidden", "model.student_hidden", "experiment.scenarios",
     "experiment.seeds", "experiment.output_dir")
@@ -117,10 +116,9 @@ train.gamma_mode = ramp
 train.lr_da = 0.01
 train.lr_kd = 0.02
 train.momentum = 0.8
-train.lr_da_decay = constant
+train.lr_da_final_fraction = 0.5
 train.eval_every = 2
 train.scale_kd_by_tau_sq = false
-train.kernel_mode = fixed
 train.kernel_bandwidths = 0.5, 1.0, 2.0
 
 model.teacher_hidden = 32, 16
@@ -149,10 +147,9 @@ class TestConfigParsing:
         assert t.tau == 10.0 and t.alpha == 0.5 and t.gamma == 1.5
         assert t.gamma_mode == "ramp"
         assert (t.lr_da, t.lr_kd, t.momentum) == (0.01, 0.02, 0.8)
-        assert t.lr_da_decay == "constant"
+        assert t.lr_da_final_fraction == 0.5
         assert t.eval_every == 2
         assert t.scale_kd_by_tau_sq is False
-        assert t.kernel.mode == "fixed"
         assert t.kernel.bandwidths == (0.5, 1.0, 2.0)
         assert cfg.teacher_hidden == (32, 16)
         assert cfg.student_hidden == ((8, 4), (6,))
@@ -236,7 +233,7 @@ class TestConfigParsing:
         ("train.lr_da_decay = linear", "train.lr_da_decay"),
         ("train.beta_override = 2", "train.beta_override"),
         ("train.kernel_mode = adaptive", "train.kernel_mode"),
-        ("train.kernel_mode = fixed", "train.kernel_bandwidths"),
+        ("train.kernel_bandwidths = 1, -2", "train.kernel_bandwidths"),
         ("train.kernel_multipliers = 1, -2", "train.kernel_multipliers"),
         ("data.generator = circles", "data.generator"),
         ("data.generator = two_moons\ndata.dim = 3", "data.generator"),
@@ -256,9 +253,6 @@ class TestConfigParsing:
         ("model.student_hidden = 8, 4; 3, 0", "model.student_hidden"),
         ("data.classes = 4\ndata.dim = 2", "data.classes"),
         ("data.scale = 0", "data.scale"),
-        ("data.generator = two_moons\ndata.noise_std = -1", "data.noise_std"),
-        ("data.generator = two_moons\ndata.n_per_domain = 3",
-         "data.n_per_domain"),
         ("data.n_per_domain = 40\ntrain.batch_size = 64", "train.batch_size"),
     ])
     def test_range_errors_name_the_key(self, lines, key):
@@ -321,6 +315,47 @@ class TestConfigParsing:
             load_config(str(path))
 
 
+# a tiny 3-epoch joint run whose accuracies move every epoch, and a value
+# other than its own for every key a config may set but data.generator (one
+# choice) and experiment.* (which cells run and where their files go)
+GUARD_BASE = {
+    "data.n_per_domain": "60", "data.mean_shift": "1.5", "train.epochs": "3",
+    "train.batch_size": "10", "train.tau": "4.0", "train.lr_da": "0.1",
+    "train.lr_kd": "0.1", "model.teacher_hidden": "8",
+    "model.student_hidden": "4"}
+GUARD_VALUES = {
+    "data.n_per_domain": "61", "data.classes": "2", "data.dim": "3",
+    "data.mean_shift": "2.5", "data.scale": "1.5", "data.standardize": "false",
+    "train.epochs": "2", "train.batch_size": "20", "train.beta_start": "0.2",
+    "train.beta_end": "0.8", "train.tau": "2.0", "train.alpha": "0.5",
+    "train.gamma": "0.5", "train.gamma_mode": "ramp", "train.lr_da": "0.02",
+    "train.lr_kd": "0.02", "train.momentum": "0.5",
+    "train.lr_da_final_fraction": "0.5", "train.eval_every": "2",
+    "train.scale_kd_by_tau_sq": "false", "train.beta_override": "0.5",
+    "train.kernel_bandwidths": "0.7, 1.3",
+    "train.kernel_multipliers": "0.5, 2.0",
+    "model.teacher_hidden": "6", "model.student_hidden": "3"}
+
+
+class TestNoKeyIsIgnored:
+    @staticmethod
+    def epoch_rows(settings: dict) -> list[list[str]]:
+        """The joint epoch CSV rows of seed 0, seconds excepted."""
+        cfg = parse_config("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        (log, _), = run_single(cfg, "joint", (0,))
+        return [rec.row()[:-1] for rec in log.records]
+
+    def test_every_key_moves_the_epoch_csv(self):
+        keys = [key for table in harness._FIELDS.values()
+                for key, _, _ in table.values()
+                if key != "data.generator" and not key.startswith("experiment.")]
+        assert sorted(GUARD_VALUES) == sorted(keys)
+        default = self.epoch_rows(GUARD_BASE)
+        ignored = [key for key, value in GUARD_VALUES.items()
+                   if self.epoch_rows({**GUARD_BASE, key: value}) == default]
+        assert ignored == []
+
+
 class TestConfigHash:
     def test_stable_and_hexlike(self):
         cfg = ExperimentConfig()
@@ -341,9 +376,9 @@ class TestConfigHash:
 
 
     # output file names come from these hashes
-    @pytest.mark.parametrize("name,tag", [("joint_headline", "b0525d8980"),
-                                          ("scenario_grid", "0b1bc86668"),
-                                          ("wide_batch", "350be758d4")])
+    @pytest.mark.parametrize("name,tag", [("joint_headline", "0e7ea2547f"),
+                                          ("scenario_grid", "9eeb9ce010"),
+                                          ("wide_batch", "e87df1ecdb")])
     def test_benchmark_workloads_keep_their_hash(self, name, tag):
         path = os.path.join(REPO, "perfbench", "workloads", f"{name}.cfg")
         assert load_config(path).config_hash() == tag
@@ -672,15 +707,32 @@ class TestCli:
     @pytest.mark.parametrize("lines,key", [
         ("data.classes = 4\ndata.dim = 2", "data.classes"),
         ("data.scale = 0", "data.scale"),
-        ("data.generator = two_moons\ndata.noise_std = -1", "data.noise_std"),
-        ("data.generator = two_moons\ndata.n_per_domain = 3",
-         "data.n_per_domain"),
         ("data.n_per_domain = 40\ntrain.batch_size = 64", "train.batch_size"),
     ])
     def test_bad_dataset_values_fail_before_any_output(self, tmp_path, capsys,
                                                        lines, key, no_training):
         path = tmp_path / "exp.cfg"
         path.write_text(f"{lines}\nexperiment.output_dir = {tmp_path / 'runs'}\n")
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("line,key", [
+        ("train.kernel_mode = fixed", "train.kernel_mode"),
+        ("train.lr_da_decay = constant", "train.lr_da_decay"),
+        ("data.rotation_deg = 30", "data.rotation_deg"),
+        ("data.noise_std = 0.2", "data.noise_std"),
+        ("data.generator = two_moons", "data.generator"),
+    ])
+    def test_removed_keys_and_generator_fail_before_any_output(
+            self, tmp_path, capsys, line, key, no_training):
+        # the given bandwidths choose the kernel bank, lr_da_final_fraction
+        # = 1 keeps lr_da, and blobs is the one generator
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(line + "\n")
+        path = tmp_path / "old.cfg"
+        path.write_text(f"{line}\nexperiment.output_dir = {tmp_path / 'runs'}\n")
         assert main(["train", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
@@ -756,10 +808,8 @@ class TestCli:
     ])
     def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys,
                                                   no_training, key, value):
-        # bandwidths are read only under the fixed kernel mode
-        mode = "fixed" if key == "train.kernel_bandwidths" else "median"
         path = tmp_path / "exp.cfg"
-        path.write_text(f"train.kernel_mode = {mode}\n{key} = {value}\n"
+        path.write_text(f"{key} = {value}\n"
                         f"experiment.output_dir = {tmp_path / 'runs'}\n")
         assert main(["train", "--config", str(path)]) == 1
         err = capsys.readouterr().err
@@ -831,7 +881,7 @@ class TestCli:
 
     @pytest.mark.parametrize("kernel", [
         "train.kernel_multipliers = 1e-300",
-        "train.kernel_mode = fixed\ntrain.kernel_bandwidths = 1e-300"])
+        "train.kernel_bandwidths = 1e-300"])
     def test_a_vanishing_bandwidth_prints_its_abort_alone(self, tmp_path, capsys,
                                                           kernel):
         # the bandwidth's square underflows to zero, so the kernel divides

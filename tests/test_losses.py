@@ -25,13 +25,14 @@ from kduda.models import ModelSpec, build
 from kduda.models import stack as stack_models
 from kduda.trainer import TrainConfig
 
-from fdcheck import (PROB_FLOOR, assert_grad_matches, exp, finite_diff_grad,
-                     log_softmax, mean, median_of_roots, old_cross_entropy,
-                     old_distill_kl, old_mmd_squared, old_pair_index,
-                     old_pair_sqdist, old_pairwise_sqdist, old_pooled_mmd_squared,
-                     old_resolve, old_softmax_np, old_softmax_temperature,
-                     old_teacher_da_loss, relative_error, scalar_multiply,
-                     traced_peak, weighted_sum)
+from fdcheck import (PROB_FLOOR, OldFixedKernel, assert_grad_matches, exp,
+                     finite_diff_grad, log_softmax, mean, median_of_roots,
+                     old_cross_entropy, old_distill_kl, old_mmd_squared,
+                     old_pair_index, old_pair_sqdist, old_pairwise_sqdist,
+                     old_pooled_mmd_squared, old_resolve, old_softmax_np,
+                     old_softmax_temperature, old_teacher_da_loss,
+                     relative_error, scalar_multiply, traced_peak,
+                     weighted_sum)
 
 
 def mmd_value(fs, ft, kernel):
@@ -180,7 +181,7 @@ class TestKernelConfig:
         assert tuple(kc.resolve(pooled_pairs(fs, ft))) == (1.25, 2.5, 5.0, 10.0, 20.0)
 
     def test_fixed_mode_passthrough(self):
-        kc = KernelConfig(mode="fixed", bandwidths=(0.5, 2.0))
+        kc = KernelConfig(bandwidths=(0.5, 2.0))
         pairs = pooled_pairs(np.zeros((2, 3)), np.ones((2, 3)))
         assert tuple(kc.resolve(pairs)) == (0.5, 2.0)
 
@@ -233,13 +234,28 @@ class TestKernelConfig:
         pairs[7] = np.nan
         assert all(math.isnan(b) for b in KernelConfig().resolve(pairs))
 
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    @pytest.mark.parametrize("data", ["normal", "duplicates", "far", "nan"])
+    def test_given_bandwidths_are_the_former_fixed_mode(self, stack, data):
+        # the MMD value and adjoint bits, on a pooled sample of 33 + 31 rows
+        z, _ = pooled_sample(33, 31, stack, data)
+        if data == "normal":
+            z = np.random.default_rng(5).normal(size=z.shape)
+        outs = []
+        with np.errstate(invalid="ignore"):
+            for kernel in (KernelConfig(bandwidths=(0.5, 1.1, 2.3)),
+                           OldFixedKernel((0.5, 1.1, 2.3))):
+                out = mmd_squared(ad.Graph(stack).tensor(z), 33, kernel)
+                outs.append([out.values] + [out._vjp(np.full(stack, w))[0]
+                                            for w in (1.0, -0.7)])
+        for new, old in zip(*outs):
+            assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
     def test_validation(self):
         with pytest.raises(ParameterError):
-            KernelConfig(mode="gaussian")
+            KernelConfig(bandwidths=(1.0, -2.0))
         with pytest.raises(ParameterError):
-            KernelConfig(mode="fixed")
-        with pytest.raises(ParameterError):
-            KernelConfig(mode="fixed", bandwidths=(1.0, -2.0))
+            KernelConfig(bandwidths=(0.0,))
         with pytest.raises(ParameterError):
             KernelConfig(median_multipliers=())
 
@@ -316,7 +332,7 @@ class TestMmd:
 
     def test_two_singletons_closed_form(self):
         # one bandwidth sigma = 1 and |a - b|^2 = 2 sigma^2 gives 2 - 2/e
-        kc = KernelConfig(mode="fixed", bandwidths=(1.0,))
+        kc = KernelConfig(bandwidths=(1.0,))
         fs = np.array([[0.0, 0.0]])
         ft = np.array([[math.sqrt(2.0), 0.0]])
         expected = 2.0 - 2.0 * math.exp(-1.0)
@@ -341,7 +357,7 @@ class TestMmd:
         fs = rng.normal(size=(5, 2))
         ft = rng.normal(size=(6, 2)) - 0.4
         sigmas = (0.7, 1.9)
-        kc = KernelConfig(mode="fixed", bandwidths=sigmas)
+        kc = KernelConfig(bandwidths=sigmas)
         expected = brute_force_mmd(fs, ft, sigmas)
         np.testing.assert_allclose(mmd_value(fs, ft, kc), expected, rtol=0, atol=1e-10)
 
@@ -363,7 +379,7 @@ class TestMmd:
         rng = np.random.default_rng(13)
         fs0 = rng.normal(size=(4, 3))
         ft0 = rng.normal(size=(5, 3))
-        kc = KernelConfig(mode="fixed", bandwidths=(0.8, 1.6))
+        kc = KernelConfig(bandwidths=(0.8, 1.6))
 
         g = ad.Graph()
         z = g.tensor(np.concatenate((fs0, ft0), -2))
@@ -387,7 +403,7 @@ class TestMmd:
         fs0 = rng.normal(size=(rows_s, width))
         ft0 = rng.normal(size=(rows_t, width)) + 0.5
         sigmas = pooled_median_bandwidths(fs0, ft0)
-        kernel = KernelConfig(mode="fixed", bandwidths=sigmas)
+        kernel = KernelConfig(bandwidths=sigmas)
         g = ad.Graph()
         z = g.tensor(np.concatenate((fs0, ft0), -2))
         value = mmd_squared(z, rows_s, kernel)
@@ -424,7 +440,7 @@ class TestMmd:
         noisy = repeat.reshape(stack + (-1,))[..., index].sum(axis=-1)
         assume(median is False or np.all(2 * noisy < index.size))
         kernel = KernelConfig() if median else KernelConfig(
-            mode="fixed", bandwidths=(0.6, 1.7, 4.0))
+            bandwidths=(0.6, 1.7, 4.0))
         g = ad.Graph(stack)
         leaf = g.tensor(z)
         # the kernel bank in passes of 7 pairs, or in one pass
@@ -450,7 +466,7 @@ class TestMmd:
         rng = np.random.default_rng(rows_s * 10 + rows_t)
         fs0 = rng.normal(size=(rows_s, 3))
         ft0 = rng.normal(size=(rows_t, 3)) + 0.4
-        kc = KernelConfig(mode="fixed", bandwidths=(0.5, 1.1, 2.3))
+        kc = KernelConfig(bandwidths=(0.5, 1.1, 2.3))
         g = ad.Graph()
         z = g.tensor(np.concatenate((fs0, ft0), -2))
         mmd_squared(z, rows_s, kc).backward(weight)
@@ -470,11 +486,10 @@ class TestMmd:
         # slopes are nan on finite features, and the value must be nan too
         fs = np.ones((4, 3))
         if median == "vanishing":
-            kc = KernelConfig(mode="fixed", bandwidths=(1.0, 1e-300))
+            kc = KernelConfig(bandwidths=(1.0, 1e-300))
         else:
             fs[2, 1] = np.nan
-            kc = KernelConfig() if median else KernelConfig(mode="fixed",
-                                                            bandwidths=(1.0,))
+            kc = KernelConfig() if median else KernelConfig(bandwidths=(1.0,))
         with np.errstate(divide="ignore", invalid="ignore"):
             assert math.isnan(mmd_value(fs, np.zeros((5, 3)), kc))
 
@@ -501,7 +516,7 @@ def pooled_sample(ns, nt, stack, data):
         return np.round(z), KernelConfig()
     if data == "far":
         z[..., 0] = 100.0 * np.arange(ns + nt)
-        return z, KernelConfig(mode="fixed", bandwidths=(0.5, 2.0))
+        return z, KernelConfig(bandwidths=(0.5, 2.0))
     z[..., -1, 1] = np.nan
     return z, KernelConfig()
 
@@ -538,7 +553,7 @@ class TestPairBlocks:
         rng = np.random.default_rng(chunk + len(stack))
         z0 = rng.normal(size=stack + (9, 3))
         z0[..., 4:, :] += 0.5
-        kernel = KernelConfig(mode="fixed", bandwidths=(0.5, 1.1, 2.3))
+        kernel = KernelConfig(bandwidths=(0.5, 1.1, 2.3))
         weights = rng.normal(size=stack)
         _pair_blocks.cache_clear()
         try:
@@ -568,7 +583,7 @@ class TestPairBlocks:
         # 2 MiB of triangle masks at 1024 + 1024 rows; the flat index took
         # 16 MiB
         z = np.random.default_rng(0).normal(size=(2048, 2))
-        kernel = KernelConfig(mode="fixed", bandwidths=(1.0,))
+        kernel = KernelConfig(bandwidths=(1.0,))
         _pair_blocks.cache_clear()
         _, kept = traced_peak(lambda: mmd_squared(ad.Graph().tensor(z), 1024, kernel))
         assert kept < 2.5 * 2 ** 20, kept / 2 ** 20
@@ -895,7 +910,7 @@ def _small_pair():
     return xs, ys, xt
 
 
-KERNEL = KernelConfig(mode="fixed", bandwidths=(0.7, 1.3))
+KERNEL = KernelConfig(bandwidths=(0.7, 1.3))
 
 
 def pooled(g, xs, xt):

@@ -155,7 +155,7 @@ class TestForward:
         rng = np.random.default_rng(8)
         xs = rng.normal(size=(5, 2))
         xt = rng.normal(size=(6, 2)) + 1.0
-        kernel = KernelConfig(mode="fixed", bandwidths=(1.0, 2.0))
+        kernel = KernelConfig(bandwidths=(1.0, 2.0))
 
         def loss_at(w1):
             model.weights[0][...] = w1

@@ -26,7 +26,7 @@ from kduda.models import ModelSpec, build, stack
 from fdcheck import (finite_diff_grad, old_kernel_bank_mean, old_pairwise_sqdist,
                      relative_error, scalar_multiply, weighted_sum)
 
-FIXED = KernelConfig(mode="fixed", bandwidths=(0.7, 1.3))
+FIXED = KernelConfig(bandwidths=(0.7, 1.3))
 
 
 def _positive(rng, shape):

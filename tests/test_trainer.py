@@ -153,10 +153,13 @@ class TestLrSchedule:
         np.testing.assert_allclose(cfg.lr_da_at(100, 100), 1e-5, rtol=1e-12)
         np.testing.assert_allclose(cfg.lr_da_at(50, 100), 1e-4, rtol=1e-12)
 
-    def test_constant_mode(self):
-        cfg = TrainConfig(lr_da=0.003, lr_da_final_fraction=0.01,
-                          lr_da_decay="constant")
-        assert cfg.lr_da_at(77, 100) == 0.003
+    @pytest.mark.parametrize("lr_da", [0.003, 0.001, 0.1, 1e-7, 0.7])
+    def test_fraction_one_keeps_lr_da_bit_for_bit(self, lr_da):
+        # 1.0 ** x is exactly 1.0, so a constant rate needs no mode of its own
+        cfg = TrainConfig(lr_da=lr_da, lr_da_final_fraction=1.0)
+        for count in range(201):
+            for k in range(count + 1):
+                assert cfg.lr_da_at(k, count) == lr_da
 
 
 def hand_model():
@@ -254,7 +257,7 @@ class TestTrainConfig:
         with pytest.raises(ParameterError):
             TrainConfig(lr_da=0.0)
         with pytest.raises(ParameterError):
-            TrainConfig(lr_da_decay="linear")
+            TrainConfig(lr_da_final_fraction=1.5)
         with pytest.raises(ParameterError):
             TrainConfig(eval_every=0)
         with pytest.raises(ParameterError):
