@@ -50,7 +50,6 @@ class DatasetConfig:
     dim: int = 2
     mean_shift: float = 3.0
     scale: float = 1.0
-    standardize: bool = True
 
     def __post_init__(self):
         if self.generator != "blobs":
@@ -70,9 +69,9 @@ class DatasetConfig:
                                   f"got {getattr(self, name)}")
 
     def make_pair(self, seed: int) -> DomainPair:
-        pair = gen_blob_shift(self.n_per_domain, self.classes, self.dim,
-                              self.mean_shift, self.scale, seed)
-        return standardize(pair) if self.standardize else pair
+        """The seed's pair, standardized on its source domain."""
+        return standardize(gen_blob_shift(self.n_per_domain, self.classes, self.dim,
+                                          self.mean_shift, self.scale, seed))
 
 
 @dataclass(frozen=True)
@@ -180,16 +179,12 @@ def _items(read, sep: str = ","):
     return lambda text: tuple(read(tok) for tok in text.split(sep) if tok.strip())
 
 
-_FLAGS = {"true": True, "yes": True, "1": True,
-          "false": False, "no": False, "0": False}
-
 # the reader of each field annotation, and what a value it rejects should
 # have been; an optional field (`X | None`) reads as X
 _READERS = {
     "int": (int, "an integer"),
     "float": (_finite, "a finite number"),
     "str": (str, "a string"),
-    "bool": (lambda text: _FLAGS[text.lower()], "true or false"),
     "tuple[int, ...]": (_items(int), "comma-separated integers"),
     "tuple[float, ...]": (_items(_finite), "comma-separated finite numbers"),
     "tuple[str, ...]": (_items(str.strip), "comma-separated names"),
@@ -209,8 +204,7 @@ def _keyed(cls, keys: dict[str, str]) -> dict[str, tuple]:
 # expected value; its default is the dataclass's
 _FIELDS = {cls: _keyed(cls, keys) for cls, keys in (
     (DatasetConfig, {f.name: f"data.{f.name}" for f in fields(DatasetConfig)}),
-    (KernelConfig, {"bandwidths": "train.kernel_bandwidths",
-                    "median_multipliers": "train.kernel_multipliers"}),
+    (KernelConfig, {"bandwidths": "train.kernel_bandwidths"}),
     (TrainConfig, {f.name: f"train.{f.name}" for f in fields(TrainConfig)
                    if f.name not in ("seed", "kernel")}),
     (ExperimentConfig, {"teacher_hidden": "model.teacher_hidden",
@@ -229,7 +223,7 @@ def _section(raw: dict[str, str], default, **given):
         if key in raw:
             try:
                 values[name] = read(raw[key])
-            except (KeyError, ValueError):
+            except ValueError:
                 raise ConfigError(
                     f"{key}: expected {expected}, got {raw[key]!r}") from None
     try:
@@ -268,13 +262,18 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def check_cell(cfg: ExperimentConfig, scenario: str, seed: int):
-    """Reject a (scenario, seed) cell of cfg that run_single cannot train."""
+    """Reject a (scenario, seed) cell of cfg that run_single cannot train,
+    or that would leave one of the scenario's phases without epochs."""
     if scenario not in VALID_SCENARIOS:
         raise ConfigError(
             f"unknown scenario {scenario!r}; valid: {', '.join(VALID_SCENARIOS)}")
     if seed < 0:  # numpy generators take only non-negative seeds
         raise ConfigError(f"seed must be >= 0, got {seed}")
     cfg.require_one_student()
+    for phase, _, count in trainer.phase_epochs(scenario, cfg.train.epochs):
+        if count < 1:
+            raise ConfigError(f"train.epochs = {cfg.train.epochs} leaves the "
+                              f"{phase.name} phase of {scenario} without epochs")
 
 
 def run_single(cfg: ExperimentConfig, scenario: str, seeds: tuple[int, ...]
@@ -493,8 +492,11 @@ def output_path(cfg: ExperimentConfig, name: str) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ScenarioResult]:
-    """Train every (scenario, seed) pair; write per-pair logs and a summary."""
-    cfg.require_one_student()
+    """Train every (scenario, seed) pair; write per-pair logs and a summary.
+    Every cell is checked before anything is created."""
+    for scenario in cfg.scenarios:
+        for seed in cfg.seeds:
+            check_cell(cfg, scenario, seed)
     os.makedirs(cfg.output_dir, exist_ok=True)
     stacks = [(cfg, scenario, cfg.seeds) for scenario in cfg.scenarios]
     results = []

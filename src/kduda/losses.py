@@ -48,28 +48,17 @@ class KernelConfig:
 
     Given `bandwidths` are the bank as they stand. Without any, the bank is
     the per-batch median of the pairwise distances of the pooled sample,
-    scaled by each of `median_multipliers`.
+    scaled by each of MEDIAN_MULTIPLIERS.
     """
 
     bandwidths: tuple[float, ...] = ()
-    median_multipliers: tuple[float, ...] = MEDIAN_MULTIPLIERS
 
     def __post_init__(self):
         object.__setattr__(self, "bandwidths", tuple(float(b) for b in self.bandwidths))
-        object.__setattr__(self, "median_multipliers",
-                           tuple(float(m) for m in self.median_multipliers))
         if any(b <= 0 for b in self.bandwidths):
             raise ParameterError(
                 f"bandwidths must be positive, got {self.bandwidths}",
                 "bandwidths")
-        if not self.bandwidths:
-            if not self.median_multipliers:
-                raise ParameterError("a median kernel bank needs at least one "
-                                     "multiplier", "median_multipliers")
-            if any(m <= 0 for m in self.median_multipliers):
-                raise ParameterError(
-                    f"multipliers must be positive, got {self.median_multipliers}",
-                    "median_multipliers")
 
     def resolve(self, pairs: np.ndarray) -> np.ndarray:
         """Concrete bandwidths for one batch, from the squared distances of
@@ -81,7 +70,7 @@ class KernelConfig:
             return np.broadcast_to(self.bandwidths, stack + (len(self.bandwidths),))
         med = np.asarray(_median_of_roots(pairs.copy()))
         med[med < 1e-12] = 1.0  # degenerate batch (all points identical)
-        return med[..., None] * np.array(self.median_multipliers)
+        return med[..., None] * np.array(MEDIAN_MULTIPLIERS)
 
 
 @functools.lru_cache(maxsize=8)
@@ -274,12 +263,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     return _log_loss(logits, onehot, 1.0, -0.0, float(scale), rows)
 
 
-def distill_kl(student_logits: Tensor, teacher_soft: np.ndarray, tau: float,
-               scale_by_tau_sq: bool = True) -> Tensor:
+def distill_kl(student_logits: Tensor, teacher_soft: np.ndarray, tau: float) -> Tensor:
     """Mean KL divergence from softened teacher rows to the student's logits
     softened at tau: the log-loss node on the teacher's constant rows, offset
-    by the mean of their sum(t log t), with 0 log 0 = 0. Scaled by
-    tau^2 by default so gradients stay comparable across temperatures."""
+    by the mean of their sum(t log t), with 0 log 0 = 0. Scaled by tau^2 so
+    gradients stay comparable across temperatures."""
     if tau <= 0:
         raise ParameterError(f"tau must be positive, got {tau}")
     t = np.asarray(teacher_soft, dtype=np.float64)
@@ -290,8 +278,7 @@ def distill_kl(student_logits: Tensor, teacher_soft: np.ndarray, tau: float,
         raise ShapeError(f"distill_kl needs at least one row, got {t.shape}")
     log_t = np.log(t, out=np.zeros_like(t), where=t > 0)
     entropy = _cell_sum(t * log_t) * (1.0 / t.shape[-2])
-    return _log_loss(student_logits, t, tau, entropy,
-                     float(tau * tau) if scale_by_tau_sq else 1.0)
+    return _log_loss(student_logits, t, tau, entropy, float(tau * tau))
 
 
 def soft_targets(teacher: Model, tau: float, *blocks: np.ndarray
@@ -327,19 +314,18 @@ def teacher_da_loss(teacher: Model, x: Tensor, ys: np.ndarray,
     return ad.add(mmd, ce), mmd.values
 
 
-def target_kd_loss(student: Model, targets: np.ndarray, xt: Tensor, tau: float,
-                   scale_by_tau_sq: bool = True) -> Tensor:
+def target_kd_loss(student: Model, targets: np.ndarray, xt: Tensor,
+                   tau: float) -> Tensor:
     """Distillation on unlabeled target data: softened student rows pulled
     toward the teacher's soft targets on xt (see soft_targets)."""
-    return distill_kl(student.logits(xt), targets, tau, scale_by_tau_sq)
+    return distill_kl(student.logits(xt), targets, tau)
 
 
 def source_kd_loss(student: Model, targets: np.ndarray, xs: Tensor,
-                   ys: np.ndarray, tau: float, alpha: float,
-                   scale_by_tau_sq: bool = True) -> Tensor:
+                   ys: np.ndarray, tau: float, alpha: float) -> Tensor:
     """Distillation on labeled source data toward the teacher's soft targets
     on xs, plus alpha times the student's own supervised cross-entropy."""
     logits = student.logits(xs)
-    return ad.add(distill_kl(logits, targets, tau, scale_by_tau_sq),
+    return ad.add(distill_kl(logits, targets, tau),
                   cross_entropy(logits, ys, scale=alpha))
 

@@ -11,10 +11,11 @@ from the just-updated big model. References: adapt-only on the small model,
 supervised-then-distill-then-adapt, adapt-then-distill (distillation
 without labels), and supervised source training of both.
 
-Clocks: beta (refreshed once per epoch) and gamma follow the run's global
-epoch. Every phase starts with fresh optimizers; an adaptation or supervised
-one decays exponentially from lr_da toward lr_da_final_fraction of it over
-the phase's own epochs, a distillation one keeps lr_kd.
+Clocks: beta (refreshed once per epoch) follows the run's global epoch,
+and gamma stays constant. Every phase starts with fresh optimizers; an
+adaptation or supervised one decays exponentially from lr_da toward
+lr_da_final_fraction of it over the phase's own epochs, a distillation one
+keeps lr_kd.
 
 Stacks: the cells of one config and scenario that differ only in seed run
 the same ops on different numbers, so they train as one stack. Their models
@@ -52,10 +53,11 @@ _LOSS_COLUMNS = CSV_COLUMNS[3:8]
 @dataclass
 class TrainConfig:
     """Every training hyperparameter, checked here once, with the per-epoch
-    beta, gamma and lr_da; defaults follow the reference setup, and harness
-    configs usually override epochs down to desk scale. lr_da decays over
-    each adaptation or supervised phase to lr_da_final_fraction of it, so a
-    fraction of 1 keeps it constant."""
+    beta and lr_da; defaults follow the reference setup, and harness
+    configs usually override epochs down to desk scale. gamma weighs the
+    big model's source CE at every epoch, and distillation is scaled by
+    tau^2. lr_da decays over each adaptation or supervised phase to
+    lr_da_final_fraction of it, so a fraction of 1 keeps it constant."""
 
     epochs: int = 400
     batch_size: int = 32
@@ -64,14 +66,12 @@ class TrainConfig:
     tau: float = 20.0
     alpha: float = 0.8
     gamma: float = 1.0
-    gamma_mode: str = "constant"
     lr_da: float = 0.001
     lr_kd: float = 0.001
     momentum: float = 0.9
     lr_da_final_fraction: float = 0.01
     eval_every: int = 1
     seed: int | tuple[int, ...] = 0  # orders the batches; one per stacked cell
-    scale_kd_by_tau_sq: bool = True
     beta_override: float | None = None
     kernel: KernelConfig = field(default_factory=KernelConfig)
 
@@ -95,8 +95,6 @@ class TrainConfig:
                  and not math.isfinite(self.beta_end / self.beta_start),
                  "beta_start", "large enough that beta_end / beta_start is finite"),
                 (self.gamma < 0, "gamma", ">= 0"),
-                (self.gamma_mode not in ("constant", "ramp"), "gamma_mode",
-                 "constant or ramp"),
                 (self.alpha < 0, "alpha", ">= 0"),
                 (self.tau <= 0, "tau", "positive")):
             if bad:
@@ -114,17 +112,6 @@ class TrainConfig:
         growth = math.log(self.beta_end / self.beta_start) / self.epochs
         beta = self.beta_start * math.exp(growth * float(t))
         return min(max(beta, 0.0), 1.0)
-
-    def gamma_at(self, t) -> float:
-        """Supervised weight on the big model at epoch t. "constant" keeps
-        gamma throughout; "ramp" rises smoothly from 0 toward it:
-        2 gamma / (1 + exp(-10 t / epochs)) - gamma."""
-        if t < 0:
-            raise ParameterError(f"epoch index must be >= 0, got {t}")
-        if self.gamma_mode == "constant":
-            return self.gamma
-        return (2.0 * self.gamma / (1.0 + math.exp(-10.0 * float(t) / self.epochs))
-                - self.gamma)
 
     def lr_da_at(self, k: int, count: int) -> float:
         """lr_da at epoch k of a phase of count epochs, decayed exponentially
@@ -262,7 +249,7 @@ def evaluate(model: Model, x: np.ndarray, y_true: np.ndarray):
 
 # -- moves -------------------------------------------------------------------------
 #
-# move(model, teacher, batch, cfg, gamma) builds model's objective on one
+# move(model, teacher, batch, cfg) builds model's objective on one
 # batch (xs, ys, xt) and returns it with its loss terms by CSV column, each
 # a float or one value per stacked cell. The epoch driver passes both
 # straight to _descend, which alone applies the blend weight; nothing else
@@ -288,23 +275,23 @@ def _descend(model: Model, opt: OptimizerState, weight: float, epoch: int,
     return terms
 
 
-def _adapt(model, teacher, batch, cfg, gamma):
+def _adapt(model, teacher, batch, cfg):
     """MMD + gamma source cross-entropy from one forward over [xs; xt]."""
     xs, ys, xt = batch
     graph = Graph(ys.shape[:-1])
     x = graph.tensor(np.concatenate((xs, xt), axis=-2))
-    tda, mmd = teacher_da_loss(model, x, ys, cfg.kernel, gamma)
+    tda, mmd = teacher_da_loss(model, x, ys, cfg.kernel, cfg.gamma)
     return tda, {"L_mmd": mmd, "L_tda": tda.values}
 
 
-def _supervised(model, teacher, batch, cfg, gamma):
+def _supervised(model, teacher, batch, cfg):
     """Source cross-entropy, logged as L_tda."""
     graph = Graph(batch[1].shape[:-1])
     ce = cross_entropy(model.logits(graph.tensor(batch[0])), batch[1])
     return ce, {"L_tda": ce.values}
 
 
-def _distill(model, teacher, batch, cfg, gamma, domains):
+def _distill(model, teacher, batch, cfg, domains):
     """Target KD, source KD or their sum, against the teacher's soft targets
     from one forward over the rows of the given domains, source first."""
     xs, ys, xt = batch
@@ -314,11 +301,10 @@ def _distill(model, teacher, batch, cfg, gamma, domains):
     x = dict(zip(domains, map(graph.tensor, rows)))
     losses = {}
     if "target" in soft:
-        losses["L_tkd"] = target_kd_loss(model, soft["target"], x["target"],
-                                         cfg.tau, cfg.scale_kd_by_tau_sq)
+        losses["L_tkd"] = target_kd_loss(model, soft["target"], x["target"], cfg.tau)
     if "source" in soft:
         losses["L_skd"] = source_kd_loss(model, soft["source"], x["source"], ys,
-                                         cfg.tau, cfg.alpha, cfg.scale_kd_by_tau_sq)
+                                         cfg.tau, cfg.alpha)
     return (reduce(ad.add, losses.values()),
             {column: loss.values for column, loss in losses.items()})
 
@@ -384,7 +370,7 @@ _OP_S, _MAC_S = 27e-6, 1.2e-10
 _GROWTH_LIMIT = 10.0
 
 
-def _phase_epochs(scenario: str, epochs: int):
+def phase_epochs(scenario: str, epochs: int):
     """(phase, first epoch, epoch count) of each phase of a scenario; the
     last phase takes the epochs the others leave."""
     phases = SCENARIOS[scenario]
@@ -405,7 +391,7 @@ def estimate_seconds(scenario: str, teacher: ModelSpec, student: ModelSpec,
              for role, spec in (("teacher", teacher), ("student", student))}
     steps = -(-rows // cfg.batch_size)
     total = 0.0
-    for phase, _, count in _phase_epochs(scenario, cfg.epochs):
+    for phase, _, count in phase_epochs(scenario, cfg.epochs):
         costs = [_STEP_COST[move](sizes[role], sizes["teacher"])
                  for role, _, move in phase.trains]
         evals = 2 * rows * sum(sizes[role][1] for role, _, _ in phase.trains)
@@ -455,7 +441,7 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
     # evaluation of unchanged parameters would repeat them bit for bit
     accs = {role: (np.full(stack, np.nan),) * 2 for role in models}
     stale = {role for role, model in models.items() if model is not None}
-    for phase, start, count in _phase_epochs(scenario, cfg.epochs):
+    for phase, start, count in phase_epochs(scenario, cfg.epochs):
         trained = [(role, rate, move, OptimizerState.for_params(
                         models[role].parameters(), getattr(cfg, rate), cfg.momentum))
                    for role, rate, move in phase.trains]
@@ -463,7 +449,6 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
             epoch = start + k
             tic = time.perf_counter()
             beta = cfg.beta_at(epoch) if phase.beta is None else phase.beta
-            gamma = cfg.gamma_at(epoch)
             for _, rate, _, opt in trained:
                 if rate == "lr_da":
                     opt.lr = cfg.lr_da_at(k, count)
@@ -475,7 +460,7 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
                 terms = {}
                 for model, opt, move, weight in moves:
                     for column, value in _descend(model, opt, weight, epoch, *move(
-                            model, teacher, batch, cfg, gamma)).items():
+                            model, teacher, batch, cfg)).items():
                         terms.setdefault(column, value)
                 terms["L_total"] = ((1.0 - beta) * terms.get("L_tda", 0.0) + beta
                                     * (terms.get("L_tkd", 0.0) + terms.get("L_skd", 0.0)))
@@ -491,7 +476,7 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
                                        ((pair.xs, pair.ys), (pair.xt, pair.yt_eval)))
                 stale.clear()
             log.records.append(EpochRecord(
-                epoch, beta, gamma, *(sums / len(batch_list)),
+                epoch, beta, cfg.gamma, *(sums / len(batch_list)),
                 *accs["teacher"], *accs["student"], time.perf_counter() - tic))
     return log
 

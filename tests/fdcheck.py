@@ -158,7 +158,7 @@ def old_cross_entropy(probs, labels):
     return ad.Tensor(probs.graph, np.asarray(value), (probs,), vjp)
 
 
-def old_distill_kl(student_soft, t, tau, scale_by_tau_sq=True):
+def old_distill_kl(student_soft, t, tau):
     """distill_kl on probabilities, as its own node with the log clamped at
     PROB_FLOOR, before it shared one with cross_entropy."""
     s = student_soft.values
@@ -166,14 +166,10 @@ def old_distill_kl(student_soft, t, tau, scale_by_tau_sq=True):
     clamped = np.maximum(s, PROB_FLOOR)
     active = s > PROB_FLOOR
     entropy = _cell_sum(t * np.log(np.maximum(t, PROB_FLOOR))) * inv_n
-    value = _cell_sum(np.log(clamped) * t) * -inv_n + entropy
-    tau_sq = float(tau * tau) if scale_by_tau_sq else None
-    if tau_sq is not None:
-        value = value * tau_sq
+    tau_sq = float(tau * tau)
+    value = (_cell_sum(np.log(clamped) * t) * -inv_n + entropy) * tau_sq
     def vjp(g):
-        if tau_sq is not None:
-            g = g * tau_sq
-        coef = np.asarray(g * -inv_n)[..., None, None]
+        coef = np.asarray(g * tau_sq * -inv_n)[..., None, None]
         return (np.where(active, coef * t / clamped, 0.0),)
     return ad.Tensor(student_soft.graph, np.asarray(value), (student_soft,), vjp)
 
@@ -253,7 +249,7 @@ def old_resolve(kernel, d_ss, d_tt, d_st):
                             d_st.reshape(stack + (-1,))], axis=-1)
     med = np.asarray(np.median(np.sqrt(pairs), axis=-1))
     med[med < 1e-12] = 1.0
-    return med[..., None] * np.array(kernel.median_multipliers)
+    return med[..., None] * np.array(kduda.losses.MEDIAN_MULTIPLIERS)
 
 
 class OldFixedKernel:

@@ -229,8 +229,7 @@ def headline_objective(move, stack):
              rng.normal(size=stack + (32, 2)) + 1.0)
     cfg = TrainConfig()
     model = teacher if move == "_adapt" else student
-    objective, _ = getattr(kduda.trainer, move)(model, teacher, batch, cfg,
-                                                cfg.gamma_at(0))
+    objective, _ = getattr(kduda.trainer, move)(model, teacher, batch, cfg)
     tensors = [node() for node in objective.graph.nodes]
     return objective, [t for t in tensors if t is not None and t._vjp is None]
 

@@ -22,7 +22,8 @@ def test_traced_grid_command_gives_every_layer_metric(tmp_path):
         text = fh.read()
     assert "train.epochs = 20\n" in text
     config = tmp_path / "grid.cfg"
-    config.write_text(text.replace("train.epochs = 20\n", "train.epochs = 2\n")
+    # 3 epochs: the fewest that give each of kd_then_uda's phases one
+    config.write_text(text.replace("train.epochs = 20\n", "train.epochs = 3\n")
                       + "experiment.seeds = 0, 1\n"
                       + f"experiment.output_dir = {tmp_path / 'out'}\n")
     result = tmp_path / "result.json"

@@ -40,14 +40,12 @@ from kduda.trainer import TrainConfig
 # every key parse_config reads, and keys it does not know
 CONFIG_KEYS = (
     "data.generator", "data.n_per_domain", "data.classes", "data.dim",
-    "data.mean_shift", "data.scale", "data.standardize", "train.epochs",
-    "train.batch_size", "train.beta_start", "train.beta_end", "train.tau",
-    "train.alpha", "train.gamma", "train.gamma_mode", "train.lr_da",
-    "train.lr_kd", "train.momentum", "train.lr_da_final_fraction",
-    "train.eval_every", "train.scale_kd_by_tau_sq", "train.beta_override",
-    "train.kernel_bandwidths", "train.kernel_multipliers",
-    "model.teacher_hidden", "model.student_hidden", "experiment.scenarios",
-    "experiment.seeds", "experiment.output_dir")
+    "data.mean_shift", "data.scale", "train.epochs", "train.batch_size",
+    "train.beta_start", "train.beta_end", "train.tau", "train.alpha",
+    "train.gamma", "train.lr_da", "train.lr_kd", "train.momentum",
+    "train.lr_da_final_fraction", "train.eval_every", "train.beta_override",
+    "train.kernel_bandwidths", "model.teacher_hidden", "model.student_hidden",
+    "experiment.scenarios", "experiment.seeds", "experiment.output_dir")
 OTHER_KEYS = ("train.lr", "model.depth", "seed")
 
 # values in range, out of range, of the wrong type, and malformed lists,
@@ -71,8 +69,6 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def config_text(value) -> str:
     """value as a config file writes it."""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, tuple):
         sep = "; " if isinstance(value[0], tuple) else ", "
         return sep.join(map(config_text, value))
@@ -103,7 +99,6 @@ data.classes = 4
 data.dim = 3
 data.mean_shift = 2.0
 data.scale = 1.25
-data.standardize = false
 
 train.epochs = 7
 train.batch_size = 16
@@ -112,13 +107,11 @@ train.beta_end = 0.8
 train.tau = 10.0
 train.alpha = 0.5
 train.gamma = 1.5
-train.gamma_mode = ramp
 train.lr_da = 0.01
 train.lr_kd = 0.02
 train.momentum = 0.8
 train.lr_da_final_fraction = 0.5
 train.eval_every = 2
-train.scale_kd_by_tau_sq = false
 train.kernel_bandwidths = 0.5, 1.0, 2.0
 
 model.teacher_hidden = 32, 16
@@ -139,17 +132,14 @@ class TestConfigParsing:
         assert cfg.dataset.dim == 3
         assert cfg.dataset.mean_shift == 2.0
         assert cfg.dataset.scale == 1.25
-        assert cfg.dataset.standardize is False
         t = cfg.train
         assert t.epochs == 7
         assert t.batch_size == 16
         assert (t.beta_start, t.beta_end) == (0.2, 0.8)
         assert t.tau == 10.0 and t.alpha == 0.5 and t.gamma == 1.5
-        assert t.gamma_mode == "ramp"
         assert (t.lr_da, t.lr_kd, t.momentum) == (0.01, 0.02, 0.8)
         assert t.lr_da_final_fraction == 0.5
         assert t.eval_every == 2
-        assert t.scale_kd_by_tau_sq is False
         assert t.kernel.bandwidths == (0.5, 1.0, 2.0)
         assert cfg.teacher_hidden == (32, 16)
         assert cfg.student_hidden == ((8, 4), (6,))
@@ -193,8 +183,9 @@ class TestConfigParsing:
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="train.epochs.*integer"):
             parse_config("train.epochs = seven\n")
-        with pytest.raises(ConfigError, match="data.standardize.*true or false"):
-            parse_config("data.standardize = maybe\n")
+        with pytest.raises(ConfigError, match="train.kernel_bandwidths.*"
+                                              "comma-separated finite numbers"):
+            parse_config("train.kernel_bandwidths = wide\n")
 
     def test_unknown_scenario_lists_the_valid_ones(self):
         with pytest.raises(ConfigError, match="joint.*uda_then_kd.*kd_then_uda"):
@@ -325,15 +316,12 @@ GUARD_BASE = {
     "model.student_hidden": "4"}
 GUARD_VALUES = {
     "data.n_per_domain": "61", "data.classes": "2", "data.dim": "3",
-    "data.mean_shift": "2.5", "data.scale": "1.5", "data.standardize": "false",
-    "train.epochs": "2", "train.batch_size": "20", "train.beta_start": "0.2",
-    "train.beta_end": "0.8", "train.tau": "2.0", "train.alpha": "0.5",
-    "train.gamma": "0.5", "train.gamma_mode": "ramp", "train.lr_da": "0.02",
-    "train.lr_kd": "0.02", "train.momentum": "0.5",
+    "data.mean_shift": "2.5", "data.scale": "1.5", "train.epochs": "2",
+    "train.batch_size": "20", "train.beta_start": "0.2", "train.beta_end": "0.8",
+    "train.tau": "2.0", "train.alpha": "0.5", "train.gamma": "0.5",
+    "train.lr_da": "0.02", "train.lr_kd": "0.02", "train.momentum": "0.5",
     "train.lr_da_final_fraction": "0.5", "train.eval_every": "2",
-    "train.scale_kd_by_tau_sq": "false", "train.beta_override": "0.5",
-    "train.kernel_bandwidths": "0.7, 1.3",
-    "train.kernel_multipliers": "0.5, 2.0",
+    "train.beta_override": "0.5", "train.kernel_bandwidths": "0.7, 1.3",
     "model.teacher_hidden": "6", "model.student_hidden": "3"}
 
 
@@ -376,9 +364,9 @@ class TestConfigHash:
 
 
     # output file names come from these hashes
-    @pytest.mark.parametrize("name,tag", [("joint_headline", "0e7ea2547f"),
-                                          ("scenario_grid", "9eeb9ce010"),
-                                          ("wide_batch", "e87df1ecdb")])
+    @pytest.mark.parametrize("name,tag", [("joint_headline", "d9323ee375"),
+                                          ("scenario_grid", "ec96b4fb90"),
+                                          ("wide_batch", "b24e401eb4")])
     def test_benchmark_workloads_keep_their_hash(self, name, tag):
         path = os.path.join(REPO, "perfbench", "workloads", f"{name}.cfg")
         assert load_config(path).config_hash() == tag
@@ -724,11 +712,17 @@ class TestCli:
         ("data.rotation_deg = 30", "data.rotation_deg"),
         ("data.noise_std = 0.2", "data.noise_std"),
         ("data.generator = two_moons", "data.generator"),
+        ("train.gamma_mode = ramp", "train.gamma_mode"),
+        ("train.scale_kd_by_tau_sq = false", "train.scale_kd_by_tau_sq"),
+        ("data.standardize = false", "data.standardize"),
+        ("train.kernel_multipliers = 0.5, 2.0", "train.kernel_multipliers"),
     ])
     def test_removed_keys_and_generator_fail_before_any_output(
             self, tmp_path, capsys, line, key, no_training):
         # the given bandwidths choose the kernel bank, lr_da_final_fraction
-        # = 1 keeps lr_da, and blobs is the one generator
+        # = 1 keeps lr_da, and blobs is the one generator; gamma is
+        # constant, distillation is scaled by tau^2, pairs are standardized
+        # and the median bank takes MEDIAN_MULTIPLIERS
         with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config(line + "\n")
         path = tmp_path / "old.cfg"
@@ -736,6 +730,25 @@ class TestCli:
         assert main(["train", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["train", "scenarios"])
+    @pytest.mark.parametrize("scenario,epochs,phase", [
+        ("kd_then_uda", 2, "teacher_supervised"), ("uda_then_kd", 1, "teacher_uda")])
+    def test_a_phase_without_epochs_fails_before_any_cell_trains(
+            self, tmp_path, capsys, no_training, command, scenario, epochs, phase):
+        # joint runs first in the grid, and a single epoch is enough for it
+        path = tmp_path / "short.cfg"
+        path.write_text(f"train.epochs = {epochs}\n"
+                        f"experiment.scenarios = joint, {scenario}\n"
+                        f"experiment.output_dir = {tmp_path / 'runs'}\n")
+        message = (f"train.epochs = {epochs} leaves the {phase} phase of "
+                   f"{scenario} without epochs")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_experiment(load_config(str(path)))
+        assert main([command, "--config", str(path), "--scenario", scenario]
+                    if command == "train" else [command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "runs").exists()
 
     def test_empty_dataset_fails_before_any_command(self, tmp_path, capsys):
@@ -879,9 +892,7 @@ class TestCli:
             "numerical abort: joint seed 0: L_tkd is not finite at epoch 0\n")
         assert np.geterr() == before
 
-    @pytest.mark.parametrize("kernel", [
-        "train.kernel_multipliers = 1e-300",
-        "train.kernel_bandwidths = 1e-300"])
+    @pytest.mark.parametrize("kernel", ["train.kernel_bandwidths = 1e-300"])
     def test_a_vanishing_bandwidth_prints_its_abort_alone(self, tmp_path, capsys,
                                                           kernel):
         # the bandwidth's square underflows to zero, so the kernel divides

@@ -280,7 +280,7 @@ class TestResolveStacks:
         for s in range(3):
             assert _same_bits(stacked[s], KernelConfig().resolve(
                 self._pairs(fs[s], ft[s])))
-        assert tuple(stacked[1]) == KernelConfig().median_multipliers
+        assert tuple(stacked[1]) == kduda.losses.MEDIAN_MULTIPLIERS
 
     def test_a_nan_stays_in_its_cell(self):
         rng = np.random.default_rng(0)

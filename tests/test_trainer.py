@@ -41,7 +41,7 @@ def small_models(seed=0):
 def phase_starts(scenario, epochs):
     """(name, first epoch) of each phase a run of scenario steps through."""
     return [(p.name, start)
-            for p, start, _ in kduda.trainer._phase_epochs(scenario, epochs)]
+            for p, start, _ in kduda.trainer.phase_epochs(scenario, epochs)]
 
 
 def quick_cfg(**overrides):
@@ -595,8 +595,8 @@ class TestSourceOnly:
 
 
 class TestPhaseClocks:
-    """beta and gamma follow the run's global epoch; every phase starts
-    fresh optimizers, lr_da decaying over the phase's own epochs and lr_kd
+    """beta follows the run's global epoch and gamma stays constant; every
+    phase starts fresh optimizers, lr_da decaying over the phase's own epochs and lr_kd
     constant."""
 
     @pytest.mark.parametrize("train,phases", [
@@ -612,7 +612,7 @@ class TestPhaseClocks:
             real_sgd(params, grads, opt)
 
         monkeypatch.setattr(kduda.trainer, "sgd_step", recording_sgd)
-        cfg = quick_cfg(epochs=sum(n for _, n in phases), gamma_mode="ramp",
+        cfg = quick_cfg(epochs=sum(n for _, n in phases), gamma=0.7,
                         lr_da=0.04, lr_kd=0.03)
         teacher, student = small_models()
         log = train(teacher, student, small_pair(), cfg)
@@ -633,9 +633,8 @@ class TestPhaseClocks:
                     [k == 0] + [False] * (per_epoch - 1)
                 rec = log.records[epoch]
                 assert rec.beta == (1.0 if rate == "lr_kd" else 0.0)
-                assert rec.gamma == cfg.gamma_at(epoch)
+                assert rec.gamma == cfg.gamma
                 epoch += 1
-        assert len({rec.gamma for rec in log.records}) == cfg.epochs
 
     @pytest.mark.parametrize("scenario", list(kduda.trainer.SCENARIOS))
     def test_moves_descend_their_rates_share_of_the_objective(self, monkeypatch,
@@ -680,7 +679,7 @@ class TestMoveNodeCounts:
                  rng.normal(size=(32, 2)))
         cfg = TrainConfig()
         objective, _ = getattr(kduda.trainer, move)(
-            models[role], models["teacher"], batch, cfg, cfg.gamma_at(0))
+            models[role], models["teacher"], batch, cfg)
         assert len(objective.graph) == nodes
 
 
