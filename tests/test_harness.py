@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import kduda
 from kduda import cli, harness, trainer
 from kduda.cli import main
+from kduda.data import gen_blob_shift
 from kduda.errors import ConfigError, KdudaError, NumericalAbort, ParameterError
 from kduda.harness import (
     SUMMARY_COLUMNS,
@@ -323,6 +324,24 @@ GUARD_VALUES = {
     "train.lr_da_final_fraction": "0.5", "train.eval_every": "2",
     "train.beta_override": "0.5", "train.kernel_bandwidths": "0.7, 1.3",
     "model.teacher_hidden": "6", "model.student_hidden": "3"}
+
+
+class TestMakePair:
+    @pytest.mark.parametrize("dataset", [
+        DatasetConfig(),
+        DatasetConfig(n_per_domain=50, classes=4, dim=5, mean_shift=0.5, scale=3.0),
+        DatasetConfig(n_per_domain=7, classes=2, dim=2, mean_shift=6.0, scale=0.2)])
+    def test_a_pair_is_its_generator_standardized_on_the_source(self, dataset):
+        pair = dataset.make_pair(3)
+        raw = gen_blob_shift(dataset.n_per_domain, dataset.classes, dataset.dim,
+                             dataset.mean_shift, dataset.scale, 3)
+        mu, sd = raw.xs.mean(axis=0), raw.xs.std(axis=0)
+        np.testing.assert_allclose(pair.xs.mean(axis=0), 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair.xs.std(axis=0), 1.0, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(pair.xt, (raw.xt - mu) / sd, rtol=1e-12,
+                                   atol=1e-12)
+        assert pair.ys.tobytes() == raw.ys.tobytes()
+        assert pair.yt_eval.tobytes() == raw.yt_eval.tobytes()
 
 
 class TestNoKeyIsIgnored:

@@ -12,6 +12,7 @@ import kduda.trainer
 from kduda.data import gen_blob_shift
 from kduda.errors import ParameterError, ShapeError
 from kduda.losses import (
+    MEDIAN_MULTIPLIERS,
     KernelConfig,
     cross_entropy,
     distill_kl,
@@ -249,6 +250,19 @@ class TestKernelConfig:
                                             for w in (1.0, -0.7)])
         for new, old in zip(*outs):
             assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_the_median_bank_is_each_cells_median_times_the_fixed_multipliers(
+            self, stack):
+        rng = np.random.default_rng(4)
+        fs = rng.normal(size=stack + (6, 2))
+        ft = rng.normal(size=stack + (5, 2)) + 0.8
+        pairs = pooled_pairs(fs, ft)
+        med = np.median(np.sqrt(pairs), axis=-1)
+        bank = KernelConfig().resolve(pairs)
+        assert bank.shape == stack + (len(MEDIAN_MULTIPLIERS),)
+        np.testing.assert_allclose(bank, med[..., None] * np.array(MEDIAN_MULTIPLIERS),
+                                   rtol=1e-12, atol=0)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -1116,6 +1130,30 @@ class TestSourceKdLoss:
         numeric = finite_diff_grad(f, base)
         _set_params(student, base)
         assert relative_error(numeric, analytic) < 1e-5
+
+
+@pytest.mark.parametrize("tau", [1.0, 4.0, 20.0])
+@pytest.mark.parametrize("term", ["target_kd_loss", "source_kd_loss"])
+def test_distillation_is_scaled_by_tau_squared(term, tau):
+    # tau^2 times the mean KL from the teacher's rows to the student's rows
+    # softened at tau, by hand; source distillation adds alpha times the
+    # student's cross-entropy at temperature 1
+    teacher = build(ModelSpec(3, (4,), 3, seed=11))
+    student = build(ModelSpec(3, (3,), 3, seed=12))
+    xs, ys, xt = _small_pair()
+    x = xs if term == "source_kd_loss" else xt
+    targets = soft(teacher, x, tau)
+    g = ad.Graph()
+    if term == "source_kd_loss":
+        value = source_kd_loss(student, targets, g.tensor(x), ys, tau, 0.8).item()
+    else:
+        value = target_kd_loss(student, targets, g.tensor(x), tau).item()
+    z = student.predict_logits(x)
+    kl = np.mean(np.sum(targets * np.log(targets / softmax_np(z, tau)), axis=1))
+    expected = tau * tau * kl
+    if term == "source_kd_loss":
+        expected += 0.8 * np.mean(-np.log(softmax_np(z, 1.0)[np.arange(len(ys)), ys]))
+    np.testing.assert_allclose(value, expected, rtol=1e-10, atol=0)
 
 
 def weight_node_teacher_da_loss(teacher, x, ys, kernel, gamma):
