@@ -8,8 +8,7 @@ from .errors import (ConfigError, KdudaError, NumericalAbort, ParameterError,
                      ShapeError)
 from .harness import ExperimentConfig, ScenarioResult, load_config, run_experiment
 from .losses import (KernelConfig, cross_entropy, distill_kl, mmd_squared,
-                     soft_targets, source_kd_loss, target_kd_loss,
-                     teacher_da_loss)
+                     source_kd_loss, target_kd_loss, teacher_da_loss)
 from .models import Model, ModelSpec, build, count_complexity, stack
 from .trainer import (OptimizerState, TrainConfig, TrainLog, evaluate, sgd_step,
                       train_joint, train_kd_then_uda, train_source_only,

@@ -1,9 +1,9 @@
 """Synthetic two-domain datasets with a controllable shift.
 
 The generator returns a DomainPair: labeled source data plus target inputs
-whose labels are kept in a separate eval-only field. Training code consumes
-xs, ys, xt; only evaluation reads yt_eval. stack_pairs joins the pairs of S
-cells into one whose arrays carry a leading axis of length S.
+whose labels are kept in a separate eval-only field. Training reads xs, ys
+and xt through batches; only evaluation reads yt_eval. stack_pairs joins
+the pairs of S cells into one whose arrays carry a leading axis of length S.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ def stack_pairs(pairs: list[DomainPair]) -> DomainPair:
 
 
 def batches(pair: DomainPair, batch_size: int, epoch: int, seed):
-    """Paired minibatches for one epoch.
+    """Minibatches for one epoch, each (x, ys): the pooled sample x holds
+    the batch's source rows, one per label in ys, then as many target rows.
 
     Every source sample is visited exactly once (last batch may be short).
     Target indices come from their own per-epoch shuffle and wrap cyclically
@@ -152,5 +153,6 @@ def batches(pair: DomainPair, batch_size: int, epoch: int, seed):
         src_idx = cells + (src_order[..., start:start + batch_size],)
         take = src_idx[-1].shape[-1]
         tgt_idx = cells + (tgt_order[..., (start + np.arange(take)) % nt],)
-        out.append((pair.xs[src_idx], pair.ys[src_idx], pair.xt[tgt_idx]))
+        out.append((np.concatenate((pair.xs[src_idx], pair.xt[tgt_idx]), axis=-2),
+                    pair.ys[src_idx]))
     return out

@@ -179,8 +179,7 @@ def _items(read, sep: str = ","):
     return lambda text: tuple(read(tok) for tok in text.split(sep) if tok.strip())
 
 
-# the reader of each field annotation, and what a value it rejects should
-# have been; an optional field (`X | None`) reads as X
+# each field annotation's reader, and what a value it rejects should have been
 _READERS = {
     "int": (int, "an integer"),
     "float": (_finite, "a finite number"),
@@ -196,7 +195,7 @@ _READERS = {
 def _keyed(cls, keys: dict[str, str]) -> dict[str, tuple]:
     """(key, reader, expected) of each field of cls that keys names; a field
     that is not cls's, or whose annotation has no reader, fails at import."""
-    types = {f.name: f.type.removesuffix(" | None") for f in fields(cls)}
+    types = {f.name: f.type for f in fields(cls)}
     return {name: (key, *_READERS[types[name]]) for name, key in keys.items()}
 
 
@@ -270,10 +269,10 @@ def check_cell(cfg: ExperimentConfig, scenario: str, seed: int):
     if seed < 0:  # numpy generators take only non-negative seeds
         raise ConfigError(f"seed must be >= 0, got {seed}")
     cfg.require_one_student()
-    for phase, _, count in trainer.phase_epochs(scenario, cfg.train.epochs):
-        if count < 1:
-            raise ConfigError(f"train.epochs = {cfg.train.epochs} leaves the "
-                              f"{phase.name} phase of {scenario} without epochs")
+    try:
+        trainer.phase_epochs(scenario, cfg.train.epochs)
+    except ParameterError as exc:
+        raise ConfigError(f"train.{exc}") from None
 
 
 def run_single(cfg: ExperimentConfig, scenario: str, seeds: tuple[int, ...]

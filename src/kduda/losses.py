@@ -281,24 +281,6 @@ def distill_kl(student_logits: Tensor, teacher_soft: np.ndarray, tau: float) -> 
     return _log_loss(student_logits, t, tau, entropy, float(tau * tau))
 
 
-def soft_targets(teacher: Model, tau: float, *blocks: np.ndarray
-                 ) -> list[np.ndarray]:
-    """The teacher's softened predictions on each row block, from one
-    graph-free forward over all the blocks' rows stacked.
-
-    Rows pass through the layers independently, so the split equals a
-    forward per block wherever the BLAS gives each row of a product the
-    same bits whatever rows sit beside it.
-    """
-    soft = softmax_np(teacher.predict_logits(np.concatenate(blocks, axis=-2)), tau)
-    parts, start = [], 0
-    for block in blocks:
-        end = start + block.shape[-2]
-        parts.append(soft[..., start:end, :])
-        start = end
-    return parts
-
-
 # -- model-level terms ---------------------------------------------------------
 
 
@@ -317,7 +299,7 @@ def teacher_da_loss(teacher: Model, x: Tensor, ys: np.ndarray,
 def target_kd_loss(student: Model, targets: np.ndarray, xt: Tensor,
                    tau: float) -> Tensor:
     """Distillation on unlabeled target data: softened student rows pulled
-    toward the teacher's soft targets on xt (see soft_targets)."""
+    toward the teacher's soft targets on xt."""
     return distill_kl(student.logits(xt), targets, tau)
 
 

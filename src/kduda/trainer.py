@@ -37,11 +37,11 @@ from functools import partial, reduce
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph
+from .autodiff import Graph, softmax_np
 from .data import DomainPair, batches
 from .errors import NumericalAbort, ParameterError, ShapeError
-from .losses import (KernelConfig, cross_entropy, soft_targets, source_kd_loss,
-                     target_kd_loss, teacher_da_loss)
+from .losses import (KernelConfig, cross_entropy, source_kd_loss, target_kd_loss,
+                     teacher_da_loss)
 from .models import Model, ModelSpec, count_complexity
 
 CSV_COLUMNS = ("epoch", "beta", "gamma", "L_mmd", "L_tda", "L_tkd", "L_skd",
@@ -53,11 +53,11 @@ _LOSS_COLUMNS = CSV_COLUMNS[3:8]
 @dataclass
 class TrainConfig:
     """Every training hyperparameter, checked here once, with the per-epoch
-    beta and lr_da; defaults follow the reference setup, and harness
-    configs usually override epochs down to desk scale. gamma weighs the
-    big model's source CE at every epoch, and distillation is scaled by
-    tau^2. lr_da decays over each adaptation or supervised phase to
-    lr_da_final_fraction of it, so a fraction of 1 keeps it constant."""
+    beta and lr_da; defaults follow the reference setup, and harness configs
+    usually override epochs down to desk scale. Equal beta_start and beta_end
+    pin beta. gamma weighs the big model's source CE at every epoch, and
+    distillation is scaled by tau^2. lr_da decays over each adaptation or
+    supervised phase to lr_da_final_fraction of it; at 1 it stays constant."""
 
     epochs: int = 400
     batch_size: int = 32
@@ -72,7 +72,6 @@ class TrainConfig:
     lr_da_final_fraction: float = 0.01
     eval_every: int = 1
     seed: int | tuple[int, ...] = 0  # orders the batches; one per stacked cell
-    beta_override: float | None = None
     kernel: KernelConfig = field(default_factory=KernelConfig)
 
     def __post_init__(self):
@@ -86,9 +85,6 @@ class TrainConfig:
                 (not 0.0 < self.lr_da_final_fraction <= 1.0,
                  "lr_da_final_fraction", "in (0, 1]"),
                 (self.eval_every < 1, "eval_every", ">= 1"),
-                (self.beta_override is not None
-                 and not 0.0 <= self.beta_override <= 1.0,
-                 "beta_override", "in [0, 1]"),
                 (not 0.0 < self.beta_start <= 1.0, "beta_start", "in (0, 1]"),
                 (not 0.0 < self.beta_end <= 1.0, "beta_end", "in (0, 1]"),
                 (self.beta_start > 0
@@ -102,11 +98,10 @@ class TrainConfig:
                     f"{name} must be {rule}, got {getattr(self, name)!r}", name)
 
     def beta_at(self, t) -> float:
-        """Blend weight at epoch t (fractional t allowed): beta_override if
-        set, else growing exponentially from beta_start at epoch 0 to
-        beta_end at epoch `epochs`, sqrt(beta_start * beta_end) halfway."""
-        if self.beta_override is not None:
-            return self.beta_override
+        """Blend weight at epoch t (fractional t allowed), growing
+        exponentially from beta_start at epoch 0 to beta_end at epoch
+        `epochs`, sqrt(beta_start * beta_end) halfway. Equal endpoints give
+        growth 0.0, so beta is beta_start bit for bit at every epoch."""
         if t < 0:
             raise ParameterError(f"epoch index must be >= 0, got {t}")
         growth = math.log(self.beta_end / self.beta_start) / self.epochs
@@ -249,13 +244,14 @@ def evaluate(model: Model, x: np.ndarray, y_true: np.ndarray):
 
 # -- moves -------------------------------------------------------------------------
 #
-# move(model, teacher, batch, cfg) builds model's objective on one
-# batch (xs, ys, xt) and returns it with its loss terms by CSV column, each
-# a float or one value per stacked cell. The epoch driver passes both
-# straight to _descend, which alone applies the blend weight; nothing else
-# keeps the objective, so its graph is freed when _descend returns and at
-# most one is alive. A graph's stack is the labels' shape without the row
-# axis.
+# move(model, teacher, batch, cfg) builds model's objective on one batch
+# (x, ys), whose pooled sample x holds the source rows, one per label in ys,
+# then the target rows; each move reads its rows by range. It returns the
+# objective with its loss terms by CSV column, each a float or one value per
+# stacked cell. The epoch driver passes both straight to _descend, which
+# alone applies the blend weight; nothing else keeps the objective, so its
+# graph is freed when _descend returns and at most one is alive. A graph's
+# stack is the labels' shape without the row axis.
 
 
 def _check_finite(terms: dict, epoch: int):
@@ -276,34 +272,38 @@ def _descend(model: Model, opt: OptimizerState, weight: float, epoch: int,
 
 
 def _adapt(model, teacher, batch, cfg):
-    """MMD + gamma source cross-entropy from one forward over [xs; xt]."""
-    xs, ys, xt = batch
+    """MMD + gamma source cross-entropy from one forward over all rows."""
+    x, ys = batch
     graph = Graph(ys.shape[:-1])
-    x = graph.tensor(np.concatenate((xs, xt), axis=-2))
-    tda, mmd = teacher_da_loss(model, x, ys, cfg.kernel, cfg.gamma)
+    tda, mmd = teacher_da_loss(model, graph.tensor(x), ys, cfg.kernel, cfg.gamma)
     return tda, {"L_mmd": mmd, "L_tda": tda.values}
 
 
 def _supervised(model, teacher, batch, cfg):
     """Source cross-entropy, logged as L_tda."""
-    graph = Graph(batch[1].shape[:-1])
-    ce = cross_entropy(model.logits(graph.tensor(batch[0])), batch[1])
+    x, ys = batch
+    graph = Graph(ys.shape[:-1])
+    ce = cross_entropy(model.logits(graph.tensor(x[..., :ys.shape[-1], :])), ys)
     return ce, {"L_tda": ce.values}
 
 
-def _distill(model, teacher, batch, cfg, domains):
+def _distill(model, teacher, batch, cfg, source, target):
     """Target KD, source KD or their sum, against the teacher's soft targets
-    from one forward over the rows of the given domains, source first."""
-    xs, ys, xt = batch
+    from one graph-free forward over the rows they read: rows pass through
+    the layers independently, so wherever the BLAS gives a product's row the
+    same bits beside any rows, a forward per domain gives the same."""
+    x, ys = batch
+    ns = ys.shape[-1]
+    lo, hi = (0 if source else ns), (x.shape[-2] if target else ns)
+    soft = softmax_np(teacher.predict_logits(x[..., lo:hi, :]), cfg.tau)
     graph = Graph(ys.shape[:-1])
-    rows = [{"source": xs, "target": xt}[d] for d in domains]
-    soft = dict(zip(domains, soft_targets(teacher, cfg.tau, *rows)))
-    x = dict(zip(domains, map(graph.tensor, rows)))
     losses = {}
-    if "target" in soft:
-        losses["L_tkd"] = target_kd_loss(model, soft["target"], x["target"], cfg.tau)
-    if "source" in soft:
-        losses["L_skd"] = source_kd_loss(model, soft["source"], x["source"], ys,
+    if target:
+        losses["L_tkd"] = target_kd_loss(model, soft[..., ns - lo:, :],
+                                         graph.tensor(x[..., ns:, :]), cfg.tau)
+    if source:
+        losses["L_skd"] = source_kd_loss(model, soft[..., :ns, :],
+                                         graph.tensor(x[..., :ns, :]), ys,
                                          cfg.tau, cfg.alpha)
     return (reduce(ad.add, losses.values()),
             {column: loss.values for column, loss in losses.items()})
@@ -326,9 +326,9 @@ class Phase:
     trains: tuple[tuple[str, str, Callable[..., tuple]], ...]
 
 
-_distill_both = partial(_distill, domains=("source", "target"))
-_distill_source = partial(_distill, domains=("source",))
-_distill_target = partial(_distill, domains=("target",))
+_distill_both = partial(_distill, source=True, target=True)
+_distill_source = partial(_distill, source=True, target=False)
+_distill_target = partial(_distill, source=False, target=True)
 
 SCENARIOS: dict[str, tuple[Phase, ...]] = {
     "joint": (Phase("joint", 1, None, (("teacher", "lr_da", _adapt),
@@ -370,15 +370,19 @@ _OP_S, _MAC_S = 27e-6, 1.2e-10
 _GROWTH_LIMIT = 10.0
 
 
-def phase_epochs(scenario: str, epochs: int):
-    """(phase, first epoch, epoch count) of each phase of a scenario; the
-    last phase takes the epochs the others leave."""
+def phase_epochs(scenario: str, epochs: int) -> list[tuple[Phase, int, int]]:
+    """(phase, first epoch, epoch count) of each phase of a scenario, or a
+    ParameterError if one gets none; the last takes what the others leave."""
     phases = SCENARIOS[scenario]
-    start = 0
+    out, start = [], 0
     for i, phase in enumerate(phases):
         count = epochs - start if i == len(phases) - 1 else epochs // phase.share
-        yield phase, start, count
+        if count < 1:
+            raise ParameterError(f"epochs = {epochs} leaves the {phase.name} "
+                                 f"phase of {scenario} without epochs", "epochs")
+        out.append((phase, start, count))
         start += count
+    return out
 
 
 def estimate_seconds(scenario: str, teacher: ModelSpec, student: ModelSpec,

@@ -7,8 +7,9 @@ log-loss) as they read before each became one log-softmax node, the MMD as
 it read before it was one node and the one node as it read with a flat pair
 index and a dense adjoint, the adaptation loss as it read before it took
 both domains' rows in one forward, evaluation as it read before it ran in
-row blocks, backward as it read when it kept every adjoint, and a
-tracemalloc probe of the memory a call holds."""
+row blocks, batches as they read before each pooled its source and target
+rows, backward as it read when it kept every adjoint, and a tracemalloc
+probe of the memory a call holds."""
 
 import tracemalloc
 
@@ -209,6 +210,27 @@ def old_evaluate(model, x, y_true):
     y_true = np.asarray(y_true)
     preds = np.argmax(model.predict_logits(x), axis=-1)
     return np.mean(preds == y_true, axis=-1)
+
+
+def old_batches(pair, batch_size, epoch, seed):
+    """data.batches as it read when it yielded each batch as (xs, ys, xt),
+    the source and target rows apart; without its argument checks."""
+    stack = pair.xs.shape[:-2]
+    ns, nt = pair.xs.shape[-2], pair.xt.shape[-2]
+    orders = []
+    for cell_seed in np.ravel(seed):
+        rng = np.random.default_rng([int(cell_seed), epoch])
+        orders.append((rng.permutation(ns), rng.permutation(nt)))
+    src_order = np.stack([o[0] for o in orders]).reshape(stack + (ns,))
+    tgt_order = np.stack([o[1] for o in orders]).reshape(stack + (nt,))
+    cells = (np.arange(stack[0])[:, None],) if stack else ()
+    out = []
+    for start in range(0, ns, batch_size):
+        src_idx = cells + (src_order[..., start:start + batch_size],)
+        take = src_idx[-1].shape[-1]
+        tgt_idx = cells + (tgt_order[..., (start + np.arange(take)) % nt],)
+        out.append((pair.xs[src_idx], pair.ys[src_idx], pair.xt[tgt_idx]))
+    return out
 
 
 # -- the MMD as three distance blocks and three kernel banks --------------------

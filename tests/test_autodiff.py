@@ -225,8 +225,8 @@ def headline_objective(move, stack):
     teacher = models((128, 128, 64), 1)
     student = models((32, 16), 2)
     rng = np.random.default_rng(0)
-    batch = (rng.normal(size=stack + (32, 2)), rng.integers(0, 3, stack + (32,)),
-             rng.normal(size=stack + (32, 2)) + 1.0)
+    xs, ys = rng.normal(size=stack + (32, 2)), rng.integers(0, 3, stack + (32,))
+    batch = (np.concatenate((xs, rng.normal(size=stack + (32, 2)) + 1.0), -2), ys)
     cfg = TrainConfig()
     model = teacher if move == "_adapt" else student
     objective, _ = getattr(kduda.trainer, move)(model, teacher, batch, cfg)

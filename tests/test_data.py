@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from kduda.data import (
     standardize,
 )
 from kduda.errors import ParameterError, ShapeError
+
+from fdcheck import old_batches
 
 
 class TestSimplexVertices:
@@ -179,10 +183,15 @@ def _indexed_pair(ns, nt):
     return DomainPair(xs, ys, xt, yt)
 
 
+def _split(out):
+    """Each pooled batch (x, ys) as (source rows, ys, target rows)."""
+    return [(x[..., :ys.shape[-1], :], ys, x[..., ys.shape[-1]:, :]) for x, ys in out]
+
+
 class TestBatches:
     def test_counts_and_shapes(self):
         pair = _indexed_pair(100, 100)
-        out = batches(pair, 10, epoch=0, seed=1)
+        out = _split(batches(pair, 10, epoch=0, seed=1))
         assert len(out) == 10
         for xb, yb, tb in out:
             assert xb.shape == (10, 1)
@@ -191,24 +200,24 @@ class TestBatches:
 
     def test_every_source_sample_appears_exactly_once(self):
         pair = _indexed_pair(37, 20)
-        out = batches(pair, 5, epoch=3, seed=1)
+        out = _split(batches(pair, 5, epoch=3, seed=1))
         seen = np.concatenate([xb[:, 0] for xb, _, _ in out])
         np.testing.assert_array_equal(np.sort(seen), np.arange(37, dtype=float))
 
     def test_labels_travel_with_their_rows(self):
         pair = _indexed_pair(30, 30)
-        for xb, yb, _ in batches(pair, 7, epoch=0, seed=2):
+        for xb, yb, _ in _split(batches(pair, 7, epoch=0, seed=2)):
             np.testing.assert_array_equal(yb, xb[:, 0].astype(np.intp) % 3)
 
     def test_partial_final_batch(self):
         pair = _indexed_pair(10, 10)
-        out = batches(pair, 4, epoch=0, seed=3)
+        out = _split(batches(pair, 4, epoch=0, seed=3))
         assert [xb.shape[0] for xb, _, _ in out] == [4, 4, 2]
         assert [tb.shape[0] for _, _, tb in out] == [4, 4, 2]
 
     def test_target_wraps_cyclically_when_smaller(self):
         pair = _indexed_pair(8, 3)
-        out = batches(pair, 4, epoch=0, seed=4)
+        out = _split(batches(pair, 4, epoch=0, seed=4))
         tgt = np.concatenate([tb[:, 0] for _, _, tb in out])
         counts = {v: int((tgt == v).sum()) for v in np.unique(tgt)}
         assert len(counts) == 3
@@ -223,7 +232,7 @@ class TestBatches:
         rng = np.random.default_rng([7, 2])
         rng.permutation(ns)
         tgt_order = rng.permutation(nt)
-        out = batches(pair, batch, epoch=2, seed=7)
+        out = _split(batches(pair, batch, epoch=2, seed=7))
         for b_idx, (_, _, tb) in enumerate(out):
             start = b_idx * batch
             expected = [tgt_order[(start + k) % nt] for k in range(tb.shape[0])]
@@ -233,17 +242,31 @@ class TestBatches:
         pair = _indexed_pair(50, 40)
         a = batches(pair, 8, epoch=5, seed=9)
         b = batches(pair, 8, epoch=5, seed=9)
-        for (xa, ya, ta), (xb, yb, tb) in zip(a, b):
+        for (xa, ya), (xb, yb) in zip(a, b):
             np.testing.assert_array_equal(xa, xb)
             np.testing.assert_array_equal(ya, yb)
-            np.testing.assert_array_equal(ta, tb)
 
     def test_successive_epochs_reshuffle(self):
         pair = _indexed_pair(50, 40)
         a = batches(pair, 8, epoch=5, seed=9)
         b = batches(pair, 8, epoch=6, seed=9)
         assert any(not np.array_equal(xa, xb)
-                   for (xa, _, _), (xb, _, _) in zip(a, b))
+                   for (xa, _), (xb, _) in zip(a, b))
+
+    @pytest.mark.parametrize("seeds", [(3,), (3, 4, 5)])
+    def test_each_batch_pools_the_rows_the_paired_form_gave(self, seeds):
+        # against the form that yielded (xs, ys, xt): 47 source rows in
+        # batches of 10 end on a short batch, and 19 target rows wrap
+        pairs = [gen_blob_shift(47, 3, 2, 1.5, 1.0, seed) for seed in seeds]
+        pairs = [replace(p, xt=p.xt[:19], yt_eval=p.yt_eval[:19]) for p in pairs]
+        pair = pairs[0] if len(seeds) == 1 else stack_pairs(pairs)
+        seed = seeds[0] if len(seeds) == 1 else seeds
+        new, old = batches(pair, 10, 2, seed), old_batches(pair, 10, 2, seed)
+        assert len(new) == len(old) == 5
+        for (x, ys), (xs_b, ys_b, xt_b) in zip(new, old):
+            assert x.tobytes() == np.concatenate((xs_b, xt_b), axis=-2).tobytes()
+            assert x.shape == xs_b.shape[:-2] + (2 * ys_b.shape[-1], 2)
+            assert ys.tobytes() == ys_b.tobytes() and ys.shape == ys_b.shape
 
     def test_validation(self):
         pair = _indexed_pair(10, 10)

@@ -44,9 +44,9 @@ CONFIG_KEYS = (
     "data.mean_shift", "data.scale", "train.epochs", "train.batch_size",
     "train.beta_start", "train.beta_end", "train.tau", "train.alpha",
     "train.gamma", "train.lr_da", "train.lr_kd", "train.momentum",
-    "train.lr_da_final_fraction", "train.eval_every", "train.beta_override",
-    "train.kernel_bandwidths", "model.teacher_hidden", "model.student_hidden",
-    "experiment.scenarios", "experiment.seeds", "experiment.output_dir")
+    "train.lr_da_final_fraction", "train.eval_every", "train.kernel_bandwidths",
+    "model.teacher_hidden", "model.student_hidden", "experiment.scenarios",
+    "experiment.seeds", "experiment.output_dir")
 OTHER_KEYS = ("train.lr", "model.depth", "seed")
 
 # values in range, out of range, of the wrong type, and malformed lists,
@@ -172,7 +172,8 @@ class TestConfigParsing:
             parse_config("train.lr = 0.1\n")
 
     @pytest.mark.parametrize("key", ["train.single_optimizer",
-                                     "train.beta_per_batch"])
+                                     "train.beta_per_batch",
+                                     "train.beta_override"])
     def test_removed_training_keys_are_unknown(self, tmp_path, capsys, key):
         with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
             parse_config(f"{key} = false\n")
@@ -223,7 +224,6 @@ class TestConfigParsing:
         ("train.epochs = 0", "train.epochs"),
         ("train.lr_kd = -1", "train.lr_kd"),
         ("train.lr_da_decay = linear", "train.lr_da_decay"),
-        ("train.beta_override = 2", "train.beta_override"),
         ("train.kernel_mode = adaptive", "train.kernel_mode"),
         ("train.kernel_bandwidths = 1, -2", "train.kernel_bandwidths"),
         ("train.kernel_multipliers = 1, -2", "train.kernel_multipliers"),
@@ -276,12 +276,11 @@ class TestConfigParsing:
         for cls, table in harness._FIELDS.items():
             for name, (key, _, _) in table.items():
                 value = getattr(sections[cls], name)
-                if value in (None, ()):  # a config line cannot be empty
+                if value == ():  # a config line cannot be empty
                     unwritable.append(key)
                     continue
                 assert parse_config(f"{key} = {config_text(value)}\n") == default, key
-        assert sorted(unwritable) == ["train.beta_override",
-                                      "train.kernel_bandwidths"]
+        assert unwritable == ["train.kernel_bandwidths"]
 
     def test_a_keyed_field_without_a_reader_fails(self):
         @dataclass
@@ -295,6 +294,19 @@ class TestConfigParsing:
             readme = fh.read()
         block, = re.findall(r"```ini\n(.*?)```", readme, re.S)
         assert parse_config(block) == ExperimentConfig()
+
+    def test_the_readme_quickstart_prints_an_accuracy(self):
+        with open(os.path.join(REPO, "README.md")) as fh:
+            block, = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+        assert "epochs=100" in block
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-c", block.replace("epochs=100", "epochs=3")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        line, = done.stdout.splitlines()
+        assert 0.0 <= float(line) <= 1.0
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -322,7 +334,7 @@ GUARD_VALUES = {
     "train.tau": "2.0", "train.alpha": "0.5", "train.gamma": "0.5",
     "train.lr_da": "0.02", "train.lr_kd": "0.02", "train.momentum": "0.5",
     "train.lr_da_final_fraction": "0.5", "train.eval_every": "2",
-    "train.beta_override": "0.5", "train.kernel_bandwidths": "0.7, 1.3",
+    "train.kernel_bandwidths": "0.7, 1.3",
     "model.teacher_hidden": "6", "model.student_hidden": "3"}
 
 
@@ -383,9 +395,9 @@ class TestConfigHash:
 
 
     # output file names come from these hashes
-    @pytest.mark.parametrize("name,tag", [("joint_headline", "d9323ee375"),
-                                          ("scenario_grid", "ec96b4fb90"),
-                                          ("wide_batch", "b24e401eb4")])
+    @pytest.mark.parametrize("name,tag", [("joint_headline", "358dbc2ac6"),
+                                          ("scenario_grid", "89d7d9d63e"),
+                                          ("wide_batch", "3f60cba74e")])
     def test_benchmark_workloads_keep_their_hash(self, name, tag):
         path = os.path.join(REPO, "perfbench", "workloads", f"{name}.cfg")
         assert load_config(path).config_hash() == tag

@@ -18,7 +18,6 @@ from kduda.losses import (
     distill_kl,
     mmd_squared,
     softmax_np,
-    soft_targets,
     source_kd_loss,
     target_kd_loss,
     teacher_da_loss,
@@ -105,7 +104,7 @@ def node_pairs(fs, ft):
 
 def soft(teacher, x, tau):
     """The teacher's soft targets on x alone."""
-    return soft_targets(teacher, tau, x)[0]
+    return softmax_np(teacher.predict_logits(x), tau)
 
 
 def unfused_cross_entropy(logits, labels):

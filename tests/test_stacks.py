@@ -20,7 +20,7 @@ from kduda.autodiff import Graph
 from kduda.data import batches, gen_blob_shift, stack_pairs
 from kduda.errors import ParameterError, ShapeError
 from kduda.losses import (KernelConfig, _pair_sqdist, cross_entropy,
-                          distill_kl, mmd_squared, soft_targets, softmax_np,
+                          distill_kl, mmd_squared, softmax_np,
                           source_kd_loss, target_kd_loss, teacher_da_loss)
 from kduda.models import ModelSpec, build, stack
 from fdcheck import (finite_diff_grad, old_kernel_bank_mean, old_pairwise_sqdist,
@@ -246,9 +246,8 @@ class TestDataStacks:
         for s, (pair, seed) in enumerate(zip(pairs, (7, 8, 9))):
             alone = batches(pair, 25, epoch=3, seed=seed)
             assert len(alone) == len(stacked) == 3  # last batch is short
-            for (xs, ys, xt), (xs1, ys1, xt1) in zip(stacked, alone):
-                assert _same_bits(xs[s], xs1) and _same_bits(ys[s], ys1)
-                assert _same_bits(xt[s], xt1)
+            for (x, ys), (x1, ys1) in zip(stacked, alone):
+                assert _same_bits(x[s], x1) and _same_bits(ys[s], ys1)
 
     def test_a_stack_takes_one_seed_per_cell(self):
         pair = stack_pairs(_pairs((0, 1)))
@@ -314,19 +313,18 @@ class TestSharedTeacherForward:
             p += rng.normal(scale=0.05, size=p.shape)
         for _ in range(5):
             xs, xt = rng.normal(size=(rows, dim)), rng.normal(size=(rows, dim)) + 1.0
-            soft_s, soft_t = soft_targets(teacher, 20.0, xs, xt)
+            soft = softmax_np(teacher.predict_logits(np.concatenate((xs, xt))), 20.0)
             # the parent form: a forward and a softmax per domain
-            assert _same_bits(soft_s, softmax_np(teacher.predict_logits(xs), 20.0))
-            assert _same_bits(soft_t, softmax_np(teacher.predict_logits(xt), 20.0))
+            assert _same_bits(soft[:rows], softmax_np(teacher.predict_logits(xs), 20.0))
+            assert _same_bits(soft[rows:], softmax_np(teacher.predict_logits(xt), 20.0))
 
     def test_a_stacked_teacher_gives_each_cell_its_own_targets(self):
         rng = np.random.default_rng(1)
         members = [build(ModelSpec(2, (128, 128, 64), 3, seed=k)) for k in range(2)]
-        xs, xt = rng.normal(size=(2, 32, 2)), rng.normal(size=(2, 32, 2))
-        soft_s, soft_t = soft_targets(stack(members), 4.0, xs, xt)
+        x = rng.normal(size=(2, 64, 2))
+        soft = softmax_np(stack(members).predict_logits(x), 4.0)
         for s, member in enumerate(members):
-            alone = soft_targets(member, 4.0, xs[s], xt[s])
-            assert _same_bits(soft_s[s], alone[0]) and _same_bits(soft_t[s], alone[1])
+            assert _same_bits(soft[s], softmax_np(member.predict_logits(x[s]), 4.0))
 
 
 class TestModelStacks:
@@ -373,7 +371,8 @@ class TestModelStacks:
                                     ys, KernelConfig(), gamma)
             da.backward()
             g = Graph(stack_shape)
-            soft_s, soft_t = soft_targets(teacher, tau, xs, xt)
+            soft_s, soft_t = np.split(softmax_np(teacher.predict_logits(
+                np.concatenate((xs, xt), -2)), tau), [xs.shape[-2]], axis=-2)
             kd = ad.add(target_kd_loss(student, soft_t, g.tensor(xt), tau),
                         source_kd_loss(student, soft_s, g.tensor(xs), ys, tau,
                                        alpha))

@@ -10,7 +10,7 @@ import fdcheck
 import kduda.autodiff as ad
 import kduda.losses
 import kduda.trainer
-from kduda.data import gen_blob_shift
+from kduda.data import batches, gen_blob_shift
 from kduda.errors import NumericalAbort, ParameterError, ShapeError
 from kduda.models import Model, ModelSpec, build, stack
 from kduda.trainer import (
@@ -261,14 +261,13 @@ class TestTrainConfig:
         with pytest.raises(ParameterError):
             TrainConfig(eval_every=0)
         with pytest.raises(ParameterError):
-            TrainConfig(beta_override=1.5)
-        with pytest.raises(ParameterError):
             TrainConfig(lr_da_final_fraction=0.0)
 
-    def test_beta_override_wins(self):
-        cfg = TrainConfig(beta_override=0.42)
-        assert cfg.beta_at(0) == 0.42
-        assert cfg.beta_at(399) == 0.42
+    @pytest.mark.parametrize("value", [0.42, 1.0, 0.1, 1e-300, 5e-324])
+    def test_equal_endpoints_pin_beta_bit_for_bit_at_every_epoch(self, value):
+        cfg = TrainConfig(beta_start=value, beta_end=value)
+        for t in [*range(cfg.epochs + 1), 0.5, 199.25]:
+            assert cfg.beta_at(t) == value
 
 
 class TestJointTraining:
@@ -294,11 +293,21 @@ class TestJointTraining:
             expected = (1.0 - r.beta) * r.l_tda + r.beta * (r.l_tkd + r.l_skd)
             np.testing.assert_allclose(r.l_total, expected, rtol=0, atol=1e-10)
 
-    def test_beta_zero_freezes_the_student(self):
+    def test_weight_zero_keeps_the_model_bits(self):
+        # a joint epoch's steps with the student at weight 0 and the teacher
+        # at 1: beta 0, which the schedule cannot reach
         teacher, student = small_models()
         before = params_bytes(student)
         t_before = params_bytes(teacher)
-        train_joint(teacher, student, small_pair(), quick_cfg(beta_override=0.0))
+        cfg = quick_cfg()
+        opts = [OptimizerState.for_params(m.parameters(), rate, cfg.momentum)
+                for m, rate in ((teacher, cfg.lr_da), (student, cfg.lr_kd))]
+        for batch in batches(small_pair(), cfg.batch_size, 0, cfg.seed):
+            for model, opt, move, weight in (
+                    (teacher, opts[0], kduda.trainer._adapt, 1.0),
+                    (student, opts[1], kduda.trainer._distill_both, 0.0)):
+                kduda.trainer._descend(model, opt, weight, 0,
+                                       *move(model, teacher, batch, cfg))
         assert params_bytes(student) == before
         assert params_bytes(teacher) != t_before
 
@@ -306,7 +315,8 @@ class TestJointTraining:
         teacher, student = small_models()
         before = params_bytes(teacher)
         s_before = params_bytes(student)
-        train_joint(teacher, student, small_pair(), quick_cfg(beta_override=1.0))
+        train_joint(teacher, student, small_pair(),
+                    quick_cfg(beta_start=1.0, beta_end=1.0))
         assert params_bytes(teacher) == before
         assert params_bytes(student) != s_before
 
@@ -451,7 +461,7 @@ class TestInPlaceOpsInTraining:
 
         for owner, name, old in [
                 (ad, "linear", fdcheck.old_linear),
-                (kduda.losses, "softmax_np", fdcheck.old_softmax_np),
+                (kduda.trainer, "softmax_np", fdcheck.old_softmax_np),
                 (kduda.losses, "_median_of_roots", fdcheck.median_of_roots),
                 (Model, "predict_logits", fdcheck.old_predict_logits)]:
             monkeypatch.setattr(owner, name, counted(old))
@@ -532,14 +542,17 @@ class TestUdaThenKd:
         assert [r.beta for r in log.records] == [0.0] * 3 + [1.0] * 4
 
     def test_identical_student_is_already_distilled(self):
-        # epochs 1 skips the adaptation half, leaving pure distillation
+        # an epoch of the distill_target phase's steps alone
         teacher, _ = small_models()
         student, _ = small_models()
-        cfg = quick_cfg(epochs=1)
-        log = train_uda_then_kd(teacher, student, small_pair(), cfg)
-        assert phase_starts("uda_then_kd", 1) == [("teacher_uda", 0),
-                                                  ("distill_target", 0)]
-        assert abs(log.final().l_tkd) <= 1e-10
+        cfg = quick_cfg()
+        opt = OptimizerState.for_params(student.parameters(), cfg.lr_kd,
+                                        cfg.momentum)
+        for batch in batches(small_pair(), cfg.batch_size, 0, cfg.seed):
+            terms = kduda.trainer._descend(student, opt, 1.0, 0,
+                                           *kduda.trainer._distill_target(
+                                               student, teacher, batch, cfg))
+            assert abs(terms["L_tkd"]) <= 1e-10
         drift = max(float(np.abs(a - b).max())
                     for a, b in zip(student.parameters(), teacher.parameters()))
         assert drift <= 1e-9
@@ -636,6 +649,24 @@ class TestPhaseClocks:
                 assert rec.gamma == cfg.gamma
                 epoch += 1
 
+    @pytest.mark.parametrize("train,scenario,epochs,phase", [
+        (train_kd_then_uda, "kd_then_uda", 2, "teacher_supervised"),
+        (train_uda_then_kd, "uda_then_kd", 1, "teacher_uda")])
+    def test_a_phase_without_epochs_raises_before_any_epoch_trains(
+            self, monkeypatch, train, scenario, epochs, phase):
+        def no_epoch(*args):
+            raise AssertionError("an epoch drew its batches")
+
+        monkeypatch.setattr(kduda.trainer, "batches", no_epoch)
+        teacher, student = small_models()
+        before = params_bytes(teacher) + params_bytes(student)
+        message = (f"epochs = {epochs} leaves the {phase} phase of {scenario} "
+                   f"without epochs")
+        with pytest.raises(ParameterError, match=f"^{message}$") as exc:
+            train(teacher, student, small_pair(), quick_cfg(epochs=epochs))
+        assert exc.value.field == "epochs"
+        assert params_bytes(teacher) + params_bytes(student) == before
+
     @pytest.mark.parametrize("scenario", list(kduda.trainer.SCENARIOS))
     def test_moves_descend_their_rates_share_of_the_objective(self, monkeypatch,
                                                               scenario):
@@ -663,24 +694,46 @@ class TestPhaseClocks:
                 assert weight == 1.0
 
 
+MOVE_NODES = [
+    ("_adapt", "teacher", 16), ("_adapt", "student", 13),
+    ("_supervised", "teacher", 14), ("_supervised", "student", 11),
+    ("_distill_both", "student", 19), ("_distill_source", "student", 13),
+    ("_distill_target", "student", 11)]
+
+
 class TestMoveNodeCounts:
-    @pytest.mark.parametrize("move,role,nodes", [
-        ("_adapt", "teacher", 16), ("_adapt", "student", 13),
-        ("_supervised", "teacher", 14), ("_supervised", "student", 11),
-        ("_distill_both", "student", 19), ("_distill_source", "student", 13),
-        ("_distill_target", "student", 11)])
-    def test_each_move_builds_its_known_tape(self, move, role, nodes):
-        # the headline models on one 32-row batch; _STEP_COST's op weights
-        # are fitted costs, not these counts
+    @staticmethod
+    def headline_move(move, role):
+        """A call of move on the headline models and one 32-row batch."""
         models = {"teacher": build(ModelSpec(2, (128, 128, 64), 3, seed=1)),
                   "student": build(ModelSpec(2, (32, 16), 3, seed=2))}
         rng = np.random.default_rng(0)
-        batch = (rng.normal(size=(32, 2)), rng.integers(0, 3, 32),
-                 rng.normal(size=(32, 2)))
-        cfg = TrainConfig()
-        objective, _ = getattr(kduda.trainer, move)(
-            models[role], models["teacher"], batch, cfg)
+        xs, ys = rng.normal(size=(32, 2)), rng.integers(0, 3, 32)
+        batch = (np.concatenate((xs, rng.normal(size=(32, 2)))), ys)
+        return lambda: getattr(kduda.trainer, move)(
+            models[role], models["teacher"], batch, TrainConfig())
+
+    @pytest.mark.parametrize("move,role,nodes", MOVE_NODES)
+    def test_each_move_builds_its_known_tape(self, move, role, nodes):
+        # _STEP_COST's op weights are fitted costs, not these counts
+        objective, _ = self.headline_move(move, role)()
         assert len(objective.graph) == nodes
+
+    @pytest.mark.parametrize("move,role,nodes", MOVE_NODES)
+    def test_no_move_concatenates(self, monkeypatch, move, role, nodes):
+        # every move reads its rows of the pooled batch by range
+        call = self.headline_move(move, role)
+        calls = []
+        real = np.concatenate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counting)
+        objective, _ = call()
+        objective.backward()
+        assert calls == []
 
 
 class TestDivergenceGuard:
