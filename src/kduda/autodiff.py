@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float arrays.
 
 A Graph is an append-only tape. Every Tensor created through an op gets the
 next node id of its graph at construction, so id order is already a
@@ -13,9 +13,12 @@ Tensors point at their graph and at their inputs; the graph holds only weak
 references to its tensors. Without a cycle between the two, reference
 counting frees a spent graph as soon as its last tensor is dropped.
 
-All values are float64. An op writes only into arrays it allocated in the
-same call: never into an input's values, which belong to other nodes, nor
-into an incoming adjoint, which add's vjp hands to both of its inputs.
+A graph computes in the float dtype of its leaves: float32 leaves give
+float32 values and adjoints throughout, float64 leaves float64 ones, and a
+leaf of any other dtype is cast to float64. An op writes only into arrays
+it allocated in the same call: never into an input's values, which belong
+to other nodes, nor into an incoming adjoint, which add's vjp hands to both
+of its inputs.
 Optimizers update parameter arrays between graphs, never inside one.
 
 Every op works over its operands' trailing axes, so operands may carry
@@ -37,8 +40,12 @@ from .errors import ParameterError, ShapeError
 Array = np.ndarray
 
 
-def _as_f64(values) -> Array:
-    return np.asarray(values, dtype=np.float64)
+def _as_float(values) -> Array:
+    """values as an array, kept if float32 or float64, else cast to float64."""
+    values = np.asarray(values)
+    if values.dtype in (np.float32, np.float64):
+        return values
+    return values.astype(np.float64)
 
 
 class Graph:
@@ -56,7 +63,7 @@ class Graph:
 
     def tensor(self, values) -> "Tensor":
         """Create a leaf tensor (parameter or constant) on this graph."""
-        return Tensor(self, _as_f64(values))
+        return Tensor(self, _as_float(values))
 
     def __len__(self):
         return len(self.nodes)
@@ -160,11 +167,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
 def softmax_np(logits, tau: float) -> Array:
     """Row-wise softmax of logits / tau in the shifted stable form, off the
-    tape: the teacher's constant soft targets."""
+    tape: the teacher's constant soft targets, in the logits' float dtype."""
     tau = float(tau)
     if tau <= 0.0:
         raise ParameterError(f"temperature must be positive, got {tau}")
-    p = _as_f64(logits) / tau
+    p = _as_float(logits) / tau
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)

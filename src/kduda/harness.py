@@ -25,7 +25,7 @@ from . import trainer
 from .data import DomainPair, gen_blob_shift, stack_pairs, standardize
 from .errors import ConfigError, KdudaError, NumericalAbort, ParameterError
 from .losses import KernelConfig
-from .models import ModelSpec, build, count_complexity, stack
+from .models import Model, ModelSpec, build, count_complexity, stack
 from .trainer import SCENARIOS, TrainConfig, TrainLog, write_csv
 
 VALID_SCENARIOS = tuple(SCENARIOS)
@@ -275,10 +275,20 @@ def check_cell(cfg: ExperimentConfig, scenario: str, seed: int):
         raise ConfigError(f"train.{exc}") from None
 
 
+def _float32(model: Model) -> Model:
+    """A copy of model with float32 parameters."""
+    return Model(model.spec, *([p.astype(np.float32) for p in params]
+                               for params in (model.weights, model.biases)))
+
+
 def run_single(cfg: ExperimentConfig, scenario: str, seeds: tuple[int, ...]
                ) -> list[tuple[TrainLog, ScenarioResult]]:
     """Train the (scenario, seed) cells of cfg at the given seeds as one
-    stack, and package each cell's log and result, in seed order."""
+    stack, and package each cell's log and result, in seed order.
+
+    The cells train in float32: the pair's inputs and the models are cast
+    once here, after standardizing and initializing in float64, and the
+    trainer computes in its inputs' dtype. Its loss log stays float64."""
     if not seeds:
         raise ConfigError("run_single: at least one seed is required")
     for seed in seeds:
@@ -289,15 +299,16 @@ def run_single(cfg: ExperimentConfig, scenario: str, seeds: tuple[int, ...]
         return items[0] if len(items) == 1 else stack_items(items)
 
     pair = join([cfg.dataset.make_pair(seed) for seed in seeds], stack_pairs)
+    pair = replace(pair, xs=pair.xs.astype(np.float32), xt=pair.xt.astype(np.float32))
     train_cfg = replace(cfg.train, seed=join(tuple(seeds), tuple))
-    student = join([build(cfg.student_spec(seed)) for seed in seeds], stack)
+    student = _float32(join([build(cfg.student_spec(s)) for s in seeds], stack))
     # looked up at call time, so a wrapper installed on the module applies
     train = getattr(trainer, f"train_{scenario}")
     try:
         if scenario == "uda_only":  # the only scenario without a teacher
             log = train(student, pair, train_cfg)
         else:
-            teacher = join([build(cfg.teacher_spec(seed)) for seed in seeds], stack)
+            teacher = _float32(join([build(cfg.teacher_spec(s)) for s in seeds], stack))
             log = train(teacher, student, pair, train_cfg)
     except NumericalAbort as exc:
         if len(seeds) > 1:  # _run_share reruns the stack one cell at a time

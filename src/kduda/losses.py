@@ -17,6 +17,8 @@ gradient flows into the big model through a distillation term.
 Like the autodiff ops, every loss works over trailing axes: on a stack of S
 cells (inputs with a leading axis of length S, a stacked model) it returns
 one value per cell, each equal bit for bit to the cell's loss on its own.
+Each also computes in its features' or logits' float dtype, constants and
+adjoint buffers included.
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ def _pair_sqdist(z: np.ndarray, ns: int) -> np.ndarray:
     """Squared distances |z_i|^2 + |z_j|^2 - 2 z_i.z_j of the distinct row
     pairs of each cell's pooled sample z, clipped at zero against rounding:
     the within-domain pairs as _pair_blocks places them, then the ns source
-    rows' pairs with the rest, row by row. Made from the Gram block in place."""
+    rows' pairs with the rest, row by row, in z's dtype. Made from the Gram
+    block in place."""
     sq = (z * z).sum(axis=-1)
     block = z @ ad._t(z)
     block *= 2.0
@@ -135,7 +138,7 @@ def _pair_sqdist(z: np.ndarray, ns: int) -> np.ndarray:
         part = block[..., lo:lo + step, :]
         np.subtract(sq[..., lo:lo + step, None] + sq[..., None, :], part, out=part)
     within = parts[-1][3].stop
-    d = np.empty(stack + (within + ns * (n - ns),))
+    d = np.empty(stack + (within + ns * (n - ns),), dtype=z.dtype)
     for rows, cols, mask, pairs in parts:
         d[..., pairs] = block[..., rows, cols][mask].reshape(stack + (-1,))
     # the source-target pairs, through a view: d's last axis is contiguous
@@ -169,7 +172,8 @@ def mmd_squared(z: Tensor, ns: int, kernel: KernelConfig) -> Tensor:
     nt = n - ns
     d = _pair_sqdist(zv, ns)
     sig = kernel.resolve(d)
-    coef = -0.5 / (sig * sig)
+    # in the features' dtype, so the bank runs in it too
+    coef = (-0.5 / (sig * sig)).astype(d.dtype, copy=False)
     # per pair: the bank's kernel sum, and its slope in d from a stacked
     # (.., 1, K) @ (.., K, pairs) product, bitwise per cell
     bank, slope = np.empty_like(d), np.empty_like(d)
@@ -193,7 +197,7 @@ def mmd_squared(z: Tensor, ns: int, kernel: KernelConfig) -> Tensor:
     value = np.where(np.isfinite(coef).all(axis=-1), value, np.nan)
     def vjp(g):
         g2 = (2.0 * np.asarray(g))[..., None]
-        m = np.zeros(stack + (n, n))
+        m = np.zeros(stack + (n, n), dtype=zv.dtype)
         step, parts = _pair_blocks(ns, nt, stack)
         for rows, cols, mask, pairs in parts:
             m[..., rows, cols][mask] = (slope[..., pairs] * g2).ravel()
@@ -228,7 +232,7 @@ def _log_loss(logits: Tensor, t: np.ndarray, tau: float, offset,
     neg_inv_n = -(1.0 / z.shape[-2])
     value = (_cell_sum(z * t) * neg_inv_n + offset) * scale
     def vjp(g):
-        out = np.zeros(logits.values.shape)
+        out = np.zeros_like(logits.values)
         gz = out[..., rows, :]
         np.multiply(np.asarray(g * scale * neg_inv_n)[..., None, None], t, out=gz)
         gz -= p * gz.sum(axis=-1, keepdims=True)
@@ -259,7 +263,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
         raise ParameterError(
             f"cross_entropy: labels must be in [0, {c}), got range "
             f"[{labels.min()}, {labels.max()}]")
-    onehot = (labels[..., None] == np.arange(c)).astype(np.float64)
+    onehot = (labels[..., None] == np.arange(c)).astype(z.dtype)
     return _log_loss(logits, onehot, 1.0, -0.0, float(scale), rows)
 
 
@@ -270,7 +274,7 @@ def distill_kl(student_logits: Tensor, teacher_soft: np.ndarray, tau: float) -> 
     gradients stay comparable across temperatures."""
     if tau <= 0:
         raise ParameterError(f"tau must be positive, got {tau}")
-    t = np.asarray(teacher_soft, dtype=np.float64)
+    t = np.asarray(teacher_soft, dtype=student_logits.values.dtype)
     if student_logits.values.shape != t.shape:
         raise ShapeError(f"distill_kl: student {student_logits.values.shape} and "
                          f"teacher {t.shape} shapes differ")

@@ -126,7 +126,8 @@ class Model:
     # -- graph-free inference ----------------------------------------------
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        """Logits of x's rows off the tape, computed in the weights' dtype."""
+        x = np.asarray(x, dtype=self.weights[0].dtype)
         self._check_input(x.shape)
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):

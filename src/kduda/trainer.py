@@ -425,8 +425,9 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
                 pair: DomainPair, cfg: TrainConfig) -> TrainLog:
     """Run a scenario's phases back to back over cfg.epochs epochs, on one
     cell or on a stack of them. Each batch runs the phase's moves in turn;
-    a loss column logs the first value a move gives it, and L_total is
-    recomposed from the others."""
+    a loss column logs the first value a move gives it, as float64 whatever
+    the models' dtype, and L_total is recomposed from the others in float64,
+    so it equals their blend to float64 rounding."""
     if teacher is not None and teacher.spec.num_classes != student.spec.num_classes:
         raise ShapeError(
             f"class counts differ: teacher {teacher.spec.num_classes}, "
@@ -465,7 +466,7 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
                 for model, opt, move, weight in moves:
                     for column, value in _descend(model, opt, weight, epoch, *move(
                             model, teacher, batch, cfg)).items():
-                        terms.setdefault(column, value)
+                        terms.setdefault(column, np.asarray(value, dtype=np.float64))
                 terms["L_total"] = ((1.0 - beta) * terms.get("L_tda", 0.0) + beta
                                     * (terms.get("L_tkd", 0.0) + terms.get("L_skd", 0.0)))
                 _check_finite({"L_total": terms["L_total"]}, epoch)

@@ -564,16 +564,18 @@ def same_bits(a, b):
 class TestInPlaceOps:
     """The ops that compute into their own buffers equal the allocating
     references in tests/fdcheck.py bit for bit: values and adjoints, and the
-    MMD node's pair distances."""
+    MMD node's pair distances, at float64 and, where the reference follows
+    its inputs' dtype, at float32 too."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 31, 64, 67, 131])
     def test_relu_is_np_where_on_special_values(self, n):
         rng = np.random.default_rng(n)
         for _ in range(20):
-            z = specials(rng, n)
-            expected = np.where(z > 0, z, 0.0)
-            ad._relu_in_place(z)
-            assert same_bits(z, expected)
+            drawn = specials(rng, n)
+            for z in (drawn, drawn.astype(np.float32)):
+                expected = np.where(z > 0, z, 0.0)
+                ad._relu_in_place(z)
+                assert same_bits(z, expected)
 
     @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("rows,width", [(1, 1), (5, 7), (32, 17), (9, 64)])
@@ -586,14 +588,16 @@ class TestInPlaceOps:
         xv[0] = specials(rng, 3)
         wv[:, -1] = specials(rng, 3)
         gv = specials(rng, (rows, width))
-        outs = []
-        with np.errstate(invalid="ignore", over="ignore"):
-            for op in (ad.linear, old_linear):
-                g = Graph()
-                out = op(g.tensor(xv), g.tensor(wv), g.tensor(bv), relu=relu)
-                outs.append((out.values, *out._vjp(gv)))
-        for new, old in zip(*outs):
-            assert same_bits(new, old)
+        for dtype in (np.float64, np.float32):
+            outs = []
+            with np.errstate(invalid="ignore", over="ignore"):
+                for op in (ad.linear, old_linear):
+                    g = Graph()
+                    out = op(*(g.tensor(v.astype(dtype)) for v in (xv, wv, bv)),
+                             relu=relu)
+                    outs.append((out.values, *out._vjp(gv.astype(dtype))))
+            for new, old in zip(*outs):
+                assert new.dtype == dtype and same_bits(new, old)
 
     @pytest.mark.parametrize("stack", [(), (3,)])
     def test_relu_adjoint_reads_its_mask_from_the_output(self, stack):
@@ -646,20 +650,21 @@ class TestInPlaceOps:
         av = rng.normal(size=(rows_a, width))
         bv = av.copy() if shared else rng.normal(size=(rows_b, width)) + 0.3
         av[0] = np.round(av[0])  # exact zeros among the distances
-        z = np.concatenate([av, bv])
         index = old_pair_index(av.shape[0], bv.shape[0])
-        g = Graph()
-        reference = old_pairwise_sqdist(g.tensor(z), g.tensor(z)).values
-        assert same_bits(_pair_sqdist(z, av.shape[0]), reference.ravel()[index])
+        for dtype in (np.float64, np.float32):
+            z = np.concatenate([av, bv]).astype(dtype)
+            g = Graph()
+            reference = old_pairwise_sqdist(g.tensor(z), g.tensor(z)).values
+            d = _pair_sqdist(z, av.shape[0])
+            assert d.dtype == dtype and same_bits(d, reference.ravel()[index])
 
 
-def _every_op(g, rng):
-    """One node of each op with its inputs, on fresh leaves of g."""
-    x = g.tensor(rng.normal(size=(6, 4)))
-    y = g.tensor(rng.normal(size=(6, 4)))
-    w = g.tensor(rng.normal(size=(4, 3)))
-    b = g.tensor(rng.normal(size=3))
-    teacher = softmax_np(rng.normal(size=(6, 4)), 0.5)
+def _every_op(g, rng, dtype=np.float64):
+    """One node of each op with its inputs, on fresh leaves of g of dtype."""
+    x, y, w, b, logits = (rng.normal(size=shape).astype(dtype) for shape in
+                          ((6, 4), (6, 4), (4, 3), 3, (6, 4)))
+    x, y, w, b = map(g.tensor, (x, y, w, b))
+    teacher = softmax_np(logits, 0.5)
     return [ad.add(x, y), ad.add(x, x),
             scalar_multiply(x, 3.0), ad.linear(x, w, b),
             ad.linear(x, w, b, relu=True),
@@ -672,17 +677,19 @@ def _every_op(g, rng):
 class TestAliasing:
     def test_ops_never_write_into_their_inputs_or_adjoint(self):
         rng = np.random.default_rng(3)
-        g = Graph()
-        for out in _every_op(g, rng):
-            before = [inp.values.copy() for inp in out._inputs]
-            gv = rng.normal(size=out.values.shape)
-            kept = gv.copy()
-            contribs = out._vjp(gv)
-            assert same_bits(gv, kept)
-            for inp, old, contrib in zip(out._inputs, before, contribs):
-                assert same_bits(inp.values, old)
-                assert not np.shares_memory(out.values, inp.values)
-                assert not np.shares_memory(contrib, inp.values)
+        for dtype in (np.float64, np.float32):
+            g = Graph()
+            for out in _every_op(g, rng, dtype):
+                assert out.values.dtype == dtype
+                before = [inp.values.copy() for inp in out._inputs]
+                gv = rng.normal(size=out.values.shape).astype(dtype)
+                kept = gv.copy()
+                contribs = out._vjp(gv)
+                assert same_bits(gv, kept)
+                for inp, old, contrib in zip(out._inputs, before, contribs):
+                    assert contrib.dtype == dtype and same_bits(inp.values, old)
+                    assert not np.shares_memory(out.values, inp.values)
+                    assert not np.shares_memory(contrib, inp.values)
 
     @pytest.mark.parametrize("pair", ["kl+ce", "mmd+mmd", "ce[:2]+ce[1:]"])
     def test_a_shared_adjoint_reaches_both_inputs_unchanged(self, pair):
@@ -704,12 +711,14 @@ class TestAliasing:
             return (cross_entropy(x, labels[:2], slice(2)),
                     cross_entropy(x, labels[1:], slice(1, None)))
 
-        g = Graph()
-        x = g.tensor(xv)
-        weighted_sum(ad.add(*branches(x)), weights).backward()
-        apart = []
-        for k in range(2):
-            xk = Graph().tensor(xv)
-            weighted_sum(branches(xk)[k], weights).backward()
-            apart.append(xk.grad)
-        assert same_bits(x.grad, apart[1] + apart[0])
+        for dtype in (np.float64, np.float32):
+            g = Graph()
+            x = g.tensor(xv.astype(dtype))
+            ad.add(*branches(x)).backward(weights)
+            apart = []
+            for k in range(2):
+                xk = Graph().tensor(xv.astype(dtype))
+                branches(xk)[k].backward(weights)
+                apart.append(xk.grad)
+            assert x.grad.dtype == dtype
+            assert same_bits(x.grad, apart[1] + apart[0])

@@ -3,9 +3,10 @@
 Every scenario runs for 3 epochs on two benchmark workload configs, read
 as they are: scenario_grid (at 3 epochs the very cells joint_headline
 trains) and wide_batch. Each config trains seed 0 alone and seeds 0 and 1
-as one stack. The digests cover each cell's epoch CSV without its seconds
-column, and one run_experiment summary. A change that moves these bits on
-purpose updates the digests and says why.
+as one stack, in float32 as run_single trains. The digests cover each
+cell's epoch CSV without its seconds column, and one run_experiment
+summary. A change that moves these bits on purpose updates the digests and
+says why.
 
 The digests hold for one numpy build, whose BLAS fixes the bits; under any
 other numpy version the test skips.
@@ -28,45 +29,45 @@ WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
 # the stack must equal seed 0 alone, so one digest covers both
 EPOCH_CSVS = {
     ("scenario_grid", "joint", 0):
-        "d4424083e047c6ab0197bee55a3ba561cc3ab7735ab41193ae8899d9f5bc81db",
+        "ca007c66db4f4d4ec659ac3af313fa6243b84ff8736a28093e23ac37d8334399",
     ("scenario_grid", "joint", 1):
-        "fa7c61ea0465d9c991405bc07a75fdb975354022ed0219bdb35590d5d293251e",
+        "d13fa59702915184f5e551e1bb56b4678006d9007da47380f6a412e9372b0e93",
     ("scenario_grid", "uda_then_kd", 0):
-        "9510efdca89aa6e124778fd818797a1ac8ee691f0a6337a8c8d5986c98ac4195",
+        "a72f26da5de89566b6e1771cff11557fef239f855fcea66479d05fcf68208223",
     ("scenario_grid", "uda_then_kd", 1):
-        "cab18870aa6c815fcfbc08fdea2a4258a49426cb0878309d59e236ad601a3b28",
+        "5eb53121313f5f19cc9a05ac78f71612892f855cdd9ee703a05dc26e513c6976",
     ("scenario_grid", "kd_then_uda", 0):
-        "5173ada98537b758e653d8817712af8694c178ce9ecf91550f5bd06d5af79c58",
+        "d8047e5180cf6262f281857a0bad39652c340cf0b03f0501888fd93a633e8b5b",
     ("scenario_grid", "kd_then_uda", 1):
-        "d182fd4deec1e765ebffac6cb7e748c032a1fd9e3a0a9b203e81689e39ad3958",
+        "6cef0624e07234c0279b9ef131942a6649a779074529c5e2feddc3f19fd110fe",
     ("scenario_grid", "uda_only", 0):
-        "f7d9a3771c65ac76d1b00f8fbf07be12894adc565d3a8117869138f27faae8f7",
+        "f96e27b4cc2867f93d2ce559f1df0556c6ea7d89f1e04553cfc3828186fd2145",
     ("scenario_grid", "uda_only", 1):
-        "d30edf914cc7b14bf815cb48becb3564d9872d7203a920790aa5a28a8b791dcf",
+        "37f83bb7953dfadb5bd84cb7bfdf8d964763e8c825a267799fadf0901fe0fa2a",
     ("scenario_grid", "source_only", 0):
-        "17f76800f7287bfc35052709d1e072674edfa29d09446451fb4fbab4e020d62f",
+        "5db3ae3f916ab9d2de4881b9f059d4b00392b7838bc3b5421e5d269e8be3a865",
     ("scenario_grid", "source_only", 1):
-        "be1ec36745ede6fb189434ae2de48a199a84e3d6f9e650b2700769ccb1faac04",
+        "75c6b949de37acadaf3b58402acf2936df2c064960eabbc19e06a653768a97f3",
     ("wide_batch", "joint", 0):
-        "cb9fde88f2ee773b0a92794c53afba99684e0b48e97b444fd59c160594c4cd71",
+        "8de858fe1d7cbb4028d0e06ca4c3b3f584bc4233a1b3902a554206da99f2c0ff",
     ("wide_batch", "joint", 1):
-        "f17ebdfd8cc45de30ca8fdca2eba034fa21958381d062f31bb0a92f6d8ae50cf",
+        "51a559630941721f90abe51151e8d8dccb05275c42f7864a911a803c78330a6a",
     ("wide_batch", "uda_then_kd", 0):
-        "a614c4e9eb63c63ff2a3f81162d9de02831bd292da01ec47c1b21edea5b6a663",
+        "40d90d8727bd955c596903c7d070d911686016e95f52ca8475f390797ad951de",
     ("wide_batch", "uda_then_kd", 1):
-        "ac9a33a99ffa0fec68385075a726f0257fbf8c894ce6c7b7a5d954a14291cb5b",
+        "0f4183df9b9a3f8dbd4a7eaa206a759a192bfb450ffd2d3a01c9384dd83e7104",
     ("wide_batch", "kd_then_uda", 0):
-        "d7d8f3bcaf7521cc47dad5b42c4d215c4076b3b5b5452a049befb4aed5c09e76",
+        "cb236df71e11988e9e10e721cf6449cea9ddcb333f9c282981e019a0270b5dbd",
     ("wide_batch", "kd_then_uda", 1):
-        "7d9c2a83698e63e6486cc1034d29fbccbb4c81953d662e7a2a20317b0794fea3",
+        "b2c888d855b6eeaa18f4ae9aa5aef17aaaec91d2787cc40263193d63e9efff0e",
     ("wide_batch", "uda_only", 0):
-        "99bf5c613457fd5e97505cfcd288a32e3dbd0567593bc7efedf33996b28637b1",
+        "0136a144b0a5c52f135be82e977f7ad8e57a487c910beb0b656d08e2e4063a0a",
     ("wide_batch", "uda_only", 1):
-        "9b4ec33a3fb37c4c2972a4c3b2c7a394a3c64a040a6f081eea33f480278a3b7e",
+        "041ff46f257a066c3d8e60ed99de800dfb86df7dd941fcd10082f4e969adc0d3",
     ("wide_batch", "source_only", 0):
-        "eb7c0a4124f785f55f2dea5dcbb93fe731159cc37803d5aed813796f6ef5b755",
+        "ae092dce195d0a94d1ad394d1455a44e7f4d5f39b9c63498f1ec1493d822aefb",
     ("wide_batch", "source_only", 1):
-        "691019e9a3d39c3c8c948d23bce91a8c0ad5e04a095ebbd867d1294e34b8e60d",
+        "bf4b966038af0582f1ee04856e7f8b4bdb5fe3b5be12653e670635f1c252800f",
 }
 SUMMARY = "0f95f477fd1b19227e6e7ced259c1943598ecacc3e69d555886e190a57fb1262"
 

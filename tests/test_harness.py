@@ -34,7 +34,7 @@ from kduda.harness import (
     teacher_hidden_for,
 )
 from kduda.losses import KernelConfig
-from kduda.models import count_complexity
+from kduda.models import build, count_complexity
 from kduda.trainer import TrainConfig
 
 
@@ -434,6 +434,44 @@ class TestRunSingle:
         monkeypatch.setattr(trainer, name, wrapper)
         run_single(tiny_cfg(tmp_path), scenario, (0, 1))
         assert calls == [3 if scenario == "uda_only" else 4]
+
+    @staticmethod
+    def step_dtypes(monkeypatch) -> set:
+        """The dtypes of every parameter, gradient and velocity that
+        sgd_step is handed from now on."""
+        seen = set()
+        real = trainer.sgd_step
+
+        def spy(params, grads, state):
+            seen.update(a.dtype for a in (*params, *grads, *state.velocities))
+            real(params, grads, state)
+
+        monkeypatch.setattr(trainer, "sgd_step", spy)
+        return seen
+
+    @pytest.mark.parametrize("seeds", [(0,), (0, 1)])
+    @pytest.mark.parametrize("scenario", harness.VALID_SCENARIOS)
+    def test_cells_train_in_float32_and_log_float64(self, tmp_path, monkeypatch,
+                                                    scenario, seeds):
+        # one op's float64 buffer (an np.zeros without a dtype) would make
+        # every gradient float64 and run the products in mixed precision
+        seen = self.step_dtypes(monkeypatch)
+        for log, _ in run_single(tiny_cfg(tmp_path), scenario, seeds):
+            assert {np.asarray(getattr(r, name)).dtype for r in log.records
+                    for name in ("l_mmd", "l_tda", "l_tkd", "l_skd", "l_total")
+                    } == {np.dtype(np.float64)}
+        assert seen == {np.dtype(np.float32)}
+
+    def test_library_calls_on_float64_inputs_keep_float64(self, tmp_path,
+                                                          monkeypatch):
+        cfg = tiny_cfg(tmp_path)
+        pair = cfg.dataset.make_pair(0)
+        teacher, student = build(cfg.teacher_spec(0)), build(cfg.student_spec(0))
+        assert {a.dtype for a in (pair.xs, pair.xt, *teacher.parameters(),
+                                  *student.parameters())} == {np.dtype(np.float64)}
+        seen = self.step_dtypes(monkeypatch)
+        trainer.train_joint(teacher, student, pair, cfg.train)
+        assert seen == {np.dtype(np.float64)}
 
 
 class TestRunExperiment:
@@ -873,11 +911,12 @@ class TestCli:
         assert code == 2
         assert "numerical abort" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lr,code", [("10", 2), ("1", 2), ("0.3", 2),
+    @pytest.mark.parametrize("lr,code", [("3", 2), ("1", 2), ("0.3", 2),
                                          ("0.1", 0)])
     def test_weights_grown_past_ten_times_abort(self, tmp_path, capsys, lr, code):
         # at lr 0.3 and above the default models end at chance accuracy with
-        # every loss finite; at 0.1 they learn
+        # every loss finite; at 0.1 they learn. From lr 5 up, float32 training
+        # overflows a loss before the weight guard runs
         path = tmp_path / "hot.cfg"
         path.write_text(f"data.n_per_domain = 200\ntrain.epochs = 5\n"
                         f"train.lr_da = {lr}\ntrain.lr_kd = {lr}\n"
@@ -1366,11 +1405,11 @@ class TestStacksMatchSingleCells:
     def test_a_diverging_seed_fails_as_in_a_single_cell_run(
             self, tmp_path, workers, single_cells):
         # at this rate uda_only's weights explode at seed 4 while its losses
-        # stay finite: the stack fails, and its rerun one cell at a time
-        # stops at uda_only seed 4 on the weight guard, writing nothing
+        # stay finite in float32: the stack fails, and its rerun one cell at
+        # a time stops at uda_only seed 4 on the weight guard, writing nothing
         cfg = tiny_cfg(tmp_path, scenarios=("uda_only", "joint"), seeds=(4, 5, 6),
                        train=TrainConfig(epochs=3, batch_size=30, tau=4.0,
-                                         lr_da=1e154, lr_kd=1e154))
+                                         lr_da=1e6, lr_kd=1e6))
         outcomes = []
         for n, single in ((1, False), (2, False), (1, True)):
             if single:

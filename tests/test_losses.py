@@ -512,6 +512,24 @@ class TestMmd:
             with pytest.raises(ParameterError):
                 mmd_squared(g.tensor(np.zeros((4, 3))), ns, kc)
 
+    @pytest.mark.parametrize("kernel", [KernelConfig(), KernelConfig((0.5, 2.0))])
+    def test_float32_features_run_the_bank_in_float32(self, monkeypatch, kernel):
+        # float64 bandwidths left as the coefficients' dtype would run the
+        # bank's exponentials and slope products in float64, then cast them
+        seen = set()
+        for name in ("exp", "matmul"):
+            def spy(*args, real=getattr(np, name), **kwargs):
+                seen.update(a.dtype for a in (*args, kwargs.get("out"))
+                            if isinstance(a, np.ndarray))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(np, name, spy)
+        z = ad.Graph().tensor(
+            np.random.default_rng(0).normal(size=(64, 8)).astype(np.float32))
+        mmd = mmd_squared(z, 32, kernel)
+        mmd.backward()
+        assert mmd.values.dtype == z.grad.dtype == np.float32
+        assert seen == {np.dtype(np.float32)}
+
 
 def pooled_sample(ns, nt, stack, data):
     """ns source and nt target rows per cell, and a kernel for them.

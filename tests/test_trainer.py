@@ -8,6 +8,7 @@ import pytest
 
 import fdcheck
 import kduda.autodiff as ad
+import kduda.harness
 import kduda.losses
 import kduda.trainer
 from kduda.data import batches, gen_blob_shift
@@ -36,6 +37,13 @@ def small_models(seed=0):
     teacher = build(ModelSpec(2, (8,), 3, seed=seed + 100))
     student = build(ModelSpec(2, (4,), 3, seed=seed + 200))
     return teacher, student
+
+
+def as_float32(pair, *models):
+    """pair and models cast to float32 as harness.run_single casts them."""
+    return (dataclasses.replace(pair, xs=pair.xs.astype(np.float32),
+                                xt=pair.xt.astype(np.float32)),
+            *map(kduda.harness._float32, models))
 
 
 def phase_starts(scenario, epochs):
@@ -287,11 +295,15 @@ class TestJointTraining:
             assert rec.beta == cfg.beta_at(t)
 
     def test_total_recomposes_from_parts(self):
-        teacher, student = small_models()
-        log = train_joint(teacher, student, small_pair(), quick_cfg(epochs=3))
-        for r in log.records:
-            expected = (1.0 - r.beta) * r.l_tda + r.beta * (r.l_tkd + r.l_skd)
-            np.testing.assert_allclose(r.l_total, expected, rtol=0, atol=1e-10)
+        # at float32 too: the log holds each term as float64 before L_total
+        # is recomposed, where float32 arithmetic would miss by about 1e-8
+        cells = [(small_pair(), *small_models())]
+        cells.append(as_float32(*cells[0]))
+        for pair, teacher, student in cells:
+            log = train_joint(teacher, student, pair, quick_cfg(epochs=3))
+            for r in log.records:
+                expected = (1.0 - r.beta) * r.l_tda + r.beta * (r.l_tkd + r.l_skd)
+                np.testing.assert_allclose(r.l_total, expected, rtol=0, atol=1e-10)
 
     def test_weight_zero_keeps_the_model_bits(self):
         # a joint epoch's steps with the student at weight 0 and the teacher
@@ -734,6 +746,38 @@ class TestMoveNodeCounts:
         objective, _ = call()
         objective.backward()
         assert calls == []
+
+
+class TestFloat32Steps:
+    """A step at float32, as run_single trains, against the same step at
+    float64 from the same weights and batch."""
+
+    # gradient relative error (fdcheck.relative_error) allowed per parameter,
+    # about 80 times float32's machine epsilon of 1.2e-7. This test's steps read
+    # at most 4.9e-7; the headline models on a workload batch of 256 + 256
+    # rows read at most 6.8e-7.
+    TOL = 1e-5
+
+    @pytest.mark.parametrize("move,role", [("_adapt", "teacher"),
+                                           ("_distill_both", "student")])
+    def test_gradients_agree_with_float64(self, move, role):
+        cfg = TrainConfig()
+        x, ys = batches(small_pair(), 32, 0, cfg.seed)[0]
+        grads = []
+        for dtype in (np.float64, np.float32):
+            models = {"teacher": build(ModelSpec(2, (128, 128, 64), 3, seed=1)),
+                      "student": build(ModelSpec(2, (32, 16), 3, seed=2))}
+            if dtype == np.float32:
+                models = {role: kduda.harness._float32(m)
+                          for role, m in models.items()}
+            model = models[role]
+            objective, _ = getattr(kduda.trainer, move)(
+                model, models["teacher"], (x.astype(dtype), ys), cfg)
+            objective.backward()
+            grads.append(model.bound_gradients())
+        for g64, g32 in zip(*grads):
+            assert g64.dtype == np.float64 and g32.dtype == np.float32
+            assert fdcheck.relative_error(g32, g64) < self.TOL
 
 
 class TestDivergenceGuard:
