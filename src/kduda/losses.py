@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, softmax_np
+from .autodiff import Tensor
 from .errors import ParameterError, ShapeError
 from .models import Model
 

@@ -2,20 +2,21 @@
 each a table of phases (`SCENARIOS`) run by one epoch driver.
 
 A phase steps its models in turn on every paired batch, each down the
-objective of one of three moves: adaptation (MMD + gamma source CE),
-supervised source CE, or distillation from the teacher's fresh soft targets
-on the source domain, the target domain or both. A model at lr_da descends
-(1 - beta) times its objective, one at lr_kd beta times it. So the joint
-phase adapts the big model, then distills both domains into the small one
-from the just-updated big model. References: adapt-only on the small model,
-supervised-then-distill-then-adapt, adapt-then-distill (distillation
-without labels), and supervised source training of both.
+objective of one of three moves: adaptation (MMD + gamma source CE) or
+supervised source CE at lr_da, or distillation from the teacher's fresh soft
+targets on the source domain, the target domain or both at lr_kd. A model at
+lr_da descends (1 - beta) times its objective, one at lr_kd beta times it.
+So the joint phase adapts the big model, then distills both domains into
+the small one from the just-updated big model. References: adapt-only on
+the small model, supervised-then-distill-then-adapt, adapt-then-distill
+(distillation without labels), and supervised source training of both. A
+phase lists only its moves; its epochs and beta follow (phase_epochs, Phase).
 
 Clocks: beta (refreshed once per epoch) follows the run's global epoch,
 and gamma stays constant. Every phase starts with fresh optimizers; an
 adaptation or supervised one decays exponentially from lr_da toward
 lr_da_final_fraction of it over the phase's own epochs, a distillation one
-keeps lr_kd.
+keeps lr_kd. Each epoch evaluates the models it trained, epoch 0 all.
 
 Stacks: the cells of one config and scenario that differ only in seed run
 the same ops on different numbers, so they train as one stack. Their models
@@ -70,7 +71,6 @@ class TrainConfig:
     lr_kd: float = 0.001
     momentum: float = 0.9
     lr_da_final_fraction: float = 0.01
-    eval_every: int = 1
     seed: int | tuple[int, ...] = 0  # orders the batches; one per stacked cell
     kernel: KernelConfig = field(default_factory=KernelConfig)
 
@@ -84,7 +84,6 @@ class TrainConfig:
                 (not 0.0 <= self.momentum < 1.0, "momentum", "in [0, 1)"),
                 (not 0.0 < self.lr_da_final_fraction <= 1.0,
                  "lr_da_final_fraction", "in (0, 1]"),
-                (self.eval_every < 1, "eval_every", ">= 1"),
                 (not 0.0 < self.beta_start <= 1.0, "beta_start", "in (0, 1]"),
                 (not 0.0 < self.beta_end <= 1.0, "beta_end", "in (0, 1]"),
                 (self.beta_start > 0
@@ -92,7 +91,10 @@ class TrainConfig:
                  "beta_start", "large enough that beta_end / beta_start is finite"),
                 (self.gamma < 0, "gamma", ">= 0"),
                 (self.alpha < 0, "alpha", ">= 0"),
-                (self.tau <= 0, "tau", "positive")):
+                (self.tau <= 0, "tau", "positive"),
+                (not all(isinstance(s, (int, np.integer)) and s >= 0
+                         for s in np.ravel(self.seed)),
+                 "seed", "a non-negative integer in every cell")):
             if bad:
                 raise ParameterError(
                     f"{name} must be {rule}, got {getattr(self, name)!r}", name)
@@ -312,57 +314,51 @@ def _distill(model, teacher, batch, cfg, source, target):
 # -- scenarios ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Phase:
-    """One stretch of a scenario: `epochs // share` epochs (the last phase
-    takes the rest), logging `beta`, or the schedule's when None. `trains`
-    lists (model, rate, move) in step order: "teacher" or "student", with a
-    fresh optimizer at "lr_da" (decaying over the phase) or "lr_kd"
-    (constant), descending 1 - beta or beta times its move's objective."""
-
-    name: str
-    share: int
-    beta: float | None
-    trains: tuple[tuple[str, str, Callable[..., tuple]], ...]
-
-
 _distill_both = partial(_distill, source=True, target=True)
 _distill_source = partial(_distill, source=True, target=False)
 _distill_target = partial(_distill, source=False, target=True)
 
-SCENARIOS: dict[str, tuple[Phase, ...]] = {
-    "joint": (Phase("joint", 1, None, (("teacher", "lr_da", _adapt),
-                                       ("student", "lr_kd", _distill_both))),),
-    "uda_then_kd": (
-        Phase("teacher_uda", 2, 0.0, (("teacher", "lr_da", _adapt),)),
-        Phase("distill_target", 1, 1.0, (("student", "lr_kd", _distill_target),))),
-    "kd_then_uda": (
-        Phase("teacher_supervised", 3, 0.0, (("teacher", "lr_da", _supervised),)),
-        Phase("distill_source", 3, 1.0, (("student", "lr_kd", _distill_source),)),
-        Phase("student_uda", 1, 0.0, (("student", "lr_da", _adapt),))),
-    "uda_only": (Phase("uda_only", 1, 0.0, (("student", "lr_da", _adapt),)),),
-    "source_only": (Phase("source_only", 1, 0.0, (("student", "lr_da", _supervised),
-                                                  ("teacher", "lr_da", _supervised))),),
-}
-
-
-# Rough cost of one batch of each move, for ranking stacks against each
-# other: (op weight, multiply-accumulates per batch row and cell), from the
-# (layers, MACs) of the moved model and of the teacher. Op weights are
-# fitted, not tape node counts: the MMD node alone weighs 30. A graph step's
-# products cost three forwards: the forward and two adjoints. Dealt by MACs
-# alone, the stacks of a 3x3 width sweep finish about a quarter later.
-_STEP_COST = {
-    _adapt: lambda m, t: (m[0] + 30, 6 * m[1]),
-    _supervised: lambda m, t: (m[0] + 2, 3 * m[1]),
-    _distill_both: lambda m, t: (2 * m[0] + 9, 6 * m[1] + 2 * t[1]),
-    _distill_source: lambda m, t: (m[0] + 6, 3 * m[1] + t[1]),
-    _distill_target: lambda m, t: (m[0] + 2, 3 * m[1] + t[1]),
+# Each move's rate, and the rough cost of one batch of it for ranking stacks
+# against each other: (op weight, multiply-accumulates per batch row and
+# cell), from the (layers, MACs) of the moved model and of the teacher. Op
+# weights are fitted, not tape node counts: the MMD node alone weighs 30. A
+# graph step's products cost three forwards: the forward and two adjoints.
+# Dealt by MACs alone, the stacks of a 3x3 width sweep finish a quarter later.
+_MOVES = {
+    _adapt: ("lr_da", lambda m, t: (m[0] + 30, 6 * m[1])),
+    _supervised: ("lr_da", lambda m, t: (m[0] + 2, 3 * m[1])),
+    _distill_both: ("lr_kd", lambda m, t: (2 * m[0] + 9, 6 * m[1] + 2 * t[1])),
+    _distill_source: ("lr_kd", lambda m, t: (m[0] + 6, 3 * m[1] + t[1])),
+    _distill_target: ("lr_kd", lambda m, t: (m[0] + 2, 3 * m[1] + t[1])),
 }
 # seconds per op weight unit and per multiply-accumulate, fitted to 20-epoch
 # stacks of every scenario at 2 and 5 seeds on the headline models (2 vCPU,
 # one BLAS thread), which it then estimates within about 20%
 _OP_S, _MAC_S = 27e-6, 1.2e-10
+
+
+@dataclass(frozen=True)
+class Phase:
+    """One stretch of a scenario: `trains` lists (model, move) in step
+    order, "teacher" or "student" with a fresh optimizer at its move's rate
+    (_MOVES). A phase at one rate logs beta 0 (lr_da) or 1 (lr_kd), so each
+    model descends its whole objective; one that mixes rates, the schedule's."""
+
+    name: str
+    trains: tuple[tuple[str, Callable[..., tuple]], ...]
+
+
+SCENARIOS: dict[str, tuple[Phase, ...]] = {
+    "joint": (Phase("joint", (("teacher", _adapt), ("student", _distill_both))),),
+    "uda_then_kd": (Phase("teacher_uda", (("teacher", _adapt),)),
+                    Phase("distill_target", (("student", _distill_target),))),
+    "kd_then_uda": (Phase("teacher_supervised", (("teacher", _supervised),)),
+                    Phase("distill_source", (("student", _distill_source),)),
+                    Phase("student_uda", (("student", _adapt),))),
+    "uda_only": (Phase("uda_only", (("student", _adapt),)),),
+    "source_only": (Phase("source_only", (("student", _supervised),
+                                          ("teacher", _supervised))),),
+}
 
 # a layer whose weight norm grows past this many times its value before
 # training has diverged: healthy runs stay within 1.3 times it, runs at
@@ -372,11 +368,12 @@ _GROWTH_LIMIT = 10.0
 
 def phase_epochs(scenario: str, epochs: int) -> list[tuple[Phase, int, int]]:
     """(phase, first epoch, epoch count) of each phase of a scenario, or a
-    ParameterError if one gets none; the last takes what the others leave."""
+    ParameterError if one gets none: epochs // len(phases) each, the last
+    taking the rest."""
     phases = SCENARIOS[scenario]
     out, start = [], 0
     for i, phase in enumerate(phases):
-        count = epochs - start if i == len(phases) - 1 else epochs // phase.share
+        count = epochs - start if i == len(phases) - 1 else epochs // len(phases)
         if count < 1:
             raise ParameterError(f"epochs = {epochs} leaves the {phase.name} "
                                  f"phase of {scenario} without epochs", "epochs")
@@ -396,9 +393,9 @@ def estimate_seconds(scenario: str, teacher: ModelSpec, student: ModelSpec,
     steps = -(-rows // cfg.batch_size)
     total = 0.0
     for phase, _, count in phase_epochs(scenario, cfg.epochs):
-        costs = [_STEP_COST[move](sizes[role], sizes["teacher"])
-                 for role, _, move in phase.trains]
-        evals = 2 * rows * sum(sizes[role][1] for role, _, _ in phase.trains)
+        costs = [_MOVES[move][1](sizes[role], sizes["teacher"])
+                 for role, move in phase.trains]
+        evals = 2 * rows * sum(sizes[role][1] for role, _ in phase.trains)
         total += count * (steps * _OP_S * sum(ops for ops, _ in costs)
                           + cells * _MAC_S * (rows * sum(m for _, m in costs)
                                               + evals))
@@ -411,7 +408,7 @@ def _check_weights(role: str, model: Model, start: list, epoch: int):
     start holds those values squared. A cell whose layer starts at zero is
     checked for finiteness only."""
     for layer, (w, start_sq) in enumerate(zip(model.weights, start)):
-        sq = np.einsum("...ij,...ij->...", w, w)
+        sq = np.einsum("...ij,...ij->...", w, w, dtype=np.float64)
         finite = np.isfinite(sq).all()
         growth = np.sqrt(np.max(np.divide(sq, start_sq, out=np.zeros_like(sq),
                                           where=start_sq > 0)))
@@ -438,22 +435,25 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
         if model is not None and model.stack_shape != stack:
             raise ShapeError(f"{role} stack {model.stack_shape} does not match "
                              f"the pair's {stack}")
-    start_sq = {role: [np.einsum("...ij,...ij->...", w, w) for w in model.weights]
+    start_sq = {role: [np.einsum("...ij,...ij->...", w, w, dtype=np.float64)
+                       for w in model.weights]
                 for role, model in models.items() if model is not None}
     log = TrainLog()
-    # (source, target) accuracy of each model, refreshed on eval epochs only
-    # and only for a model trained since its last evaluation: another
-    # evaluation of unchanged parameters would repeat them bit for bit
+    # (source, target) accuracy of each model, refreshed after each epoch
+    # only for a model trained since its last evaluation: another evaluation
+    # of unchanged parameters would repeat them bit for bit
     accs = {role: (np.full(stack, np.nan),) * 2 for role in models}
     stale = {role for role, model in models.items() if model is not None}
     for phase, start, count in phase_epochs(scenario, cfg.epochs):
         trained = [(role, rate, move, OptimizerState.for_params(
                         models[role].parameters(), getattr(cfg, rate), cfg.momentum))
-                   for role, rate, move in phase.trains]
+                   for role, move in phase.trains for rate in [_MOVES[move][0]]]
+        rates = {rate for _, rate, _, _ in trained}  # one fixes beta (Phase)
+        fixed = None if len(rates) > 1 else float(rates == {"lr_kd"})
         for k in range(count):
             epoch = start + k
             tic = time.perf_counter()
-            beta = cfg.beta_at(epoch) if phase.beta is None else phase.beta
+            beta = cfg.beta_at(epoch) if fixed is None else fixed
             for _, rate, _, opt in trained:
                 if rate == "lr_da":
                     opt.lr = cfg.lr_da_at(k, count)
@@ -475,11 +475,10 @@ def _run_phases(scenario: str, teacher: Model | None, student: Model,
             for role, _, _, _ in trained:
                 _check_weights(role, models[role], start_sq[role], epoch)
                 stale.add(role)
-            if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-                for role in stale:
-                    accs[role] = tuple(evaluate(models[role], x, y) for x, y in
-                                       ((pair.xs, pair.ys), (pair.xt, pair.yt_eval)))
-                stale.clear()
+            for role in stale:
+                accs[role] = tuple(evaluate(models[role], x, y) for x, y in
+                                   ((pair.xs, pair.ys), (pair.xt, pair.yt_eval)))
+            stale.clear()
             log.records.append(EpochRecord(
                 epoch, beta, cfg.gamma, *(sums / len(batch_list)),
                 *accs["teacher"], *accs["student"], time.perf_counter() - tic))

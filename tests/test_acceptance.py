@@ -13,6 +13,7 @@ import numpy as np
 
 import kduda.autodiff as ad
 import kduda.trainer
+from kduda.autodiff import softmax_np
 from kduda.cli import main
 from kduda.data import gen_blob_shift
 from kduda.harness import (
@@ -28,7 +29,6 @@ from kduda.losses import (
     cross_entropy,
     distill_kl,
     mmd_squared,
-    softmax_np,
     source_kd_loss,
     target_kd_loss,
     teacher_da_loss,

@@ -44,7 +44,7 @@ CONFIG_KEYS = (
     "data.mean_shift", "data.scale", "train.epochs", "train.batch_size",
     "train.beta_start", "train.beta_end", "train.tau", "train.alpha",
     "train.gamma", "train.lr_da", "train.lr_kd", "train.momentum",
-    "train.lr_da_final_fraction", "train.eval_every", "train.kernel_bandwidths",
+    "train.lr_da_final_fraction", "train.kernel_bandwidths",
     "model.teacher_hidden", "model.student_hidden", "experiment.scenarios",
     "experiment.seeds", "experiment.output_dir")
 OTHER_KEYS = ("train.lr", "model.depth", "seed")
@@ -112,7 +112,6 @@ train.lr_da = 0.01
 train.lr_kd = 0.02
 train.momentum = 0.8
 train.lr_da_final_fraction = 0.5
-train.eval_every = 2
 train.kernel_bandwidths = 0.5, 1.0, 2.0
 
 model.teacher_hidden = 32, 16
@@ -140,7 +139,6 @@ class TestConfigParsing:
         assert t.tau == 10.0 and t.alpha == 0.5 and t.gamma == 1.5
         assert (t.lr_da, t.lr_kd, t.momentum) == (0.01, 0.02, 0.8)
         assert t.lr_da_final_fraction == 0.5
-        assert t.eval_every == 2
         assert t.kernel.bandwidths == (0.5, 1.0, 2.0)
         assert cfg.teacher_hidden == (32, 16)
         assert cfg.student_hidden == ((8, 4), (6,))
@@ -333,8 +331,7 @@ GUARD_VALUES = {
     "train.batch_size": "20", "train.beta_start": "0.2", "train.beta_end": "0.8",
     "train.tau": "2.0", "train.alpha": "0.5", "train.gamma": "0.5",
     "train.lr_da": "0.02", "train.lr_kd": "0.02", "train.momentum": "0.5",
-    "train.lr_da_final_fraction": "0.5", "train.eval_every": "2",
-    "train.kernel_bandwidths": "0.7, 1.3",
+    "train.lr_da_final_fraction": "0.5", "train.kernel_bandwidths": "0.7, 1.3",
     "model.teacher_hidden": "6", "model.student_hidden": "3"}
 
 
@@ -395,9 +392,9 @@ class TestConfigHash:
 
 
     # output file names come from these hashes
-    @pytest.mark.parametrize("name,tag", [("joint_headline", "358dbc2ac6"),
-                                          ("scenario_grid", "89d7d9d63e"),
-                                          ("wide_batch", "3f60cba74e")])
+    @pytest.mark.parametrize("name,tag", [("joint_headline", "a65d8ee66e"),
+                                          ("scenario_grid", "ad9643164c"),
+                                          ("wide_batch", "f59893d0f8")])
     def test_benchmark_workloads_keep_their_hash(self, name, tag):
         path = os.path.join(REPO, "perfbench", "workloads", f"{name}.cfg")
         assert load_config(path).config_hash() == tag
@@ -785,13 +782,15 @@ class TestCli:
         ("train.scale_kd_by_tau_sq = false", "train.scale_kd_by_tau_sq"),
         ("data.standardize = false", "data.standardize"),
         ("train.kernel_multipliers = 0.5, 2.0", "train.kernel_multipliers"),
+        ("train.eval_every = 1", "train.eval_every"),
     ])
     def test_removed_keys_and_generator_fail_before_any_output(
             self, tmp_path, capsys, line, key, no_training):
         # the given bandwidths choose the kernel bank, lr_da_final_fraction
         # = 1 keeps lr_da, and blobs is the one generator; gamma is
         # constant, distillation is scaled by tau^2, pairs are standardized
-        # and the median bank takes MEDIAN_MULTIPLIERS
+        # and the median bank takes MEDIAN_MULTIPLIERS; each epoch evaluates
+        # the models it trained
         with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config(line + "\n")
         path = tmp_path / "old.cfg"

@@ -11,13 +11,13 @@ import kduda.autodiff as ad
 import kduda.trainer
 from kduda.data import gen_blob_shift
 from kduda.errors import ParameterError, ShapeError
+from kduda.autodiff import softmax_np
 from kduda.losses import (
     MEDIAN_MULTIPLIERS,
     KernelConfig,
     cross_entropy,
     distill_kl,
     mmd_squared,
-    softmax_np,
     source_kd_loss,
     target_kd_loss,
     teacher_da_loss,

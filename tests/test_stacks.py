@@ -16,12 +16,12 @@ import pytest
 import kduda.autodiff as ad
 import kduda.losses
 from kduda import trainer
-from kduda.autodiff import Graph
+from kduda.autodiff import Graph, softmax_np
 from kduda.data import batches, gen_blob_shift, stack_pairs
 from kduda.errors import ParameterError, ShapeError
 from kduda.losses import (KernelConfig, _pair_sqdist, cross_entropy,
-                          distill_kl, mmd_squared, softmax_np,
-                          source_kd_loss, target_kd_loss, teacher_da_loss)
+                          distill_kl, mmd_squared, source_kd_loss,
+                          target_kd_loss, teacher_da_loss)
 from kduda.models import ModelSpec, build, stack
 from fdcheck import (finite_diff_grad, old_kernel_bank_mean, old_pairwise_sqdist,
                      relative_error, scalar_multiply, weighted_sum)

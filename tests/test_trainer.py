@@ -267,9 +267,15 @@ class TestTrainConfig:
         with pytest.raises(ParameterError):
             TrainConfig(lr_da_final_fraction=1.5)
         with pytest.raises(ParameterError):
-            TrainConfig(eval_every=0)
-        with pytest.raises(ParameterError):
             TrainConfig(lr_da_final_fraction=0.0)
+        # numpy would reject a negative seed only at the first epoch, and
+        # train a fractional one silently as its integer part
+        for seed in (-1, 1.5, (0, -1), (0, 1.5)):
+            with pytest.raises(ParameterError, match=r"^seed must be a non-negative "
+                                                     r"integer in every cell, got ") as exc:
+                TrainConfig(seed=seed)
+            assert exc.value.field == "seed"
+        TrainConfig(seed=(0, np.int64(3)))
 
     @pytest.mark.parametrize("value", [0.42, 1.0, 0.1, 1e-300, 5e-324])
     def test_equal_endpoints_pin_beta_bit_for_bit_at_every_epoch(self, value):
@@ -388,39 +394,25 @@ class TestJointTraining:
 
 
 class TestEvalCadence:
-    def test_metrics_refresh_only_on_eval_epochs(self):
-        teacher, student = small_models()
-        cfg = quick_cfg(epochs=7, eval_every=5)
-        log = train_joint(teacher, student, small_pair(), cfg)
-        accs = [r.teacher_src_acc for r in log.records]
-        assert accs[1] == accs[0] == accs[2] == accs[3] == accs[4]
-        assert log.records[5].epoch == 5
-        # final epoch is always measured
-        assert not math.isnan(log.records[6].student_tgt_acc)
-
-    @pytest.mark.parametrize("eval_every", [1, 3])
     @pytest.mark.parametrize("scenario", list(kduda.trainer.SCENARIOS))
     def test_reused_accuracies_repeat_a_full_evaluation(self, monkeypatch,
-                                                        scenario, eval_every):
+                                                        scenario):
         # a model not trained since its last evaluation is not evaluated
         # again; every log line, seconds apart, must still be the bytes of
-        # a run that evaluates both models on every eval epoch
+        # a run that evaluates both models after every epoch
         teacher, student = small_models()
         if scenario == "uda_only":
             teacher = None
         pair = small_pair()
-        cfg = quick_cfg(epochs=7, eval_every=eval_every)
+        cfg = quick_cfg(epochs=7)
         record = kduda.trainer.EpochRecord
         full = []  # the records of a full evaluation
 
         def fully_evaluated(epoch, *fields):
-            if epoch % eval_every == 0 or epoch == cfg.epochs - 1:
-                accs = [math.nan if m is None else evaluate(m, x, y)
-                        for m in (teacher, student)
-                        for x, y in ((pair.xs, pair.ys), (pair.xt, pair.yt_eval))]
-            else:
-                accs = full[-1].row()[8:12]
-            full.append(record(epoch, *fields[:7], *map(float, accs), fields[11]))
+            accs = [math.nan if m is None else evaluate(m, x, y)
+                    for m in (teacher, student)
+                    for x, y in ((pair.xs, pair.ys), (pair.xt, pair.yt_eval))]
+            full.append(record(epoch, *fields[:7], *accs, fields[11]))
             return record(epoch, *fields)
 
         monkeypatch.setattr(kduda.trainer, "EpochRecord", fully_evaluated)
@@ -706,6 +698,55 @@ class TestPhaseClocks:
                 assert weight == 1.0
 
 
+# (name, first epoch, epoch count) of each phase of the two multi-phase
+# scenarios at epochs 3-12, as phases split when each named its own share
+PHASE_SPLITS = {
+    "uda_then_kd": {
+        3: [("teacher_uda", 0, 1), ("distill_target", 1, 2)],
+        4: [("teacher_uda", 0, 2), ("distill_target", 2, 2)],
+        5: [("teacher_uda", 0, 2), ("distill_target", 2, 3)],
+        6: [("teacher_uda", 0, 3), ("distill_target", 3, 3)],
+        7: [("teacher_uda", 0, 3), ("distill_target", 3, 4)],
+        8: [("teacher_uda", 0, 4), ("distill_target", 4, 4)],
+        9: [("teacher_uda", 0, 4), ("distill_target", 4, 5)],
+        10: [("teacher_uda", 0, 5), ("distill_target", 5, 5)],
+        11: [("teacher_uda", 0, 5), ("distill_target", 5, 6)],
+        12: [("teacher_uda", 0, 6), ("distill_target", 6, 6)]},
+    "kd_then_uda": {
+        3: [("teacher_supervised", 0, 1), ("distill_source", 1, 1),
+            ("student_uda", 2, 1)],
+        4: [("teacher_supervised", 0, 1), ("distill_source", 1, 1),
+            ("student_uda", 2, 2)],
+        5: [("teacher_supervised", 0, 1), ("distill_source", 1, 1),
+            ("student_uda", 2, 3)],
+        6: [("teacher_supervised", 0, 2), ("distill_source", 2, 2),
+            ("student_uda", 4, 2)],
+        7: [("teacher_supervised", 0, 2), ("distill_source", 2, 2),
+            ("student_uda", 4, 3)],
+        8: [("teacher_supervised", 0, 2), ("distill_source", 2, 2),
+            ("student_uda", 4, 4)],
+        9: [("teacher_supervised", 0, 3), ("distill_source", 3, 3),
+            ("student_uda", 6, 3)],
+        10: [("teacher_supervised", 0, 3), ("distill_source", 3, 3),
+             ("student_uda", 6, 4)],
+        11: [("teacher_supervised", 0, 3), ("distill_source", 3, 3),
+             ("student_uda", 6, 5)],
+        12: [("teacher_supervised", 0, 4), ("distill_source", 4, 4),
+             ("student_uda", 8, 4)]},
+}
+
+
+class TestPhaseSplit:
+    @pytest.mark.parametrize("epochs", range(3, 13))
+    @pytest.mark.parametrize("scenario", list(kduda.trainer.SCENARIOS))
+    def test_epochs_split_evenly_the_last_phase_taking_the_rest(self, scenario,
+                                                                epochs):
+        # a one-phase scenario's phase is named after it and takes every epoch
+        expected = PHASE_SPLITS.get(scenario, {epochs: [(scenario, 0, epochs)]})
+        assert [(p.name, start, count) for p, start, count in
+                kduda.trainer.phase_epochs(scenario, epochs)] == expected[epochs]
+
+
 MOVE_NODES = [
     ("_adapt", "teacher", 16), ("_adapt", "student", 13),
     ("_supervised", "teacher", 14), ("_supervised", "student", 11),
@@ -727,7 +768,7 @@ class TestMoveNodeCounts:
 
     @pytest.mark.parametrize("move,role,nodes", MOVE_NODES)
     def test_each_move_builds_its_known_tape(self, move, role, nodes):
-        # _STEP_COST's op weights are fitted costs, not these counts
+        # _MOVES's op weights are fitted costs, not these counts
         objective, _ = self.headline_move(move, role)()
         assert len(objective.graph) == nodes
 
@@ -798,6 +839,23 @@ class TestDivergenceGuard:
         with pytest.raises(NumericalAbort, match=r"^student layer 1 weight norm "
                                                  r"is not finite at epoch 3$"):
             kduda.trainer._check_weights("student", model, start, 3)
+
+    def test_float32_weights_square_in_float64(self):
+        # a float32 layer whose squared norm passes float32's range of 3.4e38
+        # still has a finite norm: it grew, and only a nan is not finite
+        _, model = small_models()
+        model = kduda.harness._float32(model)
+        start = [np.sum(np.square(w, dtype=np.float64)) for w in model.weights]
+        model.weights[0] *= np.float32(1e20)
+        assert np.isfinite(model.weights[0]).all()
+        assert np.isinf(np.einsum("ij,ij->", model.weights[0], model.weights[0]))
+        with pytest.raises(NumericalAbort, match=r"^student layer 0 weight norm "
+                                                 r"grew 1e\+20x at epoch 0$"):
+            kduda.trainer._check_weights("student", model, start, 0)
+        model.weights[0][0, 0] = np.nan
+        with pytest.raises(NumericalAbort, match=r"^student layer 0 weight norm "
+                                                 r"is not finite at epoch 0$"):
+            kduda.trainer._check_weights("student", model, start, 0)
 
     def test_one_cell_of_a_stack_trips_it(self):
         model = stack([small_models(seed)[0] for seed in range(3)])
